@@ -21,6 +21,7 @@
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+use std::time::Duration;
 
 use indulgent_checker::{
     decision_round_census_replay, decision_round_census_with, reachable_decisions,
@@ -196,7 +197,13 @@ fn runtime_spot_checks_match_the_swept_schedules() {
         let sim = run_schedule(&factory, &props, schedule, 30).unwrap();
         sim.check_consensus().unwrap();
 
+        // Round-exact comparison needs a synchronous run: every message
+        // inside its round's grace. This binary's sweeps keep both cores
+        // busy, and a runnable worker thread then waits up to ~16 ms for
+        // a core (measured on 2 vCPUs), past the default 4 ms grace — a
+        // false suspicion the simulator never sees. 50 ms covers the stall.
         let mut net_cfg = NetworkConfig::synchronous(config);
+        net_cfg.grace = Duration::from_millis(50);
         for p in config.processes() {
             if let Some(r) = schedule.crash_round(p) {
                 net_cfg = net_cfg.crash(p, r);

@@ -276,55 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn adopted_session_serves_consecutive_log_groups_on_one_pool() {
-        #[cfg(target_os = "linux")]
-        fn live_threads() -> usize {
-            std::fs::read_dir("/proc/self/task").expect("proc readable").count()
-        }
-
-        let config = cfg();
-        let spec = ShotSpec { crashes: vec![None; 5], asynchrony: None, max_rounds: 12 };
-        let profile = NetProfile::test_sized();
-
-        // Group 1 on a freshly spawned recycling session.
-        let mut first = SessionLogRunner::recycling(
-            config,
-            at_plus2_factory(config),
-            at_plus2_reset(),
-            profile,
-        );
-        for i in 1..=3u64 {
-            let proposals = vec![Value::new(100 + i); 5];
-            first.start(i, &proposals, &spec);
-            let d = first.wait_decided(i).expect("group 1 decided");
-            assert_eq!(d.value, Value::new(100 + i), "validity: unanimous proposal decided");
-        }
-        #[cfg(target_os = "linux")]
-        let pool_threads = live_threads();
-        let (session, group1) = first.into_session();
-        assert_eq!(group1.len(), 3);
-        assert!(group1.iter().all(|row| row.iter().flatten().count() >= 3));
-
-        // Group 2 adopts the warm session: driver-local ids restart at 1
-        // while the session's monotonic ids keep counting — the offset
-        // mapping in `start`/`wait_decided` bridges the two — and no new
-        // worker threads are spawned for the second group.
-        let mut second =
-            SessionLogRunner::adopt(config, session, at_plus2_factory(config), profile, true);
-        for i in 1..=4u64 {
-            let proposals = vec![Value::new(200 + i); 5];
-            second.start(i, &proposals, &spec);
-            let d = second.wait_decided(i).expect("group 2 decided");
-            assert_eq!(d.value, Value::new(200 + i), "adopted group still satisfies validity");
-        }
-        #[cfg(target_os = "linux")]
-        assert_eq!(live_threads(), pool_threads, "adopting a session spawns no threads");
-        let group2 = second.finish();
-        assert_eq!(group2.len(), 4);
-        assert!(group2.iter().all(|row| row.iter().flatten().count() >= 3));
-    }
-
-    #[test]
     fn af_plus2_log_runs_on_the_sim_substrate() {
         // A_{f+2} adopts majority values, so it needs the shared intake:
         // all replicas propose the same batch for the same slot.

@@ -65,11 +65,6 @@ where
     /// Whether the session recycles retired automatons (proposal-only
     /// jobs); `false` builds fresh via `factory` per instance.
     recycled: bool,
-    /// Session-id offset of this runner's instances: an adopted session
-    /// has already served earlier log groups, so its monotonic instance
-    /// ids run ahead of the driver's 1-based ones. Fixed by the first
-    /// `start` call.
-    offset: Option<u64>,
 }
 
 impl<P, F> SessionLogRunner<P, F>
@@ -89,41 +84,7 @@ where
             profile,
             started: 0,
             recycled: false,
-            offset: None,
         }
-    }
-
-    /// Adopts an already-running session instead of spawning threads: the
-    /// runner serves its log group on the *existing* worker pool, so S
-    /// consecutive (or interleaved) groups cost one set of threads, not
-    /// S. The session may have served earlier instances — the runner
-    /// offset-maps the driver's 1-based ids onto the session's monotonic
-    /// ones. Pass `recycled` matching how the session was built
-    /// ([`Session::with_recycler`] → `true`). Reclaim the session with
-    /// [`into_session`](SessionLogRunner::into_session) when the group
-    /// is done.
-    #[must_use]
-    pub fn adopt(
-        config: SystemConfig,
-        session: Session<P>,
-        factory: F,
-        profile: NetProfile,
-        recycled: bool,
-    ) -> Self {
-        SessionLogRunner { config, session, factory, profile, started: 0, recycled, offset: None }
-    }
-
-    /// Waits out this runner's instances and releases the session — with
-    /// its worker threads still warm — for the next log group to
-    /// [`adopt`](SessionLogRunner::adopt). Also returns the per-instance
-    /// decision grids, like [`InstanceRunner::finish`].
-    #[must_use]
-    pub fn into_session(mut self) -> (Session<P>, Vec<Vec<Option<Decision>>>) {
-        let offset = self.offset.unwrap_or(0);
-        let decisions = (offset + 1..=offset + self.started)
-            .map(|i| self.session.wait_instance(i).decisions)
-            .collect();
-        (self.session, decisions)
     }
 }
 
@@ -157,7 +118,6 @@ where
             profile,
             started: 0,
             recycled: true,
-            offset: None,
         }
     }
 }
@@ -187,24 +147,16 @@ where
                 proposals.iter().enumerate().map(|(i, &v)| self.factory.build(i, v)).collect();
             self.session.start_instance(processes, &session_spec)
         };
-        let offset = *self.offset.get_or_insert(id - instance);
-        assert_eq!(
-            id,
-            instance + offset,
-            "session instance ids track the driver's (offset {offset})"
-        );
+        assert_eq!(id, instance, "session instance ids track the driver's");
         self.started = self.started.max(instance);
     }
 
     fn wait_decided(&mut self, instance: u64) -> Option<Decision> {
-        self.session.wait_decision(instance + self.offset.unwrap_or(0))
+        self.session.wait_decision(instance)
     }
 
     fn finish(mut self) -> Vec<Vec<Option<Decision>>> {
-        let offset = self.offset.unwrap_or(0);
-        (offset + 1..=offset + self.started)
-            .map(|i| self.session.wait_instance(i).decisions)
-            .collect()
+        (1..=self.started).map(|i| self.session.wait_instance(i).decisions).collect()
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's model is abstract; this crate gives it a concrete,
 //! wall-clock incarnation: every process is an OS thread, messages travel
-//! over crossbeam channels with an injectable delay model, and round
-//! synchronization works the way eventually synchronous systems do in
-//! practice — wait for a quorum of `n - t` current-round messages
+//! through per-worker delay lines with an injectable delay model, and
+//! round synchronization works the way eventually synchronous systems do
+//! in practice — wait for a quorum of `n - t` current-round messages
 //! (mandatory, this is the model's t-resilience), then a grace period for
 //! stragglers, then move on. A message that misses its round's grace window
 //! is *suspected* exactly as in ES: it still arrives later (reliable
@@ -20,7 +20,7 @@
 //! # Sessions: reusable threads, pipelined instances
 //!
 //! The runtime's unit of reuse is a [`Session`]: `n` worker threads and
-//! their channels, spawned **once** and kept alive across any number of
+//! their inboxes, spawned **once** and kept alive across any number of
 //! consensus instances. [`Session::start_instance`] hands each worker an
 //! automaton and a per-instance [`InstanceSpec`] (crash rounds, delay
 //! model, round budget); results stream back per replica as
@@ -29,11 +29,38 @@
 //! round protocols of all its active instances in one event loop. This is
 //! the substrate of the `indulgent-log` replicated-log subsystem: a
 //! pipelined log keeps a window of instances running concurrently and
-//! pays thread/channel setup exactly once, instead of per decision the
+//! pays thread/inbox setup exactly once, instead of per decision the
 //! way the old one-shot entry point did.
 //!
 //! [`run_network`] survives as the one-shot convenience wrapper: a fresh
 //! session, one instance, a [`NetReport`].
+//!
+//! # Workers: one delay-line inbox each
+//!
+//! Everything that can make a worker progress arrives in its one *inbox*:
+//! jobs (new instances), peer messages, and the shutdown item pushed by
+//! [`Session`]'s `Drop`. Each item carries the instant it becomes visible —
+//! a message sent over a link of delay `d` is pushed at send time, due
+//! `d` later — and the inbox never hands an item out before then. A worker
+//! drains what is due, advances every active instance, and parks until the
+//! earliest of the next due item and the earliest `quorum_at + grace`
+//! among its instances. There is no poll interval: the runtime adds
+//! nothing to the delay it models.
+//!
+//! Under the inbox lock, a pushed message wakes its receiver only when all
+//! three hold:
+//!
+//! 1. the receiver is parked;
+//! 2. the message is due before the receiver's wake time (a later one is
+//!    picked up when the receiver wakes anyway);
+//! 3. the receiver has already taken the job of the message's instance
+//!    (until then it could only buffer the message; the job's push wakes
+//!    it, and the message is returned with the job).
+//!
+//! Jobs and shutdown always wake. The test and the park happen under the
+//! same lock, so no wake-up is lost. The `runtime_session` metric family
+//! counts `worker_parks` and `worker_timed_wakes` (parks that ended on
+//! their own timer).
 //!
 //! # Crash semantics
 //!
@@ -51,16 +78,14 @@
 //!
 //! This substrate replaces the tokio-style network harness a reproduction
 //! might otherwise reach for: round-based algorithms need no async I/O, so
-//! plain threads and channels keep the dependency set small (see
-//! DESIGN.md).
+//! plain threads keep the dependency set small.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -71,15 +96,20 @@ use indulgent_model::{
 
 /// The `runtime_session` metric family: what this process's sessions
 /// have done, summed across all of them. Instances and results are the
-/// session's unit of work, so these four counters say how much consensus
-/// traffic flowed through the runtime and how much of it reused pooled
-/// automatons — the recycling hit rate the zero-alloc hot path depends on.
+/// session's unit of work, so the first four counters say how much
+/// consensus traffic flowed through the runtime and how much of it reused
+/// pooled automatons — the recycling hit rate the zero-alloc hot path
+/// depends on. The last two say how often workers slept on their inboxes
+/// and how many of those sleeps ended on their own timer (a due message or
+/// a grace expiry) rather than on a push.
 #[derive(Debug)]
 struct SessionMetrics {
     instances_started: indulgent_obs::Counter,
     recycled_starts: indulgent_obs::Counter,
     results_delivered: indulgent_obs::Counter,
     decisions_delivered: indulgent_obs::Counter,
+    worker_parks: indulgent_obs::Counter,
+    worker_timed_wakes: indulgent_obs::Counter,
 }
 
 static SESSION_METRICS: SessionMetrics = SessionMetrics {
@@ -87,6 +117,8 @@ static SESSION_METRICS: SessionMetrics = SessionMetrics {
     recycled_starts: indulgent_obs::Counter::new(),
     results_delivered: indulgent_obs::Counter::new(),
     decisions_delivered: indulgent_obs::Counter::new(),
+    worker_parks: indulgent_obs::Counter::new(),
+    worker_timed_wakes: indulgent_obs::Counter::new(),
 };
 
 impl indulgent_obs::MetricFamily for SessionMetrics {
@@ -99,6 +131,8 @@ impl indulgent_obs::MetricFamily for SessionMetrics {
         sink.counter("recycled_starts", self.recycled_starts.get());
         sink.counter("results_delivered", self.results_delivered.get());
         sink.counter("decisions_delivered", self.decisions_delivered.get());
+        sink.counter("worker_parks", self.worker_parks.get());
+        sink.counter("worker_timed_wakes", self.worker_timed_wakes.get());
     }
 }
 
@@ -119,14 +153,156 @@ fn note_result(r: ReplicaResult) -> ReplicaResult {
     r
 }
 
-/// A message in flight: payload plus wire metadata.
-#[derive(Debug, Clone)]
-struct Envelope<M> {
-    sender: ProcessId,
-    instance: u64,
-    sent_round: Round,
-    deliver_at: Instant,
-    msg: M,
+/// What a worker's inbox carries. Jobs and messages are tagged with their
+/// instance, which the wake rule reads.
+#[derive(Debug)]
+enum Item<J, M> {
+    /// A new instance for the worker.
+    Job(u64, J),
+    /// A peer's message of an instance.
+    Message(u64, M),
+    /// The session is gone: the worker exits.
+    Shutdown,
+}
+
+/// A queued item and the instant it becomes visible.
+struct Pending<T> {
+    due: Instant,
+    /// Push order: items due at the same instant leave first-in first-out.
+    seq: u64,
+    item: T,
+}
+
+// Reversed, so the max-heap `BinaryHeap` pops the earliest due item first.
+impl<T> Ord for Pending<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.due, other.seq).cmp(&(self.due, self.seq))
+    }
+}
+
+impl<T> PartialOrd for Pending<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Pending<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.due, self.seq) == (other.due, other.seq)
+    }
+}
+
+impl<T> Eq for Pending<T> {}
+
+struct InboxState<J, M> {
+    queue: BinaryHeap<Pending<Item<J, M>>>,
+    pushed: u64,
+    /// Highest instance whose job the receiver has taken (the session
+    /// pushes each worker's jobs in instance order).
+    jobs_taken: u64,
+    /// Whether the receiver is parked; the push that wakes it clears this,
+    /// so later pushes do not wake it again.
+    parked: bool,
+    /// When a parked receiver wakes on its own (`None`: only a push wakes
+    /// it).
+    wake_at: Option<Instant>,
+}
+
+/// A worker's delay line: jobs, peer messages and shutdown in one queue,
+/// each item invisible until its due instant. The wake rule is in the
+/// module docs.
+struct Inbox<J, M> {
+    state: Mutex<InboxState<J, M>>,
+    wake: Condvar,
+}
+
+impl<J, M> std::fmt::Debug for Inbox<J, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Inbox").finish_non_exhaustive()
+    }
+}
+
+impl<J, M> Inbox<J, M> {
+    fn new() -> Self {
+        Inbox {
+            state: Mutex::new(InboxState {
+                queue: BinaryHeap::new(),
+                pushed: 0,
+                jobs_taken: 0,
+                parked: false,
+                wake_at: None,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, InboxState<J, M>> {
+        // No critical section can panic halfway through an update, so a
+        // poisoned lock still guards a valid state — and `Session::drop`,
+        // which pushes, must not panic.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `item`, visible from `due` on, waking the receiver only if
+    /// the wake rule says it must.
+    fn push(&self, due: Instant, item: Item<J, M>) {
+        let mut state = self.lock();
+        let wake = state.parked
+            && match item {
+                Item::Message(instance, _) => {
+                    instance <= state.jobs_taken && state.wake_at.is_none_or(|at| due < at)
+                }
+                Item::Job(..) | Item::Shutdown => true,
+            };
+        let seq = state.pushed;
+        state.pushed += 1;
+        state.queue.push(Pending { due, seq, item });
+        if wake {
+            state.parked = false;
+            drop(state);
+            self.wake.notify_one();
+        }
+    }
+
+    /// Moves every due item into `out`, earliest first. If none is due,
+    /// parks until the next item falls due or `limit` passes, re-parking
+    /// after a push that only moved the wake time earlier; returns with
+    /// `out` empty only once `limit` has passed.
+    fn pop_until(&self, limit: Option<Instant>, out: &mut Vec<Item<J, M>>) {
+        let metrics = session_metrics();
+        let mut state = self.lock();
+        loop {
+            let now = Instant::now();
+            while state.queue.peek().is_some_and(|p| p.due <= now) {
+                let item = state.queue.pop().expect("peeked").item;
+                if let Item::Job(instance, _) = item {
+                    state.jobs_taken = state.jobs_taken.max(instance);
+                }
+                out.push(item);
+            }
+            if !out.is_empty() || limit.is_some_and(|at| at <= now) {
+                return;
+            }
+            let wake_at = [limit, state.queue.peek().map(|p| p.due)].into_iter().flatten().min();
+            state.parked = true;
+            state.wake_at = wake_at;
+            metrics.worker_parks.incr();
+            state = match wake_at {
+                Some(at) => {
+                    let (state, wait) = self
+                        .wake
+                        .wait_timeout(state, at.saturating_duration_since(now))
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if wait.timed_out() {
+                        metrics.worker_timed_wakes.incr();
+                    }
+                    state
+                }
+                None => self.wake.wait(state).unwrap_or_else(PoisonError::into_inner),
+            };
+            state.parked = false;
+        }
+    }
 }
 
 /// When messages become visible to their receiver.
@@ -436,18 +612,14 @@ enum JobPayload<P> {
 
 /// The per-instance job handed to a worker thread.
 struct Job<P> {
-    instance: u64,
     payload: JobPayload<P>,
     crash_round: Option<Round>,
     delays: DelayModel,
     max_rounds: u32,
 }
 
-impl<P> std::fmt::Debug for Job<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job").field("instance", &self.instance).finish_non_exhaustive()
-    }
-}
+/// A worker's inbox: jobs and the peer messages of its instances.
+type WorkerInbox<P> = Inbox<Job<P>, DeliveredMsg<<P as RoundProcess>::Msg>>;
 
 /// The reset hook of a [`Recycler`]: `(process index, retired automaton,
 /// next proposal)`.
@@ -468,10 +640,10 @@ impl<P> std::fmt::Debug for Recycler<P> {
     }
 }
 
-/// A pool of `n` replica threads and their channels, reusable across any
+/// A pool of `n` replica threads and their inboxes, reusable across any
 /// number of (possibly concurrent) consensus instances.
 ///
-/// Spawning threads and channels is the expensive part of a networked
+/// Spawning threads and inboxes is the expensive part of a networked
 /// run; a `Session` pays it once. Instances are started with
 /// [`start_instance`](Session::start_instance) and complete independently;
 /// results stream back through [`next_result`](Session::next_result) /
@@ -506,9 +678,9 @@ impl<P> std::fmt::Debug for Recycler<P> {
 #[derive(Debug)]
 pub struct Session<P: RoundProcess> {
     config: SystemConfig,
-    job_txs: Vec<Sender<Job<P>>>,
+    /// One per worker, indexed by replica.
+    inboxes: Arc<[WorkerInbox<P>]>,
     results_rx: Receiver<WorkerEvent>,
-    shutdown: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_instance: u64,
     /// Results received but not yet consumed, grouped by instance.
@@ -560,45 +732,29 @@ where
 
     fn spawn(config: SystemConfig, grace: Duration, recycler: Option<Arc<Recycler<P>>>) -> Self {
         let n = config.n();
-        let quorum = config.quorum();
-        let mut peer_txs = Vec::with_capacity(n);
-        let mut peer_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            peer_txs.push(tx);
-            peer_rxs.push(Some(rx));
-        }
-        let peer_txs = Arc::new(peer_txs);
+        let inboxes: Arc<[WorkerInbox<P>]> = (0..n).map(|_| Inbox::new()).collect();
         let registry = Arc::new(DoneRegistry::new(n));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let (results_tx, results_rx) = unbounded();
-
-        let mut job_txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (i, peer_rx) in peer_rxs.iter_mut().enumerate() {
-            let (job_tx, job_rx) = unbounded();
-            job_txs.push(job_tx);
-            let ctx = WorkerCtx {
-                id: ProcessId::new(i),
-                job_rx,
-                peer_rx: peer_rx.take().expect("receiver taken once"),
-                peer_txs: Arc::clone(&peer_txs),
-                results_tx: results_tx.clone(),
-                registry: Arc::clone(&registry),
-                shutdown: Arc::clone(&shutdown),
-                grace,
-                quorum,
-                n,
-                recycler: recycler.clone(),
-            };
-            handles.push(std::thread::spawn(move || worker(ctx)));
-        }
+        let handles = (0..n)
+            .map(|i| {
+                let ctx = WorkerCtx {
+                    id: ProcessId::new(i),
+                    inboxes: Arc::clone(&inboxes),
+                    results_tx: results_tx.clone(),
+                    registry: Arc::clone(&registry),
+                    grace,
+                    quorum: config.quorum(),
+                    n,
+                    recycler: recycler.clone(),
+                };
+                std::thread::spawn(move || worker(ctx))
+            })
+            .collect();
 
         Session {
             config,
-            job_txs,
+            inboxes,
             results_rx,
-            shutdown,
             handles,
             next_instance: 1,
             collected: HashMap::new(),
@@ -619,7 +775,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `processes.len() != n` or a worker thread has exited.
+    /// Panics if `processes.len() != n`.
     pub fn start_instance(&mut self, processes: Vec<P>, spec: &InstanceSpec) -> u64 {
         assert_eq!(processes.len(), self.config.n(), "one automaton per replica required");
         let payloads = processes.into_iter().map(JobPayload::Built).collect();
@@ -634,8 +790,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the session has no recycler, `proposals.len() != n`, or a
-    /// worker thread has exited.
+    /// Panics if the session has no recycler or `proposals.len() != n`.
     pub fn start_instance_recycled(&mut self, proposals: &[Value], spec: &InstanceSpec) -> u64 {
         assert!(self.recycling, "start_instance_recycled requires Session::with_recycler");
         assert_eq!(proposals.len(), self.config.n(), "one proposal per replica required");
@@ -652,15 +807,15 @@ where
         }
         let instance = self.next_instance;
         self.next_instance += 1;
+        let now = Instant::now();
         for (i, payload) in payloads.into_iter().enumerate() {
             let job = Job {
-                instance,
                 payload,
                 crash_round: spec.crashes[i],
                 delays: spec.delays,
                 max_rounds: spec.max_rounds,
             };
-            self.job_txs[i].send(job).expect("worker thread exited");
+            self.inboxes[i].push(now, Item::Job(instance, job));
         }
         instance
     }
@@ -772,8 +927,12 @@ where
 
 impl<P: RoundProcess> Drop for Session<P> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.job_txs.clear(); // disconnect the job channels
+        // Shutdown is due at once, so delayed messages still queued do
+        // not hold a worker back.
+        let now = Instant::now();
+        for inbox in self.inboxes.iter() {
+            inbox.push(now, Item::Shutdown);
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -783,12 +942,10 @@ impl<P: RoundProcess> Drop for Session<P> {
 /// Everything a worker thread owns.
 struct WorkerCtx<P: RoundProcess> {
     id: ProcessId,
-    job_rx: Receiver<Job<P>>,
-    peer_rx: Receiver<Envelope<P::Msg>>,
-    peer_txs: Arc<Vec<Sender<Envelope<P::Msg>>>>,
+    /// Every worker's inbox: its own at index `id`, its peers' for sends.
+    inboxes: Arc<[WorkerInbox<P>]>,
     results_tx: Sender<WorkerEvent>,
     registry: Arc<DoneRegistry>,
-    shutdown: Arc<AtomicBool>,
     grace: Duration,
     quorum: usize,
     n: usize,
@@ -813,7 +970,8 @@ struct ActiveInstance<P: RoundProcess> {
     round: u32,
     /// Whether this round's send phase has run.
     sent: bool,
-    /// When the `n - t` quorum for the current round was first observed.
+    /// When the `n - t` quorum for the current round was first observed;
+    /// `None` outside a round's grace wait.
     quorum_at: Option<Instant>,
     decision: Option<Decision>,
     /// Result sent to the session owner.
@@ -827,6 +985,7 @@ struct ActiveInstance<P: RoundProcess> {
 type Mailbox<M> = BTreeMap<u32, Vec<DeliveredMsg<M>>>;
 
 fn activate<P: RoundProcess>(
+    instance: u64,
     job: Job<P>,
     replica: usize,
     recycler: Option<&Recycler<P>>,
@@ -846,7 +1005,7 @@ fn activate<P: RoundProcess>(
         }
     };
     ActiveInstance {
-        instance: job.instance,
+        instance,
         process,
         crash_round: job.crash_round,
         delays: job.delays,
@@ -865,9 +1024,9 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
     // If anything below panics, tell the session owner on unwind so its
     // blocking waits fail loudly instead of hanging.
     let _sentinel = PanicSentinel { id: ctx.id, events_tx: ctx.results_tx.clone() };
+    let replica = ctx.id.index();
+    let inbox = &ctx.inboxes[replica];
     let mut active: Vec<ActiveInstance<P>> = Vec::new();
-    // Messages whose injected delay has not elapsed yet (any instance).
-    let mut in_flight: Vec<Envelope<P::Msg>> = Vec::new();
     // Arrived messages, keyed by instance then by the round they were
     // sent in. Entries may exist before the instance's job arrives (a
     // faster peer started it first).
@@ -876,46 +1035,28 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
     let mut retired = RetiredSet::default();
     // Retired automatons awaiting reuse (recycling sessions only).
     let mut pool: Vec<P> = Vec::new();
-    let mut jobs_closed = false;
-    let replica = ctx.id.index();
+    let mut due = Vec::new();
 
     loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-
-        // Accept new instances.
-        loop {
-            match ctx.job_rx.try_recv() {
-                Ok(job) => active.push(activate(job, replica, ctx.recycler.as_deref(), &mut pool)),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    jobs_closed = true;
-                    break;
+        // Sleep until an item falls due or a round's grace runs out.
+        let grace_ends = active.iter().filter_map(|i| i.quorum_at).min().map(|at| at + ctx.grace);
+        inbox.pop_until(grace_ends, &mut due);
+        for item in due.drain(..) {
+            match item {
+                Item::Job(instance, job) => active.push(activate(
+                    instance,
+                    job,
+                    replica,
+                    ctx.recycler.as_deref(),
+                    &mut pool,
+                )),
+                Item::Message(instance, msg) => {
+                    if !retired.contains(instance) {
+                        let mailbox = mailboxes.entry(instance).or_default();
+                        mailbox.entry(msg.sent_round.get()).or_default().push(msg);
+                    }
                 }
-            }
-        }
-
-        // Promote ripe in-flight messages into the mailboxes.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < in_flight.len() {
-            if in_flight[i].deliver_at <= now {
-                let e = in_flight.swap_remove(i);
-                if !retired.contains(e.instance) {
-                    mailboxes
-                        .entry(e.instance)
-                        .or_default()
-                        .entry(e.sent_round.get())
-                        .or_default()
-                        .push(DeliveredMsg {
-                            sender: e.sender,
-                            sent_round: e.sent_round,
-                            msg: e.msg,
-                        });
-                }
-            } else {
-                i += 1;
+                Item::Shutdown => return,
             }
         }
 
@@ -927,8 +1068,10 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
         // Retire instances that are globally done (or locally halted and
         // globally done): free their mailboxes and drop future
         // stragglers. The registry lock is only taken for instances this
-        // worker has already finished locally. Retired automatons go back
-        // to the pool when the session recycles.
+        // worker has already finished locally, and a global finish is
+        // noticed on the worker's next wake (finishing wakes no one).
+        // Retired automatons go back to the pool when the session
+        // recycles.
         let mut i = 0;
         while i < active.len() {
             let inst = &active[i];
@@ -944,47 +1087,6 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
             } else {
                 i += 1;
             }
-        }
-
-        if jobs_closed && active.is_empty() {
-            return;
-        }
-
-        if active.is_empty() && in_flight.is_empty() {
-            // Idle: nothing can progress until the next job (peer
-            // messages for not-yet-started instances simply queue in the
-            // channel). Park on the job channel instead of spinning on
-            // the wire; a new job wakes the worker immediately, the
-            // timeout only bounds how long a shutdown goes unnoticed.
-            match ctx.job_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(job) => active.push(activate(job, replica, ctx.recycler.as_deref(), &mut pool)),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => jobs_closed = true,
-            }
-            continue;
-        }
-
-        // Pull from the wire (or idle briefly).
-        match ctx.peer_rx.recv_timeout(Duration::from_micros(300)) {
-            Ok(e) => {
-                if e.deliver_at <= Instant::now() {
-                    if !retired.contains(e.instance) {
-                        mailboxes
-                            .entry(e.instance)
-                            .or_default()
-                            .entry(e.sent_round.get())
-                            .or_default()
-                            .push(DeliveredMsg {
-                                sender: e.sender,
-                                sent_round: e.sent_round,
-                                msg: e.msg,
-                            });
-                    }
-                } else {
-                    in_flight.push(e);
-                }
-            }
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
         }
     }
 }
@@ -1013,24 +1115,17 @@ fn advance_instance<P: RoundProcess>(
             let round = Round::new(k);
             let msg = inst.process.send(round);
             let now = Instant::now();
-            for (j, tx) in ctx.peer_txs.iter().enumerate() {
+            for (j, inbox) in ctx.inboxes.iter().enumerate() {
                 let to = ProcessId::new(j);
                 let delay = if to == ctx.id {
                     Duration::ZERO
                 } else {
                     inst.delays.delay_for(round, ctx.id, to)
                 };
-                // Receivers may have exited; ignore closed channels.
-                let _ = tx.send(Envelope {
-                    sender: ctx.id,
-                    instance: inst.instance,
-                    sent_round: round,
-                    deliver_at: now + delay,
-                    msg: msg.clone(),
-                });
+                let msg = DeliveredMsg { sender: ctx.id, sent_round: round, msg: msg.clone() };
+                inbox.push(now + delay, Item::Message(inst.instance, msg));
             }
             inst.sent = true;
-            inst.quorum_at = None;
         }
 
         // Receive phase: the round completes once all `n` current-round
@@ -1068,6 +1163,7 @@ fn advance_instance<P: RoundProcess>(
         }
         inst.round += 1;
         inst.sent = false;
+        inst.quorum_at = None;
     }
 }
 
@@ -1450,5 +1546,147 @@ mod tests {
         }
         let r2 = session.wait_instance(second);
         assert!(r2.decisions.iter().all(Option::is_some), "instance 2 is crash-free");
+    }
+
+    /// Spins until the inbox's receiver is parked, so the next push is
+    /// made against a sleeping receiver.
+    fn wait_parked<J, M>(inbox: &Inbox<J, M>) {
+        while !inbox.lock().parked {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn delay_line_never_returns_an_item_before_it_is_due() {
+        let inbox: Inbox<(), Instant> = Inbox::new();
+        let start = Instant::now();
+        // Pushed out of due order, 250 µs apart; one is due at once.
+        for us in [750u64, 0, 500, 250, 750] {
+            let due = start + Duration::from_micros(us);
+            inbox.push(due, Item::Message(1, due));
+        }
+        let mut out = Vec::new();
+        let mut seen = Vec::new();
+        while seen.len() < 5 {
+            inbox.pop_until(None, &mut out);
+            let now = Instant::now();
+            for item in out.drain(..) {
+                let Item::Message(_, due) = item else { panic!("only messages were queued") };
+                assert!(due <= now, "returned {:?} before its due time", due - now);
+                seen.push(due);
+            }
+        }
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "earliest due first");
+    }
+
+    #[test]
+    fn push_due_sooner_cuts_a_parked_wait_short() {
+        let inbox: Inbox<(), ()> = Inbox::new();
+        let mut taken = Vec::new();
+        inbox.push(Instant::now(), Item::Job(1, ()));
+        inbox.pop_until(None, &mut taken);
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut out = Vec::new();
+                inbox.pop_until(Some(Instant::now() + Duration::from_secs(10)), &mut out);
+                (out.len(), Instant::now())
+            });
+            wait_parked(&inbox);
+            let due = Instant::now() + Duration::from_millis(1);
+            inbox.push(due, Item::Message(1, ()));
+            let (popped, returned) = receiver.join().expect("receiver thread");
+            assert_eq!(popped, 1, "the message, not the 10 s limit, ends the wait");
+            assert!(returned >= due);
+            assert!(
+                returned - due < Duration::from_millis(100),
+                "returned {:?} after the message fell due",
+                returned - due
+            );
+        });
+    }
+
+    #[test]
+    fn message_of_an_untaken_job_waits_for_the_job() {
+        let inbox: Inbox<&str, &str> = Inbox::new();
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut out = Vec::new();
+                inbox.pop_until(None, &mut out);
+                out
+            });
+            wait_parked(&inbox);
+            inbox.push(Instant::now(), Item::Message(1, "early"));
+            assert!(inbox.lock().parked, "the receiver holds no job of instance 1 yet");
+            inbox.push(Instant::now(), Item::Job(1, "job"));
+            let out = receiver.join().expect("receiver thread");
+            assert!(
+                matches!(out[..], [Item::Message(1, "early"), Item::Job(1, "job")]),
+                "the job's wake-up returns the waiting message with it: {out:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn pipelined_delayed_instances_lose_no_wake_up() {
+        // 2 000 instances, 4 in flight, every link 500 µs: a lost wake-up
+        // leaves a wait blocked forever, so the run happens on its own
+        // thread and the test waits for it with a deadline.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let config = cfg();
+            let build = move |i: usize, v: Value| {
+                let id = ProcessId::new(i);
+                AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
+                    .with_failure_free_optimization()
+            };
+            let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| {
+                p.reset_instance(v);
+            };
+            let mut session =
+                Session::with_recycler(config, Duration::from_millis(4), build, reset);
+            let spec = InstanceSpec::synchronous(config)
+                .with_delays(DelayModel::Uniform { delay: Duration::from_micros(500) });
+            let mut window = std::collections::VecDeque::new();
+            for i in 0..2_000u64 {
+                if window.len() == 4 {
+                    let (id, v) = window.pop_front().expect("full window");
+                    assert_eq!(session.wait_decision(id).expect("decided").value, v);
+                }
+                let v = Value::new(i);
+                window.push_back((session.start_instance_recycled(&[v; 5], &spec), v));
+            }
+            // With no later job to wake a lagging replica, the last window
+            // completes on every replica only if messages wake receivers.
+            for (id, v) in window {
+                let report = session.wait_instance(id);
+                assert!(report.decisions.iter().all(|d| d.is_some_and(|d| d.value == v)));
+            }
+            done_tx.send(()).expect("test thread waiting");
+        });
+        done_rx.recv_timeout(Duration::from_secs(120)).expect("every wait_decision returns");
+    }
+
+    #[test]
+    fn drop_returns_promptly_with_delayed_messages_pending() {
+        let config = cfg();
+        let factory = at_factory(config);
+        let mut session = Session::new(config);
+        let spec = InstanceSpec::synchronous(config)
+            .with_delays(DelayModel::Uniform { delay: Duration::from_secs(10) });
+        for _ in 0..3 {
+            let processes = (0..config.n()).map(|i| factory.build(i, Value::new(7))).collect();
+            session.start_instance(processes, &spec);
+        }
+        // Each worker has taken its three jobs once every inbox holds its
+        // peers' round-1 messages, all due 10 s from now.
+        let pending = 3 * (config.n() - 1);
+        for inbox in session.inboxes.iter() {
+            while inbox.lock().queue.len() < pending {
+                std::thread::yield_now();
+            }
+        }
+        let start = Instant::now();
+        drop(session);
+        assert!(start.elapsed() < Duration::from_millis(50), "drop took {:?}", start.elapsed());
     }
 }

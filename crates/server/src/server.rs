@@ -20,7 +20,7 @@
 //! kills clients mid-request to pin this down.
 
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -50,7 +50,6 @@ impl KvServer {
     /// ephemeral port; [`addr`](KvServer::addr) reports the real one).
     pub fn bind(addr: &str, config: EngineConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let engine = KvEngine::spawn(config);
         let handle = engine.handle();
@@ -85,10 +84,7 @@ impl KvServer {
     /// Panics if the acceptor or engine driver thread panicked.
     #[must_use]
     pub fn shutdown(mut self) -> ShardedAudit {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            h.join().expect("acceptor thread panicked");
-        }
+        self.stop_accepting().expect("acceptor thread panicked");
         // Closing the sockets unblocks the per-connection reader threads,
         // whose exits deregister their connections from the engine.
         for s in self.socks.lock().expect("socket registry poisoned").drain(..) {
@@ -103,27 +99,47 @@ impl KvServer {
     /// of `kill -9`, for recovery tests; restart with
     /// [`bind`](KvServer::bind) on the same durability directory.
     pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        let _ = self.stop_accepting();
         for s in self.socks.lock().expect("socket registry poisoned").drain(..) {
             let _ = s.shutdown(Shutdown::Both);
         }
         self.engine.kill();
     }
+
+    /// Sets `stop`, wakes the acceptor's blocking `accept` with one
+    /// connection to ourselves, and joins it.
+    fn stop_accepting(&mut self) -> std::thread::Result<()> {
+        self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A refused connect means the listener, which the acceptor owns,
+        // is already closed.
+        let _ = TcpStream::connect(wake);
+        self.acceptor.take().map_or(Ok(()), JoinHandle::join)
+    }
 }
 
 /// Accepts connections until told to stop; each connection gets a reader
-/// and a writer thread.
+/// and a writer thread. `accept` blocks: a stop is signalled by setting
+/// `stop` and then connecting once, and any socket accepted after `stop`
+/// (that wake-up, or a client racing it) is dropped.
 fn accept_loop(
     listener: &TcpListener,
     engine: &EngineHandle,
     stop: &AtomicBool,
     socks: &Mutex<Vec<TcpStream>>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 if let Err(e) = spawn_connection(stream, engine, socks) {
                     // A socket that failed setup is dropped; the peer
@@ -131,9 +147,8 @@ fn accept_loop(
                     let _ = e;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Back off from a persistent error (e.g. out of descriptors)
+            // instead of spinning on it.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -146,7 +161,6 @@ fn spawn_connection(
     socks: &Mutex<Vec<TcpStream>>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_nonblocking(false)?;
     let read_side = stream.try_clone()?;
     let mut write_side = stream.try_clone()?;
     socks.lock().expect("socket registry poisoned").push(stream);
