@@ -3,13 +3,16 @@
 //! introduces (clients dying mid-request, reconnect replays, slow-ack
 //! retries racing their own first submission).
 
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use indulgent_model::{ClientId, RequestId};
+use indulgent_server::wire::encode_frame;
 use indulgent_server::{
-    remote_lease_state, remote_stats, EngineConfig, KvOp, KvServer, KvService, LocalKv, Outcome,
-    PipeClient, ReadPath, RemoteKv, Response,
+    remote_lease_state, remote_stats, stats_request_frame, EngineConfig, FrameReader, KvOp,
+    KvServer, KvService, LocalKv, Outcome, PipeClient, ReadPath, RemoteKv, Request, Response,
+    StatsReport, TAG_STATS,
 };
 
 /// Deterministic sizing: batch of 1 so sequential calls sequence one
@@ -20,7 +23,11 @@ fn deterministic() -> EngineConfig {
 
 /// A scripted workload of puts and gets over a small key space.
 fn script() -> Vec<KvOp> {
-    (0..30u64)
+    script_of(30)
+}
+
+fn script_of(len: u64) -> Vec<KvOp> {
+    (0..len)
         .map(|i| {
             let key = (i * 13 % 7) as u16;
             if i % 3 == 0 {
@@ -41,12 +48,37 @@ fn drive<S: KvService>(s: &mut S, ops: &[KvOp]) -> Vec<Response> {
         .collect()
 }
 
+/// Writes `requests` to `addr` in one `write` on a raw socket and reads
+/// back `count` response frames, in arrival order; with `trailer`, that
+/// frame follows the requests in the same write.
+fn burst(
+    addr: SocketAddr,
+    requests: &[Request],
+    trailer: Option<&[u8]>,
+    count: usize,
+) -> Vec<Vec<u8>> {
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    let mut wire = Vec::new();
+    for r in requests {
+        encode_frame(&r.encode(), &mut wire);
+    }
+    if let Some(t) = trailer {
+        encode_frame(t, &mut wire);
+    }
+    sock.write_all(&wire).expect("one write");
+    sock.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut reader = FrameReader::new(sock);
+    (0..count).map(|_| reader.read_frame().expect("a frame").expect("not EOF")).collect()
+}
+
 /// The tentpole differential: the same workload through the in-process
-/// service layer and through the framed-TCP layer produces *identical*
-/// responses — slots included — and both runs pass the full audit.
+/// service layer, through the framed-TCP layer one call at a time, and
+/// as one burst written to a raw socket in a single `write`, produces
+/// *identical* responses — slots included, byte for byte — and every
+/// run passes the full audit.
 #[test]
 fn local_and_remote_layers_answer_identically() {
-    let ops = script();
+    let ops = script_of(200);
 
     let local_server = KvServer::bind("127.0.0.1:0", deterministic()).expect("bind");
     let mut local = LocalKv::connect(&local_server.engine(), ClientId(42));
@@ -62,9 +94,83 @@ fn local_and_remote_layers_answer_identically() {
     let remote_audit = remote_server.shutdown();
     remote_audit.check().expect("remote audit");
 
+    let burst_server = KvServer::bind("127.0.0.1:0", deterministic()).expect("bind");
+    let requests: Vec<Request> = (0..)
+        .zip(&ops)
+        .map(|(i, &op)| Request { client: ClientId(42), request: RequestId(i), op })
+        .collect();
+    let burst_acks = burst(burst_server.addr(), &requests, None, ops.len());
+    let burst_audit = burst_server.shutdown();
+    burst_audit.check().expect("burst audit");
+
     assert_eq!(local_responses, remote_responses, "the transport must add no semantics");
-    assert_eq!(local_audit.committed_commands(), remote_audit.committed_commands());
-    assert_eq!(local_audit.final_store(), remote_audit.final_store());
+    let local_bytes: Vec<Vec<u8>> = local_responses.iter().map(Response::encode).collect();
+    assert_eq!(burst_acks, local_bytes, "a burst in one write must add no semantics");
+    for audit in [&remote_audit, &burst_audit] {
+        assert_eq!(local_audit.committed_commands(), audit.committed_commands());
+        assert_eq!(local_audit.final_store(), audit.final_store());
+    }
+}
+
+/// Valid requests and a garbage frame in one `write`: the connection is
+/// dropped, but only after the requests ahead of the garbage went in —
+/// each commits exactly once. The garbage is a request frame cut short,
+/// so the reader fails while the valid requests are still queued.
+#[test]
+fn garbage_after_requests_in_one_write_commits_the_requests_once() {
+    let server = KvServer::bind("127.0.0.1:0", deterministic()).expect("bind");
+    let mut sock = TcpStream::connect(server.addr()).expect("connect");
+    let mut wire = Vec::new();
+    for i in 0..5u64 {
+        let op = KvOp::Put { key: i as u16, value: 100 + i as u32 };
+        encode_frame(
+            &Request { client: ClientId(8), request: RequestId(i), op }.encode(),
+            &mut wire,
+        );
+    }
+    let mut cut =
+        Request { client: ClientId(8), request: RequestId(5), op: KvOp::Get { key: 0 } }.encode();
+    cut.truncate(5);
+    encode_frame(&cut, &mut wire);
+    sock.write_all(&wire).expect("one write");
+
+    // The server hangs up: reads end in EOF (or a reset) within the
+    // timeout, whatever acks made it out first.
+    sock.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut sink = Vec::new();
+    let hung_up = match sock.read_to_end(&mut sink) {
+        Ok(_) => true,
+        Err(e) => !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+    };
+    assert!(hung_up, "the connection is dropped");
+
+    let audit = server.shutdown();
+    audit.check().expect("audit clean");
+    assert_eq!(audit.committed_commands(), 5, "every request ahead of the garbage committed");
+    assert_eq!(audit.duplicate_applies(), 0);
+}
+
+/// Requests and a stats request pipelined in one `write` are all handled,
+/// in order: the scrape sees every request ahead of it sealed.
+#[test]
+fn requests_and_a_stats_request_in_one_write_are_handled_in_order() {
+    let server = KvServer::bind("127.0.0.1:0", deterministic()).expect("bind");
+    let requests: Vec<Request> = (0..20u64)
+        .map(|i| Request {
+            client: ClientId(9),
+            request: RequestId(i),
+            op: KvOp::Put { key: i as u16, value: i as u32 },
+        })
+        .collect();
+    let frames = burst(server.addr(), &requests, Some(&stats_request_frame(0)), 21);
+    let (stats, acks): (Vec<_>, Vec<_>) =
+        frames.iter().partition(|f| f.first() == Some(&TAG_STATS));
+    let stats = StatsReport::decode(stats[0]).expect("one stats report");
+    assert_eq!(stats.submit_seal.count, 20, "the scrape ran after the requests ahead of it");
+    let acked: Vec<RequestId> =
+        acks.iter().map(|f| Response::decode(f).expect("an ack").request).collect();
+    assert_eq!(acked, (0..20).map(RequestId).collect::<Vec<_>>());
+    server.shutdown().check().expect("audit clean");
 }
 
 /// The value a response answered, whatever path served it (`None` for
@@ -267,7 +373,6 @@ fn garbage_frames_drop_the_connection_not_the_server() {
         // The server drops us; the socket sees EOF (or reset) eventually.
         sock.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         let mut buf = [0u8; 16];
-        use std::io::Read;
         let _ = sock.read(&mut buf);
     }
 

@@ -97,7 +97,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot, ClientFrontend, IntakePolicy};
 use indulgent_model::{BatchId, ClientId, CommandId, Decision, RequestId, SystemConfig};
 use indulgent_obs::{FlightKind, FlightRecorder, Histogram};
@@ -288,7 +288,7 @@ pub enum Outbound {
 
 /// Intake messages from connections to the engine's driver thread.
 #[derive(Debug)]
-enum EngineMsg {
+pub(crate) enum EngineMsg {
     Register {
         conn: ConnId,
         tx: Sender<Outbound>,
@@ -300,30 +300,29 @@ enum EngineMsg {
         conn: ConnId,
         request: Request,
     },
-    /// Stream one shard's durable state (snapshot + catch-up records) to
-    /// `conn`.
-    Sync {
+    /// Requests submitted together, handled in order as if each came in
+    /// its own `Submit` (a socket reader sends what one `read` decoded).
+    SubmitBatch {
         conn: ConnId,
-        shard: u32,
+        requests: Vec<Request>,
     },
-    /// Run the replay audit (all shards, cross-shard checks included)
-    /// and reply its summary to `conn`.
-    Audit {
+    Control {
         conn: ConnId,
-    },
-    /// Reply one shard's lease / read-path state to `conn`.
-    LeaseState {
-        conn: ConnId,
-        shard: u32,
-    },
-    /// Reply one shard's metrics scrape ([`StatsReport`]) to `conn`.
-    Stats {
-        conn: ConnId,
-        shard: u32,
+        request: ControlRequest,
     },
     Shutdown,
     /// Hard-crash: exit immediately, no drain, no final snapshot.
     Die,
+}
+
+/// A request answered with control frames on the asking connection (see
+/// the `SubmitHandle::request_*` methods); the `u32` names a shard.
+#[derive(Debug)]
+pub(crate) enum ControlRequest {
+    Sync(u32),
+    Audit,
+    LeaseState(u32),
+    Stats(u32),
 }
 
 /// A cloneable handle for registering connections with a running engine.
@@ -369,18 +368,25 @@ impl SubmitHandle {
         self.intake.send(EngineMsg::Submit { conn: self.conn, request }).is_ok()
     }
 
+    /// Submits `requests` as one intake message, handled in order exactly
+    /// as that many [`submit`](SubmitHandle::submit) calls would be;
+    /// `false` if the engine has shut down.
+    pub(crate) fn submit_batch(&self, requests: Vec<Request>) -> bool {
+        self.intake.send(EngineMsg::SubmitBatch { conn: self.conn, requests }).is_ok()
+    }
+
     /// Asks the engine to stream one shard's durable state to this
     /// connection as control frames (the per-shard rejoin transfer);
     /// `false` if the engine has shut down. A request naming a shard the
     /// service does not run is dropped (no reply).
     pub fn request_sync(&self, shard: u32) -> bool {
-        self.intake.send(EngineMsg::Sync { conn: self.conn, shard }).is_ok()
+        self.control(ControlRequest::Sync(shard))
     }
 
     /// Asks the engine to run the replay audit and reply a summary
     /// control frame; `false` if the engine has shut down.
     pub fn request_audit(&self) -> bool {
-        self.intake.send(EngineMsg::Audit { conn: self.conn }).is_ok()
+        self.control(ControlRequest::Audit)
     }
 
     /// Asks the engine to reply one shard's [`LeaseStatus`] control
@@ -388,7 +394,7 @@ impl SubmitHandle {
     /// has shut down. A request naming a shard the service does not run
     /// is dropped (no reply).
     pub fn request_lease_state(&self, shard: u32) -> bool {
-        self.intake.send(EngineMsg::LeaseState { conn: self.conn, shard }).is_ok()
+        self.control(ControlRequest::LeaseState(shard))
     }
 
     /// Asks the engine to reply one shard's [`StatsReport`] control
@@ -396,13 +402,27 @@ impl SubmitHandle {
     /// engine has shut down. A request naming a shard the service does
     /// not run is dropped (no reply).
     pub fn request_stats(&self, shard: u32) -> bool {
-        self.intake.send(EngineMsg::Stats { conn: self.conn, shard }).is_ok()
+        self.control(ControlRequest::Stats(shard))
+    }
+
+    fn control(&self, request: ControlRequest) -> bool {
+        self.intake.send(EngineMsg::Control { conn: self.conn, request }).is_ok()
     }
 }
 
 impl Drop for SubmitHandle {
     fn drop(&mut self) {
         let _ = self.intake.send(EngineMsg::Deregister { conn: self.conn });
+    }
+}
+
+#[cfg(test)]
+impl SubmitHandle {
+    /// A handle on no engine: what it submits lands on the returned
+    /// receiver, for tests of what a transport sends in which order.
+    pub(crate) fn detached(conn: ConnId) -> (SubmitHandle, Receiver<EngineMsg>) {
+        let (intake, rx) = unbounded();
+        (SubmitHandle { conn, intake }, rx)
     }
 }
 
@@ -1730,6 +1750,48 @@ impl ShardState {
     }
 }
 
+/// What intake leaves for later in the driver loop: control requests,
+/// answered at step 5b against the just-applied state, and the lifecycle
+/// flags.
+#[derive(Debug, Default)]
+struct Deferred {
+    controls: Vec<(ConnId, ControlRequest)>,
+    shutting_down: bool,
+    died: bool,
+}
+
+/// Handles one intake message: (de)registrations take effect and each
+/// submitted request goes to its key's shard at once; the rest lands in
+/// `deferred`.
+fn handle(
+    msg: EngineMsg,
+    conns: &mut HashMap<ConnId, Sender<Outbound>>,
+    shards: &mut [ShardState],
+    router: &ShardRouter,
+    read_path: ReadPath,
+    deferred: &mut Deferred,
+) {
+    let mut submit = |conn, request: Request| {
+        let si = router.shard_of(request.op.key()) as usize;
+        let _ = shards[si].submit(conns, conn, request, read_path);
+    };
+    match msg {
+        EngineMsg::Submit { conn, request } => submit(conn, request),
+        EngineMsg::SubmitBatch { conn, requests } => {
+            requests.into_iter().for_each(|request| submit(conn, request));
+        }
+        EngineMsg::Register { conn, tx } => {
+            conns.insert(conn, tx);
+        }
+        EngineMsg::Deregister { conn } => {
+            conns.remove(&conn);
+        }
+        EngineMsg::Control { conn, request } => deferred.controls.push((conn, request)),
+        EngineMsg::Shutdown => deferred.shutting_down = true,
+        EngineMsg::Die => deferred.died = true,
+    }
+}
+
 /// The driver thread: the shard-multiplexing event loop described in the
 /// module docs.
 #[allow(clippy::too_many_lines)]
@@ -1774,13 +1836,8 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     let mut routes: HashMap<u64, InstanceRoute> = HashMap::new();
 
     let read_path = cfg.reads;
-    let mut shutting_down = false;
-    let mut died = false;
+    let mut deferred = Deferred::default();
     let mut last_progress = Instant::now();
-    let mut sync_reqs: Vec<(ConnId, u32)> = Vec::new();
-    let mut audit_reqs: Vec<ConnId> = Vec::new();
-    let mut lease_reqs: Vec<(ConnId, u32)> = Vec::new();
-    let mut stats_reqs: Vec<(ConnId, u32)> = Vec::new();
     engine_metrics();
 
     // The event loop runs under catch_unwind so a panic (the stall
@@ -1788,35 +1845,17 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     // on disk before propagating — the black box outlives the crash.
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
         // 1. Drain intake, routing each submit to its key's shard.
-        loop {
-            match intake.try_recv() {
-                Ok(EngineMsg::Register { conn, tx }) => {
-                    conns.insert(conn, tx);
-                }
-                Ok(EngineMsg::Deregister { conn }) => {
-                    conns.remove(&conn);
-                }
-                Ok(EngineMsg::Submit { conn, request }) => {
-                    let si = router.shard_of(request.op.key()) as usize;
-                    let _ = shards[si].submit(&conns, conn, request, read_path);
-                }
-                Ok(EngineMsg::Sync { conn, shard }) => sync_reqs.push((conn, shard)),
-                Ok(EngineMsg::Audit { conn }) => audit_reqs.push(conn),
-                Ok(EngineMsg::LeaseState { conn, shard }) => lease_reqs.push((conn, shard)),
-                Ok(EngineMsg::Stats { conn, shard }) => stats_reqs.push((conn, shard)),
-                Ok(EngineMsg::Shutdown) => shutting_down = true,
-                Ok(EngineMsg::Die) => died = true,
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
+        while let Ok(msg) = intake.try_recv() {
+            handle(msg, &mut conns, &mut shards, &router, read_path, &mut deferred);
         }
-        if died {
+        if deferred.died {
             break;
         }
 
         // 2 + 3. Per shard: seal lingering batches, then propose into
         // the shard's pipeline window on the shared session.
         for (si, sh) in shards.iter_mut().enumerate() {
-            sh.seal_lingering(cfg.linger, shutting_down);
+            sh.seal_lingering(cfg.linger, deferred.shutting_down);
             while sh.in_flight() < cfg.pipeline_depth {
                 let Some(batch) = sh.ready.pop_front() else { break };
                 let instance = session.start_instance_recycled(&vec![batch.as_value(); n], &spec);
@@ -1848,57 +1887,59 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             sh.serve_reads(&conns, cfg.system.quorum(), read_path);
         }
 
-        // 5b. Serve state transfers, lease probes, and audits against
-        // the just-applied state. Requests naming an unknown shard are
-        // dropped.
-        for (conn, shard) in sync_reqs.drain(..) {
+        // 5b. Answer control requests (state transfers, lease probes,
+        // scrapes, audits) against the just-applied state. Requests
+        // naming an unknown shard are dropped.
+        for (conn, request) in deferred.controls.drain(..) {
             let Some(tx) = conns.get(&conn) else { continue };
-            let Some(sh) = shards.get(shard as usize) else { continue };
-            sh.serve_sync(tx);
-        }
-        for (conn, shard) in lease_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let Some(sh) = shards.get(shard as usize) else { continue };
-            let status = sh.lease_status(shard_count, read_path.as_wire());
-            let _ = tx.send(Outbound::Control(status.encode()));
-        }
-        for (conn, shard) in stats_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let Some(sh) = shards.get(shard as usize) else { continue };
-            let report = sh.stats_report(shard_count);
-            let _ = tx.send(Outbound::Control(report.encode()));
-        }
-        for conn in audit_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let quiesced = shards.iter().all(|s| s.quiesced(n as u64));
-            let ok = quiesced && {
-                let audit =
-                    ShardedAudit { shards: shards.iter().map(|s| s.audit(cfg.system)).collect() };
-                audit.check().is_ok()
-            };
-            if quiesced && !ok {
-                // A failed replay audit ships every shard's black box:
-                // the recording is the context the violation lacks.
-                for sh in &shards {
-                    sh.flight.record(FlightKind::AuditViolation, u64::from(sh.idx), 0);
-                    sh.dump_flight();
+            let reply = match request {
+                ControlRequest::Sync(i) => {
+                    if let Some(sh) = shards.get(i as usize) {
+                        sh.serve_sync(tx);
+                    }
+                    continue;
                 }
-            }
-            let summary = AuditSummary {
-                complete: quiesced,
-                ok,
-                slots: shards.iter().map(|s| s.applied_through).sum(),
-                committed: shards.iter().map(|s| s.committed_commands).sum(),
-                dedup_hits: shards.iter().map(|s| s.dedup_hits).sum(),
-                fast_reads: shards.iter().map(|s| s.reads_lease + s.reads_quorum).sum(),
-                lease_epoch: shards[0].lease_epoch,
-                shards: shard_count,
+                ControlRequest::LeaseState(i) => {
+                    let Some(sh) = shards.get(i as usize) else { continue };
+                    sh.lease_status(shard_count, read_path.as_wire()).encode()
+                }
+                ControlRequest::Stats(i) => {
+                    let Some(sh) = shards.get(i as usize) else { continue };
+                    sh.stats_report(shard_count).encode()
+                }
+                ControlRequest::Audit => {
+                    let quiesced = shards.iter().all(|s| s.quiesced(n as u64));
+                    let ok = quiesced && {
+                        let shards = shards.iter().map(|s| s.audit(cfg.system)).collect();
+                        ShardedAudit { shards }.check().is_ok()
+                    };
+                    if quiesced && !ok {
+                        // A failed replay audit ships every shard's black
+                        // box: the recording is the context the violation
+                        // lacks.
+                        for sh in &shards {
+                            sh.flight.record(FlightKind::AuditViolation, u64::from(sh.idx), 0);
+                            sh.dump_flight();
+                        }
+                    }
+                    AuditSummary {
+                        complete: quiesced,
+                        ok,
+                        slots: shards.iter().map(|s| s.applied_through).sum(),
+                        committed: shards.iter().map(|s| s.committed_commands).sum(),
+                        dedup_hits: shards.iter().map(|s| s.dedup_hits).sum(),
+                        fast_reads: shards.iter().map(|s| s.reads_lease + s.reads_quorum).sum(),
+                        lease_epoch: shards[0].lease_epoch,
+                        shards: shard_count,
+                    }
+                    .encode()
+                }
             };
-            let _ = tx.send(Outbound::Control(summary.encode()));
+            let _ = tx.send(Outbound::Control(reply));
         }
 
         // 6. Exit once shutdown has drained every shard.
-        if shutting_down && shards.iter().all(|s| s.quiesced(n as u64)) {
+        if deferred.shutting_down && shards.iter().all(|s| s.quiesced(n as u64)) {
             break;
         }
 
@@ -1918,35 +1959,16 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 last_progress = Instant::now();
                 absorb_result(&mut shards, &mut routes, n, &r);
             }
-        } else if !shutting_down {
+        } else if !deferred.shutting_down {
             let nap = if shards.iter().any(|s| s.frontend.open_len() > 0) {
                 cfg.linger.min(Duration::from_millis(1))
             } else {
                 Duration::from_millis(2)
             };
-            match intake.recv_timeout(nap) {
-                Ok(EngineMsg::Register { conn, tx }) => {
-                    conns.insert(conn, tx);
-                }
-                Ok(EngineMsg::Deregister { conn }) => {
-                    conns.remove(&conn);
-                }
-                Ok(EngineMsg::Submit { conn, request }) => {
-                    let si = router.shard_of(request.op.key()) as usize;
-                    let _ = shards[si].submit(&conns, conn, request, read_path);
-                }
-                // Control requests defer to the next iteration's batched
-                // handling (the request vecs outlive the iteration).
-                Ok(EngineMsg::Sync { conn, shard }) => sync_reqs.push((conn, shard)),
-                Ok(EngineMsg::Audit { conn }) => audit_reqs.push(conn),
-                Ok(EngineMsg::LeaseState { conn, shard }) => lease_reqs.push((conn, shard)),
-                Ok(EngineMsg::Stats { conn, shard }) => stats_reqs.push((conn, shard)),
-                Ok(EngineMsg::Shutdown) => shutting_down = true,
-                Ok(EngineMsg::Die) => died = true,
-                Err(_) => {}
-            }
-            if died {
-                break;
+            // Control requests wait in `deferred` for the next
+            // iteration's step 5b; a Die exits at its step 1.
+            if let Ok(msg) = intake.recv_timeout(nap) {
+                handle(msg, &mut conns, &mut shards, &router, read_path, &mut deferred);
             }
         }
     }));
@@ -1961,7 +1983,7 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     // A clean shutdown checkpoints every shard so a restart recovers
     // from the snapshots alone; a Die exits with whatever each shard's
     // last fsync holds.
-    if !died {
+    if !deferred.died {
         for sh in &mut shards {
             sh.final_checkpoint();
         }

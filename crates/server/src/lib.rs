@@ -40,8 +40,10 @@
 //!   (lease read → quorum read → sequenced read) when the lease is
 //!   suspect. Lease epochs are burned to disk before serving, so a
 //!   `kill -9`'d leader can never fast-read under its old epoch.
-//! * [`server`] — the TCP front door bridging sockets to the engine.
-//!   Besides requests it answers stats scrapes: a
+//! * [`server`] — the TCP front door bridging sockets to the engine, a
+//!   reader and a writer thread per connection that move bursts, not
+//!   frames: one intake message per socket read, one `write` per run of
+//!   queued acks. Besides requests it answers stats scrapes: a
 //!   [`remote_stats`](service::remote_stats) request returns a
 //!   [`StatsReport`](proto::StatsReport) — per-shard pipeline-stage
 //!   latency histograms (submit→seal, seal→decide, decide→apply,

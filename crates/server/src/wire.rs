@@ -184,6 +184,14 @@ impl<R: Read> FrameReader<R> {
             self.decoder.feed(&self.chunk[..n]);
         }
     }
+
+    /// Pops the next complete frame already buffered by earlier reads,
+    /// without reading the stream: `Ok(None)` means the buffer holds no
+    /// whole frame. After [`read_frame`](FrameReader::read_frame), this
+    /// drains the rest of what that read brought in.
+    pub fn buffered_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        self.decoder.next_frame()
+    }
 }
 
 #[cfg(test)]
@@ -244,5 +252,44 @@ mod tests {
 
         let mut r = FrameReader::new(&wire[..wire.len() - 2]);
         assert!(matches!(r.read_frame(), Err(WireError::TruncatedFrame)));
+    }
+
+    /// A stream that hands out its bytes in fixed reads and counts them.
+    struct Chunked<'a> {
+        reads: Vec<&'a [u8]>,
+        calls: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let Some(next) = self.reads.get(self.calls - 1) else { return Ok(0) };
+            buf[..next.len()].copy_from_slice(next);
+            Ok(next.len())
+        }
+    }
+
+    #[test]
+    fn buffered_frames_drain_one_read_without_reading_again() {
+        let mut wire = Vec::new();
+        for payload in [&b"one"[..], b"two", b"three"] {
+            encode_frame(payload, &mut wire);
+        }
+        // The first read ends two bytes into the third frame's payload.
+        let (first, rest) = wire.split_at(wire.len() - 3);
+        let mut r = FrameReader::new(Chunked { reads: vec![first, rest], calls: 0 });
+        assert_eq!(r.read_frame().unwrap().unwrap(), b"one");
+        assert_eq!(r.buffered_frame().unwrap().unwrap(), b"two");
+        assert_eq!(r.buffered_frame().unwrap(), None, "the split frame is not whole yet");
+        assert_eq!(r.inner.calls, 1, "buffered_frame never reads the stream");
+        assert_eq!(r.read_frame().unwrap().unwrap(), b"three");
+        assert_eq!(r.inner.calls, 2);
+
+        let mut bad = Vec::new();
+        encode_frame(b"ok", &mut bad);
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut r = FrameReader::new(&bad[..]);
+        assert_eq!(r.read_frame().unwrap().unwrap(), b"ok");
+        assert!(matches!(r.buffered_frame(), Err(WireError::Oversized { .. })));
     }
 }
