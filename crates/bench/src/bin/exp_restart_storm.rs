@@ -126,10 +126,7 @@ struct SessionState {
 /// for the caller to kill. Returns the number of dedup probes verified.
 fn run_phase(addr: SocketAddr, states: &mut [SessionState], new_ops: u64, finish: bool) -> u64 {
     let mut pipes: Vec<PipeClient> = (0..states.len())
-        .map(|c| {
-            PipeClient::connect(addr, ClientId(c as u64), Duration::from_millis(1))
-                .expect("connect")
-        })
+        .map(|c| PipeClient::connect(addr, ClientId(c as u64)).expect("connect"))
         .collect();
     // In-flight per client: id -> the prior response if this is a replay
     // of an already-acked request (a dedup probe).

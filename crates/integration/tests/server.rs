@@ -3,9 +3,11 @@
 //! introduces (clients dying mid-request, reconnect replays, slow-ack
 //! retries racing their own first submission).
 
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 use indulgent_model::{ClientId, RequestId};
 use indulgent_server::wire::encode_frame;
@@ -332,8 +334,7 @@ fn killed_client_reconnect_applies_exactly_once() {
     for (i, pause) in [0u64, 1, 5, 20].iter().enumerate() {
         let client = ClientId(100 + i as u64);
         let key = 50 + i as u16;
-        let mut doomed =
-            PipeClient::connect(addr, client, Duration::from_millis(1)).expect("connect");
+        let mut doomed = PipeClient::connect(addr, client).expect("connect");
         doomed.send(RequestId(0), KvOp::Put { key, value: 7_000 + i as u32 }).expect("send");
         // Let the command progress a varying distance (unbatched, batched,
         // possibly decided) before the socket dies.
@@ -394,16 +395,15 @@ fn in_flight_duplicates_collapse_to_one_slot() {
     let server = KvServer::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.addr();
 
-    let mut pipe =
-        PipeClient::connect(addr, ClientId(5), Duration::from_millis(5)).expect("connect");
+    let mut pipe = PipeClient::connect(addr, ClientId(5)).expect("connect");
     for _ in 0..5 {
         pipe.send(RequestId(0), KvOp::Put { key: 1, value: 99 }).expect("send");
     }
     // Collect the ack (the linger timer seals the partial batch). All
     // duplicates were absorbed while in flight, so exactly one ack comes.
     let mut acks = Vec::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while acks.is_empty() && std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while acks.is_empty() && Instant::now() < deadline {
         acks.extend(pipe.drain_acks().expect("drain"));
     }
     assert_eq!(acks.len(), 1, "five duplicate submissions produce one ack");
@@ -414,6 +414,81 @@ fn in_flight_duplicates_collapse_to_one_slot() {
     audit.check().expect("audit clean");
     assert_eq!(audit.committed_commands(), 1, "one slot for five duplicate submissions");
     assert!(audit.dedup_hits() >= 4, "the in-flight duplicates were absorbed");
+}
+
+const FLEET_CONNS: u64 = 16;
+const FLEET_REQUESTS: u64 = 8;
+/// One request every 500 µs across the fleet, so a connection sends every
+/// 8 ms: its write is usually acked before the read that follows it,
+/// which is what makes a stale read index visible.
+const FLEET_GAP: Duration = Duration::from_micros(500);
+
+/// One connection of the fleet: alternates a `Put` with a `Get` of the
+/// key it just wrote, each request sent when due whether or not earlier
+/// acks came back, and checks every ack as it arrives — acked once, and
+/// the linearization point (slot or read index) never behind the last
+/// one this connection saw on the same shard.
+fn drive_fleet_connection(addr: SocketAddr, c: u64, start_line: &Barrier) {
+    let mut pipe = PipeClient::connect(addr, ClientId(c)).expect("connect");
+    start_line.wait();
+    let start = Instant::now();
+    let due = |i: u64| FLEET_GAP * u32::try_from(c + i * FLEET_CONNS).expect("small schedule");
+    let mut sent = 0u64;
+    let mut pending = HashSet::new();
+    let mut last_point: HashMap<u32, u64> = HashMap::new();
+    while sent < FLEET_REQUESTS || !pending.is_empty() {
+        assert!(start.elapsed() < Duration::from_secs(60), "conn {c}: {pending:?} unacked");
+        while sent < FLEET_REQUESTS && start.elapsed() >= due(sent) {
+            let key = ((c * 7 + sent / 2) % 32) as u16;
+            let op = if sent.is_multiple_of(2) {
+                KvOp::Put { key, value: (c * 100 + sent) as u32 }
+            } else {
+                KvOp::Get { key }
+            };
+            pipe.send(RequestId(sent), op).expect("send");
+            pending.insert(RequestId(sent));
+            sent += 1;
+        }
+        for ack in pipe.drain_acks().expect("drain") {
+            assert!(pending.remove(&ack.request), "conn {c}: unknown or duplicate {ack:?}");
+            let point = ack.outcome.slot();
+            let last = last_point.entry(ack.shard).or_insert(0);
+            assert!(
+                point >= *last,
+                "conn {c}: shard {} went backwards ({point} after {last})",
+                ack.shard
+            );
+            *last = point;
+        }
+    }
+}
+
+/// A concurrent fleet of pipelined connections over two leased shard
+/// groups, half the requests `Get`s: besides each connection's own
+/// checks, the audit passes and every submitted command either committed
+/// or was served as a fast read.
+#[test]
+fn concurrent_pipelined_fleet_keeps_per_connection_order() {
+    let config = EngineConfig::default_5().with_reads(ReadPath::Lease).with_shards(2);
+    let server = KvServer::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.addr();
+    let start_line = Barrier::new(FLEET_CONNS as usize);
+    std::thread::scope(|s| {
+        for c in 0..FLEET_CONNS {
+            let start_line = &start_line;
+            s.spawn(move || drive_fleet_connection(addr, c, start_line));
+        }
+    });
+
+    let audit = server.shutdown();
+    audit.check().expect("audit clean");
+    let fast_reads = audit.folded_fast_reads() + audit.fast_reads().len() as u64;
+    assert!(fast_reads > 0, "the fleet exercised the fast path");
+    assert_eq!(
+        audit.committed_commands() + fast_reads,
+        FLEET_CONNS * FLEET_REQUESTS,
+        "every submitted command commits or fast-reads exactly once"
+    );
 }
 
 /// Sessions on both layers interleave against one server and every

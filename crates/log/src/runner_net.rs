@@ -39,15 +39,6 @@ impl NetProfile {
             chaos_delay: Duration::from_millis(30),
         }
     }
-
-    /// Applies a uniform per-message latency to synchronous instances —
-    /// the realistic-RTT regime the throughput bench runs in, where
-    /// pipelining instances genuinely overlaps network waits.
-    #[must_use]
-    pub fn with_uniform_latency(mut self, delay: Duration) -> Self {
-        self.base_delays = DelayModel::Uniform { delay };
-        self
-    }
 }
 
 /// Wall-clock log substrate over one reusable [`Session`].

@@ -86,10 +86,10 @@
 //! cargo run --release -p indulgent-server --bin indulgent_server -- 127.0.0.1:7171
 //! ```
 //!
-//! and drive it with [`RemoteKv`] from any process, or run the load
-//! generator (`cargo run --release -p indulgent-bench --bin
-//! exp_server_load`), which refuses to time anything until the
-//! linearizability and exactly-once gates pass.
+//! and drive it with [`RemoteKv`] from any process. Performance is
+//! measured by the seeded benchmark package (`cargo run --release
+//! --offline --manifest-path benchmark/Cargo.toml`), which audits every
+//! run before it reports a number.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

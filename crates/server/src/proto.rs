@@ -188,7 +188,7 @@ pub const TAG_LEASE_DENY: u8 = 0x0b;
 pub const TAG_LEASE_ATTEST: u8 = 0x0c;
 /// Frame tag of a [`LeaseFrame::Vouch`].
 pub const TAG_LEASE_VOUCH: u8 = 0x0d;
-/// Frame tag of a lease-state request (tag-only message).
+/// Frame tag of a lease-state request addressed to one shard group.
 pub const TAG_LEASE_STATE_REQUEST: u8 = 0x0e;
 /// Frame tag of a [`LeaseStatus`] reply.
 pub const TAG_LEASE_STATE: u8 = 0x0f;
@@ -568,16 +568,12 @@ pub fn lease_state_request_frame(shard: u32) -> Vec<u8> {
     out
 }
 
-/// Parses the shard a lease-state request addresses. Lenient toward the
-/// pre-sharding tag-only frame, which reads as shard 0.
+/// Parses the shard a lease-state request addresses.
 pub fn lease_state_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
     let mut c = Cursor(bytes);
     match c.u8()? {
         TAG_LEASE_STATE_REQUEST => {}
         t => return Err(ProtoError::BadTag(t)),
-    }
-    if c.0.is_empty() {
-        return Ok(0);
     }
     let shard = c.u32()?;
     c.finish()?;
@@ -1188,9 +1184,11 @@ mod tests {
         let frame = lease_state_request_frame(3);
         assert_eq!(frame.len(), 5);
         assert_eq!(lease_state_request_shard(&frame).unwrap(), 3);
-        // The pre-sharding tag-only frame still parses, as shard 0.
-        assert_eq!(lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST]).unwrap(), 0);
         assert_eq!(lease_state_request_shard(&[0x55]), Err(ProtoError::BadTag(0x55)));
+        assert_eq!(
+            lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST]),
+            Err(ProtoError::Truncated)
+        );
         assert_eq!(
             lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST, 1, 2]),
             Err(ProtoError::Truncated)

@@ -293,11 +293,10 @@ impl KvService for RemoteKv {
     }
 }
 
-/// A pipelined raw connection for load generation: sends requests
-/// without waiting for acks (open loop) and drains whatever
-/// acknowledgements have arrived. The load generator layers its own
-/// bookkeeping (send timestamps, ack matching, monotonic-slot checks)
-/// on top.
+/// A pipelined raw connection: sends requests without waiting for acks
+/// (open loop) and drains whatever acknowledgements have arrived. The
+/// caller layers its own bookkeeping (ack matching, monotonic-slot
+/// checks) on top.
 #[derive(Debug)]
 pub struct PipeClient {
     client: ClientId,
@@ -305,18 +304,17 @@ pub struct PipeClient {
     reader: FrameReader<TcpStream>,
 }
 
+/// How long [`PipeClient::drain_acks`] waits for an ack before it
+/// returns what it has.
+const PIPE_POLL: Duration = Duration::from_millis(1);
+
 impl PipeClient {
-    /// Connects a pipelined session; `poll` is the read-timeout
-    /// granularity of [`drain_acks`](PipeClient::drain_acks).
-    pub fn connect(
-        addr: SocketAddr,
-        client: ClientId,
-        poll: Duration,
-    ) -> Result<Self, ServiceError> {
+    /// Connects a pipelined session.
+    pub fn connect(addr: SocketAddr, client: ClientId) -> Result<Self, ServiceError> {
         let writer = TcpStream::connect(addr).map_err(WireError::Io)?;
         writer.set_nodelay(true).map_err(WireError::Io)?;
         let read_side = writer.try_clone().map_err(WireError::Io)?;
-        read_side.set_read_timeout(Some(poll)).map_err(WireError::Io)?;
+        read_side.set_read_timeout(Some(PIPE_POLL)).map_err(WireError::Io)?;
         Ok(PipeClient { client, writer, reader: FrameReader::new(read_side) })
     }
 

@@ -12,8 +12,6 @@
 //! cargo run --release --example kv_service
 //! ```
 
-use std::time::Duration;
-
 use indulgent_model::{ClientId, RequestId};
 use indulgent_server::{
     EngineConfig, KvOp, KvServer, KvService, LocalKv, Outcome, PipeClient, RemoteKv,
@@ -50,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Kill a client mid-request: send the frame, drop the socket without
     // ever reading the ack. The service must neither hang nor apply the
     // command twice when the session reconnects and replays it.
-    let mut doomed = PipeClient::connect(addr, ClientId(2), Duration::from_millis(1))?;
+    let mut doomed = PipeClient::connect(addr, ClientId(2))?;
     doomed.send(RequestId(0), KvOp::Put { key: 9, value: 900 })?;
     drop(doomed);
     let mut revived = RemoteKv::connect_from(addr, ClientId(2), RequestId(0))?;
