@@ -305,6 +305,61 @@ fn precrash_ack_is_replayed_from_recovered_sessions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Batch ids are never reused across incarnations: a restarted shard
+/// mints past both the snapshot's `next_batch` and every batch its WAL
+/// tail recovered, so no id it proposes can collide with an applied one.
+#[test]
+fn batch_ids_are_never_reused_across_incarnations() {
+    let dir = storm_dir("batch-ids");
+    let put = |i: u64| Request {
+        client: ClientId(5),
+        request: RequestId(i),
+        op: KvOp::Put { key: 1, value: i as u32 },
+    };
+
+    // Six sequential puts, one batch each: the checkpoint at slot 4 folds
+    // batches 0..4 into the snapshot, slots 5 and 6 stay in the WAL.
+    let engine = KvEngine::spawn(cfg(5, 2, 1, &dir, 4));
+    let mut session = LocalKv::connect(&engine.handle(), ClientId(5));
+    for i in 0..6 {
+        session.call_with(RequestId(i), put(i).op).expect("acked");
+    }
+    drop(session);
+    engine.kill();
+
+    let shard = shard_dir(&dir, 0);
+    let snap = Snapshot::load(&shard.join("state.snap"))
+        .expect("snapshot readable")
+        .expect("a checkpoint ran");
+    let wal = replay_bytes(&std::fs::read(shard.join("wal.log")).expect("wal readable"))
+        .expect("wal parses");
+    let recovered: Vec<u64> =
+        wal.records.iter().filter(|r| r.slot > snap.applied_through).map(|r| r.batch.0).collect();
+    assert!(
+        recovered.iter().any(|&b| b >= snap.next_batch),
+        "the WAL tail holds ids past the snapshot's high-water mark"
+    );
+
+    let engine = KvEngine::spawn(cfg(5, 2, 1, &dir, 4));
+    let (raw, acks) = engine.handle().connect();
+    for i in 6..8 {
+        assert!(raw.submit(put(i)));
+    }
+    let audit = engine.shutdown();
+    drop(raw);
+    let proposals = &audit.shards[0].proposals;
+    assert!(!proposals.is_empty(), "the new incarnation proposed batches");
+    for id in proposals {
+        assert!(id.0 >= snap.next_batch, "{id} reuses an id below the snapshot's next_batch");
+        assert!(recovered.iter().all(|&b| id.0 > b), "{id} reuses an id the WAL recovered");
+    }
+    audit.check().expect("audit clean");
+    assert_eq!(audit.duplicate_applies(), 0);
+    let acked = std::iter::from_fn(|| acks.try_recv().ok()).count();
+    assert_eq!(acked, 2, "both new puts were acked");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Boot refusal on a shard-count mismatch: a durability root laid out
 /// for S shards (recorded in the fsynced manifest) must not be
 /// reinterpreted by an engine configured for a different count — slot

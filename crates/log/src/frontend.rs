@@ -56,17 +56,13 @@ pub struct ClientFrontend {
     open: Vec<Command>,
     next_batch: u64,
     next_command: u64,
-    /// Sealed batches, dense from `first_batch`:
-    /// `batches[i].id == BatchId(first_batch + i)`.
+    /// Sealed batches, dense: `batches[i].id == BatchId(i)`.
     batches: Vec<Batch>,
     /// Outstanding batch ids per home replica, oldest first.
     queues: Vec<VecDeque<BatchId>>,
     /// Live-intake cursor: sealed batches below this id have been handed
     /// out via [`ClientFrontend::pop_sealed`].
     sealed_cursor: u64,
-    /// First batch id this frontend may mint (nonzero when resuming a
-    /// recovered incarnation: ids below it are burned, never reusable).
-    first_batch: u64,
 }
 
 impl ClientFrontend {
@@ -78,33 +74,17 @@ impl ClientFrontend {
     /// Panics if `batch_size == 0`.
     #[must_use]
     pub fn new(n: usize, batch_size: usize) -> Self {
-        Self::resume_from(n, batch_size, 0)
-    }
-
-    /// Creates a frontend resuming a recovered incarnation: batch ids
-    /// start at `first_batch` (the durable high-water mark), so a batch
-    /// id can never be minted — or handed out by
-    /// [`pop_sealed`](ClientFrontend::pop_sealed) — twice across a
-    /// crash/restart, even though the in-memory registry is rebuilt from
-    /// scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    #[must_use]
-    pub fn resume_from(n: usize, batch_size: usize, first_batch: u64) -> Self {
         assert!(batch_size > 0, "batches hold at least one command");
         ClientFrontend {
             n,
             batch_size,
             intake: IntakePolicy::RoundRobin,
             open: Vec::with_capacity(batch_size),
-            next_batch: first_batch,
+            next_batch: 0,
             next_command: 0,
             batches: Vec::new(),
             queues: vec![VecDeque::new(); n],
-            sealed_cursor: first_batch,
-            first_batch,
+            sealed_cursor: 0,
         }
     }
 
@@ -116,10 +96,7 @@ impl ClientFrontend {
     /// out of range.
     #[must_use]
     pub fn with_intake(mut self, intake: IntakePolicy) -> Self {
-        assert_eq!(
-            self.next_batch, self.first_batch,
-            "intake policy must be set before submission"
-        );
+        assert_eq!(self.next_batch, 0, "intake policy must be set before submission");
         if let IntakePolicy::Leader(l) = intake {
             assert!(l < self.n, "leader index out of range");
         }
@@ -185,24 +162,16 @@ impl ClientFrontend {
         self.next_command
     }
 
-    /// Total batches sealed by this incarnation.
+    /// Total batches sealed.
     #[must_use]
     pub fn batches_sealed(&self) -> u64 {
-        self.next_batch - self.first_batch
+        self.next_batch
     }
 
     /// The content of a sealed batch (the dissemination-layer lookup).
     #[must_use]
     pub fn batch(&self, id: BatchId) -> Option<&Batch> {
-        self.batches.get(usize::try_from(id.0.checked_sub(self.first_batch)?).ok()?)
-    }
-
-    /// The next batch id this frontend will mint — the high-water mark a
-    /// durability layer persists so a recovered incarnation resumes past
-    /// every id this one may have sealed.
-    #[must_use]
-    pub fn next_batch_id(&self) -> u64 {
-        self.next_batch
+        self.batches.get(usize::try_from(id.0).ok()?)
     }
 
     /// The outstanding batch ids per home replica, oldest first — the
@@ -212,24 +181,14 @@ impl ClientFrontend {
         std::mem::replace(&mut self.queues, vec![VecDeque::new(); self.n])
     }
 
-    /// Commands in the open (not yet sealed) batch.
-    ///
-    /// A live service uses this with [`flush`](ClientFrontend::flush) to
-    /// seal a lingering partial batch instead of waiting for it to fill.
-    #[must_use]
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
-
     /// Live-intake cursor: hands out the oldest sealed batch not yet
     /// popped, or `None` when intake has caught up with sealing.
     ///
-    /// This is the intake path of a *service* with one in-process
-    /// sequencer (the `indulgent-server` engine): batches are proposed in
-    /// seal order as they become available, independent of the per-replica
+    /// This is the intake path of a caller that proposes batches in seal
+    /// order as they become available, independent of the per-replica
     /// policy queues a [`LogDriver`](crate::LogDriver) workload starts
-    /// from. The cursor never hands a batch out twice, which is what makes
-    /// the engine's shared proposals double-choose-free by construction.
+    /// from (the benchmark's batching-cost drive is one). The cursor never
+    /// hands a batch out twice.
     pub fn pop_sealed(&mut self) -> Option<BatchId> {
         if self.sealed_cursor < self.next_batch {
             let id = BatchId(self.sealed_cursor);
@@ -278,10 +237,8 @@ mod tests {
         let mut f = ClientFrontend::new(2, 2).with_intake(IntakePolicy::Shared);
         assert_eq!(f.pop_sealed(), None);
         f.submit(1);
-        assert_eq!(f.open_len(), 1);
         assert_eq!(f.pop_sealed(), None, "open batches are not handed out");
         f.submit(2); // seals batch 0
-        assert_eq!(f.open_len(), 0);
         assert_eq!(f.pop_sealed(), Some(BatchId(0)));
         assert_eq!(f.pop_sealed(), None, "a batch pops exactly once");
         f.submit(3);
@@ -309,36 +266,6 @@ mod tests {
         assert_eq!(f.batch(BatchId(1)).unwrap().commands.len(), 3);
         assert_eq!(f.pop_sealed(), Some(BatchId(2)));
         assert_eq!(f.pop_sealed(), None);
-        assert_eq!(f.open_len(), 0);
-    }
-
-    #[test]
-    fn cursor_never_hands_a_batch_out_twice_across_rehydration() {
-        // First incarnation: seal and hand out batches 0..3.
-        let mut f = ClientFrontend::new(3, 2).with_intake(IntakePolicy::Shared);
-        f.submit_all(0..6);
-        let mut handed = Vec::new();
-        while let Some(b) = f.pop_sealed() {
-            handed.push(b);
-        }
-        assert_eq!(handed, [BatchId(0), BatchId(1), BatchId(2)]);
-        let high_water = f.next_batch_id();
-        drop(f); // the crash: in-memory registry is gone
-
-        // Recovered incarnation resumes past the durable high-water mark.
-        let mut f = ClientFrontend::resume_from(3, 2, high_water).with_intake(IntakePolicy::Shared);
-        assert_eq!(f.pop_sealed(), None, "nothing sealed yet in this incarnation");
-        f.submit_all(0..4);
-        let mut rehanded = Vec::new();
-        while let Some(b) = f.pop_sealed() {
-            rehanded.push(b);
-        }
-        assert_eq!(rehanded, [BatchId(3), BatchId(4)], "old ids are burned, never re-handed");
-        assert!(handed.iter().all(|b| !rehanded.contains(b)));
-        // The registry indexes the resumed ids correctly.
-        assert_eq!(f.batch(BatchId(3)).unwrap().commands.len(), 2);
-        assert!(f.batch(BatchId(0)).is_none(), "pre-crash content is not claimed");
-        assert_eq!(f.batches_sealed(), 2);
     }
 
     #[test]

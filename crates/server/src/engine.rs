@@ -11,16 +11,19 @@
 //!    log — an applied request is re-acknowledged from the cache, an
 //!    in-flight one is re-targeted to the newest connection, only a
 //!    fresh one enters a batch (the exactly-once contract);
-//! 2. **batches** fresh commands through the log crate's
-//!    [`ClientFrontend`] (sealed at `batch_size`, or by the linger timer
-//!    so a lone request never waits for a full batch);
+//! 2. **batches** fresh commands into the shard's open batch (sealed at
+//!    `batch_size`, or by the linger timer so a lone request never waits
+//!    for a full batch), minting each sealed batch a fresh [`BatchId`];
 //! 3. **pipelines** consensus: up to `pipeline_depth` instances of
 //!    `A_{t+2}` (round-2 fast path) race on one reusable
 //!    [`indulgent_runtime::Session`], every replica proposing the same
 //!    sealed batch id (a live service has one in-process sequencer, so
 //!    shared proposals make double-choosing impossible by construction —
-//!    the audit still checks it);
-//! 4. **applies** decided slots in order: materializes the store,
+//!    the audit still checks it). Only the id goes through agreement; the
+//!    batch's requests wait with it in the shard's in-flight window,
+//!    oldest first;
+//! 4. **applies** decided slots in order from the front of that window:
+//!    materializes the store,
 //!    computes each command's response from the store state at its slot,
 //!    persists the slot to the write-ahead log ([`crate::wal`]) and
 //!    `fdatasync`s it **before** any acknowledgement leaves, records the
@@ -32,7 +35,7 @@
 //! Single-key commands on different keys never need a shared total
 //! order, so the keyspace is partitioned across `shards` independent
 //! log pipelines by the fixed [`ShardRouter`] hash. Each shard owns a
-//! full stack — its own [`ClientFrontend`] batching, slot space, store
+//! full stack — its own batching and batch ids, slot space, store
 //! slice, dedup table, read ladder, WAL + snapshot subdirectory, and
 //! lease — but all shards multiplex over the *one* replica session, so
 //! S shards share one worker pool instead of spawning S of them.
@@ -89,6 +92,7 @@
 //! newer epoch and can never fast-read on the promises made to its
 //! previous self.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
@@ -98,18 +102,30 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot, ClientFrontend, IntakePolicy};
-use indulgent_model::{BatchId, ClientId, CommandId, Decision, RequestId, SystemConfig};
+use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot};
+use indulgent_model::{BatchId, ClientId, Decision, RequestId, SystemConfig};
 use indulgent_obs::{FlightKind, FlightRecorder, Histogram};
 use indulgent_runtime::{DelayModel, InstanceSpec, Session};
 
-use crate::lease::{self, LeaderLease, LeaseConfig, ReadPath, ReplicaLeaseAgent};
+use crate::lease::{self, LeaderLease, LeaseConfig, LeaseFrame, ReadPath, ReplicaLeaseAgent};
 use crate::proto::{
-    AuditSummary, KvOp, LeaseFrame, LeaseStatus, Outcome, Request, Response, StatsReport, SyncFrame,
+    AuditSummary, KvOp, LeaseStatus, Outcome, Request, Response, StatsReport, SyncFrame,
 };
 use crate::shard::{shard_dir, ShardRouter, ShardedAudit};
 use crate::snapshot::{SessionEntry, Snapshot};
 use crate::wal::{Wal, WalTail};
+
+/// Per-instance round budget of the replica session.
+const MAX_ROUNDS: u32 = 60;
+/// Straggler grace window of the replica session.
+const GRACE: Duration = Duration::from_millis(2);
+/// How long a non-empty partial batch may linger before it is sealed
+/// anyway — bounds the latency a lone request pays for batching.
+const LINGER: Duration = Duration::from_micros(500);
+/// Watchdog: the engine panics if consensus makes no progress for this
+/// long with instances in flight (a wedged service must fail loudly, not
+/// hang a CI job).
+const STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Where and how often the engine persists its state.
 #[derive(Debug, Clone)]
@@ -150,20 +166,9 @@ pub struct EngineConfig {
     pub batch_size: usize,
     /// Bounded in-flight window of consensus instances.
     pub pipeline_depth: u64,
-    /// Per-instance round budget.
-    pub max_rounds: u32,
-    /// Straggler grace window of the replica session.
-    pub grace: Duration,
     /// Replica-to-replica delay model (Instant for a colocated group;
     /// Uniform to emulate a real RTT).
     pub delays: DelayModel,
-    /// How long a non-empty partial batch may linger before it is sealed
-    /// anyway — bounds the latency a lone request pays for batching.
-    pub linger: Duration,
-    /// Watchdog: the engine panics if consensus makes no progress for
-    /// this long with instances in flight (a wedged service must fail
-    /// loudly, not hang a CI job).
-    pub stall_timeout: Duration,
     /// WAL + snapshot persistence; `None` runs crash-stop (in-memory
     /// only, the pre-durability behavior).
     pub durability: Option<DurabilityConfig>,
@@ -174,7 +179,7 @@ pub struct EngineConfig {
     /// when `reads` is not `Sequenced`.
     pub lease: LeaseConfig,
     /// How many shard groups partition the keyspace. Each shard owns an
-    /// independent log pipeline (frontend, slot space, WAL, lease), all
+    /// independent log pipeline (batching, slot space, WAL, lease), all
     /// multiplexed over the *one* replica session's worker pool — S
     /// shards do not spawn S thread pools.
     pub shards: usize,
@@ -194,11 +199,7 @@ impl EngineConfig {
             system: SystemConfig::majority(5, 2).expect("5/2 is a valid majority config"),
             batch_size: 8,
             pipeline_depth: 4,
-            max_rounds: 60,
-            grace: Duration::from_millis(2),
             delays: DelayModel::Instant,
-            linger: Duration::from_micros(500),
-            stall_timeout: Duration::from_secs(30),
             durability: None,
             reads: ReadPath::Sequenced,
             lease: LeaseConfig::default(),
@@ -819,30 +820,26 @@ impl ServiceAudit {
 
 /// Dedup bookkeeping for one `(client, request)` pair.
 enum DedupState {
-    /// Batched but not yet decided; retries re-target the ack here.
-    InFlight(CommandId),
+    /// Batched or parked on the read ladder, not yet answered: the
+    /// connection its ack goes to (a retry re-targets it).
+    Waiting(ConnId),
     /// Applied; the cached ack answers every retry. Fast-read acks are
     /// cached too (retry idempotence within the incarnation) but are
     /// not WAL-durable — see the module docs.
     Applied(Response),
-    /// A read waiting in the fast-read queue; retries re-target it.
-    PendingRead,
 }
 
-/// Metadata of one in-flight command, keyed by [`CommandId`].
-struct CmdMeta {
-    conn: ConnId,
-    client: ClientId,
-    request: RequestId,
-    op: KvOp,
-}
-
-/// A read queued for the fast path (lease or quorum), not yet served.
-struct PendingRead {
-    conn: ConnId,
-    client: ClientId,
-    request: RequestId,
-    key: u16,
+/// One sealed batch with its requests: queued in `ShardState::ready`
+/// until a pipeline slot frees, then in `ShardState::window` until its
+/// slot applies.
+struct SealedBatch {
+    id: BatchId,
+    requests: Vec<Request>,
+    /// When the batch sealed: the seal→decide stage clock.
+    sealed: Instant,
+    /// The instance's first decision and when it arrived (`None` until
+    /// then, and while the batch waits in the ready queue).
+    decided: Option<(BatchId, Instant)>,
 }
 
 /// The running service engine: a driver thread owning the replica
@@ -911,7 +908,7 @@ fn dedup_sessions(dedup: &HashMap<(ClientId, RequestId), DedupState>) -> Vec<Ses
             DedupState::Applied(response) => {
                 Some(SessionEntry { client, request, response: *response })
             }
-            DedupState::InFlight(_) | DedupState::PendingRead => None,
+            DedupState::Waiting(_) => None,
         })
         .collect();
     sessions.sort_by_key(|s| (s.client.0, s.request.0));
@@ -979,21 +976,16 @@ fn absorb_result(
     sh.results_seen += 1;
     let row = sh.results.entry(route.local).or_insert_with(|| vec![None; n]);
     row[r.replica.index()] = r.decision;
-    if let Some(d) = r.decision {
-        if let std::collections::btree_map::Entry::Vacant(e) = sh.first_decisions.entry(route.local)
-        {
-            e.insert(d);
-            let now = Instant::now();
-            if let Some(sealed) = sh.stats.sealed_at.remove(&route.local) {
-                sh.stats.seal_decide.record(nanos(now - sealed));
-            }
-            sh.stats.decided_at.insert(route.local, now);
-            sh.flight.record(
-                FlightKind::InstanceDecide,
-                route.local,
-                BatchId::from_value(d.value).0,
-            );
-        }
+    // Instances older than the window front have applied: a late
+    // replica's result only completes their decision row.
+    let front = sh.applied_through - sh.slot_base + 1;
+    let entry = route.local.checked_sub(front).and_then(|i| sh.window.get_mut(i as usize));
+    if let (Some(d), Some(batch)) = (r.decision, entry.filter(|b| b.decided.is_none())) {
+        let now = Instant::now();
+        sh.stats.seal_decide.record(nanos(now - batch.sealed));
+        let value = BatchId::from_value(d.value);
+        batch.decided = Some((value, now));
+        sh.flight.record(FlightKind::InstanceDecide, route.local, value.0);
     }
     route.arrivals += 1;
     if route.arrivals == n {
@@ -1057,10 +1049,8 @@ fn nanos(d: Duration) -> u64 {
 }
 
 /// One shard's stage clocks: the latency histograms the wire
-/// [`StatsReport`] scrapes, plus the timestamp bookkeeping that feeds
-/// them. The histogram record paths are allocation-free; the timestamp
-/// maps live on the driver thread's bookkeeping path next to the dedup
-/// and routing tables, where the engine already allocates.
+/// [`StatsReport`] scrapes (allocation-free to record). The timestamps
+/// that feed them travel with the batches themselves.
 struct ShardStats {
     /// Command arrival (first command of an open batch) to batch seal.
     submit_seal: Histogram,
@@ -1074,16 +1064,6 @@ struct ShardStats {
     wal_fsync: Histogram,
     /// Ready-queue depth sampled at each seal.
     seal_depth: Histogram,
-    /// Open time of each not-yet-sealed batch, seal (FIFO) order.
-    seal_opened: VecDeque<Instant>,
-    /// Seal time of each sealed-but-not-started batch, parallel to
-    /// `ShardState::ready`.
-    ready_since: VecDeque<Instant>,
-    /// Seal timestamp of each in-flight instance, keyed by shard-local
-    /// instance number.
-    sealed_at: HashMap<u64, Instant>,
-    /// First-decision timestamp of each decided-but-unapplied instance.
-    decided_at: HashMap<u64, Instant>,
 }
 
 impl ShardStats {
@@ -1095,26 +1075,32 @@ impl ShardStats {
             apply_ack: Histogram::new(),
             wal_fsync: Histogram::new(),
             seal_depth: Histogram::new(),
-            seal_opened: VecDeque::new(),
-            ready_since: VecDeque::new(),
-            sealed_at: HashMap::new(),
-            decided_at: HashMap::new(),
         }
     }
 }
 
-/// One shard group: a full independent service stack — batching
-/// frontend, slot space, store slice, dedup table, read ladder, WAL +
-/// snapshots, and lease — multiplexed with its siblings over the one
-/// shared replica session.
+/// One shard group: a full independent service stack — batching, slot
+/// space, store slice, dedup table, read ladder, WAL + snapshots, and
+/// lease — multiplexed with its siblings over the one shared replica
+/// session.
 struct ShardState {
     idx: u32,
-    frontend: ClientFrontend,
-    meta: HashMap<CommandId, CmdMeta>,
+    batch_size: usize,
     dedup: HashMap<(ClientId, RequestId), DedupState>,
-    ready: VecDeque<BatchId>,
-    /// First decisions keyed by shard-local instance number (1-based).
-    first_decisions: BTreeMap<u64, Decision>,
+    /// The open (not yet sealed) batch, in arrival order.
+    open: Vec<Request>,
+    /// When the open batch's first command arrived: the submit→seal
+    /// stage clock (meaningless while `open` is empty).
+    opened: Instant,
+    /// The id the next sealed batch takes. Recovery starts it past every
+    /// id a previous incarnation may have minted, so an id is never
+    /// proposed twice across a restart.
+    next_batch: u64,
+    /// Sealed batches waiting for a pipeline slot, oldest first.
+    ready: VecDeque<SealedBatch>,
+    /// Started, not yet applied instances, oldest first: entry `i` is
+    /// local instance `applied_through - slot_base + 1 + i`.
+    window: VecDeque<SealedBatch>,
     /// Per-local-instance, per-replica decisions.
     results: BTreeMap<u64, Vec<Option<Decision>>>,
     results_seen: u64,
@@ -1125,7 +1111,8 @@ struct ShardState {
     committed_commands: u64,
     dedup_hits: u64,
     duplicate_applies: u64,
-    pending_reads: VecDeque<PendingRead>,
+    /// `Get`s parked for the fast path (lease or quorum), not yet served.
+    pending_reads: VecDeque<Request>,
     fast_read_records: Vec<FastReadRecord>,
     folded_fast_reads: u64,
     fast_read_mismatches: u64,
@@ -1147,7 +1134,6 @@ struct ShardState {
     live_from: u64,
     started: u64,
     applied_through: u64,
-    open_since: Option<Instant>,
     stats: ShardStats,
     /// The black-box event ring, dumped to `flight_path` on checkpoint,
     /// audit violation, panic, or shutdown.
@@ -1174,7 +1160,7 @@ impl ShardState {
         let mut base_sessions: Vec<SessionEntry> = Vec::new();
         let mut base_commands = 0u64;
         let mut base_next_batch = 0u64;
-        let mut next_batch_seed = 0u64;
+        let mut next_batch = 0u64;
         let flight = FlightRecorder::new(512);
         let durable = cfg.durability.as_ref().map(|d| {
             let dir = shard_dir(&d.dir, idx);
@@ -1190,7 +1176,7 @@ impl ShardState {
             base_sessions.clone_from(&snap.sessions);
             store = snap.store;
             committed_commands = snap.committed;
-            next_batch_seed = snap.next_batch;
+            next_batch = snap.next_batch;
             for s in &snap.sessions {
                 dedup.insert((s.client, s.request), DedupState::Applied(s.response));
             }
@@ -1219,7 +1205,7 @@ impl ShardState {
                     dedup.insert((ack.client, ack.request), DedupState::Applied(ack.response));
                     committed_commands += 1;
                 }
-                next_batch_seed = next_batch_seed.max(rec.batch.0 + 1);
+                next_batch = next_batch.max(rec.batch.0 + 1);
                 applied_batches.insert(rec.batch);
                 slots.push(rec);
             }
@@ -1255,12 +1241,13 @@ impl ShardState {
         let slot_base = base_slot + slots.len() as u64;
         ShardState {
             idx,
-            frontend: ClientFrontend::resume_from(n, cfg.batch_size, next_batch_seed)
-                .with_intake(IntakePolicy::Shared),
-            meta: HashMap::new(),
+            batch_size: cfg.batch_size,
             dedup,
+            open: Vec::with_capacity(cfg.batch_size),
+            opened: Instant::now(),
+            next_batch,
             ready: VecDeque::new(),
-            first_decisions: BTreeMap::new(),
+            window: VecDeque::new(),
             results: BTreeMap::new(),
             results_seen: 0,
             store,
@@ -1290,7 +1277,6 @@ impl ShardState {
             live_from: slot_base + 1,
             started: 0,
             applied_through: slot_base,
-            open_since: None,
             stats: ShardStats::new(),
             flight,
             flight_path: cfg.durability.as_ref().map(|d| d.dir.join(format!("flight-{idx}.log"))),
@@ -1309,153 +1295,118 @@ impl ShardState {
 
     /// Consensus instances in flight for this shard.
     fn in_flight(&self) -> u64 {
-        self.started - (self.applied_through - self.slot_base)
+        self.window.len() as u64
     }
 
     /// Nothing queued, in flight, or unreported: the shard is at rest
     /// (drained for shutdown, auditable for the replay check).
     fn quiesced(&self, n: u64) -> bool {
-        self.in_flight() == 0
+        self.window.is_empty()
             && self.results_seen == self.started * n
-            && self.frontend.open_len() == 0
+            && self.open.is_empty()
             && self.ready.is_empty()
             && self.pending_reads.is_empty()
     }
 
-    /// The submit path: exactly-once dedup, fast-read parking, batching.
-    /// `read_path` is the caller's rung — the intake passes the
-    /// configured path, the read ladder's demotion passes `Sequenced`.
+    /// The submit path: exactly-once dedup, fast-read parking on the
+    /// `read_path` ladder, batching.
     fn submit(
         &mut self,
         conns: &HashMap<ConnId, Sender<Outbound>>,
         conn: ConnId,
         request: Request,
         read_path: ReadPath,
-    ) -> bool {
-        let key = (request.client, request.request);
-        match self.dedup.get_mut(&key) {
-            Some(DedupState::Applied(resp)) => {
+    ) {
+        match self.dedup.entry((request.client, request.request)) {
+            Entry::Occupied(mut e) => {
                 self.dedup_hits += 1;
                 engine_metrics().dedup_hits.incr();
-                if let Some(tx) = conns.get(&conn) {
-                    let _ = tx.send(Outbound::Ack(*resp));
-                }
-                false
-            }
-            Some(DedupState::InFlight(cid)) => {
-                self.dedup_hits += 1;
-                engine_metrics().dedup_hits.incr();
-                if let Some(m) = self.meta.get_mut(cid) {
-                    m.conn = conn;
-                }
-                false
-            }
-            Some(DedupState::PendingRead) => {
-                // A retry of a read still waiting on the ladder:
-                // re-target where its eventual ack will be delivered.
-                self.dedup_hits += 1;
-                engine_metrics().dedup_hits.incr();
-                if let Some(p) = self
-                    .pending_reads
-                    .iter_mut()
-                    .find(|p| p.client == request.client && p.request == request.request)
-                {
-                    p.conn = conn;
-                }
-                false
-            }
-            None => {
-                if read_path != ReadPath::Sequenced {
-                    if let KvOp::Get { key: k } = request.op {
-                        // Fast-read candidate: park it on the read ladder
-                        // instead of occupying a log slot. `serve_reads`
-                        // serves or demotes it every iteration, so it
-                        // never starves.
-                        self.pending_reads.push_back(PendingRead {
-                            conn,
-                            client: request.client,
-                            request: request.request,
-                            key: k,
-                        });
-                        self.dedup.insert(key, DedupState::PendingRead);
-                        return true;
+                match e.get_mut() {
+                    DedupState::Applied(resp) => {
+                        if let Some(tx) = conns.get(&conn) {
+                            let _ = tx.send(Outbound::Ack(*resp));
+                        }
                     }
+                    // Still batched or parked: re-target where its
+                    // eventual ack will be delivered.
+                    DedupState::Waiting(to) => *to = conn,
                 }
-                if matches!(request.op, KvOp::Get { .. }) {
-                    self.reads_sequenced += 1;
+            }
+            Entry::Vacant(e) => {
+                e.insert(DedupState::Waiting(conn));
+                if read_path != ReadPath::Sequenced && matches!(request.op, KvOp::Get { .. }) {
+                    // Fast-read candidate: park it on the read ladder
+                    // instead of occupying a log slot. `serve_reads`
+                    // serves or demotes it every iteration, so it never
+                    // starves.
+                    self.pending_reads.push_back(request);
+                } else {
+                    self.batch(request);
                 }
-                // A command entering an empty open batch opens the next
-                // batch; its seal clock starts now (sealing is FIFO, so
-                // a queue pairs opens to seals even when `submit` itself
-                // fill-seals the batch).
-                if self.frontend.open_len() == 0 {
-                    self.stats.seal_opened.push_back(Instant::now());
-                }
-                let cid = self.frontend.submit(request.op.to_payload());
-                self.meta.insert(
-                    cid,
-                    CmdMeta {
-                        conn,
-                        client: request.client,
-                        request: request.request,
-                        op: request.op,
-                    },
-                );
-                self.dedup.insert(key, DedupState::InFlight(cid));
-                if self.frontend.open_len() == 1 {
-                    self.open_since = Some(Instant::now());
-                }
-                true
             }
         }
     }
 
-    /// Seals a lingering partial batch (immediately when shutting down:
-    /// nothing more is coming) and moves sealed batches to the ready
-    /// queue.
-    fn seal_lingering(&mut self, linger: Duration, shutting_down: bool) {
-        if self.frontend.open_len() > 0 {
-            let lingered = self.open_since.is_some_and(|s| s.elapsed() >= linger);
-            if shutting_down || lingered {
-                self.frontend.flush();
-                self.open_since = None;
-            }
+    /// Adds a command to the open batch, sealing the batch once full.
+    fn batch(&mut self, request: Request) {
+        if matches!(request.op, KvOp::Get { .. }) {
+            self.reads_sequenced += 1;
         }
-        while let Some(b) = self.frontend.pop_sealed() {
-            let now = Instant::now();
-            if let Some(opened) = self.stats.seal_opened.pop_front() {
-                self.stats.submit_seal.record(nanos(now - opened));
-            }
-            self.ready.push_back(b);
-            self.stats.ready_since.push_back(now);
-            self.stats.seal_depth.record(self.ready.len() as u64);
+        if self.open.is_empty() {
+            self.opened = Instant::now();
+        }
+        self.open.push(request);
+        if self.open.len() == self.batch_size {
+            self.seal();
+        }
+    }
+
+    /// Seals the open batch under the next batch id and queues it for a
+    /// pipeline slot.
+    fn seal(&mut self) {
+        let now = Instant::now();
+        self.stats.submit_seal.record(nanos(now - self.opened));
+        let id = BatchId(self.next_batch);
+        self.next_batch += 1;
+        let requests = std::mem::replace(&mut self.open, Vec::with_capacity(self.batch_size));
+        self.ready.push_back(SealedBatch { id, requests, sealed: now, decided: None });
+        self.stats.seal_depth.record(self.ready.len() as u64);
+    }
+
+    /// Caches `response` as the answer to `client`'s request and returns
+    /// the connection its ack goes to.
+    fn answer(&mut self, client: ClientId, response: Response) -> ConnId {
+        match self.dedup.insert((client, response.request), DedupState::Applied(response)) {
+            Some(DedupState::Waiting(conn)) => conn,
+            _ => unreachable!("a request waits in the dedup table until it is answered"),
+        }
+    }
+
+    /// Seals a lingering partial batch (immediately when shutting down:
+    /// nothing more is coming).
+    fn seal_lingering(&mut self, shutting_down: bool) {
+        if !self.open.is_empty() && (shutting_down || self.opened.elapsed() >= LINGER) {
+            self.seal();
         }
     }
 
     /// Applies decided slots in log order: materialize, WAL + fsync,
     /// only then acknowledge; checkpoints on the shard's own cadence.
     fn apply_decided(&mut self, conns: &HashMap<ConnId, Sender<Outbound>>) {
-        while let Some(d) =
-            self.first_decisions.get(&(self.applied_through - self.slot_base + 1)).copied()
-        {
-            let local = self.applied_through - self.slot_base + 1;
+        while let Some(&SealedBatch { decided: Some((batch, decided)), .. }) = self.window.front() {
+            let requests = self.window.pop_front().expect("the front was just read").requests;
             let apply_start = Instant::now();
-            if let Some(decided) = self.stats.decided_at.remove(&local) {
-                self.stats.decide_apply.record(nanos(apply_start - decided));
-            }
+            self.stats.decide_apply.record(nanos(apply_start - decided));
             self.applied_through += 1;
             let slot = self.applied_through;
-            let batch = BatchId::from_value(d.value);
             if !self.applied_batches.insert(batch) {
                 self.duplicate_applies += 1;
                 continue;
             }
-            let content = self.frontend.batch(batch).expect("decided batches were disseminated");
-            let mut acks = Vec::with_capacity(content.commands.len());
-            let mut targets = Vec::with_capacity(content.commands.len());
-            for cmd in &content.commands {
-                let m = self.meta.remove(&cmd.id).expect("every batched command has metadata");
-                let outcome = match m.op {
+            let mut acks = Vec::with_capacity(requests.len());
+            let mut targets = Vec::with_capacity(requests.len());
+            for Request { client, request, op } in requests {
+                let outcome = match op {
                     KvOp::Put { key, value } => {
                         self.store.insert(key, value);
                         Outcome::Put { slot }
@@ -1464,10 +1415,9 @@ impl ShardState {
                         Outcome::Get { slot, value: self.store.get(&key).copied() }
                     }
                 };
-                let response = Response { request: m.request, shard: self.idx, outcome };
-                self.dedup.insert((m.client, m.request), DedupState::Applied(response));
-                targets.push((m.conn, response));
-                acks.push(AckRecord { client: m.client, request: m.request, op: m.op, response });
+                let response = Response { request, shard: self.idx, outcome };
+                targets.push(self.answer(client, response));
+                acks.push(AckRecord { client, request, op, response });
                 self.committed_commands += 1;
             }
             let rec = SlotRecord { slot, batch, commands: acks };
@@ -1482,9 +1432,9 @@ impl ShardState {
                 self.flight.record(FlightKind::WalSync, slot, sync_ns);
                 engine_metrics().wal_syncs.incr();
             }
-            for (conn, response) in targets {
-                if let Some(tx) = conns.get(&conn) {
-                    let _ = tx.send(Outbound::Ack(response));
+            for (conn, ack) in targets.iter().zip(&rec.commands) {
+                if let Some(tx) = conns.get(conn) {
+                    let _ = tx.send(Outbound::Ack(ack.response));
                 }
             }
             self.stats.apply_ack.record(nanos(apply_start.elapsed()));
@@ -1502,7 +1452,7 @@ impl ShardState {
                     checkpointed = true;
                     let snap = Snapshot {
                         applied_through: self.applied_through,
-                        next_batch: self.frontend.next_batch_id(),
+                        next_batch: self.next_batch,
                         committed: self.committed_commands,
                         store: self.store.clone(),
                         sessions: dedup_sessions(&self.dedup),
@@ -1547,10 +1497,9 @@ impl ShardState {
         if let Some(ls) = self.lease.as_mut() {
             let now = Instant::now();
             if ls.renew_due(now) {
-                for (agent, frame) in self.agents.iter_mut().zip(ls.acquire_frames(now)) {
-                    let msg = LeaseFrame::decode(&frame).expect("own acquire frame decodes");
-                    let reply = agent.handle(&msg, now).expect("replica handles acquire");
-                    ls.absorb(&LeaseFrame::decode(&reply).expect("replica reply decodes"));
+                let acquire = ls.acquire(now);
+                for agent in &mut self.agents {
+                    ls.absorb(&agent.handle(&acquire, now).expect("an agent answers an acquire"));
                 }
                 renewed = true;
             }
@@ -1578,38 +1527,33 @@ impl ShardState {
             && self.lease.as_ref().is_some_and(|l| l.read_allowed(now));
         let agents = &mut self.agents;
         let attested = !lease_ok
-            && self.lease.as_mut().is_some_and(|ls| {
+            && self.lease.as_ref().is_some_and(|ls| {
                 // Ladder step 2: one attest round re-certifies freshness
                 // for this whole drain batch.
-                let mut vouches = 0usize;
-                for (agent, frame) in agents.iter_mut().zip(ls.attest_frames()) {
-                    let msg = LeaseFrame::decode(&frame).expect("own attest frame decodes");
-                    let reply = agent.handle(&msg, now).expect("replica handles attest");
-                    if matches!(
-                        LeaseFrame::decode(&reply).expect("replica vouch decodes"),
-                        LeaseFrame::Vouch { valid: true, .. }
-                    ) {
-                        vouches += 1;
-                    }
-                }
+                let attest = ls.attest();
+                let vouches = agents
+                    .iter_mut()
+                    .map(|a| a.handle(&attest, now))
+                    .filter(|r| matches!(r, Some(LeaseFrame::Vouch { valid: true, .. })))
+                    .count();
                 vouches >= quorum
             });
         if lease_ok || attested {
-            while let Some(p) = self.pending_reads.pop_front() {
-                let value = self.store.get(&p.key).copied();
+            while let Some(Request { client, request, op }) = self.pending_reads.pop_front() {
+                let key = op.key();
+                let value = self.store.get(&key).copied();
                 let response = Response {
-                    request: p.request,
+                    request,
                     shard: self.idx,
                     outcome: Outcome::Read { index: self.applied_through, value },
                 };
-                self.dedup.insert((p.client, p.request), DedupState::Applied(response));
-                if let Some(tx) = conns.get(&p.conn) {
+                if let Some(tx) = conns.get(&self.answer(client, response)) {
                     let _ = tx.send(Outbound::Ack(response));
                 }
                 self.fast_read_records.push(FastReadRecord {
-                    client: p.client,
-                    request: p.request,
-                    key: p.key,
+                    client,
+                    request,
+                    key,
                     index: self.applied_through,
                     epoch: self.lease_epoch,
                     attested: !lease_ok,
@@ -1629,11 +1573,9 @@ impl ShardState {
             let demoted = self.pending_reads.len() as u64;
             self.flight.record(FlightKind::ReadsDemoted, demoted, self.applied_through);
             engine_metrics().reads_demoted.add(demoted);
-            while let Some(p) = self.pending_reads.pop_front() {
-                self.dedup.remove(&(p.client, p.request));
-                let request =
-                    Request { client: p.client, request: p.request, op: KvOp::Get { key: p.key } };
-                let _ = self.submit(conns, p.conn, request, ReadPath::Sequenced);
+            // Their dedup entries keep naming the connection to ack.
+            while let Some(request) = self.pending_reads.pop_front() {
+                self.batch(request);
             }
         }
     }
@@ -1737,7 +1679,7 @@ impl ShardState {
         if let Some(du) = self.durable.as_mut() {
             let snap = Snapshot {
                 applied_through: self.applied_through,
-                next_batch: self.frontend.next_batch_id(),
+                next_batch: self.next_batch,
                 committed: self.committed_commands,
                 store: self.store.clone(),
                 sessions: dedup_sessions(&self.dedup),
@@ -1773,7 +1715,7 @@ fn handle(
 ) {
     let mut submit = |conn, request: Request| {
         let si = router.shard_of(request.op.key()) as usize;
-        let _ = shards[si].submit(conns, conn, request, read_path);
+        shards[si].submit(conns, conn, request, read_path);
     };
     match msg {
         EngineMsg::Submit { conn, request } => submit(conn, request),
@@ -1821,14 +1763,9 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     // ONE recycling session serves every shard: the worker pool is
     // shared, so S shards add zero threads over a single group. Instance
     // ids are global; `routes` maps them back to shards.
-    let mut session: Session<AtSlot> = Session::with_recycler(
-        cfg.system,
-        cfg.grace,
-        at_plus2_factory(cfg.system),
-        at_plus2_reset(),
-    );
-    let spec =
-        InstanceSpec { crashes: vec![None; n], delays: cfg.delays, max_rounds: cfg.max_rounds };
+    let mut session: Session<AtSlot> =
+        Session::with_recycler(cfg.system, GRACE, at_plus2_factory(cfg.system), at_plus2_reset());
+    let spec = InstanceSpec { crashes: vec![None; n], delays: cfg.delays, max_rounds: MAX_ROUNDS };
 
     let mut conns: HashMap<ConnId, Sender<Outbound>> = HashMap::new();
     let mut shards: Vec<ShardState> =
@@ -1855,20 +1792,19 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
         // 2 + 3. Per shard: seal lingering batches, then propose into
         // the shard's pipeline window on the shared session.
         for (si, sh) in shards.iter_mut().enumerate() {
-            sh.seal_lingering(cfg.linger, deferred.shutting_down);
+            sh.seal_lingering(deferred.shutting_down);
             while sh.in_flight() < cfg.pipeline_depth {
                 let Some(batch) = sh.ready.pop_front() else { break };
-                let instance = session.start_instance_recycled(&vec![batch.as_value(); n], &spec);
+                let instance =
+                    session.start_instance_recycled(&vec![batch.id.as_value(); n], &spec);
                 sh.started += 1;
-                // The instance inherits its batch's seal clock: the
-                // seal→decide stage covers ready-queue wait + consensus.
-                if let Some(sealed) = sh.stats.ready_since.pop_front() {
-                    sh.stats.sealed_at.insert(sh.started, sealed);
-                }
-                sh.flight.record(FlightKind::InstanceStart, sh.started, batch.0);
+                sh.flight.record(FlightKind::InstanceStart, sh.started, batch.id.0);
                 routes
                     .insert(instance, InstanceRoute { shard: si, local: sh.started, arrivals: 0 });
-                sh.proposals.push(batch);
+                sh.proposals.push(batch.id);
+                // The batch keeps its seal clock: the seal→decide stage
+                // covers ready-queue wait + consensus.
+                sh.window.push_back(batch);
                 last_progress = Instant::now();
             }
         }
@@ -1950,18 +1886,17 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             shards.iter().any(|s| s.in_flight() > 0 || s.results_seen < s.started * n as u64);
         if busy {
             assert!(
-                last_progress.elapsed() < cfg.stall_timeout,
-                "engine stalled: {} instances in flight, no replica progress for {:?}",
+                last_progress.elapsed() < STALL_TIMEOUT,
+                "engine stalled: {} instances in flight, no replica progress for {STALL_TIMEOUT:?}",
                 shards.iter().map(ShardState::in_flight).sum::<u64>(),
-                cfg.stall_timeout
             );
             if let Some(r) = session.next_result_timeout(Duration::from_micros(200)) {
                 last_progress = Instant::now();
                 absorb_result(&mut shards, &mut routes, n, &r);
             }
         } else if !deferred.shutting_down {
-            let nap = if shards.iter().any(|s| s.frontend.open_len() > 0) {
-                cfg.linger.min(Duration::from_millis(1))
+            let nap = if shards.iter().any(|s| !s.open.is_empty()) {
+                LINGER
             } else {
                 Duration::from_millis(2)
             };
@@ -1990,4 +1925,60 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     }
 
     ShardedAudit { shards: shards.iter().map(|s| s.audit(cfg.system)).collect() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A lease-path `Get` submitted on connection 1 and retried on
+    /// connection 2 before the ladder serves it: whichever rung answers,
+    /// the ack goes to connection 2 alone.
+    #[test]
+    fn a_retried_parked_read_is_acked_on_the_retrying_connection_only() {
+        let cfg = EngineConfig::default_5().with_reads(ReadPath::Lease);
+        let quorum = cfg.system.quorum();
+        let get = Request { client: ClientId(7), request: RequestId(0), op: KvOp::Get { key: 3 } };
+        let (tx1, rx1) = unbounded();
+        let (tx2, rx2) = unbounded();
+        let conns = HashMap::from([(ConnId(1), tx1), (ConnId(2), tx2)]);
+        let submit_twice = |sh: &mut ShardState| {
+            sh.submit(&conns, ConnId(1), get, ReadPath::Lease);
+            sh.submit(&conns, ConnId(2), get, ReadPath::Lease);
+            assert_eq!(sh.dedup_hits, 1, "the retry is a dedup hit");
+        };
+
+        // Lease rung: the grants are fresh, the read is served at once.
+        let mut sh = ShardState::recover(0, &cfg);
+        submit_twice(&mut sh);
+        sh.lease_upkeep();
+        sh.serve_reads(&conns, quorum, ReadPath::Lease);
+        assert_eq!(sh.reads_lease, 1);
+        assert!(matches!(rx2.try_recv(), Ok(Outbound::Ack(r)) if r.request == get.request));
+        assert!(rx2.try_recv().is_err(), "the read is acked once");
+        assert!(rx1.try_recv().is_err(), "the first connection gets no ack");
+        assert_eq!(sh.dedup_hits, 1);
+
+        // Ladder bottom: no grants and no vouches, so the read is
+        // demoted into the open batch, still addressed to connection 2.
+        let mut sh = ShardState::recover(0, &cfg);
+        submit_twice(&mut sh);
+        sh.serve_reads(&conns, quorum, ReadPath::Lease);
+        assert_eq!((sh.reads_sequenced, sh.open.len()), (1, 1));
+        assert!(matches!(
+            sh.dedup.get(&(get.client, get.request)),
+            Some(DedupState::Waiting(ConnId(2)))
+        ));
+        // Sequence it: seal, decide the proposed batch, apply.
+        sh.seal_lingering(true);
+        let mut batch = sh.ready.pop_front().expect("the demoted read sealed");
+        batch.decided = Some((batch.id, Instant::now()));
+        sh.window.push_back(batch);
+        sh.apply_decided(&conns);
+        assert!(matches!(
+            rx2.try_recv(),
+            Ok(Outbound::Ack(Response { outcome: Outcome::Get { slot: 1, .. }, .. }))
+        ));
+        assert!(rx1.try_recv().is_err(), "the first connection gets no ack");
+    }
 }

@@ -48,8 +48,57 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::proto::{LeaseFrame, ProtoError};
 use crate::wal::crc32;
+
+/// The leader-lease protocol messages, passed as values between the
+/// holder and the replica agents (they never cross a socket).
+///
+/// `Acquire`/`Grant`/`Deny` establish and renew the lease; `Attest`/
+/// `Vouch` are the quorum-read fallback's freshness probe (a replica
+/// vouches that the named `(holder, epoch)` lease is still the newest
+/// promise it has made).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeaseFrame {
+    /// The would-be leader asks a replica to grant (or renew) its lease.
+    Acquire {
+        /// The requesting leader incarnation.
+        holder: u64,
+        /// The lease epoch being acquired.
+        epoch: u64,
+        /// Lease duration in microseconds, measured from the grant.
+        ttl_micros: u64,
+    },
+    /// The replica granted the lease for the frame's TTL.
+    Grant {
+        /// The granting replica.
+        replica: u32,
+        /// The epoch granted (echoed).
+        epoch: u64,
+    },
+    /// The replica refused: it already promised a newer lease.
+    Deny {
+        /// The refusing replica.
+        replica: u32,
+        /// The newest epoch the replica has promised.
+        promised: u64,
+    },
+    /// Quorum-read probe: is `(holder, epoch)` still your newest promise?
+    Attest {
+        /// The probing leader incarnation.
+        holder: u64,
+        /// The epoch being attested.
+        epoch: u64,
+    },
+    /// Reply to [`LeaseFrame::Attest`].
+    Vouch {
+        /// The vouching replica.
+        replica: u32,
+        /// The epoch attested (echoed).
+        epoch: u64,
+        /// Whether the lease is still the replica's newest promise.
+        valid: bool,
+    },
+}
 
 /// How the engine answers `Get`s (the `--reads` flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,10 +234,10 @@ impl ReplicaLeaseAgent {
         self.promised
     }
 
-    /// Handles one holder-to-replica lease frame, returning the encoded
-    /// reply. Reply frames (`Grant`/`Deny`/`Vouch`) addressed *to* an
-    /// agent are a protocol error.
-    pub fn handle(&mut self, frame: &LeaseFrame, now: Instant) -> Result<Vec<u8>, ProtoError> {
+    /// Handles one holder-to-replica lease frame, returning the reply.
+    /// Reply frames (`Grant`/`Deny`/`Vouch`) addressed *to* an agent are
+    /// a protocol error, refused with `None`.
+    pub fn handle(&mut self, frame: &LeaseFrame, now: Instant) -> Option<LeaseFrame> {
         match *frame {
             LeaseFrame::Acquire { holder, epoch, ttl_micros } => {
                 // Grant a newer epoch, or renew the exact lease already
@@ -199,10 +248,10 @@ impl ReplicaLeaseAgent {
                     self.holder = holder;
                     self.expires_at = Some(now + Duration::from_micros(ttl_micros));
                     lease_metrics().grants.incr();
-                    Ok(LeaseFrame::Grant { replica: self.replica, epoch }.encode())
+                    Some(LeaseFrame::Grant { replica: self.replica, epoch })
                 } else {
                     lease_metrics().denials.incr();
-                    Ok(LeaseFrame::Deny { replica: self.replica, promised: self.promised }.encode())
+                    Some(LeaseFrame::Deny { replica: self.replica, promised: self.promised })
                 }
             }
             LeaseFrame::Attest { holder, epoch } => {
@@ -213,11 +262,9 @@ impl ReplicaLeaseAgent {
                 } else {
                     m.vouches_invalid.incr();
                 }
-                Ok(LeaseFrame::Vouch { replica: self.replica, epoch, valid }.encode())
+                Some(LeaseFrame::Vouch { replica: self.replica, epoch, valid })
             }
-            LeaseFrame::Grant { .. } | LeaseFrame::Deny { .. } | LeaseFrame::Vouch { .. } => {
-                Err(ProtoError::BadTag(frame.encode()[0]))
-            }
+            LeaseFrame::Grant { .. } | LeaseFrame::Deny { .. } | LeaseFrame::Vouch { .. } => None,
         }
     }
 }
@@ -254,16 +301,15 @@ impl LeaderLease {
         self.holder
     }
 
-    /// One encoded [`LeaseFrame::Acquire`] per replica, recording `now`
+    /// The [`LeaseFrame::Acquire`] every replica is sent, recording `now`
     /// as the conservative grant base for every reply that comes back.
-    pub fn acquire_frames(&mut self, now: Instant) -> Vec<Vec<u8>> {
+    pub fn acquire(&mut self, now: Instant) -> LeaseFrame {
         self.last_acquire = Some(now);
-        let frame = LeaseFrame::Acquire {
+        LeaseFrame::Acquire {
             holder: self.holder,
             epoch: self.epoch,
             ttl_micros: u64::try_from(self.config.ttl.as_micros()).unwrap_or(u64::MAX),
-        };
-        (0..self.grants.len()).map(|_| frame.encode()).collect()
+        }
     }
 
     /// Absorbs one replica reply to the latest acquire round.
@@ -319,12 +365,11 @@ impl LeaderLease {
         }
     }
 
-    /// One encoded [`LeaseFrame::Attest`] per replica — the quorum-read
+    /// The [`LeaseFrame::Attest`] every replica is sent — the quorum-read
     /// freshness probe.
     #[must_use]
-    pub fn attest_frames(&self) -> Vec<Vec<u8>> {
-        let frame = LeaseFrame::Attest { holder: self.holder, epoch: self.epoch };
-        (0..self.grants.len()).map(|_| frame.encode()).collect()
+    pub fn attest(&self) -> LeaseFrame {
+        LeaseFrame::Attest { holder: self.holder, epoch: self.epoch }
     }
 }
 
@@ -398,11 +443,10 @@ mod tests {
         agents: &mut [ReplicaLeaseAgent],
         now: Instant,
     ) -> usize {
-        let frames = lease.acquire_frames(now);
+        let frame = lease.acquire(now);
         let mut granted = 0;
-        for (agent, frame) in agents.iter_mut().zip(&frames) {
-            let reply = agent.handle(&LeaseFrame::decode(frame).unwrap(), now).unwrap();
-            let reply = LeaseFrame::decode(&reply).unwrap();
+        for agent in agents {
+            let reply = agent.handle(&frame, now).unwrap();
             if matches!(reply, LeaseFrame::Grant { .. }) {
                 granted += 1;
             }
@@ -450,20 +494,17 @@ mod tests {
         let grant = agent
             .handle(&LeaseFrame::Acquire { holder: 10, epoch: 1, ttl_micros: 50_000 }, t0)
             .unwrap();
-        assert!(matches!(LeaseFrame::decode(&grant).unwrap(), LeaseFrame::Grant { .. }));
+        assert!(matches!(grant, LeaseFrame::Grant { .. }));
         // Same epoch, same holder: renewal granted.
         let renew = agent
             .handle(&LeaseFrame::Acquire { holder: 10, epoch: 1, ttl_micros: 50_000 }, t0)
             .unwrap();
-        assert!(matches!(LeaseFrame::decode(&renew).unwrap(), LeaseFrame::Grant { .. }));
+        assert!(matches!(renew, LeaseFrame::Grant { .. }));
         // Same epoch, different holder: denied.
         let steal = agent
             .handle(&LeaseFrame::Acquire { holder: 11, epoch: 1, ttl_micros: 50_000 }, t0)
             .unwrap();
-        assert!(matches!(
-            LeaseFrame::decode(&steal).unwrap(),
-            LeaseFrame::Deny { promised: 1, .. }
-        ));
+        assert!(matches!(steal, LeaseFrame::Deny { promised: 1, .. }));
     }
 
     #[test]
@@ -471,12 +512,12 @@ mod tests {
         let mut agent = ReplicaLeaseAgent::new(3);
         let t0 = Instant::now();
         agent.handle(&LeaseFrame::Acquire { holder: 10, epoch: 2, ttl_micros: 1_000 }, t0).unwrap();
-        let vouch = |agent: &mut ReplicaLeaseAgent, holder, epoch| {
-            let reply = agent.handle(&LeaseFrame::Attest { holder, epoch }, t0).unwrap();
-            match LeaseFrame::decode(&reply).unwrap() {
-                LeaseFrame::Vouch { valid, .. } => valid,
-                f => panic!("expected vouch, got {f:?}"),
-            }
+        let vouch = |agent: &mut ReplicaLeaseAgent, holder, epoch| match agent
+            .handle(&LeaseFrame::Attest { holder, epoch }, t0)
+            .unwrap()
+        {
+            LeaseFrame::Vouch { valid, .. } => valid,
+            f => panic!("expected vouch, got {f:?}"),
         };
         assert!(vouch(&mut agent, 10, 2));
         assert!(!vouch(&mut agent, 10, 1), "stale epoch must not be vouched");
@@ -492,7 +533,7 @@ mod tests {
             LeaseFrame::Deny { replica: 1, promised: 1 },
             LeaseFrame::Vouch { replica: 1, epoch: 1, valid: true },
         ] {
-            assert!(agent.handle(&frame, t0).is_err());
+            assert!(agent.handle(&frame, t0).is_none());
         }
     }
 
@@ -504,7 +545,7 @@ mod tests {
         let mut l = lease(1, 10, config);
         let t0 = Instant::now();
         assert!(l.renew_due(t0), "never acquired: due immediately");
-        let _ = l.acquire_frames(t0);
+        let _ = l.acquire(t0);
         assert!(!l.renew_due(t0 + Duration::from_millis(10)));
         assert!(l.renew_due(t0 + Duration::from_millis(25)));
     }

@@ -20,7 +20,8 @@
 //!   layout, and the [`ShardedAudit`] adding cross-shard routing and
 //!   exactly-once-disjointness checks on top of the per-shard audits.
 //! * [`engine`] — the service core: routes intake to shard groups, each
-//!   batching through the log crate's `ClientFrontend`, pipelines
+//!   sealing its own batches and keeping every batch's requests with it
+//!   until the slot applies, pipelines
 //!   consensus instances of every shard on *one* reusable replica
 //!   session (shared worker pool — S shards, one set of threads),
 //!   applies decided slots in order, and deduplicates retries against
@@ -110,11 +111,12 @@ pub use engine::{
     FastReadRecord, KvEngine, Outbound, ServiceAudit, SlotRecord, SubmitHandle,
 };
 pub use lease::{
-    fresh_holder, load_epoch, store_epoch, LeaderLease, LeaseConfig, ReadPath, ReplicaLeaseAgent,
+    fresh_holder, load_epoch, store_epoch, LeaderLease, LeaseConfig, LeaseFrame, ReadPath,
+    ReplicaLeaseAgent,
 };
 pub use proto::{
-    stats_request_frame, stats_request_shard, AuditSummary, KvOp, LeaseFrame, LeaseStatus, Outcome,
-    ProtoError, Request, Response, StatsReport, SyncFrame, TAG_STATS, TAG_STATS_REQUEST,
+    stats_request_frame, stats_request_shard, AuditSummary, KvOp, LeaseStatus, Outcome, ProtoError,
+    Request, Response, StatsReport, SyncFrame, TAG_STATS, TAG_STATS_REQUEST,
 };
 pub use server::KvServer;
 pub use service::{

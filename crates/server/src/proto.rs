@@ -178,16 +178,6 @@ pub const TAG_SYNC_DONE: u8 = 0x06;
 pub const TAG_AUDIT_REQUEST: u8 = 0x07;
 /// Frame tag of an [`AuditSummary`] reply.
 pub const TAG_AUDIT_REPLY: u8 = 0x08;
-/// Frame tag of a [`LeaseFrame::Acquire`] grant/renew request.
-pub const TAG_LEASE_ACQUIRE: u8 = 0x09;
-/// Frame tag of a [`LeaseFrame::Grant`].
-pub const TAG_LEASE_GRANT: u8 = 0x0a;
-/// Frame tag of a [`LeaseFrame::Deny`].
-pub const TAG_LEASE_DENY: u8 = 0x0b;
-/// Frame tag of a [`LeaseFrame::Attest`] quorum-read probe.
-pub const TAG_LEASE_ATTEST: u8 = 0x0c;
-/// Frame tag of a [`LeaseFrame::Vouch`].
-pub const TAG_LEASE_VOUCH: u8 = 0x0d;
 /// Frame tag of a lease-state request addressed to one shard group.
 pub const TAG_LEASE_STATE_REQUEST: u8 = 0x0e;
 /// Frame tag of a [`LeaseStatus`] reply.
@@ -448,113 +438,6 @@ impl AuditSummary {
             lease_epoch,
             shards,
         })
-    }
-}
-
-/// The leader-lease protocol frames (see [`crate::lease`]), riding the
-/// same framed transport as the request/response traffic.
-///
-/// `Acquire`/`Grant`/`Deny` establish and renew the lease; `Attest`/
-/// `Vouch` are the quorum-read fallback's freshness probe (a replica
-/// vouches that the named `(holder, epoch)` lease is still the newest
-/// promise it has made).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseFrame {
-    /// The would-be leader asks a replica to grant (or renew) its lease.
-    Acquire {
-        /// The requesting leader incarnation.
-        holder: u64,
-        /// The lease epoch being acquired.
-        epoch: u64,
-        /// Lease duration in microseconds, measured from the grant.
-        ttl_micros: u64,
-    },
-    /// The replica granted the lease for the frame's TTL.
-    Grant {
-        /// The granting replica.
-        replica: u32,
-        /// The epoch granted (echoed).
-        epoch: u64,
-    },
-    /// The replica refused: it already promised a newer lease.
-    Deny {
-        /// The refusing replica.
-        replica: u32,
-        /// The newest epoch the replica has promised.
-        promised: u64,
-    },
-    /// Quorum-read probe: is `(holder, epoch)` still your newest promise?
-    Attest {
-        /// The probing leader incarnation.
-        holder: u64,
-        /// The epoch being attested.
-        epoch: u64,
-    },
-    /// Reply to [`LeaseFrame::Attest`].
-    Vouch {
-        /// The vouching replica.
-        replica: u32,
-        /// The epoch attested (echoed).
-        epoch: u64,
-        /// Whether the lease is still the replica's newest promise.
-        valid: bool,
-    },
-}
-
-impl LeaseFrame {
-    /// Encodes the frame payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25);
-        match *self {
-            LeaseFrame::Acquire { holder, epoch, ttl_micros } => {
-                out.push(TAG_LEASE_ACQUIRE);
-                out.extend_from_slice(&holder.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&ttl_micros.to_le_bytes());
-            }
-            LeaseFrame::Grant { replica, epoch } => {
-                out.push(TAG_LEASE_GRANT);
-                out.extend_from_slice(&replica.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            LeaseFrame::Deny { replica, promised } => {
-                out.push(TAG_LEASE_DENY);
-                out.extend_from_slice(&replica.to_le_bytes());
-                out.extend_from_slice(&promised.to_le_bytes());
-            }
-            LeaseFrame::Attest { holder, epoch } => {
-                out.push(TAG_LEASE_ATTEST);
-                out.extend_from_slice(&holder.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            LeaseFrame::Vouch { replica, epoch, valid } => {
-                out.push(TAG_LEASE_VOUCH);
-                out.extend_from_slice(&replica.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.push(u8::from(valid));
-            }
-        }
-        out
-    }
-
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        let frame = match c.u8()? {
-            TAG_LEASE_ACQUIRE => {
-                LeaseFrame::Acquire { holder: c.u64()?, epoch: c.u64()?, ttl_micros: c.u64()? }
-            }
-            TAG_LEASE_GRANT => LeaseFrame::Grant { replica: c.u32()?, epoch: c.u64()? },
-            TAG_LEASE_DENY => LeaseFrame::Deny { replica: c.u32()?, promised: c.u64()? },
-            TAG_LEASE_ATTEST => LeaseFrame::Attest { holder: c.u64()?, epoch: c.u64()? },
-            TAG_LEASE_VOUCH => {
-                LeaseFrame::Vouch { replica: c.u32()?, epoch: c.u64()?, valid: c.u8()? != 0 }
-            }
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(frame)
     }
 }
 
@@ -1081,22 +964,6 @@ mod tests {
         };
         assert_eq!(AuditSummary::decode(&s.encode()).unwrap(), s);
         assert_eq!(audit_request_frame(), vec![TAG_AUDIT_REQUEST]);
-    }
-
-    #[test]
-    fn lease_frames_round_trip() {
-        for frame in [
-            LeaseFrame::Acquire { holder: u64::MAX, epoch: 3, ttl_micros: 2_000_000 },
-            LeaseFrame::Grant { replica: 4, epoch: 3 },
-            LeaseFrame::Deny { replica: 0, promised: u64::MAX },
-            LeaseFrame::Attest { holder: 17, epoch: 3 },
-            LeaseFrame::Vouch { replica: 2, epoch: 3, valid: true },
-            LeaseFrame::Vouch { replica: 2, epoch: 3, valid: false },
-        ] {
-            assert_eq!(LeaseFrame::decode(&frame.encode()).unwrap(), frame);
-        }
-        assert_eq!(LeaseFrame::decode(&[0x70]), Err(ProtoError::BadTag(0x70)));
-        assert_eq!(LeaseFrame::decode(&[TAG_LEASE_GRANT, 1]), Err(ProtoError::Truncated));
     }
 
     #[test]

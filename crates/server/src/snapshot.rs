@@ -39,7 +39,7 @@ pub struct SessionEntry {
 pub struct Snapshot {
     /// Every slot `<= applied_through` is folded into this snapshot.
     pub applied_through: u64,
-    /// The next batch id a recovered frontend may mint (ids below it are
+    /// The next batch id a recovered shard may mint (ids below it are
     /// burned — possibly applied, never reusable).
     pub next_batch: u64,
     /// Commands committed over the service's whole lifetime, across
