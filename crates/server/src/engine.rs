@@ -113,7 +113,7 @@ use crate::proto::{
 };
 use crate::shard::{shard_dir, ShardRouter, ShardedAudit};
 use crate::snapshot::{SessionEntry, Snapshot};
-use crate::wal::{Wal, WalTail};
+use crate::wal::ShardFiles;
 
 /// Per-instance round budget of the replica session.
 const MAX_ROUNDS: u32 = 60;
@@ -892,45 +892,17 @@ impl KvEngine {
     }
 }
 
-/// Persistence handles of a durable engine.
-struct Durable {
-    wal: Wal,
-    snap_path: PathBuf,
-    every: u64,
-}
-
-/// Collects the Applied half of the dedup table, deterministically
-/// ordered — the session table a snapshot persists.
-fn dedup_sessions(dedup: &HashMap<(ClientId, RequestId), DedupState>) -> Vec<SessionEntry> {
-    let mut sessions: Vec<SessionEntry> = dedup
-        .iter()
-        .filter_map(|(&(client, request), state)| match state {
-            DedupState::Applied(response) => {
-                Some(SessionEntry { client, request, response: *response })
-            }
-            DedupState::Waiting(_) => None,
-        })
-        .collect();
-    sessions.sort_by_key(|s| (s.client.0, s.request.0));
-    sessions
-}
-
 /// Checkpoint-time verification of fast reads against the history about
-/// to be folded: replays `base_store` + `slots` and requires every
-/// record's value to match the store at its read index. Returns the
-/// mismatch count (records whose index falls outside the replayed range
-/// count as mismatches — they cannot be verified later, the history is
-/// being dropped).
-fn verify_fast_reads(
-    base_slot: u64,
-    base_store: &BTreeMap<u16, u32>,
-    slots: &[SlotRecord],
-    records: &[FastReadRecord],
-) -> u64 {
-    let mut store = base_store.clone();
+/// to be folded: replays `base` + `slots` and requires every record's
+/// value to match the store at its read index. Returns the mismatch
+/// count (records whose index falls outside the replayed range count as
+/// mismatches — they cannot be verified later, the history is being
+/// dropped).
+fn verify_fast_reads(base: &Snapshot, slots: &[SlotRecord], records: &[FastReadRecord]) -> u64 {
+    let mut store = base.store.clone();
     let mut mismatches = 0u64;
     let mut cursor = 0usize;
-    while cursor < records.len() && records[cursor].index == base_slot {
+    while cursor < records.len() && records[cursor].index == base.applied_through {
         if store.get(&records[cursor].key).copied() != records[cursor].value {
             mismatches += 1;
         }
@@ -1119,12 +1091,14 @@ struct ShardState {
     reads_lease: u64,
     reads_quorum: u64,
     reads_sequenced: u64,
-    base_slot: u64,
-    base_store: BTreeMap<u16, u32>,
-    base_sessions: Vec<SessionEntry>,
-    base_commands: u64,
-    base_next_batch: u64,
-    durable: Option<Durable>,
+    /// The last checkpoint: the base `slots` extend and the audit
+    /// replays from (empty until the first one).
+    base: Snapshot,
+    /// The shard directory's files, when durable.
+    disk: Option<ShardFiles>,
+    /// Checkpoint every this many applied slots (`0` = only at clean
+    /// shutdown, or never without `disk`).
+    snapshot_every: u64,
     lease_epoch: u64,
     agents: Vec<ReplicaLeaseAgent>,
     lease: Option<LeaderLease>,
@@ -1150,69 +1124,43 @@ impl ShardState {
     /// single-group recovery path, rooted one directory deeper.
     fn recover(idx: u32, cfg: &EngineConfig) -> ShardState {
         let n = cfg.system.n();
-        let mut dedup: HashMap<(ClientId, RequestId), DedupState> = HashMap::new();
-        let mut store: BTreeMap<u16, u32> = BTreeMap::new();
-        let mut applied_batches: HashSet<BatchId> = HashSet::new();
-        let mut slots: Vec<SlotRecord> = Vec::new();
-        let mut committed_commands = 0u64;
-        let mut base_slot = 0u64;
-        let mut base_store: BTreeMap<u16, u32> = BTreeMap::new();
-        let mut base_sessions: Vec<SessionEntry> = Vec::new();
-        let mut base_commands = 0u64;
-        let mut base_next_batch = 0u64;
-        let mut next_batch = 0u64;
         let flight = FlightRecorder::new(512);
-        let durable = cfg.durability.as_ref().map(|d| {
-            let dir = shard_dir(&d.dir, idx);
-            std::fs::create_dir_all(&dir).expect("shard durability directory is creatable");
-            let snap_path = dir.join("state.snap");
-            let snap = Snapshot::load(&snap_path)
-                .expect("snapshot loads (corruption must fail loudly, not boot empty)")
-                .unwrap_or_default();
-            base_slot = snap.applied_through;
-            base_next_batch = snap.next_batch;
-            base_commands = snap.committed;
-            base_store.clone_from(&snap.store);
-            base_sessions.clone_from(&snap.sessions);
-            store = snap.store;
-            committed_commands = snap.committed;
-            next_batch = snap.next_batch;
-            for s in &snap.sessions {
-                dedup.insert((s.client, s.request), DedupState::Applied(s.response));
-            }
-            let (wal, replay) =
-                Wal::open(&dir.join("wal.log")).expect("wal replays (torn tails self-repair)");
-            assert!(
-                !matches!(replay.tail, WalTail::Corrupt { .. }),
-                "shard {idx} wal is bit-rotten ({:?}): refusing to serve from damaged state",
-                replay.tail
+        let mut base = Snapshot::default();
+        let mut slots: Vec<SlotRecord> = Vec::new();
+        let disk = cfg.durability.as_ref().map(|d| {
+            let (files, snapshot, records) = ShardFiles::open(&shard_dir(&d.dir, idx))
+                .unwrap_or_else(|e| panic!("shard {idx} refuses to serve from its disk: {e}"));
+            flight.record(
+                FlightKind::RecoveredSnapshot,
+                snapshot.applied_through,
+                snapshot.committed,
             );
-            for rec in replay.records {
-                if rec.slot <= base_slot {
-                    // Already folded into the snapshot (a crash between
-                    // snapshot write and WAL reset leaves this overlap).
-                    continue;
-                }
-                assert_eq!(
-                    rec.slot,
-                    base_slot + slots.len() as u64 + 1,
-                    "wal records are slot-contiguous past the snapshot"
-                );
-                for ack in &rec.commands {
-                    if let KvOp::Put { key, value } = ack.op {
-                        store.insert(key, value);
-                    }
-                    dedup.insert((ack.client, ack.request), DedupState::Applied(ack.response));
-                    committed_commands += 1;
-                }
-                next_batch = next_batch.max(rec.batch.0 + 1);
-                applied_batches.insert(rec.batch);
-                slots.push(rec);
-            }
-            flight.record(FlightKind::RecoveredSnapshot, base_slot, snap.committed);
-            flight.record(FlightKind::RecoveredWal, slots.len() as u64, 0);
-            Durable { wal, snap_path, every: d.snapshot_every }
+            flight.record(FlightKind::RecoveredWal, records.len() as u64, 0);
+            base = snapshot;
+            slots = records;
+            files
         });
+        // Re-hydrate: the checkpoint, then every WAL record past it.
+        let mut store = base.store.clone();
+        let mut dedup: HashMap<(ClientId, RequestId), DedupState> = base
+            .sessions
+            .iter()
+            .map(|s| ((s.client, s.request), DedupState::Applied(s.response)))
+            .collect();
+        let mut committed_commands = base.committed;
+        let mut next_batch = base.next_batch;
+        let mut applied_batches: HashSet<BatchId> = HashSet::new();
+        for rec in &slots {
+            for ack in &rec.commands {
+                if let KvOp::Put { key, value } = ack.op {
+                    store.insert(key, value);
+                }
+                dedup.insert((ack.client, ack.request), DedupState::Applied(ack.response));
+                committed_commands += 1;
+            }
+            next_batch = next_batch.max(rec.batch.0 + 1);
+            applied_batches.insert(rec.batch);
+        }
 
         // Lease bootstrap: burn a strictly newer epoch to the shard's
         // own directory BEFORE serving anything, so a previous
@@ -1238,7 +1186,7 @@ impl ShardState {
             LeaderLease::new(lease_epoch, lease::fresh_holder(), n, cfg.system.quorum(), cfg.lease)
         });
 
-        let slot_base = base_slot + slots.len() as u64;
+        let slot_base = base.applied_through + slots.len() as u64;
         ShardState {
             idx,
             batch_size: cfg.batch_size,
@@ -1264,12 +1212,9 @@ impl ShardState {
             reads_lease: 0,
             reads_quorum: 0,
             reads_sequenced: 0,
-            base_slot,
-            base_store,
-            base_sessions,
-            base_commands,
-            base_next_batch,
-            durable,
+            base,
+            disk,
+            snapshot_every: cfg.durability.as_ref().map_or(0, |d| d.snapshot_every),
             lease_epoch,
             agents,
             lease,
@@ -1421,12 +1366,12 @@ impl ShardState {
                 self.committed_commands += 1;
             }
             let rec = SlotRecord { slot, batch, commands: acks };
-            if let Some(du) = self.durable.as_mut() {
+            if let Some(disk) = self.disk.as_mut() {
                 // The slot-boundary durability point: record + fsync
                 // before any acknowledgement can escape.
-                du.wal.append(&rec).expect("wal append");
+                disk.wal.append(&rec).expect("wal append");
                 let sync_start = Instant::now();
-                du.wal.sync().expect("wal fsync at the slot boundary");
+                disk.wal.sync().expect("wal fsync at the slot boundary");
                 let sync_ns = nanos(sync_start.elapsed());
                 self.stats.wal_fsync.record(sync_ns);
                 self.flight.record(FlightKind::WalSync, slot, sync_ns);
@@ -1444,43 +1389,21 @@ impl ShardState {
             metrics.commands_applied.add(rec.commands.len() as u64);
             self.slots.push(rec);
 
-            // Checkpoint: snapshot, then prefix-truncate the WAL and the
-            // in-memory slot history.
-            let mut checkpointed = false;
-            if let Some(du) = self.durable.as_mut() {
-                if du.every > 0 && self.applied_through - self.base_slot >= du.every {
-                    checkpointed = true;
-                    let snap = Snapshot {
-                        applied_through: self.applied_through,
-                        next_batch: self.next_batch,
-                        committed: self.committed_commands,
-                        store: self.store.clone(),
-                        sessions: dedup_sessions(&self.dedup),
-                    };
-                    snap.write_to(&du.snap_path).expect("checkpoint snapshot write");
-                    du.wal.reset().expect("wal prefix truncation");
-                    // Fold the fast reads alongside: verify them against
-                    // the history being dropped, latch any mismatch, and
-                    // clear — retained records always postdate the last
-                    // checkpoint.
-                    self.folded_fast_reads += self.fast_read_records.len() as u64;
-                    self.fast_read_mismatches += verify_fast_reads(
-                        self.base_slot,
-                        &self.base_store,
-                        &self.slots,
-                        &self.fast_read_records,
-                    );
-                    self.fast_read_records.clear();
-                    self.base_slot = self.applied_through;
-                    self.base_next_batch = snap.next_batch;
-                    self.base_commands = self.committed_commands;
-                    self.base_store.clone_from(&snap.store);
-                    self.base_sessions = snap.sessions;
-                    self.slots.clear();
-                }
-            }
-            if checkpointed {
-                self.flight.record(FlightKind::Checkpoint, self.applied_through, 0);
+            // Checkpoint on the shard's cadence: snapshot, then
+            // prefix-truncate the WAL and the in-memory slot history.
+            let every = self.snapshot_every;
+            if every > 0 && slot - self.base.applied_through >= every {
+                let snap = self.checkpoint().expect("a checkpoint cadence implies a disk");
+                // Fold the fast reads alongside: verify them against the
+                // history being dropped, latch any mismatch, and clear —
+                // retained records always postdate the last checkpoint.
+                self.folded_fast_reads += self.fast_read_records.len() as u64;
+                self.fast_read_mismatches +=
+                    verify_fast_reads(&self.base, &self.slots, &self.fast_read_records);
+                self.fast_read_records.clear();
+                self.base = snap;
+                self.slots.clear();
+                self.flight.record(FlightKind::Checkpoint, slot, 0);
                 engine_metrics().checkpoints.incr();
                 // Refresh the on-disk recording at every checkpoint, so
                 // even a kill -9 (uncatchable) leaves a recent black box
@@ -1488,6 +1411,37 @@ impl ShardState {
                 self.dump_flight();
             }
         }
+    }
+
+    /// The live state as a checkpoint: every slot applied so far, and
+    /// the Applied half of the dedup table, deterministically ordered.
+    fn snapshot(&self) -> Snapshot {
+        let mut sessions: Vec<SessionEntry> = self
+            .dedup
+            .iter()
+            .filter_map(|(&(client, request), state)| match state {
+                DedupState::Applied(response) => {
+                    Some(SessionEntry { client, request, response: *response })
+                }
+                DedupState::Waiting(_) => None,
+            })
+            .collect();
+        sessions.sort_by_key(|s| (s.client.0, s.request.0));
+        Snapshot {
+            applied_through: self.applied_through,
+            next_batch: self.next_batch,
+            committed: self.committed_commands,
+            store: self.store.clone(),
+            sessions,
+        }
+    }
+
+    /// Writes [`snapshot`](Self::snapshot) to disk and truncates the WAL
+    /// it covers; `None` without durability.
+    fn checkpoint(&mut self) -> Option<Snapshot> {
+        let snap = self.disk.is_some().then(|| self.snapshot())?;
+        self.disk.as_mut()?.checkpoint(&snap).expect("checkpoint: snapshot write, wal truncation");
+        Some(snap)
     }
 
     /// Lease upkeep: renew this shard's lease with its replica agents
@@ -1583,14 +1537,7 @@ impl ShardState {
     /// Streams this shard's durable state (checkpoint + catch-up
     /// records) to one connection — the per-shard rejoin transfer.
     fn serve_sync(&self, tx: &Sender<Outbound>) {
-        let snap = Snapshot {
-            applied_through: self.base_slot,
-            next_batch: self.base_next_batch,
-            committed: self.base_commands,
-            store: self.base_store.clone(),
-            sessions: self.base_sessions.clone(),
-        };
-        let blob = snap.to_framed_bytes();
+        let blob = self.base.to_framed_bytes();
         const CHUNK: usize = 48 * 1024;
         let total = u32::try_from(blob.chunks(CHUNK).count().max(1)).expect("chunk count");
         for (i, chunk) in blob.chunks(CHUNK).enumerate() {
@@ -1654,10 +1601,10 @@ impl ShardState {
         ServiceAudit {
             system,
             shard: self.idx,
-            base_slot: self.base_slot,
-            base_store: self.base_store.clone(),
-            base_sessions: self.base_sessions.clone(),
-            base_commands: self.base_commands,
+            base_slot: self.base.applied_through,
+            base_store: self.base.store.clone(),
+            base_sessions: self.base.sessions.clone(),
+            base_commands: self.base.committed,
             live_from: self.live_from,
             slots: self.slots.clone(),
             proposals: self.proposals.clone(),
@@ -1674,19 +1621,11 @@ impl ShardState {
     }
 
     /// A clean shutdown checkpoints so a restart recovers from the
-    /// snapshot alone.
+    /// snapshot alone. The in-memory history is not folded: the audit
+    /// returned at shutdown still spans every slot since the last
+    /// periodic checkpoint.
     fn final_checkpoint(&mut self) {
-        if let Some(du) = self.durable.as_mut() {
-            let snap = Snapshot {
-                applied_through: self.applied_through,
-                next_batch: self.next_batch,
-                committed: self.committed_commands,
-                store: self.store.clone(),
-                sessions: dedup_sessions(&self.dedup),
-            };
-            snap.write_to(&du.snap_path).expect("shutdown snapshot write");
-            du.wal.reset().expect("shutdown wal truncation");
-        }
+        self.checkpoint();
         self.flight.record(FlightKind::Shutdown, self.applied_through, self.committed_commands);
         self.dump_flight();
     }
@@ -1746,7 +1685,6 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     // must not be rehashed silently. A fresh root records its count
     // before any shard serves.
     if let Some(d) = cfg.durability.as_ref() {
-        std::fs::create_dir_all(&d.dir).expect("durability root is creatable");
         match crate::shard::load_manifest(&d.dir)
             .expect("shard manifest loads (corruption fails loudly)")
         {

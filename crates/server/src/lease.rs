@@ -30,8 +30,9 @@
 //! Every lease carries a [`LeaseEpoch`], monotonic per service data
 //! directory *across restarts*: booting the engine loads the stored
 //! epoch, **burns `epoch + 1` to disk before serving anything**
-//! ([`store_epoch`] uses the same atomic write-fsync-rename idiom as the
-//! snapshot), and only then acquires a lease under the new epoch. A
+//! ([`store_epoch`] goes through the same atomic write-fsync-rename as
+//! the snapshot, in [`crate::wal`]), and only then acquires a lease
+//! under the new epoch. A
 //! `kill -9`'d leader therefore can never resume serving fast reads
 //! under its old epoch: its next incarnation's first act is to
 //! invalidate it. Replicas track the newest epoch they have promised
@@ -42,13 +43,12 @@
 //! a server crash re-executes it at a read index at least as new as the
 //! original — still linearizable, just possibly a fresher value.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::wal::crc32;
+use crate::wal::{load_checked, store_checked, EPOCH_FILE};
 
 /// The leader-lease protocol messages, passed as values between the
 /// holder and the replica agents (they never cross a socket).
@@ -373,52 +373,18 @@ impl LeaderLease {
     }
 }
 
-/// The epoch file name inside a durable data directory.
-const EPOCH_FILE: &str = "lease.epoch";
-const EPOCH_LEN: usize = 12; // 8-byte LE epoch + crc32
-
 /// Loads the stored lease epoch from `dir` (`0` if none was ever
 /// burned; a corrupt file is an error, not a silent reset — resetting
 /// would let a stale incarnation reuse a granted epoch).
 pub fn load_epoch(dir: &Path) -> io::Result<u64> {
-    let mut file = match OpenOptions::new().read(true).open(dir.join(EPOCH_FILE)) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() != EPOCH_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "lease epoch file malformed"));
-    }
-    let epoch = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-    let stored = u32::from_le_bytes(bytes[8..].try_into().expect("4 bytes"));
-    if crc32(&bytes[..8]) != stored {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "lease epoch checksum mismatch"));
-    }
-    Ok(epoch)
+    Ok(load_checked(&dir.join(EPOCH_FILE))?.map_or(0, u64::from_le_bytes))
 }
 
 /// Durably burns `epoch` into `dir` (atomic temp-write + fsync + rename,
 /// the snapshot idiom). Must complete before the incarnation serves
 /// anything under `epoch`.
 pub fn store_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(EPOCH_FILE);
-    let tmp = path.with_extension("tmp");
-    let mut bytes = Vec::with_capacity(EPOCH_LEN);
-    bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&epoch.to_le_bytes()).to_le_bytes());
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, &path)?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_data();
-    }
-    Ok(())
+    store_checked(&dir.join(EPOCH_FILE), &epoch.to_le_bytes())
 }
 
 /// A process-unique holder incarnation id (pid in the high bits, a
@@ -560,7 +526,7 @@ mod tests {
         store_epoch(&dir, 8).unwrap();
         assert_eq!(load_epoch(&dir).unwrap(), 8);
         // Corruption is an error, not a silent reset to 0.
-        std::fs::write(dir.join(EPOCH_FILE), [0xffu8; EPOCH_LEN]).unwrap();
+        std::fs::write(dir.join(EPOCH_FILE), [0xffu8; 12]).unwrap();
         assert!(load_epoch(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

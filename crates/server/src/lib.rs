@@ -61,7 +61,11 @@
 //!   its sessions intact — exactly-once survives the crash — and a
 //!   replica that lost its disk rejoins via snapshot transfer + record
 //!   catch-up over the same framed TCP port
-//!   ([`sync_from_peer`](service::sync_from_peer)).
+//!   ([`sync_from_peer`](service::sync_from_peer)). [`wal`] owns every
+//!   byte the server persists: the one checksummed record framing, the
+//!   checksummed lease-epoch and shard-manifest files, the one atomic
+//!   file replacement, the shard directory's file names, and the shard
+//!   open step; [`snapshot`] keeps only the checkpoint's payload codec.
 //!
 //! # The exactly-once session contract
 //!

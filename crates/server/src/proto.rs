@@ -215,52 +215,76 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Little-endian byte cursor for the fixed-layout message formats.
-struct Cursor<'a>(&'a [u8]);
+/// Little-endian byte cursor: the one reader of every fixed-layout
+/// format the server decodes, on the wire and on disk ([`crate::wal`]).
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
-impl Cursor<'_> {
-    fn u8(&mut self) -> Result<u8, ProtoError> {
+impl<'a> Cursor<'a> {
+    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
         let (&b, rest) = self.0.split_first().ok_or(ProtoError::Truncated)?;
         self.0 = rest;
         Ok(b)
     }
 
-    fn u16(&mut self) -> Result<u16, ProtoError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, ProtoError> {
         Ok(u16::from_le_bytes(self.take()?))
     }
 
-    fn u32(&mut self) -> Result<u32, ProtoError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
         Ok(u32::from_le_bytes(self.take()?))
     }
 
-    fn u64(&mut self) -> Result<u64, ProtoError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
         Ok(u64::from_le_bytes(self.take()?))
     }
 
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
-        if self.0.len() < N {
-            return Err(ProtoError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(N);
-        self.0 = rest;
-        Ok(head.try_into().expect("split at N"))
+    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        Ok(self.bytes(N)?.try_into().expect("split at N"))
     }
 
-    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ProtoError> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
         if self.0.len() < n {
             return Err(ProtoError::Truncated);
         }
         let (head, rest) = self.0.split_at(n);
         self.0 = rest;
-        Ok(head.to_vec())
+        Ok(head)
     }
 
-    fn finish(self) -> Result<(), ProtoError> {
+    /// Reads a value written by [`put_value`].
+    fn value(&mut self) -> Result<Option<u32>, ProtoError> {
+        match self.u8()? {
+            VAL_NONE => Ok(None),
+            VAL_SOME => Ok(Some(self.u32()?)),
+            t => Err(ProtoError::BadTag(t)),
+        }
+    }
+
+    /// Reads a message tag, refusing every tag but `expected`.
+    fn tag(&mut self, expected: u8) -> Result<(), ProtoError> {
+        match self.u8()? {
+            t if t == expected => Ok(()),
+            t => Err(ProtoError::BadTag(t)),
+        }
+    }
+
+    pub(crate) fn finish(self) -> Result<(), ProtoError> {
         if self.0.is_empty() {
             Ok(())
         } else {
             Err(ProtoError::TrailingBytes)
         }
+    }
+}
+
+/// Writes a read's value: a presence byte, then the value if set.
+fn put_value(out: &mut Vec<u8>, value: Option<u32>) {
+    match value {
+        Some(v) => {
+            out.push(VAL_SOME);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        None => out.push(VAL_NONE),
     }
 }
 
@@ -348,10 +372,10 @@ impl SyncFrame {
             TAG_SYNC_SNAPSHOT => {
                 let index = c.u32()?;
                 let total = c.u32()?;
-                let rest = c.bytes(c.0.len())?;
+                let rest = c.bytes(c.0.len())?.to_vec();
                 SyncFrame::SnapshotChunk { index, total, bytes: rest }
             }
-            TAG_SYNC_RECORD => SyncFrame::Record { bytes: c.bytes(c.0.len())? },
+            TAG_SYNC_RECORD => SyncFrame::Record { bytes: c.bytes(c.0.len())?.to_vec() },
             TAG_SYNC_DONE => SyncFrame::Done { applied_through: c.u64()? },
             t => return Err(ProtoError::BadTag(t)),
         };
@@ -415,10 +439,7 @@ impl AuditSummary {
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_AUDIT_REPLY => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
+        c.tag(TAG_AUDIT_REPLY)?;
         let complete = c.u8()? != 0;
         let ok = c.u8()? != 0;
         let slots = c.u64()?;
@@ -441,26 +462,33 @@ impl AuditSummary {
     }
 }
 
-/// The lease-state request frame payload, addressed to one shard group's
-/// lease agent.
-#[must_use]
-pub fn lease_state_request_frame(shard: u32) -> Vec<u8> {
+/// A shard-addressed request frame payload: `tag`, then the shard.
+fn shard_request_frame(tag: u8, shard: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(5);
-    out.push(TAG_LEASE_STATE_REQUEST);
+    out.push(tag);
     out.extend_from_slice(&shard.to_le_bytes());
     out
 }
 
-/// Parses the shard a lease-state request addresses.
-pub fn lease_state_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
+/// Parses the shard a `tag`-tagged shard-addressed request names.
+fn shard_request_shard(tag: u8, bytes: &[u8]) -> Result<u32, ProtoError> {
     let mut c = Cursor(bytes);
-    match c.u8()? {
-        TAG_LEASE_STATE_REQUEST => {}
-        t => return Err(ProtoError::BadTag(t)),
-    }
+    c.tag(tag)?;
     let shard = c.u32()?;
     c.finish()?;
     Ok(shard)
+}
+
+/// The lease-state request frame payload, addressed to one shard group's
+/// lease agent.
+#[must_use]
+pub fn lease_state_request_frame(shard: u32) -> Vec<u8> {
+    shard_request_frame(TAG_LEASE_STATE_REQUEST, shard)
+}
+
+/// Parses the shard a lease-state request addresses.
+pub fn lease_state_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
+    shard_request_shard(TAG_LEASE_STATE_REQUEST, bytes)
 }
 
 /// A point-in-time dump of the engine's lease and read-path state —
@@ -513,10 +541,7 @@ impl LeaseStatus {
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_LEASE_STATE => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
+        c.tag(TAG_LEASE_STATE)?;
         let status = LeaseStatus {
             shard: c.u32()?,
             shards: c.u32()?,
@@ -562,22 +587,12 @@ impl fmt::Display for LeaseStatus {
 /// group's engine.
 #[must_use]
 pub fn stats_request_frame(shard: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5);
-    out.push(TAG_STATS_REQUEST);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out
+    shard_request_frame(TAG_STATS_REQUEST, shard)
 }
 
 /// Parses the shard a metrics-scrape request addresses.
 pub fn stats_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    let mut c = Cursor(bytes);
-    match c.u8()? {
-        TAG_STATS_REQUEST => {}
-        t => return Err(ProtoError::BadTag(t)),
-    }
-    let shard = c.u32()?;
-    c.finish()?;
-    Ok(shard)
+    shard_request_shard(TAG_STATS_REQUEST, bytes)
 }
 
 /// Writes a histogram snapshot: 64 bucket counts, then sum, then max
@@ -716,10 +731,7 @@ impl StatsReport {
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_STATS => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
+        c.tag(TAG_STATS)?;
         let report = StatsReport {
             shard: c.u32()?,
             shards: c.u32()?,
@@ -789,10 +801,7 @@ impl Request {
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_REQUEST => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
+        c.tag(TAG_REQUEST)?;
         let client = ClientId(c.u64()?);
         let request = RequestId(c.u64()?);
         let op = match c.u8()? {
@@ -821,24 +830,12 @@ impl Response {
             Outcome::Get { slot, value } => {
                 out.push(OP_GET);
                 out.extend_from_slice(&slot.to_le_bytes());
-                match value {
-                    Some(v) => {
-                        out.push(VAL_SOME);
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                    None => out.push(VAL_NONE),
-                }
+                put_value(&mut out, value);
             }
             Outcome::Read { index, value } => {
                 out.push(OP_READ);
                 out.extend_from_slice(&index.to_le_bytes());
-                match value {
-                    Some(v) => {
-                        out.push(VAL_SOME);
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                    None => out.push(VAL_NONE),
-                }
+                put_value(&mut out, value);
             }
         }
         out
@@ -847,32 +844,13 @@ impl Response {
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_RESPONSE => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
+        c.tag(TAG_RESPONSE)?;
         let request = RequestId(c.u64()?);
         let shard = c.u32()?;
         let outcome = match c.u8()? {
             OP_PUT => Outcome::Put { slot: c.u64()? },
-            OP_GET => {
-                let slot = c.u64()?;
-                let value = match c.u8()? {
-                    VAL_NONE => None,
-                    VAL_SOME => Some(c.u32()?),
-                    t => return Err(ProtoError::BadTag(t)),
-                };
-                Outcome::Get { slot, value }
-            }
-            OP_READ => {
-                let index = c.u64()?;
-                let value = match c.u8()? {
-                    VAL_NONE => None,
-                    VAL_SOME => Some(c.u32()?),
-                    t => return Err(ProtoError::BadTag(t)),
-                };
-                Outcome::Read { index, value }
-            }
+            OP_GET => Outcome::Get { slot: c.u64()?, value: c.value()? },
+            OP_READ => Outcome::Read { index: c.u64()?, value: c.value()? },
             t => return Err(ProtoError::BadTag(t)),
         };
         c.finish()?;

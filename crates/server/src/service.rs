@@ -20,8 +20,7 @@
 //! that exercise retries and reconnects explicitly.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -35,7 +34,7 @@ use crate::proto::{
     LeaseStatus, ProtoError, Request, Response, StatsReport, SyncFrame,
 };
 use crate::snapshot::Snapshot;
-use crate::wal::{replay_bytes, WalError, WalTail};
+use crate::wal::{replay_bytes, ShardFiles, WalError, WalTail};
 use crate::wire::{write_frame, FrameReader, WireError};
 
 /// A failed service call.
@@ -356,79 +355,83 @@ fn retryable(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// Pulls one shard's durable state from a peer over its framed TCP port
-/// and materializes it into `dir` — the per-shard rejoin transfer. Opens
-/// a dedicated connection, sends a [`SyncFrame::Request`] naming the
-/// shard, reassembles the chunked snapshot, collects the catch-up
-/// records, verifies everything (checksums, slot contiguity from the
-/// snapshot, the peer's declared `applied_through`), and writes
-/// `state.snap` + `wal.log` so a server booted with `dir` as that
-/// shard's subdirectory resumes exactly at the peer's applied prefix.
-/// Returns the shard-local slot the transferred state is applied
-/// through. For a whole-service rejoin across every shard, use
-/// [`sync_all_from_peer`].
-pub fn sync_from_peer(peer: SocketAddr, shard: u32, dir: &Path) -> Result<u64, ServiceError> {
+/// One control call on a dedicated connection: sends `request`, then
+/// hands each reply frame to `reply` (which may write follow-ups) until
+/// it yields a value, the peer hangs up, or `timeout` lapses.
+fn control_call<T>(
+    peer: SocketAddr,
+    request: &[u8],
+    timeout: Duration,
+    mut reply: impl FnMut(&[u8], &mut TcpStream) -> Result<Option<T>, ServiceError>,
+) -> Result<T, ServiceError> {
     let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
     writer.set_nodelay(true).map_err(WireError::Io)?;
     let read_side = writer.try_clone().map_err(WireError::Io)?;
     read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
     let mut reader = FrameReader::new(read_side);
-    write_frame(&mut writer, &SyncFrame::Request { from_slot: 0, shard }.encode())?;
-
-    let mut blob: Vec<u8> = Vec::new();
-    let mut chunks_seen = 0u32;
-    let mut wal_bytes: Vec<u8> = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
+    let deadline = Instant::now() + timeout;
+    write_frame(&mut writer, request)?;
     loop {
         if Instant::now() > deadline {
             return Err(ServiceError::Timeout { request: RequestId(0) });
         }
-        let payload = match reader.read_frame() {
-            Ok(Some(p)) => p,
+        match reader.read_frame() {
+            Ok(Some(payload)) => {
+                if let Some(value) = reply(&payload, &mut writer)? {
+                    return Ok(value);
+                }
+            }
             Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => continue,
+            Err(WireError::Io(ref e)) if retryable(e) => {}
             Err(e) => return Err(e.into()),
-        };
-        match SyncFrame::decode(&payload)? {
+        }
+    }
+}
+
+/// Pulls one shard's durable state from a peer over its framed TCP port
+/// and materializes it into `dir` — the per-shard rejoin transfer. Opens
+/// a dedicated connection, sends a [`SyncFrame::Request`] naming the
+/// shard, reassembles the chunked snapshot, collects the catch-up
+/// records, verifies everything (checksums, slot contiguity from the
+/// snapshot, the peer's declared `applied_through`), and writes the
+/// snapshot and WAL so a server booted with `dir` as that shard's
+/// subdirectory resumes exactly at the peer's applied prefix. Returns
+/// the shard-local slot the transferred state is applied through. For a
+/// whole-service rejoin across every shard, use [`sync_all_from_peer`].
+pub fn sync_from_peer(peer: SocketAddr, shard: u32, dir: &Path) -> Result<u64, ServiceError> {
+    let malformed = || ServiceError::Proto(ProtoError::Truncated);
+    let mut blob: Vec<u8> = Vec::new();
+    let mut chunks_seen = 0u32;
+    let mut wal_bytes: Vec<u8> = Vec::new();
+    let request = SyncFrame::Request { from_slot: 0, shard }.encode();
+    let applied_through = control_call(peer, &request, Duration::from_secs(30), |payload, _| {
+        match SyncFrame::decode(payload)? {
             SyncFrame::SnapshotChunk { index, total, bytes } => {
                 if index != chunks_seen || index >= total {
-                    return Err(ServiceError::Proto(ProtoError::Truncated));
+                    return Err(malformed());
                 }
                 chunks_seen += 1;
                 blob.extend_from_slice(&bytes);
             }
             SyncFrame::Record { bytes } => wal_bytes.extend_from_slice(&bytes),
-            SyncFrame::Done { applied_through } => {
-                // Validate before persisting: the snapshot must verify,
-                // and the records must replay cleanly and contiguously up
-                // to the peer's declared watermark.
-                let snap = Snapshot::from_framed_bytes(&blob)?;
-                let replay = replay_bytes(&wal_bytes)?;
-                if !matches!(replay.tail, WalTail::Clean) {
-                    return Err(ServiceError::Proto(ProtoError::Truncated));
-                }
-                let mut expected = snap.applied_through + 1;
-                for rec in &replay.records {
-                    if rec.slot != expected {
-                        return Err(ServiceError::Proto(ProtoError::Truncated));
-                    }
-                    expected += 1;
-                }
-                if expected != applied_through + 1 {
-                    return Err(ServiceError::Proto(ProtoError::Truncated));
-                }
-                std::fs::create_dir_all(dir).map_err(WireError::Io)?;
-                snap.write_to(&dir.join("state.snap"))?;
-                let mut wal = File::create(dir.join("wal.log")).map_err(WireError::Io)?;
-                wal.write_all(&wal_bytes).map_err(WireError::Io)?;
-                wal.sync_data().map_err(WireError::Io)?;
-                return Ok(applied_through);
-            }
-            SyncFrame::Request { .. } => {
-                return Err(ServiceError::Proto(ProtoError::Truncated));
-            }
+            SyncFrame::Done { applied_through } => return Ok(Some(applied_through)),
+            SyncFrame::Request { .. } => return Err(malformed()),
         }
+        Ok(None)
+    })?;
+    // Validate before persisting: the snapshot must verify, and the
+    // records must replay cleanly and contiguously up to the peer's
+    // declared watermark.
+    let snap = Snapshot::from_framed_bytes(&blob)?;
+    let replay = replay_bytes(&wal_bytes)?;
+    let contiguous =
+        (snap.applied_through + 1..).zip(&replay.records).all(|(slot, rec)| rec.slot == slot);
+    let through = snap.applied_through + replay.records.len() as u64;
+    if replay.tail != WalTail::Clean || !contiguous || through != applied_through {
+        return Err(malformed());
     }
+    ShardFiles::install(dir, &snap, &wal_bytes)?;
+    Ok(applied_through)
 }
 
 /// Rejoins a whole service from a peer: pulls every shard's durable
@@ -451,32 +454,16 @@ pub fn sync_all_from_peer(peer: SocketAddr, shards: u32, root: &Path) -> Result<
 /// `complete` verdict (or the timeout lapses). Uses a dedicated
 /// connection; call it once load has stopped.
 pub fn remote_audit(peer: SocketAddr, timeout: Duration) -> Result<AuditSummary, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
-    let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, &audit_request_frame())?;
-    loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
+    control_call(peer, &audit_request_frame(), timeout, |payload, writer| {
+        let summary = AuditSummary::decode(payload)?;
+        if summary.complete {
+            return Ok(Some(summary));
         }
-        match reader.read_frame() {
-            Ok(Some(payload)) => {
-                let summary = AuditSummary::decode(&payload)?;
-                if summary.complete {
-                    return Ok(summary);
-                }
-                // Not yet quiesced; ask again shortly.
-                std::thread::sleep(Duration::from_millis(50));
-                write_frame(&mut writer, &audit_request_frame())?;
-            }
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+        // Not yet quiesced; ask again shortly.
+        std::thread::sleep(Duration::from_millis(50));
+        write_frame(writer, &audit_request_frame())?;
+        Ok(None)
+    })
 }
 
 /// Fetches one shard's live lease state over the wire: read mode,
@@ -490,24 +477,9 @@ pub fn remote_lease_state(
     shard: u32,
     timeout: Duration,
 ) -> Result<LeaseStatus, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
-    let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, &lease_state_request_frame(shard))?;
-    loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
-        }
-        match reader.read_frame() {
-            Ok(Some(payload)) => return Ok(LeaseStatus::decode(&payload)?),
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+    control_call(peer, &lease_state_request_frame(shard), timeout, |payload, _| {
+        Ok(Some(LeaseStatus::decode(payload)?))
+    })
 }
 
 /// Scrapes one shard's live pipeline metrics over the wire: slot and
@@ -523,22 +495,7 @@ pub fn remote_stats(
     shard: u32,
     timeout: Duration,
 ) -> Result<StatsReport, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
-    let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, &stats_request_frame(shard))?;
-    loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
-        }
-        match reader.read_frame() {
-            Ok(Some(payload)) => return Ok(StatsReport::decode(&payload)?),
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+    control_call(peer, &stats_request_frame(shard), timeout, |payload, _| {
+        Ok(Some(StatsReport::decode(payload)?))
+    })
 }

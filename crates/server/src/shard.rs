@@ -24,14 +24,13 @@
 //!   `(ClientId, RequestId)` pair may appear in two shards' histories.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use indulgent_model::{ClientId, RequestId};
 
 use crate::engine::{AuditViolation, FastReadRecord, ServiceAudit};
-use crate::wal::crc32;
+use crate::wal::{load_checked, store_checked, MANIFEST_FILE};
 
 /// Maps keys to shard groups with a fixed multiplicative hash.
 ///
@@ -79,53 +78,19 @@ pub fn shard_dir(root: &Path, idx: u32) -> PathBuf {
     root.join(format!("shard-{idx}"))
 }
 
-/// The shard-count manifest file name at the durability root.
-const MANIFEST_FILE: &str = "shards.manifest";
-const MANIFEST_LEN: usize = 8; // 4-byte LE shard count + crc32
-
 /// Loads the shard count recorded at `root`; `Ok(None)` if no manifest
 /// was ever written (a fresh root). A corrupt manifest is an error, not
 /// a silent default — booting with the wrong shard count rehashes the
 /// keyspace.
 pub fn load_manifest(root: &Path) -> io::Result<Option<u32>> {
-    let mut file = match OpenOptions::new().read(true).open(root.join(MANIFEST_FILE)) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() != MANIFEST_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "shard manifest malformed"));
-    }
-    let shards = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-    let stored = u32::from_le_bytes(bytes[4..].try_into().expect("4 bytes"));
-    if crc32(&bytes[..4]) != stored {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "shard manifest checksum mismatch"));
-    }
-    Ok(Some(shards))
+    Ok(load_checked(&root.join(MANIFEST_FILE))?.map(u32::from_le_bytes))
 }
 
 /// Durably records `shards` at `root` (atomic temp-write + fsync +
 /// rename, the snapshot idiom). Must complete before any shard serves
 /// so a crash mid-boot cannot leave an unlabeled multi-shard layout.
 pub fn store_manifest(root: &Path, shards: u32) -> io::Result<()> {
-    fs::create_dir_all(root)?;
-    let path = root.join(MANIFEST_FILE);
-    let tmp = path.with_extension("tmp");
-    let mut bytes = Vec::with_capacity(MANIFEST_LEN);
-    bytes.extend_from_slice(&shards.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&shards.to_le_bytes()).to_le_bytes());
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, &path)?;
-    if let Ok(d) = File::open(root) {
-        let _ = d.sync_data();
-    }
-    Ok(())
+    store_checked(&root.join(MANIFEST_FILE), &shards.to_le_bytes())
 }
 
 /// Everything a finished sharded service run exposes for verification:

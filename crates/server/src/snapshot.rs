@@ -13,14 +13,15 @@
 //! previous snapshot intact.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::Path;
 
 use indulgent_model::{ClientId, RequestId};
 
-use crate::proto::{ProtoError, Response};
-use crate::wal::{crc32, WalError, MAX_RECORD, RECORD_HEADER_LEN};
+use crate::proto::{Cursor, ProtoError, Response};
+use crate::wal::{
+    atomic_replace, frame_record, put_response, read_if_exists, read_response, WalDecoder,
+    WalError, WalTail, MAX_RECORD, RECORD_HEADER_LEN,
+};
 
 /// One cached session acknowledgement: the dedup table entry that makes
 /// a pre-crash retry idempotent after recovery.
@@ -72,54 +73,32 @@ impl Snapshot {
         for s in &self.sessions {
             out.extend_from_slice(&s.client.0.to_le_bytes());
             out.extend_from_slice(&s.request.0.to_le_bytes());
-            let resp = s.response.encode();
-            out.extend_from_slice(
-                &u16::try_from(resp.len()).expect("responses are tens of bytes").to_le_bytes(),
-            );
-            out.extend_from_slice(&resp);
+            put_response(&mut out, &s.response);
         }
         out
     }
 
     /// Decodes a snapshot payload produced by [`encode`](Snapshot::encode).
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], ProtoError> {
-            if bytes.len() < n {
-                return Err(ProtoError::Truncated);
-            }
-            let (head, rest) = bytes.split_at(n);
-            *bytes = rest;
-            Ok(head)
-        }
-        fn u64_of(bytes: &mut &[u8]) -> Result<u64, ProtoError> {
-            Ok(u64::from_le_bytes(take(bytes, 8)?.try_into().expect("8 bytes")))
-        }
-        fn u32_of(bytes: &mut &[u8]) -> Result<u32, ProtoError> {
-            Ok(u32::from_le_bytes(take(bytes, 4)?.try_into().expect("4 bytes")))
-        }
-        let mut c = bytes;
-        let applied_through = u64_of(&mut c)?;
-        let next_batch = u64_of(&mut c)?;
-        let committed = u64_of(&mut c)?;
-        let store_len = u32_of(&mut c)?;
+        let mut c = Cursor(bytes);
+        let applied_through = c.u64()?;
+        let next_batch = c.u64()?;
+        let committed = c.u64()?;
+        let store_len = c.u32()?;
         let mut store = BTreeMap::new();
         for _ in 0..store_len {
-            let key = u16::from_le_bytes(take(&mut c, 2)?.try_into().expect("2 bytes"));
-            let value = u32_of(&mut c)?;
-            store.insert(key, value);
+            let key = c.u16()?;
+            store.insert(key, c.u32()?);
         }
-        let sessions_len = u32_of(&mut c)?;
+        let sessions_len = c.u32()?;
         let mut sessions = Vec::with_capacity(sessions_len as usize);
         for _ in 0..sessions_len {
-            let client = ClientId(u64_of(&mut c)?);
-            let request = RequestId(u64_of(&mut c)?);
-            let resp_len = u16::from_le_bytes(take(&mut c, 2)?.try_into().expect("2 bytes"));
-            let response = Response::decode(take(&mut c, resp_len as usize)?)?;
+            let client = ClientId(c.u64()?);
+            let request = RequestId(c.u64()?);
+            let response = read_response(&mut c)?;
             sessions.push(SessionEntry { client, request, response });
         }
-        if !c.is_empty() {
-            return Err(ProtoError::TrailingBytes);
-        }
+        c.finish()?;
         Ok(Snapshot { applied_through, next_batch, committed, store, sessions })
     }
 
@@ -130,60 +109,30 @@ impl Snapshot {
         let payload = self.encode();
         assert!(payload.len() <= MAX_RECORD, "snapshot exceeds MAX_RECORD");
         let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        out.extend_from_slice(
-            &u32::try_from(payload.len()).expect("bounded by MAX_RECORD").to_le_bytes(),
-        );
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        frame_record(&payload, &mut out);
         out
     }
 
-    /// Parses and checksum-verifies a framed snapshot byte blob.
+    /// Parses and checksum-verifies a framed snapshot byte blob: exactly
+    /// one whole record.
     pub fn from_framed_bytes(bytes: &[u8]) -> Result<Self, WalError> {
-        if bytes.len() < RECORD_HEADER_LEN {
-            return Err(WalError::Malformed(ProtoError::Truncated));
+        let mut decoder = WalDecoder::new();
+        decoder.feed(bytes);
+        match (decoder.next_payload(), decoder.tail()) {
+            (Some(payload), WalTail::Clean) => Ok(Self::decode(&payload)?),
+            _ => Err(WalError::Malformed(ProtoError::Truncated)),
         }
-        let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let stored = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD || bytes.len() != RECORD_HEADER_LEN + len {
-            return Err(WalError::Malformed(ProtoError::Truncated));
-        }
-        let payload = &bytes[RECORD_HEADER_LEN..];
-        if crc32(payload) != stored {
-            return Err(WalError::Malformed(ProtoError::Truncated));
-        }
-        Ok(Self::decode(payload)?)
     }
 
     /// Writes the snapshot atomically: temp file, fsync, rename over the
     /// target.
     pub fn write_to(&self, path: &Path) -> Result<(), WalError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&self.to_framed_bytes())?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, path)?;
-        // Durably record the rename itself where the platform allows.
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_data();
-            }
-        }
-        Ok(())
+        Ok(atomic_replace(path, &self.to_framed_bytes())?)
     }
 
     /// Loads the snapshot at `path`; `Ok(None)` if none was ever written.
     pub fn load(path: &Path) -> Result<Option<Self>, WalError> {
-        let mut file = match OpenOptions::new().read(true).open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        Ok(Some(Self::from_framed_bytes(&bytes)?))
+        read_if_exists(path)?.map(|bytes| Self::from_framed_bytes(&bytes)).transpose()
     }
 }
 

@@ -1,4 +1,7 @@
-//! The write-ahead log of decided slots.
+//! Every byte the server persists: the write-ahead log of decided slots,
+//! and the framing, checksums and file operations the snapshot
+//! ([`crate::snapshot`]), the lease epoch ([`crate::lease`]) and the
+//! shard manifest ([`crate::shard`]) share with it.
 //!
 //! Every applied slot is persisted as one *record* before its
 //! acknowledgements leave the engine: a 4-byte little-endian payload
@@ -7,7 +10,7 @@
 //! disk (unlike a TCP stream) hands back whatever bytes survived a
 //! crash, torn and bit-rotten included. Records are appended and
 //! `fdatasync`'d at slot boundaries, so the durable prefix always ends
-//! on a whole slot.
+//! on a whole slot. The snapshot file is one record in the same framing.
 //!
 //! Recovery reads the file through the same incremental [`WalDecoder`]
 //! the proptests chunk-feed: the longest valid prefix of records is
@@ -19,20 +22,26 @@
 //! * [`WalTail::Corrupt`] — a record body fails its checksum or a header
 //!   announces an impossible length (bit rot, not a torn append).
 //!
+//! A shard directory holds `wal.log`, `state.snap` and `lease.epoch`;
+//! the durability root holds `shards.manifest`. The epoch and the
+//! manifest are one fixed-width value followed by its CRC32. Every file
+//! but the WAL is written whole by one atomic temp-file + fsync + rename.
+//!
 //! The CRC32 is implemented in-tree (IEEE polynomial, byte-wise table):
 //! the workspace vendors its dependencies by design, and eight lines of
 //! table generation keep the WAL's integrity story auditable next to the
 //! codec it protects.
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use indulgent_model::{BatchId, ClientId, RequestId};
 
 use crate::engine::{AckRecord, SlotRecord};
-use crate::proto::{KvOp, ProtoError, Response};
+use crate::proto::{Cursor, KvOp, ProtoError, Response};
+use crate::snapshot::Snapshot;
 
 /// Hard bound on a WAL record's payload size (1 MiB).
 ///
@@ -42,6 +51,15 @@ pub const MAX_RECORD: usize = 1024 * 1024;
 
 /// Bytes of the record header: u32 payload length + u32 CRC32.
 pub const RECORD_HEADER_LEN: usize = 8;
+
+/// The write-ahead log inside a shard directory.
+const WAL_FILE: &str = "wal.log";
+/// The last checkpoint inside a shard directory.
+const SNAPSHOT_FILE: &str = "state.snap";
+/// The burned lease epoch inside a shard directory.
+pub(crate) const EPOCH_FILE: &str = "lease.epoch";
+/// The shard count at the durability root.
+pub(crate) const MANIFEST_FILE: &str = "shards.manifest";
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
 /// generated at compile time.
@@ -124,6 +142,32 @@ impl From<ProtoError> for WalError {
     }
 }
 
+/// Appends `payload` to `out` as one record: length, CRC32, payload.
+pub(crate) fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
+    assert!(payload.len() <= MAX_RECORD, "record payload exceeds MAX_RECORD");
+    out.extend_from_slice(
+        &u32::try_from(payload.len()).expect("bounded by MAX_RECORD").to_le_bytes(),
+    );
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Appends a recorded acknowledgement, prefixed by its u16 length — the
+/// form both slot records and snapshots keep responses in.
+pub(crate) fn put_response(out: &mut Vec<u8>, response: &Response) {
+    let bytes = response.encode();
+    out.extend_from_slice(
+        &u16::try_from(bytes.len()).expect("responses are tens of bytes").to_le_bytes(),
+    );
+    out.extend_from_slice(&bytes);
+}
+
+/// Reads an acknowledgement written by [`put_response`].
+pub(crate) fn read_response(c: &mut Cursor<'_>) -> Result<Response, ProtoError> {
+    let len = c.u16()?;
+    Response::decode(c.bytes(usize::from(len))?)
+}
+
 /// Encodes a slot record's payload (no framing): slot, batch id, and the
 /// commands with their recorded acknowledgements.
 #[must_use]
@@ -138,57 +182,33 @@ pub fn encode_payload(rec: &SlotRecord) -> Vec<u8> {
         out.extend_from_slice(&ack.client.0.to_le_bytes());
         out.extend_from_slice(&ack.request.0.to_le_bytes());
         out.extend_from_slice(&ack.op.to_payload().to_le_bytes());
-        let resp = ack.response.encode();
-        out.extend_from_slice(
-            &u16::try_from(resp.len()).expect("responses are tens of bytes").to_le_bytes(),
-        );
-        out.extend_from_slice(&resp);
+        put_response(&mut out, &ack.response);
     }
     out
 }
 
 /// Decodes a slot record payload produced by [`encode_payload`].
 pub fn decode_payload(bytes: &[u8]) -> Result<SlotRecord, ProtoError> {
-    fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], ProtoError> {
-        if bytes.len() < n {
-            return Err(ProtoError::Truncated);
-        }
-        let (head, rest) = bytes.split_at(n);
-        *bytes = rest;
-        Ok(head)
-    }
-    fn u64_of(bytes: &mut &[u8]) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(take(bytes, 8)?.try_into().expect("8 bytes")))
-    }
-    let mut c = bytes;
-    let slot = u64_of(&mut c)?;
-    let batch = BatchId(u64_of(&mut c)?);
-    let count = u32::from_le_bytes(take(&mut c, 4)?.try_into().expect("4 bytes"));
+    let mut c = Cursor(bytes);
+    let slot = c.u64()?;
+    let batch = BatchId(c.u64()?);
+    let count = c.u32()?;
     let mut commands = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let client = ClientId(u64_of(&mut c)?);
-        let request = RequestId(u64_of(&mut c)?);
-        let op = KvOp::from_payload(u64_of(&mut c)?);
-        let resp_len = u16::from_le_bytes(take(&mut c, 2)?.try_into().expect("2 bytes"));
-        let response = Response::decode(take(&mut c, resp_len as usize)?)?;
+        let client = ClientId(c.u64()?);
+        let request = RequestId(c.u64()?);
+        let op = KvOp::from_payload(c.u64()?);
+        let response = read_response(&mut c)?;
         commands.push(AckRecord { client, request, op, response });
     }
-    if !c.is_empty() {
-        return Err(ProtoError::TrailingBytes);
-    }
+    c.finish()?;
     Ok(SlotRecord { slot, batch, commands })
 }
 
 /// Encodes one framed record (header + checksum + payload) appended to
 /// `out`.
 pub fn encode_record(rec: &SlotRecord, out: &mut Vec<u8>) {
-    let payload = encode_payload(rec);
-    assert!(payload.len() <= MAX_RECORD, "record payload exceeds MAX_RECORD");
-    out.extend_from_slice(
-        &u32::try_from(payload.len()).expect("bounded by MAX_RECORD").to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    frame_record(&encode_payload(rec), out);
 }
 
 /// Incremental WAL record decoder: feed file bytes in any chunking, pop
@@ -227,27 +247,18 @@ impl WalDecoder {
         if self.corrupt.is_some() {
             return None;
         }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return None;
-        }
+        let mut c = Cursor(&self.buf[self.pos..]);
         // The length field alone condemns the record: a header announcing
         // more than MAX_RECORD can never complete into a valid frame, so
         // corruption is flagged before waiting for (or allocating) the
         // announced payload.
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
+        let len = c.u32().ok()? as usize;
         if len > MAX_RECORD {
             self.corrupt = Some(self.offset);
             return None;
         }
-        if avail.len() < RECORD_HEADER_LEN {
-            return None;
-        }
-        if avail.len() < RECORD_HEADER_LEN + len {
-            return None;
-        }
-        let stored = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        let payload = &avail[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
+        let stored = c.u32().ok()?;
+        let payload = c.bytes(len).ok()?;
         if crc32(payload) != stored {
             self.corrupt = Some(self.offset);
             return None;
@@ -309,7 +320,6 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, WalError> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
 }
 
 impl Wal {
@@ -332,7 +342,7 @@ impl Wal {
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(replay.valid_len))?;
-        Ok((Wal { file, path: path.to_path_buf() }, replay))
+        Ok((Wal { file }, replay))
     }
 
     /// Appends one framed record (not yet durable — call
@@ -358,11 +368,105 @@ impl Wal {
         self.file.sync_data()?;
         Ok(())
     }
+}
 
-    /// The file path this WAL appends to.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+/// Replaces the file at `path` with `bytes` atomically: a sibling temp
+/// file is written and fsynced, then renamed over `path`, so a crash
+/// leaves either the old file or the new one. Creates the parent
+/// directory if needed.
+pub(crate) fn atomic_replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    fs::create_dir_all(dir)?;
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    fs::rename(&tmp, path)?;
+    // Durably record the rename itself where the platform allows.
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_data();
+    }
+    Ok(())
+}
+
+/// The whole file at `path`; `Ok(None)` if it was never written.
+pub(crate) fn read_if_exists(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+fn damaged(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// Loads a fixed-width value stored by [`store_checked`]; `Ok(None)` if
+/// none was ever stored. A wrong length or checksum is an error, never a
+/// silent default.
+pub(crate) fn load_checked<const N: usize>(path: &Path) -> io::Result<Option<[u8; N]>> {
+    let Some(bytes) = read_if_exists(path)? else { return Ok(None) };
+    let mut c = Cursor(&bytes);
+    match (c.take::<N>(), c.u32(), c.finish()) {
+        (Ok(value), Ok(stored), Ok(())) if crc32(&value) == stored => Ok(Some(value)),
+        _ => Err(damaged(format!("{} is malformed or fails its checksum", path.display()))),
+    }
+}
+
+/// Durably stores `value` followed by its CRC32 at `path`.
+pub(crate) fn store_checked(path: &Path, value: &[u8]) -> io::Result<()> {
+    let mut bytes = value.to_vec();
+    bytes.extend_from_slice(&crc32(value).to_le_bytes());
+    atomic_replace(path, &bytes)
+}
+
+/// The files of one shard directory opened for serving: the WAL being
+/// appended to, and where its checkpoints go.
+#[derive(Debug)]
+pub(crate) struct ShardFiles {
+    pub(crate) wal: Wal,
+    snapshot: PathBuf,
+}
+
+impl ShardFiles {
+    /// Opens the shard directory `dir` (created if missing): loads the
+    /// last checkpoint, opens the WAL (a torn tail is truncated away),
+    /// and returns the records past the checkpoint. A corrupt WAL or a
+    /// slot gap is refused: a shard never serves from damaged state.
+    pub(crate) fn open(dir: &Path) -> Result<(Self, Snapshot, Vec<SlotRecord>), WalError> {
+        fs::create_dir_all(dir)?;
+        let snapshot = dir.join(SNAPSHOT_FILE);
+        let base = Snapshot::load(&snapshot)?.unwrap_or_default();
+        let (wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
+        if let WalTail::Corrupt { offset } = replay.tail {
+            return Err(damaged(format!("wal record at byte {offset} is corrupt")).into());
+        }
+        // Records at or below the checkpoint are already folded into it
+        // (a crash between snapshot write and WAL reset leaves them).
+        let through = base.applied_through;
+        let records: Vec<SlotRecord> =
+            replay.records.into_iter().filter(|r| r.slot > through).collect();
+        if (through + 1..).zip(&records).any(|(slot, r)| r.slot != slot) {
+            return Err(damaged("wal records skip a slot past the snapshot".into()).into());
+        }
+        Ok((ShardFiles { wal, snapshot }, base, records))
+    }
+
+    /// Checkpoints: writes `snapshot`, then truncates the WAL it covers.
+    pub(crate) fn checkpoint(&mut self, snapshot: &Snapshot) -> Result<(), WalError> {
+        snapshot.write_to(&self.snapshot)?;
+        self.wal.reset()
+    }
+
+    /// Materializes a transferred shard in `dir`: the checkpoint, then
+    /// the WAL bytes past it.
+    pub(crate) fn install(dir: &Path, snapshot: &Snapshot, wal: &[u8]) -> Result<(), WalError> {
+        snapshot.write_to(&dir.join(SNAPSHOT_FILE))?;
+        atomic_replace(&dir.join(WAL_FILE), wal)?;
+        Ok(())
     }
 }
 
@@ -461,7 +565,7 @@ mod tests {
     fn file_append_replay_and_torn_repair() {
         let dir = std::env::temp_dir().join(format!("indulgent-wal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
+        let path = dir.join(WAL_FILE);
         {
             let (mut wal, replay) = Wal::open(&path).unwrap();
             assert!(replay.records.is_empty());
@@ -486,6 +590,39 @@ mod tests {
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.tail, WalTail::Clean);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_open_skips_folded_records_and_refuses_damage() {
+        let dir = std::env::temp_dir().join(format!("indulgent-shard-open-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let base = Snapshot { applied_through: 1, ..Snapshot::default() };
+        let mut wal = Vec::new();
+        for slot in 1..=3 {
+            encode_record(&record(slot), &mut wal);
+        }
+        ShardFiles::install(&dir, &base, &wal).unwrap();
+        let (mut files, snapshot, records) = ShardFiles::open(&dir).unwrap();
+        assert_eq!(snapshot, base);
+        assert_eq!(records.iter().map(|r| r.slot).collect::<Vec<_>>(), [2, 3]);
+
+        // A checkpoint empties the WAL; reopening finds the snapshot alone.
+        let newer = Snapshot { applied_through: 3, ..Snapshot::default() };
+        files.checkpoint(&newer).unwrap();
+        drop(files);
+        let (_, snapshot, records) = ShardFiles::open(&dir).unwrap();
+        assert_eq!((snapshot, records.len()), (newer, 0));
+
+        // A slot gap and a bit flip are both refused.
+        let mut gap = Vec::new();
+        encode_record(&record(5), &mut gap);
+        ShardFiles::install(&dir, &base, &gap).unwrap();
+        assert!(ShardFiles::open(&dir).is_err());
+        let mut flipped = wal;
+        flipped[RECORD_HEADER_LEN] ^= 1;
+        ShardFiles::install(&dir, &base, &flipped).unwrap();
+        assert!(ShardFiles::open(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
