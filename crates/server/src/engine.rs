@@ -1919,4 +1919,176 @@ mod tests {
         ));
         assert!(rx1.try_recv().is_err(), "the first connection gets no ack");
     }
+
+    /// A clean single-shard audit: a checkpointed base (slot 1), two
+    /// live slots decided by every replica, and two lease reads.
+    fn clean_audit() -> ServiceAudit {
+        let put = |slot| Outcome::Put { slot };
+        let ack = |client, request, op, outcome| AckRecord {
+            client: ClientId(client),
+            request: RequestId(request),
+            op,
+            response: Response { request: RequestId(request), shard: 0, outcome },
+        };
+        let read = |request, key, index, value| FastReadRecord {
+            client: ClientId(3),
+            request: RequestId(request),
+            key,
+            index,
+            epoch: 1,
+            attested: false,
+            value,
+        };
+        let decided = |batch: BatchId| {
+            (0..5)
+                .map(|i| {
+                    Some(Decision {
+                        process: indulgent_model::ProcessId::new(i),
+                        round: indulgent_model::Round::new(2),
+                        value: batch.as_value(),
+                    })
+                })
+                .collect()
+        };
+        ServiceAudit {
+            system: SystemConfig::majority(5, 2).expect("valid config"),
+            shard: 0,
+            base_slot: 1,
+            base_store: BTreeMap::from([(1, 10)]),
+            base_sessions: vec![SessionEntry {
+                client: ClientId(1),
+                request: RequestId(0),
+                response: Response { request: RequestId(0), shard: 0, outcome: put(1) },
+            }],
+            base_commands: 1,
+            live_from: 2,
+            slots: vec![
+                SlotRecord {
+                    slot: 2,
+                    batch: BatchId(1),
+                    commands: vec![
+                        ack(1, 1, KvOp::Put { key: 2, value: 20 }, put(2)),
+                        ack(2, 0, KvOp::Get { key: 1 }, Outcome::Get { slot: 2, value: Some(10) }),
+                    ],
+                },
+                SlotRecord {
+                    slot: 3,
+                    batch: BatchId(2),
+                    commands: vec![ack(1, 2, KvOp::Put { key: 1, value: 11 }, put(3))],
+                },
+            ],
+            proposals: vec![BatchId(1), BatchId(2)],
+            replica_decisions: vec![decided(BatchId(1)), decided(BatchId(2))],
+            final_store: BTreeMap::from([(1, 11), (2, 20)]),
+            committed_commands: 4,
+            dedup_hits: 0,
+            duplicate_applies: 0,
+            fast_reads: vec![read(0, 1, 2, Some(10)), read(1, 2, 3, Some(20))],
+            folded_fast_reads: 0,
+            fast_read_mismatches: 0,
+            lease_epoch: 1,
+        }
+    }
+
+    /// One row of the violation table: a minimal tamper of the clean
+    /// audit, and the violation it must produce.
+    type Row = (fn(&mut ServiceAudit), AuditViolation);
+
+    /// Every per-shard violation fires: one minimal tamper per row, and
+    /// the audit names exactly that variant.
+    #[test]
+    fn every_per_shard_violation_fires() {
+        clean_audit().check().expect("the clean audit passes");
+        let (c1, r) = (ClientId(1), RequestId);
+        let rows: [Row; 12] = [
+            (
+                |a| a.replica_decisions[1][4] = None,
+                AuditViolation::SlotDisagreement { slot: 3, replica: 4 },
+            ),
+            (|a| a.slots[1].batch = BatchId(9), AuditViolation::SlotInvalid { slot: 3 }),
+            (
+                |a| (a.fast_reads[0].client, a.fast_reads[0].request) = (ClientId(1), RequestId(1)),
+                AuditViolation::DoubleApply { client: c1, request: r(1) },
+            ),
+            (
+                |a| {
+                    a.slots[0].commands[1].response.outcome =
+                        Outcome::Get { slot: 2, value: Some(11) };
+                },
+                AuditViolation::ResponseMismatch { slot: 2, request: r(0) },
+            ),
+            (
+                |a| {
+                    a.final_store.insert(3, 30);
+                },
+                AuditViolation::StoreDivergence,
+            ),
+            (|a| a.duplicate_applies = 1, AuditViolation::DuplicateApplies { count: 1 }),
+            (|a| a.slots[1].slot = 4, AuditViolation::SlotGap { expected: 3, found: 4 }),
+            (
+                |a| a.fast_reads[1].value = Some(21),
+                AuditViolation::StaleFastRead { request: r(1), index: 3 },
+            ),
+            (
+                |a| a.fast_reads[1].index = 1,
+                AuditViolation::ReadIndexRegression { index: 1, after: 2 },
+            ),
+            (|a| a.fast_reads[1].index = 4, AuditViolation::ReadIndexOutOfRange { index: 4 }),
+            (|a| a.fast_reads[0].epoch = 2, AuditViolation::EpochMismatch { epoch: 2 }),
+            (|a| a.fast_read_mismatches = 1, AuditViolation::FoldedReadMismatches { count: 1 }),
+        ];
+        for (tamper, expected) in rows {
+            let mut audit = clean_audit();
+            tamper(&mut audit);
+            assert_eq!(audit.check(), Err(expected));
+        }
+    }
+
+    /// A lease read whose recorded value is wrong is caught when its
+    /// history is folded into a checkpoint, and the count stays latched.
+    #[test]
+    fn a_tampered_lease_read_is_latched_at_the_checkpoint_fold() {
+        let dir = std::env::temp_dir().join(format!("indulgent-fold-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = EngineConfig::default_5()
+            .with_reads(ReadPath::Lease)
+            .with_batch_size(1)
+            .with_durability(DurabilityConfig::new(&dir).with_snapshot_every(2));
+        let conns = HashMap::new();
+        let mut sh = ShardState::recover(0, &cfg);
+        let mut request = 0;
+        let mut submit = |sh: &mut ShardState, op| {
+            request += 1;
+            sh.submit(
+                &conns,
+                ConnId(1),
+                Request { client: ClientId(1), request: RequestId(request), op },
+                ReadPath::Lease,
+            );
+        };
+        let apply = |sh: &mut ShardState| {
+            while let Some(mut batch) = sh.ready.pop_front() {
+                batch.decided = Some((batch.id, Instant::now()));
+                sh.window.push_back(batch);
+            }
+            sh.apply_decided(&conns);
+        };
+        submit(&mut sh, KvOp::Put { key: 1, value: 10 });
+        apply(&mut sh);
+        submit(&mut sh, KvOp::Get { key: 1 });
+        submit(&mut sh, KvOp::Get { key: 2 });
+        sh.lease_upkeep();
+        sh.serve_reads(&conns, cfg.system.quorum(), ReadPath::Lease);
+        assert_eq!(sh.reads_lease, 2);
+        sh.fast_read_records[0].value = Some(99);
+        submit(&mut sh, KvOp::Put { key: 2, value: 20 });
+        apply(&mut sh);
+        assert_eq!((sh.folded_fast_reads, sh.fast_read_mismatches), (2, 1));
+        assert!(sh.fast_read_records.is_empty(), "folded records are dropped");
+        assert_eq!(
+            sh.audit(cfg.system).check(),
+            Err(AuditViolation::FoldedReadMismatches { count: 1 })
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
