@@ -727,7 +727,9 @@ impl ServiceAudit {
         // proposed (hence canonical) value.
         for (idx, row) in self.replica_decisions.iter().enumerate() {
             let slot = self.live_from + idx as u64;
-            let proposed = self.proposals[idx];
+            let Some(&proposed) = self.proposals.get(idx) else {
+                return Err(AuditViolation::SlotInvalid { slot });
+            };
             for (replica, d) in row.iter().enumerate() {
                 match d {
                     Some(d) if BatchId::from_value(d.value) == proposed => {}
@@ -2000,12 +2002,18 @@ mod tests {
     fn every_per_shard_violation_fires() {
         clean_audit().check().expect("the clean audit passes");
         let (c1, r) = (ClientId(1), RequestId);
-        let rows: [Row; 12] = [
+        let rows: [Row; 13] = [
             (
                 |a| a.replica_decisions[1][4] = None,
                 AuditViolation::SlotDisagreement { slot: 3, replica: 4 },
             ),
             (|a| a.slots[1].batch = BatchId(9), AuditViolation::SlotInvalid { slot: 3 }),
+            (
+                |a| {
+                    a.proposals.pop();
+                },
+                AuditViolation::SlotInvalid { slot: 3 },
+            ),
             (
                 |a| (a.fast_reads[0].client, a.fast_reads[0].request) = (ClientId(1), RequestId(1)),
                 AuditViolation::DoubleApply { client: c1, request: r(1) },
