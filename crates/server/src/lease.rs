@@ -27,7 +27,7 @@
 //!
 //! # Epochs and crash recovery
 //!
-//! Every lease carries a [`LeaseEpoch`], monotonic per service data
+//! Every lease carries an epoch, monotonic per service data
 //! directory *across restarts*: booting the engine loads the stored
 //! epoch, **burns `epoch + 1` to disk before serving anything**
 //! ([`store_epoch`] goes through the same atomic write-fsync-rename as

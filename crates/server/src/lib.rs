@@ -8,27 +8,29 @@
 //! to top:
 //!
 //! * [`wire`] — the vendored length-framed codec. 4-byte little-endian
-//!   length header, [`MAX_FRAME`](wire::MAX_FRAME) bound enforced before
-//!   buffering, chunking-independent incremental decoding.
+//!   length header, [`MAX_FRAME`] bound enforced before buffering,
+//!   chunking-independent incremental decoding.
 //! * [`proto`] — the request/response vocabulary. Requests carry the
 //!   `(ClientId, RequestId)` exactly-once key; responses carry the
 //!   `(shard, slot)` linearization point: the shard group that sequenced
 //!   the command and the slot it occupies in that shard's log.
-//! * [`shard`] — keyspace partitioning: the fixed [`ShardRouter`] hash
-//!   mapping every key to one of `S` independent shard groups, the
-//!   fsynced `shards.manifest` refusing boots against a mismatched disk
-//!   layout, and the [`ShardedAudit`] adding cross-shard routing and
-//!   exactly-once-disjointness checks on top of the per-shard audits.
-//! * [`engine`] — the service core: routes intake to shard groups, each
-//!   sealing its own batches and keeping every batch's requests with it
-//!   until the slot applies, pipelines
-//!   consensus instances of every shard on *one* reusable replica
-//!   session (shared worker pool — S shards, one set of threads),
-//!   applies decided slots in order, and deduplicates retries against
-//!   the decided log so every request is applied exactly once no matter
-//!   how often it is sent. Produces a [`ShardedAudit`] whose
-//!   [`check`](shard::ShardedAudit::check) replays every shard's log
-//!   with independent code and re-derives every acknowledgement.
+//! * [`shard`] — one shard group: the fixed [`ShardRouter`] hash mapping
+//!   every key to one of `S` independent groups, the fsynced
+//!   `shards.manifest` refusing boots against a mismatched disk layout,
+//!   and the per-shard state machine — exactly-once dedup against the
+//!   decided log, batching, the in-flight window, in-order apply with
+//!   WAL + checkpoints, crash recovery, and the lease read ladder —
+//!   driven step by step (submit, start, on-result, apply, serve reads).
+//! * [`engine`] — the event loop: routes intake to shard groups,
+//!   pipelines consensus instances of every shard on *one* reusable
+//!   replica session (shared worker pool — S shards, one set of
+//!   threads), feeds replica results back to their shards, and answers
+//!   control requests. Shutdown returns a [`ShardedAudit`].
+//! * [`audit`] — verification: [`ServiceAudit::check`] replays a shard's
+//!   log with independent code, re-derives every acknowledgement and
+//!   fast read, and checks replica agreement; [`ShardedAudit::check`]
+//!   adds cross-shard routing and exactly-once disjointness in the same
+//!   walk.
 //! * [`service`] — the layered client interface: [`KvService`]
 //!   implemented by [`LocalKv`] (in-process, the reference layer) and
 //!   [`RemoteKv`] (framed TCP). The integration suite runs the same
@@ -45,12 +47,11 @@
 //!   reader and a writer thread per connection that move bursts, not
 //!   frames: one intake message per socket read, one `write` per run of
 //!   queued acks. Besides requests it answers stats scrapes: a
-//!   [`remote_stats`](service::remote_stats) request returns a
-//!   [`StatsReport`](proto::StatsReport) — per-shard pipeline-stage
-//!   latency histograms (submit→seal, seal→decide, decide→apply,
-//!   apply→ack, WAL fsync, queue depth) recorded by the zero-allocation
-//!   `indulgent-obs` registry, point-in-time and usable mid-load. Each
-//!   shard also keeps a bounded flight recorder of recent structured
+//!   [`remote_stats`] request returns a [`StatsReport`] — per-shard
+//!   pipeline-stage latency histograms (submit→seal, seal→decide,
+//!   decide→apply, apply→ack, WAL fsync, queue depth) recorded by the
+//!   zero-allocation `indulgent-obs` registry, point-in-time and usable
+//!   mid-load. Each shard also keeps a bounded flight recorder of recent structured
 //!   events, dumped to `flight-<shard>.log` on audit violation, panic,
 //!   or shutdown.
 //! * [`wal`] + [`snapshot`] — the durability layer: every applied slot
@@ -60,12 +61,12 @@
 //!   table), truncating the WAL. A killed server restarts from disk with
 //!   its sessions intact — exactly-once survives the crash — and a
 //!   replica that lost its disk rejoins via snapshot transfer + record
-//!   catch-up over the same framed TCP port
-//!   ([`sync_from_peer`](service::sync_from_peer)). [`wal`] owns every
-//!   byte the server persists: the one checksummed record framing, the
-//!   checksummed lease-epoch and shard-manifest files, the one atomic
-//!   file replacement, the shard directory's file names, and the shard
-//!   open step; [`snapshot`] keeps only the checkpoint's payload codec.
+//!   catch-up over the same framed TCP port ([`sync_from_peer`]).
+//!   [`wal`] owns every byte the server persists: the slot record and
+//!   its codec, the one checksummed record framing, the checksummed
+//!   lease-epoch and shard-manifest files, the one atomic file
+//!   replacement, the shard directory's file names, and the shard open
+//!   step; [`snapshot`] keeps only the checkpoint's payload codec.
 //!
 //! # The exactly-once session contract
 //!
@@ -100,6 +101,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+pub mod audit;
 pub mod engine;
 pub mod lease;
 pub mod proto;
@@ -110,9 +112,9 @@ pub mod snapshot;
 pub mod wal;
 pub mod wire;
 
+pub use audit::{AuditViolation, FastReadRecord, ServiceAudit, ShardedAudit};
 pub use engine::{
-    AckRecord, AuditViolation, ConnId, DurabilityConfig, EngineConfig, EngineHandle,
-    FastReadRecord, KvEngine, Outbound, ServiceAudit, SlotRecord, SubmitHandle,
+    ConnId, DurabilityConfig, EngineConfig, EngineHandle, KvEngine, Outbound, SubmitHandle,
 };
 pub use lease::{
     fresh_holder, load_epoch, store_epoch, LeaderLease, LeaseConfig, LeaseFrame, ReadPath,
@@ -127,7 +129,7 @@ pub use service::{
     remote_audit, remote_lease_state, remote_stats, sync_all_from_peer, sync_from_peer, KvService,
     LocalKv, PipeClient, RemoteKv, ServiceError,
 };
-pub use shard::{load_manifest, shard_dir, store_manifest, ShardRouter, ShardedAudit};
+pub use shard::{load_manifest, shard_dir, store_manifest, ShardRouter};
 pub use snapshot::{SessionEntry, Snapshot};
-pub use wal::{Wal, WalError, WalReplay, WalTail};
+pub use wal::{AckRecord, SlotRecord, Wal, WalError, WalReplay, WalTail};
 pub use wire::{FrameDecoder, FrameReader, WireError, MAX_FRAME};

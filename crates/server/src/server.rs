@@ -1,7 +1,7 @@
 //! The TCP front door: framed sockets in, engine intake out.
 //!
 //! [`KvServer`] binds a listener, hosts the replica group in-process (a
-//! [`KvEngine`](crate::KvEngine) running the n-replica consensus
+//! [`KvEngine`] running the n-replica consensus
 //! session), and bridges each accepted socket to the engine with two
 //! threads that move bursts, not frames:
 //!
@@ -42,12 +42,12 @@ use std::time::Duration;
 use crossbeam::channel::Receiver;
 use indulgent_obs::Counter;
 
+use crate::audit::ShardedAudit;
 use crate::engine::{ConnId, EngineConfig, EngineHandle, KvEngine, Outbound, SubmitHandle};
 use crate::proto::{
     lease_state_request_shard, stats_request_shard, Request, SyncFrame, TAG_AUDIT_REQUEST,
     TAG_LEASE_STATE_REQUEST, TAG_REQUEST, TAG_STATS_REQUEST, TAG_SYNC_REQUEST,
 };
-use crate::shard::ShardedAudit;
 use crate::wire::{encode_frame, FrameReader, WireError};
 
 /// Bytes a writer gathers before it stops draining its queue and writes

@@ -39,9 +39,33 @@ use std::path::{Path, PathBuf};
 
 use indulgent_model::{BatchId, ClientId, RequestId};
 
-use crate::engine::{AckRecord, SlotRecord};
 use crate::proto::{Cursor, KvOp, ProtoError, Response};
 use crate::snapshot::Snapshot;
+
+/// One acknowledged command inside a slot, as the engine recorded it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckRecord {
+    /// The submitting session.
+    pub client: ClientId,
+    /// The session's request number.
+    pub request: RequestId,
+    /// The operation sequenced.
+    pub op: KvOp,
+    /// The response the engine sent when it applied the slot.
+    pub response: Response,
+}
+
+/// One applied log slot: the batch that occupied it and the commands it
+/// carried. The WAL persists one per record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotRecord {
+    /// The slot (1-based, monotonic across incarnations).
+    pub slot: u64,
+    /// The decided batch.
+    pub batch: BatchId,
+    /// The batch's commands in order, with their recorded acks.
+    pub commands: Vec<AckRecord>,
+}
 
 /// Hard bound on a WAL record's payload size (1 MiB).
 ///
