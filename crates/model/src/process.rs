@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// `ProcessId` is a cheap copyable newtype over the process index. Process
 /// ids are totally ordered; several algorithms in this workspace (for
-/// example the leader election of [`indulgent-consensus`]'s `LeaderEcho`)
-/// rely on that order.
+/// example the leader election of `LeaderEcho` in the
+/// `indulgent-consensus` crate) rely on that order.
 ///
 /// # Examples
 ///

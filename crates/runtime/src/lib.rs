@@ -62,6 +62,17 @@
 //! counts `worker_parks` and `worker_timed_wakes` (parks that ended on
 //! their own timer).
 //!
+//! A replica that has decided keeps relaying its decision, one broadcast
+//! per round, for peers that have not decided yet. The *stop rule* ends
+//! that: before each relay the worker asks the session's done registry
+//! whether every replica has finished the instance (decided, crashed or
+//! out of rounds). If so, it sends nothing and retires the instance in
+//! the same pass, since no one can need the message any more. The rule is
+//! all-or-nothing on purpose. A decider that skipped only its finished
+//! peers would never complete its round, so it would never send the next
+//! relay that a replica still undecided may need for its quorum. The
+//! `runtime_session.relays` counter counts the relays that were sent.
+//!
 //! # Crash semantics
 //!
 //! Crashes are *logical*, defined against the per-instance round clock: a
@@ -99,9 +110,12 @@ use indulgent_model::{
 /// session's unit of work, so the first four counters say how much
 /// consensus traffic flowed through the runtime and how much of it reused
 /// pooled automatons — the recycling hit rate the zero-alloc hot path
-/// depends on. The last two say how often workers slept on their inboxes
+/// depends on. The next two say how often workers slept on their inboxes
 /// and how many of those sleeps ended on their own timer (a due message or
-/// a grace expiry) rather than on a push.
+/// a grace expiry) rather than on a push. `relays` counts broadcasts sent
+/// by a replica that had already decided the instance: the work done
+/// after the decision, which the stop rule (module docs) keeps to the
+/// rounds where some replica has not finished yet.
 #[derive(Debug)]
 struct SessionMetrics {
     instances_started: indulgent_obs::Counter,
@@ -110,6 +124,7 @@ struct SessionMetrics {
     decisions_delivered: indulgent_obs::Counter,
     worker_parks: indulgent_obs::Counter,
     worker_timed_wakes: indulgent_obs::Counter,
+    relays: indulgent_obs::Counter,
 }
 
 static SESSION_METRICS: SessionMetrics = SessionMetrics {
@@ -119,6 +134,7 @@ static SESSION_METRICS: SessionMetrics = SessionMetrics {
     decisions_delivered: indulgent_obs::Counter::new(),
     worker_parks: indulgent_obs::Counter::new(),
     worker_timed_wakes: indulgent_obs::Counter::new(),
+    relays: indulgent_obs::Counter::new(),
 };
 
 impl indulgent_obs::MetricFamily for SessionMetrics {
@@ -133,6 +149,7 @@ impl indulgent_obs::MetricFamily for SessionMetrics {
         sink.counter("decisions_delivered", self.decisions_delivered.get());
         sink.counter("worker_parks", self.worker_parks.get());
         sink.counter("worker_timed_wakes", self.worker_timed_wakes.get());
+        sink.counter("relays", self.relays.get());
     }
 }
 
@@ -504,8 +521,10 @@ pub struct InstanceReport {
 }
 
 /// Tracks, per instance, which replicas have finished (decided, crashed,
-/// or exhausted their round budget); workers retire an instance — and
-/// stop relaying its decisions — once every replica is accounted for.
+/// or exhausted their round budget); workers stop relaying an instance's
+/// decision ([`is_done`](Self::is_done), before each relay) and retire it
+/// ([`is_done_ack`](Self::is_done_ack)) once every replica is accounted
+/// for.
 ///
 /// Entries are evicted once every worker has *observed* the full mask
 /// (one retire acknowledgement per worker), so a long-lived session's
@@ -531,6 +550,15 @@ impl DoneRegistry {
     fn mark(&self, instance: u64, p: ProcessId) {
         let mut masks = self.masks.lock().expect("registry poisoned");
         masks.entry(instance).or_insert((0, 0)).0 |= 1 << p.index();
+    }
+
+    /// Whether every replica finished `instance`, without acknowledging:
+    /// the relay check of a worker whose instance is not yet retired. The
+    /// entry cannot be evicted under a caller that has marked it itself,
+    /// since eviction waits for that caller's own acknowledgement.
+    fn is_done(&self, instance: u64) -> bool {
+        let masks = self.masks.lock().expect("registry poisoned");
+        masks.get(&instance).is_some_and(|entry| entry.0 == self.full)
     }
 
     /// Whether every replica finished `instance`; a `true` answer counts
@@ -1112,6 +1140,14 @@ fn advance_instance<P: RoundProcess>(
                 halt_and_report(ctx, inst);
                 return;
             }
+            // The stop rule (module docs): no relay once every replica
+            // has finished; the retire pass then takes the instance.
+            if inst.decision.is_some() {
+                if ctx.registry.is_done(inst.instance) {
+                    return;
+                }
+                session_metrics().relays.incr();
+            }
             let round = Round::new(k);
             let msg = inst.process.send(round);
             let now = Instant::now();
@@ -1196,8 +1232,10 @@ fn report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
 /// Every process broadcasts one message per round (including to itself,
 /// instantly), waits for the `n - t` quorum of current-round messages plus
 /// the grace window, and hands its automaton everything that arrived.
-/// Processes keep participating after deciding (relaying their decision)
-/// until every process has decided or crashed.
+/// A process that has decided relays its decision in each later round
+/// only while some process has not finished; once every process has
+/// decided, crashed or run out of rounds, no one sends again (the stop
+/// rule of the module docs).
 ///
 /// # Panics
 ///

@@ -127,8 +127,9 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A 5-replica, t = 2 service with service-sized defaults: batches
-    /// of 8, pipeline depth 4, instant replica links, 500 µs linger, no
-    /// durability.
+    /// of 8, pipeline depth 4, instant replica links, no durability.
+    /// The 500 µs linger of a partial batch is not a field: it is the
+    /// private constant `shard::LINGER`, the same for every config.
     ///
     /// # Panics
     ///
