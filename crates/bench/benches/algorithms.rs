@@ -1,12 +1,14 @@
 //! B1b — per-algorithm cost of one failure-free synchronous run, plus the
 //! threaded runtime for comparison with the simulator.
 
+use std::time::Duration;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use indulgent_consensus::{
     AfPlus2, AtPlus2, CoordinatorEcho, FloodSet, LeaderEcho, RotatingCoordinator, Standalone,
 };
 use indulgent_model::{ProcessId, SystemConfig, Value};
-use indulgent_runtime::{run_network, NetworkConfig};
+use indulgent_runtime::{run_network, InstanceSpec};
 use indulgent_sim::{run_schedule, ModelKind, Schedule};
 
 fn proposals(n: usize) -> Vec<Value> {
@@ -79,8 +81,8 @@ fn bench_algorithms(c: &mut Criterion) {
                 let id = ProcessId::new(i);
                 AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
             };
-            let net = NetworkConfig::synchronous(config);
-            run_network(config, &f, &props, &net)
+            let spec = InstanceSpec::synchronous(config);
+            run_network(config, f, &props, Duration::from_millis(4), &spec)
         });
     });
     group.finish();

@@ -1,7 +1,7 @@
 //! E7 — early decision in synchronous runs (paper Sect. 6): the `f + 2`
 //! lower bound for runs with at most `f` crashes. `A_{t+2}` pays `t + 2`
 //! regardless of the actual `f` (early-decision tightness for
-//! `n/3 <= t < n/2` was open at publication; [5] later closed it);
+//! `n/3 <= t < n/2` was open at publication; \[5\] later closed it);
 //! `A_{f+2}` already achieves `f + 2` when `t < n/3`.
 
 use indulgent_bench::experiments::early_decision_table_with;

@@ -21,9 +21,10 @@
 //!   lease epoch before serving, so after the storm the epoch equals
 //!   the number of incarnations; a lease-state dump is written per
 //!   phase (CI uploads them with the failure artifacts);
-//! * **rejoin gate** — [`sync_from_peer`] pulls a snapshot + log catch-up
-//!   from the survivor, and a fresh server booted on the transferred
-//!   state must answer every key identically.
+//! * **rejoin gate** — [`sync_from_peer`](indulgent_server::sync_from_peer)
+//!   pulls a snapshot + log catch-up from the survivor, and a fresh
+//!   server booted on the transferred state must answer every key
+//!   identically.
 //!
 //! The server binary is found next to this executable (same target
 //! profile) or via `INDULGENT_SERVER_BIN`; durable state lives under

@@ -515,7 +515,7 @@ impl RoundProcess for EagerMin {
 
 /// E5: the Fig. 4 optimization decides at round 2 in failure-free
 /// synchronous runs and remains safe; a hypothetical round-1 variant is
-/// shown to violate agreement (the 2-round bound of [11] in action).
+/// shown to violate agreement (the 2-round bound of \[11\] in action).
 ///
 /// # Panics
 ///
@@ -736,7 +736,7 @@ pub struct EarlyDecisionRow {
 
 /// E7: the `f + 2` early-decision bound in synchronous runs. `A_{t+2}`
 /// always pays `t + 2` regardless of the actual `f` (the paper notes
-/// early-decision tightness was open, resolved in [5]); `A_{f+2}` (when
+/// early-decision tightness was open, resolved in \[5\]); `A_{f+2}` (when
 /// `t < n/3`) already meets `f + 2`. Seeds run serially (or read
 /// `INDULGENT_SWEEP_BACKEND`); use [`early_decision_table_with`] for a
 /// worker pool.

@@ -22,7 +22,7 @@ use indulgent_model::{
 /// The FloodSetWS automaton, generic over its suspicion source.
 ///
 /// With [`Suspicion::Detector`] on a [`indulgent_fd::PerfectDetector`] this
-/// is the algorithm of [3]; with [`Suspicion::Derived`] it becomes the
+/// is the algorithm of \[3\]; with [`Suspicion::Derived`] it becomes the
 /// naive "FloodSet in ES" strawman used as an ablation.
 #[derive(Debug, Clone)]
 pub struct FloodSetWs<D> {

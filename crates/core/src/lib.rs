@@ -20,8 +20,8 @@
 //! | [`AtPlus2::with_failure_free_optimization`] | Fig. 4 | ES | round 2 when failure-free |
 //! | [`AfPlus2`] | Fig. 5 | ES, `t < n/3` | `k + f + 2` when synchronous after `k` |
 //! | [`FloodSet`] | Lynch's FloodSet | SCS | `t + 1` in every run (contrast) |
-//! | [`EarlyFloodSet`] | early-deciding uniform consensus [4,11] | SCS | `min(f + 2, t + 1)` |
-//! | [`FloodSetWs`] | [3]'s FloodSetWS | P rounds | `t + 1`; *not* indulgent (ablation) |
+//! | [`EarlyFloodSet`] | early-deciding uniform consensus \[4,11\] | SCS | `min(f + 2, t + 1)` |
+//! | [`FloodSetWs`] | \[3\]'s FloodSetWS | P rounds | `t + 1`; *not* indulgent (ablation) |
 //! | [`RotatingCoordinator`] | "any ◇S algorithm C" | ES, `t < n/2` | — (fallback, `3t + 3` worst case) |
 //! | [`CoordinatorEcho`] | Hurfin–Raynal baseline | ES, `t < n/2` | `2t + 2` worst case |
 //! | [`LeaderEcho`] | Mostefaoui–Raynal `AMR` | ES, `t < n/3` | `k + 2f + 2` |

@@ -30,7 +30,7 @@ use indulgent_checker::{
 use indulgent_consensus::{AtPlus2, CoordinatorEcho, FloodSet, RotatingCoordinator};
 use indulgent_integration::proposals;
 use indulgent_model::{ProcessFactory, ProcessId, Round, SystemConfig, Value};
-use indulgent_runtime::{run_network, NetworkConfig};
+use indulgent_runtime::{run_network, InstanceSpec};
 use indulgent_sim::{run_schedule, work_units, MessageFate, ModelKind, Schedule};
 
 fn at_plus2_factory(
@@ -160,7 +160,7 @@ fn violations_detected_by_every_backend() {
 
 /// Schedules whose every crash loses all messages (crash strictly before
 /// sending) are exactly the ones the threaded runtime can express via
-/// `NetworkConfig::crash`; sample them from the swept space and compare
+/// `InstanceSpec::crash`; sample them from the swept space and compare
 /// executor against network, outcome for outcome.
 #[test]
 fn runtime_spot_checks_match_the_swept_schedules() {
@@ -200,16 +200,16 @@ fn runtime_spot_checks_match_the_swept_schedules() {
         // Round-exact comparison needs a synchronous run: every message
         // inside its round's grace. This binary's sweeps keep both cores
         // busy, and a runnable worker thread then waits up to ~16 ms for
-        // a core (measured on 2 vCPUs), past the default 4 ms grace — a
+        // a core (measured on 2 vCPUs), past the usual 4 ms grace — a
         // false suspicion the simulator never sees. 50 ms covers the stall.
-        let mut net_cfg = NetworkConfig::synchronous(config);
-        net_cfg.grace = Duration::from_millis(50);
+        let grace = Duration::from_millis(50);
+        let mut spec = InstanceSpec::synchronous(config);
         for p in config.processes() {
             if let Some(r) = schedule.crash_round(p) {
-                net_cfg = net_cfg.crash(p, r);
+                spec = spec.crash(p, r);
             }
         }
-        let net = run_network(config, &factory, &props, &net_cfg);
+        let net = run_network(config, factory, &props, grace, &spec);
         net.outcome.check_consensus().unwrap();
 
         assert_eq!(

@@ -6,8 +6,10 @@ use std::time::Duration;
 use indulgent_consensus::{AfPlus2, AtPlus2, CoordinatorEcho, RotatingCoordinator};
 use indulgent_integration::proposals;
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
-use indulgent_runtime::{run_network, DelayModel, NetworkConfig};
+use indulgent_runtime::{run_network, DelayModel, InstanceSpec};
 use indulgent_sim::{run_schedule, ModelKind, Schedule};
+
+const GRACE: Duration = Duration::from_millis(4);
 
 #[test]
 fn simulator_and_network_agree_on_synchronous_at_plus2() {
@@ -22,7 +24,7 @@ fn simulator_and_network_agree_on_synchronous_at_plus2() {
         .expect("one proposal per process");
     sim.check_consensus().unwrap();
 
-    let net = run_network(config, &factory, &props, &NetworkConfig::synchronous(config));
+    let net = run_network(config, factory, &props, GRACE, &InstanceSpec::synchronous(config));
     net.outcome.check_consensus().unwrap();
 
     assert_eq!(sim.global_decision_round(), net.outcome.global_decision_round());
@@ -51,8 +53,8 @@ fn network_crash_matches_simulator_crash_semantics() {
     let sim = run_schedule(&factory, &props, &schedule, 30).expect("one proposal per process");
     sim.check_consensus().unwrap();
 
-    let net_cfg = NetworkConfig::synchronous(config).crash(ProcessId::new(3), Round::new(2));
-    let net = run_network(config, &factory, &props, &net_cfg);
+    let spec = InstanceSpec::synchronous(config).crash(ProcessId::new(3), Round::new(2));
+    let net = run_network(config, factory, &props, GRACE, &spec);
     net.outcome.check_consensus().unwrap();
 
     assert_eq!(sim.global_decision_round(), net.outcome.global_decision_round());
@@ -68,14 +70,14 @@ fn network_runs_every_algorithm_family() {
     let props = proposals(5);
 
     let ce = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-    let report = run_network(config, &ce, &props, &NetworkConfig::synchronous(config));
+    let report = run_network(config, ce, &props, GRACE, &InstanceSpec::synchronous(config));
     report.outcome.check_consensus().unwrap();
     assert_eq!(report.outcome.global_decision_round(), Some(Round::new(2)));
 
     let third = SystemConfig::third(7, 2).unwrap();
     let props7 = proposals(7);
     let af = move |i: usize, v: Value| AfPlus2::new(third, ProcessId::new(i), v);
-    let report = run_network(third, &af, &props7, &NetworkConfig::synchronous(third));
+    let report = run_network(third, af, &props7, GRACE, &InstanceSpec::synchronous(third));
     report.outcome.check_consensus().unwrap();
     assert!(report.outcome.global_decision_round().unwrap() <= Round::new(2));
 }
@@ -89,13 +91,13 @@ fn network_with_async_prefix_preserves_agreement_across_seeds() {
         AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
     };
     for seed in 0..5u64 {
-        let net = NetworkConfig::synchronous(config).with_delays(DelayModel::AsyncUntil {
+        let spec = InstanceSpec::synchronous(config).with_delays(DelayModel::AsyncUntil {
             until_round: 4,
             delay: Duration::from_millis(30),
             probability: 0.35,
             seed,
         });
-        let report = run_network(config, &factory, &props, &net);
+        let report = run_network(config, factory, &props, GRACE, &spec);
         report.outcome.check_consensus().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }

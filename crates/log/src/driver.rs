@@ -52,9 +52,7 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use indulgent_model::{
-    AppliedEntry, BatchId, Decision, LogIndex, ProcessSet, Round, SystemConfig, Value,
-};
+use indulgent_model::{AppliedEntry, BatchId, Decision, ProcessSet, Round, SystemConfig, Value};
 
 use crate::frontend::ClientFrontend;
 
@@ -347,7 +345,6 @@ pub trait InstanceRunner {
 pub struct DecidedLog {
     entries: Vec<AppliedEntry>,
     applied: HashSet<BatchId>,
-    truncated: u64,
 }
 
 impl DecidedLog {
@@ -399,35 +396,6 @@ impl DecidedLog {
     /// Iterates over the applied (fresh) batch ids in slot order.
     pub fn applied_batches(&self) -> impl Iterator<Item = BatchId> + '_ {
         self.entries.iter().filter_map(|e| e.applied())
-    }
-
-    /// Drops the oldest `count` entries — a checkpoint has folded them
-    /// into a snapshot, so the in-memory log only retains the suffix.
-    /// The applied-batch dedup memory is kept in full: a later duplicate
-    /// of a truncated batch is still detected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the retained length.
-    pub fn truncate_prefix(&mut self, count: usize) {
-        assert!(count <= self.entries.len(), "cannot truncate past the retained suffix");
-        self.entries.drain(..count);
-        self.truncated += count as u64;
-    }
-
-    /// Entries dropped by prefix truncation (the retained suffix starts
-    /// at slot offset `truncated`).
-    #[must_use]
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// The decided frontier: the highest slot applied so far (truncated
-    /// prefix included). A linearizable fast read must reflect at least
-    /// this prefix — the frontier is the smallest valid read index.
-    #[must_use]
-    pub fn frontier(&self) -> LogIndex {
-        LogIndex(self.truncated + self.entries.len() as u64)
     }
 }
 
@@ -840,34 +808,5 @@ mod tests {
             Round::FIRST,
             6,
         );
-    }
-
-    #[test]
-    fn decided_log_prefix_truncation_keeps_dedup_memory() {
-        let mut log = DecidedLog::new();
-        log.apply(BatchId(0));
-        log.apply(BatchId(1));
-        log.apply(BatchId(2));
-        log.truncate_prefix(2);
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.truncated(), 2);
-        assert!(log.contains(BatchId(0)));
-        // A re-decision of a truncated batch is still caught.
-        assert!(matches!(log.apply(BatchId(0)), AppliedEntry::Duplicate(_)));
-    }
-
-    #[test]
-    fn decided_frontier_spans_truncation() {
-        let mut log = DecidedLog::new();
-        assert_eq!(log.frontier(), LogIndex(0));
-        log.apply(BatchId(0));
-        log.apply(BatchId(1));
-        assert_eq!(log.frontier(), LogIndex(2));
-        // Truncation folds the prefix but the frontier keeps counting
-        // from slot 1: a read index never moves backwards.
-        log.truncate_prefix(2);
-        assert_eq!(log.frontier(), LogIndex(2));
-        log.apply(BatchId(2));
-        assert_eq!(log.frontier(), LogIndex(3));
     }
 }

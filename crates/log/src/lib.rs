@@ -32,7 +32,8 @@
 //!   [`SimLogRunner`] runs instances on the deterministic multi-shot
 //!   executor (`indulgent_sim::MultiShotRunner`, recycled `RunState`,
 //!   instance-reset hooks), [`SessionLogRunner`] pipelines them over a
-//!   reusable threaded [`indulgent_runtime::Session`];
+//!   reusable threaded [`indulgent_runtime::Session`] whose workers reset
+//!   retired automatons through the same hooks;
 //! * [`LogReport::check`] — the total-order invariant checker: per-slot
 //!   agreement and validity, identical applied logs on all correct
 //!   replicas, exactly-once acknowledged commands.

@@ -50,12 +50,6 @@ where
             outcomes: Vec::new(),
         }
     }
-
-    /// The per-instance outcomes executed so far.
-    #[must_use]
-    pub fn outcomes(&self) -> &[RunOutcome] {
-        &self.outcomes
-    }
 }
 
 impl<P, F, Rst> InstanceRunner for SimLogRunner<P, F, Rst>

@@ -144,43 +144,6 @@ pub struct Batch {
     pub commands: Vec<Command>,
 }
 
-/// Index of a slot in the replicated log (1-based, like rounds: slot `i`
-/// is decided by consensus instance `i`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct LogIndex(pub u64);
-
-impl fmt::Display for LogIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "slot {}", self.0)
-    }
-}
-
-/// The log prefix a read reflects: a response computed from the store
-/// materialized by every slot `<= index`, without occupying a slot of
-/// its own. A read served at `ReadIndex(i)` is linearized after slot `i`
-/// and before slot `i + 1` — equal, by construction, to what a sequenced
-/// read decided at slot `i + 1` would have answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ReadIndex(pub u64);
-
-impl fmt::Display for ReadIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "read-index {}", self.0)
-    }
-}
-
-/// A leader-lease epoch: monotonic per service across restarts, so a
-/// rebooted leader can never serve reads under an epoch a quorum may
-/// still remember granting to its previous incarnation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct LeaseEpoch(pub u64);
-
-impl fmt::Display for LeaseEpoch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "epoch {}", self.0)
-    }
-}
-
 /// What a replica applied at one log slot after deciding it.
 ///
 /// The decided value of the slot's consensus instance is recorded
@@ -273,9 +236,6 @@ mod tests {
         assert_eq!(RequestId(7).to_string(), "r7");
         assert_eq!(BatchId(7).to_string(), "b7");
         assert_eq!(BatchId::NOOP.to_string(), "b⊥");
-        assert_eq!(LogIndex(2).to_string(), "slot 2");
-        assert_eq!(ReadIndex(2).to_string(), "read-index 2");
-        assert_eq!(LeaseEpoch(3).to_string(), "epoch 3");
         assert_eq!(AppliedEntry::Applied(BatchId(1)).to_string(), "b1");
         assert_eq!(AppliedEntry::Duplicate(BatchId(1)).to_string(), "dup(b1)");
         assert_eq!(AppliedEntry::Noop.to_string(), "noop");

@@ -81,10 +81,7 @@ mod round;
 mod value;
 
 pub use automaton::{ProcessFactory, RoundProcess, Step};
-pub use command::{
-    AppliedEntry, Batch, BatchId, ClientId, Command, CommandId, LeaseEpoch, LogIndex, ReadIndex,
-    RequestId,
-};
+pub use command::{AppliedEntry, Batch, BatchId, ClientId, Command, CommandId, RequestId};
 pub use config::{ConfigError, Resilience, SystemConfig};
 pub use message::{DeliveredMsg, Delivery};
 pub use outcome::{ConsensusViolation, Decision, RunOutcome};

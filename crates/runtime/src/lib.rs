@@ -21,19 +21,23 @@
 //!
 //! The runtime's unit of reuse is a [`Session`]: `n` worker threads and
 //! their inboxes, spawned **once** and kept alive across any number of
-//! consensus instances. [`Session::start_instance`] hands each worker an
-//! automaton and a per-instance [`InstanceSpec`] (crash rounds, delay
-//! model, round budget); results stream back per replica as
-//! [`ReplicaResult`]s. Multiple instances may be in flight at once — every
-//! message is tagged with its instance, and each worker interleaves the
-//! round protocols of all its active instances in one event loop. This is
-//! the substrate of the `indulgent-log` replicated-log subsystem: a
-//! pipelined log keeps a window of instances running concurrently and
-//! pays thread/inbox setup exactly once, instead of per decision the
-//! way the old one-shot entry point did.
+//! consensus instances. A session is spawned with a `build` and a `reset`
+//! hook ([`Session::with_recycler`]). [`Session::start_instance_recycled`]
+//! hands each worker a proposal and a per-instance [`InstanceSpec`] (crash
+//! rounds, delay model, round budget); the worker resets an automaton
+//! retired by an earlier instance for it, and builds one only when its
+//! pool is empty. Results stream back per replica as [`ReplicaResult`]s.
+//! Multiple instances may be in flight at once — every message is tagged
+//! with its instance, and each worker interleaves the round protocols of
+//! all its active instances in one event loop. This is the substrate of
+//! the `indulgent-log` replicated-log subsystem: a pipelined log keeps a
+//! window of instances running concurrently and pays thread/inbox setup
+//! exactly once, instead of once per decision.
 //!
-//! [`run_network`] survives as the one-shot convenience wrapper: a fresh
-//! session, one instance, a [`NetReport`].
+//! [`run_network`] runs one instance on a fresh session and returns a
+//! [`NetReport`]. Its reset hook rebuilds the automaton from the factory,
+//! so any [`ProcessFactory`] runs there, with or without an instance
+//! reset of its own.
 //!
 //! # Workers: one delay-line inbox each
 //!
@@ -107,19 +111,17 @@ use indulgent_model::{
 
 /// The `runtime_session` metric family: what this process's sessions
 /// have done, summed across all of them. Instances and results are the
-/// session's unit of work, so the first four counters say how much
-/// consensus traffic flowed through the runtime and how much of it reused
-/// pooled automatons — the recycling hit rate the zero-alloc hot path
-/// depends on. The next two say how often workers slept on their inboxes
-/// and how many of those sleeps ended on their own timer (a due message or
-/// a grace expiry) rather than on a push. `relays` counts broadcasts sent
+/// session's unit of work, so the first three counters say how much
+/// consensus traffic flowed through the runtime. The next two say how
+/// often workers slept on their inboxes and how many of those sleeps
+/// ended on their own timer (a due message or a grace expiry) rather
+/// than on a push. `relays` counts broadcasts sent
 /// by a replica that had already decided the instance: the work done
 /// after the decision, which the stop rule (module docs) keeps to the
 /// rounds where some replica has not finished yet.
 #[derive(Debug)]
 struct SessionMetrics {
     instances_started: indulgent_obs::Counter,
-    recycled_starts: indulgent_obs::Counter,
     results_delivered: indulgent_obs::Counter,
     decisions_delivered: indulgent_obs::Counter,
     worker_parks: indulgent_obs::Counter,
@@ -129,7 +131,6 @@ struct SessionMetrics {
 
 static SESSION_METRICS: SessionMetrics = SessionMetrics {
     instances_started: indulgent_obs::Counter::new(),
-    recycled_starts: indulgent_obs::Counter::new(),
     results_delivered: indulgent_obs::Counter::new(),
     decisions_delivered: indulgent_obs::Counter::new(),
     worker_parks: indulgent_obs::Counter::new(),
@@ -144,7 +145,6 @@ impl indulgent_obs::MetricFamily for SessionMetrics {
 
     fn emit(&self, sink: &mut dyn indulgent_obs::MetricSink) {
         sink.counter("instances_started", self.instances_started.get());
-        sink.counter("recycled_starts", self.recycled_starts.get());
         sink.counter("results_delivered", self.results_delivered.get());
         sink.counter("decisions_delivered", self.decisions_delivered.get());
         sink.counter("worker_parks", self.worker_parks.get());
@@ -391,51 +391,7 @@ pub fn edge_coin(seed: u64, round: u32, from: ProcessId, to: ProcessId) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Configuration of a one-shot networked run (see [`run_network`]).
-#[derive(Debug, Clone)]
-pub struct NetworkConfig {
-    /// Grace period waited for stragglers after the `n - t` quorum of
-    /// current-round messages has arrived. Messages missing the window are
-    /// suspected for that round.
-    pub grace: Duration,
-    /// Hard bound on rounds executed per process.
-    pub max_rounds: u32,
-    /// The delay model.
-    pub delays: DelayModel,
-    /// Injected crash rounds per process (crash happens at the start of the
-    /// round, before sending).
-    pub crashes: Vec<Option<Round>>,
-}
-
-impl NetworkConfig {
-    /// A synchronous network for `config` with a sensible test-sized grace
-    /// window and no crashes.
-    #[must_use]
-    pub fn synchronous(config: SystemConfig) -> Self {
-        NetworkConfig {
-            grace: Duration::from_millis(4),
-            max_rounds: 200,
-            delays: DelayModel::Instant,
-            crashes: vec![None; config.n()],
-        }
-    }
-
-    /// Schedules `process` to crash at the start of `round`.
-    #[must_use]
-    pub fn crash(mut self, process: ProcessId, round: Round) -> Self {
-        self.crashes[process.index()] = Some(round);
-        self
-    }
-
-    /// Sets the delay model.
-    #[must_use]
-    pub fn with_delays(mut self, delays: DelayModel) -> Self {
-        self.delays = delays;
-        self
-    }
-}
-
-/// Per-instance parameters handed to [`Session::start_instance`].
+/// Per-instance parameters handed to [`Session::start_instance_recycled`].
 #[derive(Debug, Clone)]
 pub struct InstanceSpec {
     /// Crash round per replica for *this* instance (`Round::FIRST` =
@@ -628,35 +584,26 @@ impl Drop for PanicSentinel {
     }
 }
 
-/// How a worker obtains the automaton of a new instance.
-enum JobPayload<P> {
-    /// A pre-built automaton shipped by the session owner.
-    Built(P),
-    /// A bare proposal: the worker recycles a retired automaton through
-    /// the session's reset hook (building fresh only when the pool is
-    /// empty). Requires [`Session::with_recycler`].
-    Proposal(Value),
-}
-
-/// The per-instance job handed to a worker thread.
-struct Job<P> {
-    payload: JobPayload<P>,
+/// The per-instance job handed to a worker thread: its replica's
+/// proposal and its share of the [`InstanceSpec`].
+struct Job {
+    proposal: Value,
     crash_round: Option<Round>,
     delays: DelayModel,
     max_rounds: u32,
 }
 
 /// A worker's inbox: jobs and the peer messages of its instances.
-type WorkerInbox<P> = Inbox<Job<P>, DeliveredMsg<<P as RoundProcess>::Msg>>;
+type WorkerInbox<P> = Inbox<Job, DeliveredMsg<<P as RoundProcess>::Msg>>;
 
 /// The reset hook of a [`Recycler`]: `(process index, retired automaton,
 /// next proposal)`.
 type ResetFn<P> = Box<dyn Fn(usize, &mut P, Value) + Send + Sync>;
 
-/// The build + reset hooks of a recycling session, shared with every
-/// worker so retired automatons can be reset in place for the next
-/// instance instead of being dropped and rebuilt (the same
-/// `reset_instance` contract the simulator's multi-shot executor uses).
+/// The build + reset hooks of a session, shared with every worker so
+/// retired automatons are reset in place for the next instance instead
+/// of being dropped and rebuilt (the same `reset_instance` contract the
+/// simulator's multi-shot executor uses).
 struct Recycler<P> {
     build: Box<dyn Fn(usize, Value) -> P + Send + Sync>,
     reset: ResetFn<P>,
@@ -673,8 +620,9 @@ impl<P> std::fmt::Debug for Recycler<P> {
 ///
 /// Spawning threads and inboxes is the expensive part of a networked
 /// run; a `Session` pays it once. Instances are started with
-/// [`start_instance`](Session::start_instance) and complete independently;
-/// results stream back through [`next_result`](Session::next_result) /
+/// [`start_instance_recycled`](Session::start_instance_recycled) and
+/// complete independently; results stream back through
+/// [`next_result`](Session::next_result) /
 /// [`wait_instance`](Session::wait_instance) /
 /// [`wait_decision`](Session::wait_decision). Dropping the session shuts
 /// the workers down and joins them.
@@ -682,22 +630,24 @@ impl<P> std::fmt::Debug for Recycler<P> {
 /// # Examples
 ///
 /// ```
+/// use std::time::Duration;
+///
 /// use indulgent_consensus::{AtPlus2, RotatingCoordinator};
-/// use indulgent_model::{ProcessId, Round, SystemConfig, Value};
+/// use indulgent_model::{ProcessId, SystemConfig, Value};
 /// use indulgent_runtime::{InstanceSpec, Session};
 ///
 /// let cfg = SystemConfig::majority(5, 2)?;
-/// let mut session = Session::new(cfg);
+/// let build = move |i: usize, v: Value| {
+///     let id = ProcessId::new(i);
+///     AtPlus2::new(cfg, id, v, RotatingCoordinator::new(cfg, id))
+/// };
+/// let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| p.reset_instance(v);
+/// let mut session = Session::with_recycler(cfg, Duration::from_millis(4), build, reset);
 /// let spec = InstanceSpec::synchronous(cfg);
-/// // Two back-to-back instances on the same threads.
+/// // Two back-to-back instances on the same threads: the second resets
+/// // the automatons the first one retired.
 /// for proposals in [[6u64, 2, 8, 4, 7], [9, 9, 1, 9, 9]] {
-///     let processes = (0..5)
-///         .map(|i| {
-///             let id = ProcessId::new(i);
-///             AtPlus2::new(cfg, id, Value::new(proposals[i]), RotatingCoordinator::new(cfg, id))
-///         })
-///         .collect();
-///     let instance = session.start_instance(processes, &spec);
+///     let instance = session.start_instance_recycled(&proposals.map(Value::new), &spec);
 ///     let report = session.wait_instance(instance);
 ///     assert!(report.decisions.iter().all(Option::is_some));
 /// }
@@ -713,8 +663,6 @@ pub struct Session<P: RoundProcess> {
     next_instance: u64,
     /// Results received but not yet consumed, grouped by instance.
     collected: HashMap<u64, Vec<ReplicaResult>>,
-    /// Whether the workers hold recycler hooks (proposal-only jobs).
-    recycling: bool,
 }
 
 impl<P> Session<P>
@@ -722,46 +670,24 @@ where
     P: RoundProcess + Send + 'static,
     P::Msg: Send + 'static,
 {
-    /// Spawns the session's `n` worker threads with the default grace
-    /// window of [`NetworkConfig::synchronous`].
-    #[must_use]
-    pub fn new(config: SystemConfig) -> Self {
-        Self::with_grace(config, Duration::from_millis(4))
-    }
-
-    /// Spawns the session's worker threads with an explicit straggler
-    /// grace window (see [`NetworkConfig::grace`]).
-    #[must_use]
-    pub fn with_grace(config: SystemConfig, grace: Duration) -> Self {
-        Self::spawn(config, grace, None)
-    }
-
-    /// Spawns a *recycling* session: workers keep retired automatons in
-    /// a per-thread pool and reset them in place for the next instance
-    /// (`reset` receives the replica index, the pooled automaton, and
-    /// the new proposal) instead of dropping per-instance allocations on
-    /// the floor; `build` covers the cold start. Instances are started
-    /// with [`start_instance_recycled`](Session::start_instance_recycled)
-    /// — the built-process [`start_instance`](Session::start_instance)
-    /// path also keeps working, feeding its retired automatons into the
-    /// same pool.
+    /// Spawns the session's `n` worker threads. Each worker keeps the
+    /// automatons of its retired instances in a pool and resets one in
+    /// place for its next instance (`reset` receives the replica index,
+    /// the pooled automaton and the new proposal) instead of dropping
+    /// per-instance allocations on the floor; `build` covers an empty
+    /// pool. `grace` is how long a round waits for stragglers once the
+    /// `n - t` quorum of current-round messages has arrived; a message
+    /// that misses the window is suspected for that round.
     #[must_use]
     pub fn with_recycler<B, R>(config: SystemConfig, grace: Duration, build: B, reset: R) -> Self
     where
         B: Fn(usize, Value) -> P + Send + Sync + 'static,
         R: Fn(usize, &mut P, Value) + Send + Sync + 'static,
     {
-        Self::spawn(
-            config,
-            grace,
-            Some(Arc::new(Recycler { build: Box::new(build), reset: Box::new(reset) })),
-        )
-    }
-
-    fn spawn(config: SystemConfig, grace: Duration, recycler: Option<Arc<Recycler<P>>>) -> Self {
         let n = config.n();
         let inboxes: Arc<[WorkerInbox<P>]> = (0..n).map(|_| Inbox::new()).collect();
         let registry = Arc::new(DoneRegistry::new(n));
+        let recycler = Arc::new(Recycler { build: Box::new(build), reset: Box::new(reset) });
         let (results_tx, results_rx) = unbounded();
         let handles = (0..n)
             .map(|i| {
@@ -773,7 +699,7 @@ where
                     grace,
                     quorum: config.quorum(),
                     n,
-                    recycler: recycler.clone(),
+                    recycler: Arc::clone(&recycler),
                 };
                 std::thread::spawn(move || worker(ctx))
             })
@@ -786,7 +712,6 @@ where
             handles,
             next_instance: 1,
             collected: HashMap::new(),
-            recycling: recycler.is_some(),
         }
     }
 
@@ -796,49 +721,26 @@ where
         self.config
     }
 
-    /// Starts the next consensus instance: one automaton per replica plus
-    /// the instance's crash/delay/budget spec. Returns the instance id
-    /// (monotonic from 1). The call never blocks; any number of instances
-    /// may be in flight concurrently.
+    /// Starts the next consensus instance from one proposal per replica
+    /// plus the instance's crash/delay/budget spec: each worker resets a
+    /// pooled automaton through the session's reset hook, or builds one
+    /// on an empty pool. Returns the instance id (monotonic from 1). The
+    /// call never blocks; any number of instances may be in flight
+    /// concurrently.
     ///
     /// # Panics
     ///
-    /// Panics if `processes.len() != n`.
-    pub fn start_instance(&mut self, processes: Vec<P>, spec: &InstanceSpec) -> u64 {
-        assert_eq!(processes.len(), self.config.n(), "one automaton per replica required");
-        let payloads = processes.into_iter().map(JobPayload::Built).collect();
-        self.dispatch(payloads, spec)
-    }
-
-    /// Starts the next consensus instance from bare proposals: each worker
-    /// recycles a pooled automaton through the session's reset hook (or
-    /// builds one on a cold pool). Requires a session constructed with
-    /// [`with_recycler`](Session::with_recycler). Same contract as
-    /// [`start_instance`](Session::start_instance) otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has no recycler or `proposals.len() != n`.
+    /// Panics if `proposals.len() != n` or `spec.crashes.len() != n`.
     pub fn start_instance_recycled(&mut self, proposals: &[Value], spec: &InstanceSpec) -> u64 {
-        assert!(self.recycling, "start_instance_recycled requires Session::with_recycler");
         assert_eq!(proposals.len(), self.config.n(), "one proposal per replica required");
-        let payloads = proposals.iter().map(|&v| JobPayload::Proposal(v)).collect();
-        self.dispatch(payloads, spec)
-    }
-
-    fn dispatch(&mut self, payloads: Vec<JobPayload<P>>, spec: &InstanceSpec) -> u64 {
         assert_eq!(spec.crashes.len(), self.config.n(), "one crash slot per replica required");
-        let metrics = session_metrics();
-        metrics.instances_started.incr();
-        if payloads.iter().any(|p| matches!(p, JobPayload::Proposal(_))) {
-            metrics.recycled_starts.incr();
-        }
+        session_metrics().instances_started.incr();
         let instance = self.next_instance;
         self.next_instance += 1;
         let now = Instant::now();
-        for (i, payload) in payloads.into_iter().enumerate() {
+        for (i, &proposal) in proposals.iter().enumerate() {
             let job = Job {
-                payload,
+                proposal,
                 crash_round: spec.crashes[i],
                 delays: spec.delays,
                 max_rounds: spec.max_rounds,
@@ -977,7 +879,7 @@ struct WorkerCtx<P: RoundProcess> {
     grace: Duration,
     quorum: usize,
     n: usize,
-    recycler: Option<Arc<Recycler<P>>>,
+    recycler: Arc<Recycler<P>>,
 }
 
 impl<P: RoundProcess> std::fmt::Debug for WorkerCtx<P> {
@@ -1014,23 +916,17 @@ type Mailbox<M> = BTreeMap<u32, Vec<DeliveredMsg<M>>>;
 
 fn activate<P: RoundProcess>(
     instance: u64,
-    job: Job<P>,
+    job: Job,
     replica: usize,
-    recycler: Option<&Recycler<P>>,
+    recycler: &Recycler<P>,
     pool: &mut Vec<P>,
 ) -> ActiveInstance<P> {
-    let process = match job.payload {
-        JobPayload::Built(p) => p,
-        JobPayload::Proposal(v) => {
-            let hooks = recycler.expect("proposal job on a session without a recycler");
-            match pool.pop() {
-                Some(mut p) => {
-                    (hooks.reset)(replica, &mut p, v);
-                    p
-                }
-                None => (hooks.build)(replica, v),
-            }
+    let process = match pool.pop() {
+        Some(mut p) => {
+            (recycler.reset)(replica, &mut p, job.proposal);
+            p
         }
+        None => (recycler.build)(replica, job.proposal),
     };
     ActiveInstance {
         instance,
@@ -1061,7 +957,7 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
     let mut mailboxes: HashMap<u64, Mailbox<P::Msg>> = HashMap::new();
     // Instances this worker has fully retired; stragglers are dropped.
     let mut retired = RetiredSet::default();
-    // Retired automatons awaiting reuse (recycling sessions only).
+    // Retired automatons awaiting reuse.
     let mut pool: Vec<P> = Vec::new();
     let mut due = Vec::new();
 
@@ -1071,13 +967,9 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
         inbox.pop_until(grace_ends, &mut due);
         for item in due.drain(..) {
             match item {
-                Item::Job(instance, job) => active.push(activate(
-                    instance,
-                    job,
-                    replica,
-                    ctx.recycler.as_deref(),
-                    &mut pool,
-                )),
+                Item::Job(instance, job) => {
+                    active.push(activate(instance, job, replica, &ctx.recycler, &mut pool));
+                }
                 Item::Message(instance, msg) => {
                     if !retired.contains(instance) {
                         let mailbox = mailboxes.entry(instance).or_default();
@@ -1098,8 +990,6 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
         // stragglers. The registry lock is only taken for instances this
         // worker has already finished locally, and a global finish is
         // noticed on the worker's next wake (finishing wakes no one).
-        // Retired automatons go back to the pool when the session
-        // recycles.
         let mut i = 0;
         while i < active.len() {
             let inst = &active[i];
@@ -1108,10 +998,7 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
             if gone {
                 mailboxes.remove(&inst.instance);
                 retired.insert(inst.instance);
-                let inst = active.remove(i);
-                if ctx.recycler.is_some() {
-                    pool.push(inst.process);
-                }
+                pool.push(active.remove(i).process);
             } else {
                 i += 1;
             }
@@ -1227,7 +1114,10 @@ fn report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
 }
 
 /// Runs `factory`-built automatons over real threads and channels: a
-/// fresh [`Session`], one instance, joined on completion.
+/// fresh [`Session`] with straggler window `grace`, one instance under
+/// `spec`, joined on completion. The session's reset hook rebuilds an
+/// automaton from `factory`, so automatons without an instance reset of
+/// their own run here too.
 ///
 /// Every process broadcasts one message per round (including to itself,
 /// instantly), waits for the `n - t` quorum of current-round messages plus
@@ -1239,34 +1129,34 @@ fn report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
 ///
 /// # Panics
 ///
-/// Panics if `proposals.len() != config.n()`, or if a worker thread
-/// panics.
+/// Panics if `proposals.len()` or `spec.crashes.len()` differs from
+/// `config.n()`, or if a worker thread panics.
 pub fn run_network<F>(
     config: SystemConfig,
-    factory: &F,
+    factory: F,
     proposals: &[Value],
-    net: &NetworkConfig,
+    grace: Duration,
+    spec: &InstanceSpec,
 ) -> NetReport
 where
-    F: ProcessFactory,
-    <F::Process as RoundProcess>::Msg: Send + 'static,
+    F: ProcessFactory + Send + Sync + 'static,
     F::Process: Send + 'static,
+    <F::Process as RoundProcess>::Msg: Send + 'static,
 {
-    assert_eq!(proposals.len(), config.n(), "one proposal per process required");
     let start = Instant::now();
-    let mut session = Session::with_grace(config, net.grace);
-    let processes: Vec<F::Process> =
-        (0..config.n()).map(|i| factory.build(i, proposals[i])).collect();
-    let spec = InstanceSpec {
-        crashes: net.crashes.clone(),
-        delays: net.delays,
-        max_rounds: net.max_rounds,
-    };
-    let instance = session.start_instance(processes, &spec);
+    let factory = Arc::new(factory);
+    let rebuild = Arc::clone(&factory);
+    let mut session = Session::with_recycler(
+        config,
+        grace,
+        move |i, v| factory.build(i, v),
+        move |i, p, v| *p = rebuild.build(i, v),
+    );
+    let instance = session.start_instance_recycled(proposals, spec);
     let report = session.wait_instance(instance);
 
     let crashed: ProcessSet =
-        config.processes().filter(|p| net.crashes[p.index()].is_some()).collect();
+        config.processes().filter(|p| spec.crashes[p.index()].is_some()).collect();
     NetReport {
         outcome: RunOutcome {
             proposals: proposals.to_vec(),
@@ -1280,9 +1170,13 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use indulgent_consensus::{AtPlus2, CoordinatorEcho, RotatingCoordinator};
 
     use super::*;
+
+    const GRACE: Duration = Duration::from_millis(4);
 
     fn cfg() -> SystemConfig {
         SystemConfig::majority(5, 2).unwrap()
@@ -1290,11 +1184,19 @@ mod tests {
 
     fn at_factory(
         config: SystemConfig,
-    ) -> impl ProcessFactory<Process = AtPlus2<RotatingCoordinator>> {
+    ) -> impl Fn(usize, Value) -> AtPlus2<RotatingCoordinator> + Send + Sync + 'static {
         move |i: usize, v: Value| {
             let id = ProcessId::new(i);
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         }
+    }
+
+    fn at_reset(_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value) {
+        p.reset_instance(v);
+    }
+
+    fn at_session(config: SystemConfig) -> Session<AtPlus2<RotatingCoordinator>> {
+        Session::with_recycler(config, GRACE, at_factory(config), at_reset)
     }
 
     fn vals(vs: &[u64]) -> Vec<Value> {
@@ -1304,8 +1206,8 @@ mod tests {
     #[test]
     fn synchronous_network_decides_at_t_plus_2() {
         let config = cfg();
-        let net = NetworkConfig::synchronous(config);
-        let report = run_network(config, &at_factory(config), &vals(&[6, 2, 8, 4, 7]), &net);
+        let spec = InstanceSpec::synchronous(config);
+        let report = run_network(config, at_factory(config), &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
         report.outcome.check_consensus().unwrap();
         assert_eq!(
             report.outcome.global_decision_round(),
@@ -1320,8 +1222,8 @@ mod tests {
     #[test]
     fn crashed_process_is_tolerated() {
         let config = cfg();
-        let net = NetworkConfig::synchronous(config).crash(ProcessId::new(1), Round::new(2));
-        let report = run_network(config, &at_factory(config), &vals(&[6, 2, 8, 4, 7]), &net);
+        let spec = InstanceSpec::synchronous(config).crash(ProcessId::new(1), Round::new(2));
+        let report = run_network(config, at_factory(config), &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
         report.outcome.check_consensus().unwrap();
         assert!(report.outcome.crashed.contains(ProcessId::new(1)));
         assert!(report.outcome.decision_of(ProcessId::new(1)).is_none());
@@ -1330,13 +1232,13 @@ mod tests {
     #[test]
     fn asynchronous_prefix_still_terminates_consistently() {
         let config = cfg();
-        let net = NetworkConfig::synchronous(config).with_delays(DelayModel::AsyncUntil {
+        let spec = InstanceSpec::synchronous(config).with_delays(DelayModel::AsyncUntil {
             until_round: 5,
             delay: Duration::from_millis(40),
             probability: 0.3,
             seed: 7,
         });
-        let report = run_network(config, &at_factory(config), &vals(&[6, 2, 8, 4, 7]), &net);
+        let report = run_network(config, at_factory(config), &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
         report.outcome.check_consensus().unwrap();
     }
 
@@ -1344,8 +1246,8 @@ mod tests {
     fn coordinator_echo_runs_on_the_network() {
         let config = cfg();
         let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-        let net = NetworkConfig::synchronous(config);
-        let report = run_network(config, &factory, &vals(&[6, 2, 8, 4, 7]), &net);
+        let spec = InstanceSpec::synchronous(config);
+        let report = run_network(config, factory, &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
         report.outcome.check_consensus().unwrap();
         assert_eq!(report.outcome.global_decision_round(), Some(Round::new(2)));
     }
@@ -1358,10 +1260,7 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
                 .with_failure_free_optimization()
         };
-        let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| {
-            p.reset_instance(v);
-        };
-        let mut session = Session::with_recycler(config, Duration::from_millis(4), build, reset);
+        let mut session = Session::with_recycler(config, GRACE, build, at_reset);
         let spec = InstanceSpec::synchronous(config);
         // Several sequential instances: after the first, every automaton
         // comes out of the worker pools via the reset hook. Decisions must
@@ -1378,12 +1277,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "start_instance_recycled requires Session::with_recycler")]
-    fn recycled_start_requires_recycler() {
+    fn recycling_builds_only_to_fill_the_pools() {
+        // 200 instances, 4 in flight: once the pools are warm every start
+        // goes through `reset`, so `build` runs a number of times that
+        // does not depend on the instance count.
+        const INSTANCES: usize = 200;
+        const WINDOW: usize = 4;
         let config = cfg();
-        let mut session: Session<AtPlus2<RotatingCoordinator>> = Session::new(config);
+        let builds = Arc::new(AtomicUsize::new(0));
+        let resets = Arc::new(AtomicUsize::new(0));
+        let (b, r) = (Arc::clone(&builds), Arc::clone(&resets));
+        let factory = at_factory(config);
+        let mut session = Session::with_recycler(
+            config,
+            GRACE,
+            move |i, v| {
+                b.fetch_add(1, Ordering::Relaxed);
+                factory(i, v)
+            },
+            move |i, p, v| {
+                r.fetch_add(1, Ordering::Relaxed);
+                at_reset(i, p, v);
+            },
+        );
         let spec = InstanceSpec::synchronous(config);
-        session.start_instance_recycled(&vals(&[1, 1, 1, 1, 1]), &spec);
+        let mut window = std::collections::VecDeque::new();
+        for i in 0..INSTANCES as u64 {
+            if window.len() == WINDOW {
+                session.wait_instance(window.pop_front().expect("full window"));
+            }
+            window.push_back(session.start_instance_recycled(&[Value::new(i); 5], &spec));
+        }
+        for id in window {
+            session.wait_instance(id);
+        }
+        let (builds, resets) = (builds.load(Ordering::Relaxed), resets.load(Ordering::Relaxed));
+        assert!(builds <= config.n() * 2 * WINDOW, "{builds} builds for {INSTANCES} instances");
+        assert_eq!(resets, INSTANCES * config.n() - builds, "every other start resets");
     }
 
     #[test]
@@ -1418,31 +1348,20 @@ mod tests {
     #[test]
     fn wall_clock_is_reported() {
         let config = cfg();
-        let net = NetworkConfig::synchronous(config);
-        let report = run_network(config, &at_factory(config), &vals(&[1, 1, 1, 1, 1]), &net);
+        let spec = InstanceSpec::synchronous(config);
+        let report = run_network(config, at_factory(config), &vals(&[1, 1, 1, 1, 1]), GRACE, &spec);
         assert!(report.elapsed > Duration::ZERO);
     }
 
     #[test]
     fn session_reuses_threads_across_instances() {
         let config = cfg();
-        let mut session = Session::new(config);
+        let mut session = at_session(config);
         let spec = InstanceSpec::synchronous(config);
         for (expected, proposals) in
             [(2u64, [6u64, 2, 8, 4, 7]), (1, [9, 9, 1, 9, 9]), (3, [3, 5, 7, 9, 11])]
         {
-            let processes = (0..config.n())
-                .map(|i| {
-                    let id = ProcessId::new(i);
-                    AtPlus2::new(
-                        config,
-                        id,
-                        Value::new(proposals[i]),
-                        RotatingCoordinator::new(config, id),
-                    )
-                })
-                .collect();
-            let instance = session.start_instance(processes, &spec);
+            let instance = session.start_instance_recycled(&vals(&proposals), &spec);
             let report = session.wait_instance(instance);
             for d in report.decisions.iter() {
                 assert_eq!(d.expect("decided").value, Value::new(expected));
@@ -1453,22 +1372,12 @@ mod tests {
     #[test]
     fn pipelined_instances_complete_concurrently() {
         let config = cfg();
-        let mut session = Session::new(config);
+        let mut session = at_session(config);
         let spec = InstanceSpec::synchronous(config);
         let mut ids = Vec::new();
         for base in 0..4u64 {
-            let processes = (0..config.n())
-                .map(|i| {
-                    let id = ProcessId::new(i);
-                    AtPlus2::new(
-                        config,
-                        id,
-                        Value::new(base * 10 + i as u64),
-                        RotatingCoordinator::new(config, id),
-                    )
-                })
-                .collect();
-            ids.push(session.start_instance(processes, &spec));
+            let proposals: Vec<Value> = (0..5).map(|i| Value::new(base * 10 + i)).collect();
+            ids.push(session.start_instance_recycled(&proposals, &spec));
         }
         // Instances decide independently; each decides its own minimum.
         for (base, id) in ids.into_iter().enumerate() {
@@ -1484,21 +1393,10 @@ mod tests {
     #[test]
     fn non_blocking_result_pump_drains_an_instance() {
         let config = cfg();
-        let mut session = Session::new(config);
+        let mut session = at_session(config);
         let spec = InstanceSpec::synchronous(config);
         assert!(session.try_next_result().is_none(), "nothing in flight yet");
-        let processes = (0..config.n())
-            .map(|i| {
-                let id = ProcessId::new(i);
-                AtPlus2::new(
-                    config,
-                    id,
-                    Value::new(i as u64 + 1),
-                    RotatingCoordinator::new(config, id),
-                )
-            })
-            .collect();
-        let instance = session.start_instance(processes, &spec);
+        let instance = session.start_instance_recycled(&vals(&[1, 2, 3, 4, 5]), &spec);
         // Pump with the bounded-wait variant until all n replicas report.
         let mut results = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -1531,10 +1429,10 @@ mod tests {
             }
         }
         let config = cfg();
-        let mut session = Session::new(config);
-        let processes = (0..config.n()).map(|i| Bomb(ProcessId::new(i))).collect();
+        let build = |i: usize, _v: Value| Bomb(ProcessId::new(i));
+        let mut session = Session::with_recycler(config, GRACE, build, |_i, _p, _v| {});
         let spec = InstanceSpec::synchronous(config).with_max_rounds(5);
-        let instance = session.start_instance(processes, &spec);
+        let instance = session.start_instance_recycled(&vals(&[1, 1, 1, 1, 1]), &spec);
         let _ = session.wait_instance(instance);
     }
 
@@ -1558,24 +1456,12 @@ mod tests {
         // The same replica crashes in instance 1 but participates fully in
         // instance 2 — crash scope is the instance, not the session.
         let config = cfg();
-        let mut session = Session::new(config);
-        let build = |proposals: [u64; 5]| {
-            (0..config.n())
-                .map(|i| {
-                    let id = ProcessId::new(i);
-                    AtPlus2::new(
-                        config,
-                        id,
-                        Value::new(proposals[i]),
-                        RotatingCoordinator::new(config, id),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
+        let mut session = at_session(config);
+        let proposals = vals(&[6, 2, 8, 4, 7]);
         let crashing = InstanceSpec::synchronous(config).crash(ProcessId::new(1), Round::new(2));
-        let first = session.start_instance(build([6, 2, 8, 4, 7]), &crashing);
+        let first = session.start_instance_recycled(&proposals, &crashing);
         let clean = InstanceSpec::synchronous(config);
-        let second = session.start_instance(build([6, 2, 8, 4, 7]), &clean);
+        let second = session.start_instance_recycled(&proposals, &clean);
 
         let r1 = session.wait_instance(first);
         assert!(r1.decisions[1].is_none(), "crashed replica must not decide");
@@ -1677,11 +1563,7 @@ mod tests {
                 AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
                     .with_failure_free_optimization()
             };
-            let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| {
-                p.reset_instance(v);
-            };
-            let mut session =
-                Session::with_recycler(config, Duration::from_millis(4), build, reset);
+            let mut session = Session::with_recycler(config, GRACE, build, at_reset);
             let spec = InstanceSpec::synchronous(config)
                 .with_delays(DelayModel::Uniform { delay: Duration::from_micros(500) });
             let mut window = std::collections::VecDeque::new();
@@ -1707,13 +1589,11 @@ mod tests {
     #[test]
     fn drop_returns_promptly_with_delayed_messages_pending() {
         let config = cfg();
-        let factory = at_factory(config);
-        let mut session = Session::new(config);
+        let mut session = at_session(config);
         let spec = InstanceSpec::synchronous(config)
             .with_delays(DelayModel::Uniform { delay: Duration::from_secs(10) });
         for _ in 0..3 {
-            let processes = (0..config.n()).map(|i| factory.build(i, Value::new(7))).collect();
-            session.start_instance(processes, &spec);
+            session.start_instance_recycled(&[Value::new(7); 5], &spec);
         }
         // Each worker has taken its three jobs once every inbox holds its
         // peers' round-1 messages, all due 10 s from now.

@@ -11,7 +11,8 @@
 //! applied, so the holder's applied store *is* the linearizable state:
 //! a `Get` can be answered locally at a **read index** equal to the
 //! applied frontier, without occupying a slot — see
-//! [`indulgent_model::ReadIndex`] for the linearization rule.
+//! [`Outcome::Read`](crate::proto::Outcome::Read) for the linearization
+//! rule.
 //!
 //! The fallback ladder when the lease is suspect, expiring, or
 //! mid-epoch:

@@ -97,8 +97,7 @@ pub fn work_units(config: SystemConfig, kind: ModelKind, horizon: u32) -> Vec<Wo
 ///
 /// Concatenating the units' enumerations in the returned order yields
 /// exactly the schedule sequence of
-/// [`for_each_serial_extension`](crate::for_each_serial_extension) over the
-/// same arguments.
+/// [`for_each_serial_extension`] over the same arguments.
 ///
 /// # Panics
 ///

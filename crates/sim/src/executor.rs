@@ -404,7 +404,8 @@ impl<P: RoundProcess> RunState<P> {
         self.halted
     }
 
-    /// Executes one round — the next after [`rounds_executed`] — of
+    /// Executes one round — the next after
+    /// [`rounds_executed`](Self::rounds_executed) — of
     /// `schedule`, feeding the receive phases to `observer`.
     ///
     /// The schedule only needs to be defined (and stable) for rounds up to

@@ -25,7 +25,8 @@
 //! 1. round `k`'s execution depends only on crash/fate choices for rounds
 //!    `<= k` (serial schedules fix crash-round fates at the crash round and
 //!    delay nothing else), so a partial schedule suffices to step;
-//! 2. [`RoundProcess`] automatons are `Clone`, so a mid-run state is a
+//! 2. [`RoundProcess`](indulgent_model::RoundProcess) automatons are
+//!    `Clone`, so a mid-run state is a
 //!    true snapshot — forks evolve exactly like fresh runs (the snapshot
 //!    proptests assert this per algorithm);
 //! 3. once every alive process has decided ([`RunState::halted`]), no
@@ -42,8 +43,8 @@
 //! serial tree) have no shared prefix structure to exploit and keep using
 //! the run-from-scratch executor.
 //!
-//! The DFS is tuned for the executor's zero-allocation steady state
-//! ([`executor`](crate::executor)): per-depth scratch snapshots are
+//! The DFS is tuned for the zero-allocation steady state of the
+//! executor ([`RunState`]): per-depth scratch snapshots are
 //! recycled with `clone_from` (rewriting process states and the flat
 //! ring mailboxes in place), the alive/receiver sets of the crash
 //! branches are walked as bitmasks, and each fork is tallied in the

@@ -16,8 +16,8 @@
 //! carries and *which* schedule adversary it faces are the caller's
 //! decisions (the `indulgent-log` crate implements the replicated-log
 //! batching/pipelining policy on top). What the runner fixes is the
-//! execution semantics of one instance — identical to [`run_schedule`]
-//! (`crate::run_schedule`) on a fresh state, which the multi-shot
+//! execution semantics of one instance — identical to
+//! [`run_schedule`](crate::run_schedule) on a fresh state, which the multi-shot
 //! determinism tests assert instance by instance.
 //!
 //! # Permanent crashes

@@ -1,6 +1,6 @@
 //! Cheap engine counters: what the round executor actually did.
 //!
-//! The zero-allocation round engine ([`executor`](crate::executor)) is
+//! The zero-allocation round engine ([`RunState`]) is
 //! tuned around two fast paths — the shared-broadcast delivery and the
 //! recycled fork snapshots — whose hit rates determine sweep throughput.
 //! This module exposes a handful of global, process-wide counters the

@@ -44,25 +44,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Distinct proposals; the minimum (value 1, at p_{n-1}) must win.
     let proposals: Vec<Value> = (0..n).map(|i| Value::new((((i * 7) % n) + 1) as u64)).collect();
     let expected = *proposals.iter().min().expect("nonempty");
-    let build = |cfg: SystemConfig, proposals: &[Value]| {
-        proposals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let id = ProcessId::new(i);
-                AtPlus2::new(cfg, id, v, RotatingCoordinator::new(cfg, id))
-            })
-            .collect::<Vec<_>>()
+    let build = move |i: usize, v: Value| {
+        let id = ProcessId::new(i);
+        AtPlus2::new(cfg, id, v, RotatingCoordinator::new(cfg, id))
     };
+    let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| p.reset_instance(v);
 
     // The session is spawned once; all three instances reuse its threads
-    // and channels.
-    let mut session = Session::new(cfg);
+    // and channels, and the later two reset the automatons of the first.
+    let mut session = Session::with_recycler(cfg, Duration::from_millis(4), build, reset);
     let overall = std::time::Instant::now();
 
     // 1. A synchronous network: decisions at round t + 2, in real time.
     let started = std::time::Instant::now();
-    let instance = session.start_instance(build(cfg, &proposals), &InstanceSpec::synchronous(cfg));
+    let instance = session.start_instance_recycled(&proposals, &InstanceSpec::synchronous(cfg));
     let report = session.wait_instance(instance);
     println!("synchronous network ({:?}):", started.elapsed());
     for d in report.decisions.iter().flatten() {
@@ -73,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Crash one process mid-protocol (same threads, next instance).
     let started = std::time::Instant::now();
     let spec = InstanceSpec::synchronous(cfg).crash(ProcessId::new(1), Round::new(2));
-    let instance = session.start_instance(build(cfg, &proposals), &spec);
+    let instance = session.start_instance_recycled(&proposals, &spec);
     let report = session.wait_instance(instance);
     for d in report.decisions.iter().flatten() {
         assert_eq!(d.value, expected, "agreement under the crash");
@@ -95,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         probability: 0.3,
         seed,
     });
-    let instance = session.start_instance(build(cfg, &proposals), &spec);
+    let instance = session.start_instance_recycled(&proposals, &spec);
     let report = session.wait_instance(instance);
     let decided = report.decisions.iter().flatten().map(|d| d.round).max().expect("decided");
     println!(
