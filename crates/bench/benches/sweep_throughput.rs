@@ -1,8 +1,10 @@
 //! B4 — sweep throughput: schedules/second of the exhaustive worst-case
 //! sweep (the checker's hot loop), across execution engines and backends:
 //!
-//! * `replay-serial` — the retired run-from-scratch baseline: every serial
-//!   schedule enumerated, then re-executed from round 1;
+//! * `replay-serial` — the run-from-scratch loop the engine is built from:
+//!   every serial schedule enumerated (`for_each_serial_schedule`), then
+//!   re-executed from round 1 (`run_schedule`), with runs and the worst
+//!   and best decision rounds folded inline;
 //! * `incremental-serial` — the fork-on-branch engine: enumeration fused
 //!   with execution, each shared prefix executed once (an algorithmic
 //!   speedup independent of thread count);
@@ -11,39 +13,45 @@
 //!
 //! The swept space is the full `n = 5, t = 2` serial-run space with
 //! crashes in rounds `1..=4` (15 681 schedules per iteration); every
-//! engine produces the identical `WorstCaseReport`, so the timings are
-//! apples to apples. Criterion's throughput annotation is the schedule
+//! variant computes the same run count and worst and best decision rounds
+//! (the incremental ones the identical `WorstCaseReport`), so the timings
+//! are apples to apples. Criterion's throughput annotation is the schedule
 //! count, so the report reads directly in schedules/second.
 //!
 //! Besides the criterion output, the bench emits a machine-readable
 //! `BENCH_sweep.json` (schedules/second per backend, the
 //! incremental-over-replay speedup, and the engine counters of one
 //! incremental-serial sweep — rounds stepped, shared-broadcast fast-path
-//! hits, deliveries built, payload clones, snapshot forks) into the
-//! working directory — CI uploads it as an artifact and diffs it against
-//! the committed baseline so the perf trajectory is tracked PR over PR.
-//! Set `BENCH_SWEEP_JSON` to redirect the file, or to `0` to skip it.
+//! hits, deliveries built, payload clones, snapshot forks) at the
+//! workspace root, where the committed copy records the last measurement.
+//! Set `BENCH_SWEEP_JSON` to redirect the file, or to `0` to skip it (CI
+//! does, to run the agreement check without rewriting the file).
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use indulgent_checker::{
-    worst_case_decision_round_replay, worst_case_decision_round_with, SweepBackend, WorstCaseReport,
-};
+use indulgent_checker::{worst_case_decision_round, SweepBackend, WorstCaseReport};
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
-use indulgent_model::{ProcessId, SystemConfig, Value};
-use indulgent_sim::{count_serial_schedules, engine_counters, ModelKind};
+use indulgent_model::{ProcessId, Round, SystemConfig, Value};
+use indulgent_sim::{
+    count_serial_schedules, engine_counters, for_each_serial_schedule, run_schedule, ModelKind,
+};
 
 const CRASH_HORIZON: u32 = 4;
 const RUN_HORIZON: u32 = 30;
+
+/// What every variant computes: runs swept, worst and best global-decision
+/// round.
+type Summary = (u64, Round, Round);
 
 /// One measured engine/backend combination.
 struct Variant {
     name: &'static str,
     engine: &'static str,
     threads: usize,
-    run: fn(&Bench) -> WorstCaseReport,
+    run: fn(&Bench) -> Summary,
 }
 
 struct Bench {
@@ -60,21 +68,27 @@ impl Bench {
         }
     }
 
-    fn replay(&self, backend: SweepBackend) -> WorstCaseReport {
-        worst_case_decision_round_replay(
-            &self.factory(),
-            self.config,
-            ModelKind::Es,
-            &self.props,
-            CRASH_HORIZON,
-            RUN_HORIZON,
-            backend,
-        )
-        .expect("A_t+2 satisfies consensus")
+    /// The run-from-scratch loop: enumerate every serial schedule and
+    /// execute it from round 1, folding the summary inline.
+    fn replay(&self) -> Summary {
+        let factory = self.factory();
+        let mut runs = 0u64;
+        let (mut worst, mut best) = (Round::new(1), Round::new(u32::MAX));
+        let _ = for_each_serial_schedule(self.config, ModelKind::Es, CRASH_HORIZON, |schedule| {
+            let outcome = run_schedule(&factory, &self.props, schedule, RUN_HORIZON)
+                .expect("one proposal per process");
+            outcome.check_consensus().expect("A_t+2 satisfies consensus");
+            let round = outcome.global_decision_round().expect("A_t+2 decides");
+            runs += 1;
+            worst = worst.max(round);
+            best = best.min(round);
+            ControlFlow::Continue(())
+        });
+        (runs, worst, best)
     }
 
     fn incremental(&self, backend: SweepBackend) -> WorstCaseReport {
-        worst_case_decision_round_with(
+        worst_case_decision_round(
             &self.factory(),
             self.config,
             ModelKind::Es,
@@ -87,30 +101,29 @@ impl Bench {
     }
 }
 
+fn summary(report: &WorstCaseReport) -> Summary {
+    (report.runs, report.worst_round, report.best_round)
+}
+
 const VARIANTS: &[Variant] = &[
-    Variant {
-        name: "replay-serial",
-        engine: "replay",
-        threads: 1,
-        run: |b| b.replay(SweepBackend::Serial),
-    },
+    Variant { name: "replay-serial", engine: "replay", threads: 1, run: Bench::replay },
     Variant {
         name: "incremental-serial",
         engine: "incremental",
         threads: 1,
-        run: |b| b.incremental(SweepBackend::Serial),
+        run: |b| summary(&b.incremental(SweepBackend::Serial)),
     },
     Variant {
         name: "incremental-parallel-2",
         engine: "incremental",
         threads: 2,
-        run: |b| b.incremental(SweepBackend::parallel(2)),
+        run: |b| summary(&b.incremental(SweepBackend::parallel(2))),
     },
     Variant {
         name: "incremental-parallel-4",
         engine: "incremental",
         threads: 4,
-        run: |b| b.incremental(SweepBackend::parallel(4)),
+        run: |b| summary(&b.incremental(SweepBackend::parallel(4))),
     },
 ];
 
@@ -121,14 +134,17 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     };
     let schedules = count_serial_schedules(bench.config, CRASH_HORIZON);
 
-    // Sanity: every variant computes the identical report before we time
+    // Sanity: every variant computes the same result before we time
     // anything (the differential suite checks this exhaustively; the bench
-    // refuses to publish apples-to-oranges numbers). The replay-serial
-    // variant IS the reference, so only the others need comparing.
-    let reference = bench.replay(SweepBackend::Serial);
-    for variant in &VARIANTS[1..] {
-        assert_eq!((variant.run)(&bench), reference, "{} diverged", variant.name);
+    // refuses to publish apples-to-oranges numbers). The pooled reports
+    // must equal the serial one, witness schedule included; the
+    // run-from-scratch loop must agree on runs, worst and best round.
+    let reference = bench.incremental(SweepBackend::Serial);
+    for threads in [2, 4] {
+        let pooled = bench.incremental(SweepBackend::parallel(threads));
+        assert_eq!(pooled, reference, "incremental-parallel-{threads} diverged");
     }
+    assert_eq!(bench.replay(), summary(&reference), "replay-serial diverged");
 
     let mut group = c.benchmark_group("sweep_throughput");
     group.sample_size(10);
@@ -164,7 +180,7 @@ fn best_of(iters: u32, mut f: impl FnMut()) -> Duration {
 ///
 /// Cargo runs benches with the working directory set to the owning
 /// package (`crates/bench`), so the default path anchors at the workspace
-/// root via `CARGO_MANIFEST_DIR` — that is where CI picks the artifact up.
+/// root via `CARGO_MANIFEST_DIR`, next to the committed copy.
 fn emit_json(bench: &Bench, schedules: u64) {
     let path = std::env::var("BENCH_SWEEP_JSON")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json").into());

@@ -1,6 +1,7 @@
-//! B1c — table regeneration benches: every experiment table of
-//! `EXPERIMENTS.md` is regenerated (at reduced parameters) under criterion,
-//! so `cargo bench` exercises each end to end and times it.
+//! B1c — table regeneration benches: every experiment table E1–E9 (one per
+//! `exp_*` binary, mapped in the crate docs) is regenerated (at reduced
+//! parameters) under criterion, so `cargo bench` exercises each end to end
+//! and times it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use indulgent_sim::SweepBackend;
@@ -31,16 +32,16 @@ fn bench_tables(c: &mut Criterion) {
         b.iter(|| failure_free_table(&[5, 7]));
     });
     group.bench_function("e6_eventual_decision", |b| {
-        b.iter(|| eventual_decision_table(&[0, 2], &[0, 1, 2], 10));
+        b.iter(|| eventual_decision_table(&[0, 2], &[0, 1, 2], 10, SweepBackend::Serial));
     });
     group.bench_function("e7_early_decision", |b| {
-        b.iter(|| early_decision_table(50));
+        b.iter(|| early_decision_table(50, SweepBackend::Serial));
     });
     group.bench_function("e8_scs_contrast", |b| {
         b.iter(|| scs_contrast_table(&[(3, 1), (4, 1)], SweepBackend::Serial));
     });
     group.bench_function("e9_asynchrony", |b| {
-        b.iter(|| asynchrony_table(&[1, 3, 5], 30));
+        b.iter(|| asynchrony_table(&[1, 3, 5], 30, SweepBackend::Serial));
     });
     group.finish();
 }

@@ -6,16 +6,15 @@
 //! (Lemmas 3–4): a bivalent initial configuration and bivalence surviving
 //! to round `t - 1`.
 //!
-//! Usage: `exp_lower_bound [--threads N]`; without the flag the backend
-//! comes from `INDULGENT_SWEEP_BACKEND` (default serial). Whenever the
-//! resolved backend is parallel — via either route — the sweeps fan out
-//! over the batch-sweep engine and the `(7, 2)` space (~518k serial runs
-//! per algorithm) joins the table; the serial default stops at `(5, 2)`
-//! and stays snappy.
+//! Usage: `exp_lower_bound [--threads N]`; without the flag (or with
+//! `--threads 1`) the sweeps run serially and stop at `(5, 2)`, which
+//! stays snappy. With `--threads N` for `N >= 2` the sweeps fan out over
+//! the worker pool and the `(7, 2)` space (~518k serial runs per
+//! algorithm) joins the table.
 
 use indulgent_bench::experiments::lower_bound_table;
 use indulgent_bench::{render_table, sweep_backend_from_args};
-use indulgent_checker::{decision_round_census_with, SweepBackend};
+use indulgent_checker::{decision_round_census, SweepBackend};
 use indulgent_consensus::{AtPlus2, CoordinatorEcho, RotatingCoordinator};
 use indulgent_model::{ProcessId, SystemConfig, Value};
 use indulgent_sim::ModelKind;
@@ -65,14 +64,14 @@ fn main() {
         let id = ProcessId::new(i);
         AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
     };
-    let census = decision_round_census_with(&at, config, ModelKind::Es, &props, 4, 40, backend)
+    let census = decision_round_census(&at, config, ModelKind::Es, &props, 4, 40, backend)
         .expect("A_t+2 satisfies consensus");
     println!("\nA_t+2 decision-round census over {} serial runs (n=5, t=2):", census.runs);
     for (round, count) in &census.counts {
         println!("  round {round}: {count} runs");
     }
     let hr = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-    let census = decision_round_census_with(&hr, config, ModelKind::Es, &props, 6, 40, backend)
+    let census = decision_round_census(&hr, config, ModelKind::Es, &props, 6, 40, backend)
         .expect("CoordinatorEcho satisfies consensus");
     println!("HR-style decision-round census over {} serial runs:", census.runs);
     for (round, count) in &census.counts {

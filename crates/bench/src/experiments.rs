@@ -1,11 +1,12 @@
-//! Experiment implementations (E1–E9 of `EXPERIMENTS.md`).
+//! Experiment implementations (E1–E9; the crate docs map each to its
+//! `exp_*` binary).
 //!
 //! Every function returns plain data rows so that binaries can print them,
 //! benches can time them, and integration tests can assert the paper's
 //! *shape*: who wins, by what factor, where the crossovers fall.
 
 use indulgent_checker::{
-    find_bivalent_initial, find_bivalent_prefix, worst_case_decision_round_with, SweepBackend,
+    find_bivalent_initial, find_bivalent_prefix, worst_case_decision_round, SweepBackend,
     ValencyParams,
 };
 use indulgent_consensus::{
@@ -87,7 +88,7 @@ pub fn lower_bound_table(configs: &[(usize, usize)], backend: SweepBackend) -> V
 
         // A_{t+2}.
         let f = at_plus2_factory(config);
-        let report = worst_case_decision_round_with(
+        let report = worst_case_decision_round(
             &f,
             config,
             ModelKind::Es,
@@ -117,7 +118,7 @@ pub fn lower_bound_table(configs: &[(usize, usize)], backend: SweepBackend) -> V
 
         // Hurfin–Raynal-style baseline.
         let f = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-        let report = worst_case_decision_round_with(
+        let report = worst_case_decision_round(
             &f,
             config,
             ModelKind::Es,
@@ -625,9 +626,10 @@ pub struct EventualDecisionRow {
 
 /// E6: decision latency after the network stabilizes: `A_{f+2}` meets
 /// `k + f + 2`; the AMR-style baseline pays two rounds per crashed leader
-/// (up to `k + 2f + 2`). Seeds run serially (or read
-/// `INDULGENT_SWEEP_BACKEND`); use [`eventual_decision_table_with`] to
-/// fan them over a worker pool.
+/// (up to `k + 2f + 2`). The independent seeded runs of each `(k, f)`
+/// cell are mapped over `backend`'s pool ([`pooled_map_indexed`]), and the
+/// per-seed maxima are reduced in seed order — rows are identical for
+/// every backend and thread count.
 ///
 /// Runs use `n = 7, t = 2`: an asynchronous prefix of `k` rounds (seeded
 /// random delays), then `f` staggered crashes of the lowest-id processes
@@ -637,20 +639,7 @@ pub struct EventualDecisionRow {
 ///
 /// Panics if a run violates consensus.
 #[must_use]
-pub fn eventual_decision_table(ks: &[u32], fs: &[usize], seeds: u32) -> Vec<EventualDecisionRow> {
-    eventual_decision_table_with(ks, fs, seeds, SweepBackend::from_env())
-}
-
-/// [`eventual_decision_table`] with an explicit backend: the independent
-/// seeded runs of each `(k, f)` cell are mapped over the pool
-/// ([`pooled_map_indexed`]), and the per-seed maxima are reduced in seed
-/// order — rows are identical for every backend and thread count.
-///
-/// # Panics
-///
-/// Panics if a run violates consensus.
-#[must_use]
-pub fn eventual_decision_table_with(
+pub fn eventual_decision_table(
     ks: &[u32],
     fs: &[usize],
     seeds: u32,
@@ -737,27 +726,15 @@ pub struct EarlyDecisionRow {
 /// E7: the `f + 2` early-decision bound in synchronous runs. `A_{t+2}`
 /// always pays `t + 2` regardless of the actual `f` (the paper notes
 /// early-decision tightness was open, resolved in \[5\]); `A_{f+2}` (when
-/// `t < n/3`) already meets `f + 2`. Seeds run serially (or read
-/// `INDULGENT_SWEEP_BACKEND`); use [`early_decision_table_with`] for a
-/// worker pool.
+/// `t < n/3`) already meets `f + 2`. Seeds are mapped over `backend`'s
+/// pool and their maxima reduced in seed order, so rows are identical for
+/// every backend and thread count.
 ///
 /// # Panics
 ///
 /// Panics if a run violates consensus.
 #[must_use]
-pub fn early_decision_table(seeds: u32) -> Vec<EarlyDecisionRow> {
-    early_decision_table_with(seeds, SweepBackend::from_env())
-}
-
-/// [`early_decision_table`] with an explicit backend: seeds are mapped
-/// over the pool and their maxima reduced in seed order, so rows are
-/// identical for every backend and thread count.
-///
-/// # Panics
-///
-/// Panics if a run violates consensus.
-#[must_use]
-pub fn early_decision_table_with(seeds: u32, backend: SweepBackend) -> Vec<EarlyDecisionRow> {
+pub fn early_decision_table(seeds: u32, backend: SweepBackend) -> Vec<EarlyDecisionRow> {
     let at_config = SystemConfig::majority(5, 2).expect("valid config");
     let af_config = SystemConfig::third(7, 2).expect("valid config");
     let mut rows = Vec::new();
@@ -854,7 +831,7 @@ pub fn scs_contrast_table(
         let scs_config = SystemConfig::synchronous(n, t).expect("valid SCS config");
         let props = proposals(n);
         let fs = move |_i: usize, v: Value| FloodSet::new(scs_config, v);
-        let fs_report = worst_case_decision_round_with(
+        let fs_report = worst_case_decision_round(
             &fs,
             scs_config,
             ModelKind::Scs,
@@ -866,7 +843,7 @@ pub fn scs_contrast_table(
         .expect("FloodSet satisfies consensus in SCS");
 
         let es_worst = SystemConfig::majority(n, t).ok().map(|es_config| {
-            worst_case_decision_round_with(
+            worst_case_decision_round(
                 &at_plus2_factory(es_config),
                 es_config,
                 ModelKind::Es,
@@ -883,7 +860,7 @@ pub fn scs_contrast_table(
         // Truncated FloodSet deciding at round t must be caught.
         let early = t as u32;
         let trunc = move |_i: usize, v: Value| FloodSet::deciding_at(Round::new(early), v);
-        let caught = worst_case_decision_round_with(
+        let caught = worst_case_decision_round(
             &trunc,
             scs_config,
             ModelKind::Scs,
@@ -927,27 +904,15 @@ pub struct AsynchronyRow {
 /// E9: how `A_{t+2}`'s decision latency degrades with the length of the
 /// asynchronous prefix (`n = 5, t = 2`, seeded random delays, one crash).
 /// `K = 1` gives the synchronous `t + 2 = 4`; longer prefixes push
-/// decisions into the fallback consensus. Seeds run serially (or read
-/// `INDULGENT_SWEEP_BACKEND`); use [`asynchrony_table_with`] for a worker
-/// pool.
+/// decisions into the fallback consensus. Seeds are mapped over
+/// `backend`'s pool and tallied in seed order, so rows are identical for
+/// every backend and thread count.
 ///
 /// # Panics
 ///
 /// Panics if a run violates consensus.
 #[must_use]
-pub fn asynchrony_table(ks: &[u32], seeds: u32) -> Vec<AsynchronyRow> {
-    asynchrony_table_with(ks, seeds, SweepBackend::from_env())
-}
-
-/// [`asynchrony_table`] with an explicit backend: seeds are mapped over
-/// the pool and tallied in seed order, so rows are identical for every
-/// backend and thread count.
-///
-/// # Panics
-///
-/// Panics if a run violates consensus.
-#[must_use]
-pub fn asynchrony_table_with(ks: &[u32], seeds: u32, backend: SweepBackend) -> Vec<AsynchronyRow> {
+pub fn asynchrony_table(ks: &[u32], seeds: u32, backend: SweepBackend) -> Vec<AsynchronyRow> {
     let config = SystemConfig::majority(5, 2).expect("valid config");
     let props = proposals(5);
     let mut rows = Vec::new();
@@ -1027,7 +992,7 @@ mod tests {
 
     #[test]
     fn e6_shape_small() {
-        let rows = eventual_decision_table(&[0, 2], &[0, 2], 10);
+        let rows = eventual_decision_table(&[0, 2], &[0, 2], 10, SweepBackend::Serial);
         for row in &rows {
             assert!(row.af_plus2 <= row.af_bound, "A_f+2 exceeded k+f+2: {row:?}");
             assert!(row.amr <= row.amr_bound, "AMR exceeded k+2f+2: {row:?}");
@@ -1039,7 +1004,7 @@ mod tests {
 
     #[test]
     fn e9_synchronous_baseline() {
-        let rows = asynchrony_table(&[1], 10);
+        let rows = asynchrony_table(&[1], 10, SweepBackend::Serial);
         assert_eq!(rows[0].max_round, 4); // t + 2
     }
 
@@ -1049,15 +1014,15 @@ mod tests {
         // seeded table is bit-identical for any thread count.
         let serial = format!(
             "{:?} {:?} {:?}",
-            early_decision_table_with(8, SweepBackend::Serial),
-            eventual_decision_table_with(&[0, 2], &[0, 1], 6, SweepBackend::Serial),
-            asynchrony_table_with(&[1, 3], 8, SweepBackend::Serial),
+            early_decision_table(8, SweepBackend::Serial),
+            eventual_decision_table(&[0, 2], &[0, 1], 6, SweepBackend::Serial),
+            asynchrony_table(&[1, 3], 8, SweepBackend::Serial),
         );
         let pooled = format!(
             "{:?} {:?} {:?}",
-            early_decision_table_with(8, SweepBackend::parallel(3)),
-            eventual_decision_table_with(&[0, 2], &[0, 1], 6, SweepBackend::parallel(3)),
-            asynchrony_table_with(&[1, 3], 8, SweepBackend::parallel(3)),
+            early_decision_table(8, SweepBackend::parallel(3)),
+            eventual_decision_table(&[0, 2], &[0, 1], 6, SweepBackend::parallel(3)),
+            asynchrony_table(&[1, 3], 8, SweepBackend::parallel(3)),
         );
         assert_eq!(serial, pooled);
     }

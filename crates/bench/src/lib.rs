@@ -2,10 +2,22 @@
 //!
 //! The paper is theoretical: its "evaluation" is a set of proven bounds and
 //! five figures. Each function in [`experiments`] regenerates one of them
-//! as a table of measured rows (see `EXPERIMENTS.md` at the workspace root
-//! for the mapping). The `exp_*` binaries print the tables; the criterion
-//! benches in `benches/` time the same computations so `cargo bench`
-//! exercises every experiment end to end.
+//! as a table of measured rows, and one `exp_*` binary prints each table:
+//!
+//! | experiment | binary |
+//! |---|---|
+//! | E1 — the `t + 2` lower bound | `exp_lower_bound` |
+//! | E2 — `A_{t+2}`'s fast decision | `exp_fast_decision` |
+//! | E3 — the headline baseline comparison | `exp_baseline_comparison` |
+//! | E4 — the `A_◇S` variant | `exp_diamond_s` |
+//! | E5 — the failure-free optimization | `exp_failure_free` |
+//! | E6 — fast eventual decision | `exp_eventual_decision` |
+//! | E7 — early decision | `exp_early_decision` |
+//! | E8 — the SCS contrast | `exp_scs_contrast` |
+//! | E9 — latency versus the synchrony round `K` | `exp_asynchrony` |
+//!
+//! The criterion benches in `benches/` time the same computations so
+//! `cargo bench` exercises every experiment end to end.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -17,8 +29,8 @@ pub mod stats;
 use indulgent_sim::SweepBackend;
 
 /// Parses the common `--threads N` CLI flag of the `exp_*` binaries into a
-/// sweep backend: `--threads 1` is serial, `--threads N` a pooled parallel
-/// sweep, and no flag defers to `INDULGENT_SWEEP_BACKEND` (default serial).
+/// sweep backend: no flag or `--threads 1` is serial, `--threads N` a
+/// pooled parallel sweep.
 ///
 /// # Panics
 ///
@@ -39,7 +51,7 @@ pub fn sweep_backend_from_args<I: Iterator<Item = String>>(mut args: I) -> Sweep
             };
         }
     }
-    SweepBackend::from_env()
+    SweepBackend::Serial
 }
 
 /// Renders a table: a header line, a separator, and one line per row.
@@ -92,5 +104,26 @@ mod tests {
         );
         assert!(s.contains("T\n"));
         assert!(s.lines().count() >= 4);
+    }
+
+    fn backend_of(args: &[&str]) -> SweepBackend {
+        sweep_backend_from_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn threads_flag_selects_the_backend() {
+        assert_eq!(backend_of(&[]), SweepBackend::Serial);
+        assert_eq!(backend_of(&["--other"]), SweepBackend::Serial);
+        assert_eq!(backend_of(&["--threads", "1"]), SweepBackend::Serial);
+        assert_eq!(backend_of(&["--threads", "3"]), SweepBackend::parallel(3));
+    }
+
+    #[test]
+    fn bad_threads_flag_panics_with_the_usage() {
+        for args in [&["--threads", "0"][..], &["--threads", "x"], &["--threads"]] {
+            let panic = std::panic::catch_unwind(|| backend_of(args)).expect_err("must panic");
+            let message = panic.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+            assert!(message.contains("usage: --threads N (N >= 1)"), "{args:?}: {message}");
+        }
     }
 }

@@ -12,8 +12,7 @@ use std::collections::BTreeMap;
 
 use indulgent_model::{ProcessFactory, Round, RunOutcome, SystemConfig, Value};
 use indulgent_sim::{
-    random_run, run_schedule, sweep_runs, sweep_schedules, ModelKind, RandomRunParams, Schedule,
-    SweepBackend,
+    random_run, run_schedule, sweep_runs, ModelKind, RandomRunParams, Schedule, SweepBackend,
 };
 
 use crate::worst_case::CheckError;
@@ -47,40 +46,7 @@ impl Census {
     }
 }
 
-/// Runs `factory` under every serial schedule and tallies the
-/// global-decision rounds.
-///
-/// The sweep backend comes from the environment
-/// ([`SweepBackend::from_env`]); use [`decision_round_census_with`] to
-/// pick it explicitly.
-///
-/// # Errors
-///
-/// Returns [`CheckError`] on a consensus violation or undecided run.
-pub fn decision_round_census<F>(
-    factory: &F,
-    config: SystemConfig,
-    kind: ModelKind,
-    proposals: &[Value],
-    crash_horizon: u32,
-    run_horizon: u32,
-) -> Result<Census, CheckError>
-where
-    F: ProcessFactory + Sync,
-{
-    decision_round_census_with(
-        factory,
-        config,
-        kind,
-        proposals,
-        crash_horizon,
-        run_horizon,
-        SweepBackend::from_env(),
-    )
-}
-
-/// Folds one executed run into a census; shared by the incremental and
-/// replay paths.
+/// Folds one executed run into a census; shared by every backend.
 fn fold_census(
     census: &mut Census,
     schedule: &Schedule,
@@ -105,18 +71,17 @@ fn merge_censuses(mut left: Census, right: Census) -> Census {
     left
 }
 
-/// [`decision_round_census`] with an explicit sweep backend; runs on the
-/// incremental prefix-sharing engine.
+/// Runs `factory` under every serial schedule on `backend` (the
+/// incremental prefix-sharing engine) and tallies the global-decision
+/// rounds.
 ///
 /// The census is identical for every backend and thread count (round
-/// tallies are summed per work unit and merged in serial visit order),
-/// and identical to the run-from-scratch
-/// [`decision_round_census_replay`].
+/// tallies are summed per work unit and merged in serial visit order).
 ///
 /// # Errors
 ///
 /// Returns [`CheckError`] on a consensus violation or undecided run.
-pub fn decision_round_census_with<F>(
+pub fn decision_round_census<F>(
     factory: &F,
     config: SystemConfig,
     kind: ModelKind,
@@ -138,39 +103,6 @@ where
         backend,
         || Census { counts: BTreeMap::new(), runs: 0 },
         fold_census,
-        merge_censuses,
-    )
-}
-
-/// The retired run-from-scratch census, kept as the reference
-/// implementation for the differential suite; identical result to
-/// [`decision_round_census_with`].
-///
-/// # Errors
-///
-/// Returns [`CheckError`] on a consensus violation or undecided run.
-pub fn decision_round_census_replay<F>(
-    factory: &F,
-    config: SystemConfig,
-    kind: ModelKind,
-    proposals: &[Value],
-    crash_horizon: u32,
-    run_horizon: u32,
-    backend: SweepBackend,
-) -> Result<Census, CheckError>
-where
-    F: ProcessFactory + Sync,
-{
-    sweep_schedules(
-        config,
-        kind,
-        crash_horizon,
-        backend,
-        || Census { counts: BTreeMap::new(), runs: 0 },
-        |census, schedule| {
-            let outcome = run_schedule(factory, proposals, schedule, run_horizon)?;
-            fold_census(census, schedule, &outcome)
-        },
         merge_censuses,
     )
 }
@@ -240,8 +172,16 @@ mod tests {
             let id = ProcessId::new(i);
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
-        let census =
-            decision_round_census(&factory, config, ModelKind::Es, &proposals(4), 3, 30).unwrap();
+        let census = decision_round_census(
+            &factory,
+            config,
+            ModelKind::Es,
+            &proposals(4),
+            3,
+            30,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(census.spread(), 1);
         assert_eq!(census.worst(), Some(Round::new(3))); // t + 2
         assert_eq!(census.runs, 97);
@@ -252,8 +192,16 @@ mod tests {
     fn coordinator_echo_census_spreads_to_2t_plus_2() {
         let config = SystemConfig::majority(3, 1).unwrap();
         let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-        let census =
-            decision_round_census(&factory, config, ModelKind::Es, &proposals(3), 4, 30).unwrap();
+        let census = decision_round_census(
+            &factory,
+            config,
+            ModelKind::Es,
+            &proposals(3),
+            4,
+            30,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(census.best(), Some(Round::new(2)));
         assert_eq!(census.worst(), Some(Round::new(4))); // 2t + 2
         assert!(census.spread() >= 2);
@@ -263,7 +211,7 @@ mod tests {
     fn census_is_identical_across_backends() {
         let config = SystemConfig::majority(3, 1).unwrap();
         let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-        let serial = decision_round_census_with(
+        let serial = decision_round_census(
             &factory,
             config,
             ModelKind::Es,
@@ -274,7 +222,7 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 4] {
-            let parallel = decision_round_census_with(
+            let parallel = decision_round_census(
                 &factory,
                 config,
                 ModelKind::Es,

@@ -20,22 +20,20 @@
 //! each shared schedule prefix in the serial-run tree is executed exactly
 //! once and the automaton state is forked at branch points — an
 //! algorithmic speedup over replaying every schedule from round 1 that
-//! compounds with thread count. The `*_with` entry points take an explicit
-//! [`SweepBackend`] (serial or a pooled worker count), the plain entry
-//! points read it from `INDULGENT_SWEEP_BACKEND` in the environment.
-//! Results are identical across backends and thread counts *and* identical
-//! to the retired run-from-scratch sweep (kept as
-//! [`worst_case_decision_round_replay`] /
-//! [`decision_round_census_replay`] for the differential suite and the
-//! throughput benchmark); the engine makes exhaustive sweeps at
-//! `n = 7, t = 2` (~518k serial schedules per proposal vector) practical.
+//! compounds with thread count. Each sweep has one entry point, and it
+//! takes the [`SweepBackend`] (serial or a pooled worker count) as an
+//! explicit argument. Results are identical across backends and thread
+//! counts, and the differential suite checks the engine schedule for
+//! schedule against the run-from-scratch loop; the engine makes
+//! exhaustive sweeps at `n = 7, t = 2` (~518k serial schedules per
+//! proposal vector) practical.
 //! Random-adversary searches ([`randomized_worst_case`]) have no prefix
 //! structure to share and keep the run-from-scratch executor.
 //!
 //! # Example: the `t + 2` worst case, exhaustively
 //!
 //! ```
-//! use indulgent_checker::worst_case_decision_round;
+//! use indulgent_checker::{worst_case_decision_round, SweepBackend};
 //! use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 //! use indulgent_model::{ProcessId, Round, SystemConfig, Value};
 //! use indulgent_sim::ModelKind;
@@ -47,7 +45,7 @@
 //! };
 //! let proposals: Vec<Value> = [4u64, 7, 2].map(Value::new).to_vec();
 //! let report = worst_case_decision_round(
-//!     &factory, cfg, ModelKind::Es, &proposals, 3, 30,
+//!     &factory, cfg, ModelKind::Es, &proposals, 3, 30, SweepBackend::Serial,
 //! )?;
 //! assert_eq!(report.worst_round, Round::new(3)); // t + 2
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -61,17 +59,12 @@ mod census;
 mod valency;
 mod worst_case;
 
-pub use census::{
-    decision_round_census, decision_round_census_replay, decision_round_census_with,
-    randomized_worst_case, Census,
-};
+pub use census::{decision_round_census, randomized_worst_case, Census};
 pub use indulgent_sim::SweepBackend;
 pub use valency::{
     find_bivalent_initial, find_bivalent_prefix, initial_valency, reachable_decisions, valency,
     Valency, ValencyParams,
 };
 pub use worst_case::{
-    worst_case_decision_round, worst_case_decision_round_replay, worst_case_decision_round_with,
-    worst_case_over_binary_proposals, worst_case_over_binary_proposals_with, CheckError,
-    WorstCaseReport,
+    worst_case_decision_round, worst_case_over_binary_proposals, CheckError, WorstCaseReport,
 };

@@ -57,11 +57,10 @@ pub struct ValencyParams {
 }
 
 impl ValencyParams {
-    /// Parameters with the backend taken from the environment
-    /// ([`SweepBackend::from_env`]).
+    /// Parameters with the [`SweepBackend::Serial`] backend.
     #[must_use]
     pub fn new(crash_horizon: u32, run_horizon: u32) -> Self {
-        ValencyParams { crash_horizon, run_horizon, backend: SweepBackend::from_env() }
+        ValencyParams { crash_horizon, run_horizon, backend: SweepBackend::Serial }
     }
 
     /// Replaces the sweep backend.

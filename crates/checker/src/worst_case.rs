@@ -10,19 +10,13 @@
 //! Sweeps run on the **incremental prefix-sharing engine** of
 //! `indulgent_sim` ([`sweep_runs`]): the serial-schedule tree is executed
 //! once per shared prefix, with automaton snapshots forked at branch
-//! points, instead of replaying every schedule from round 1. Pass
-//! [`SweepBackend::parallel`] to [`worst_case_decision_round_with`] (or set
-//! `INDULGENT_SWEEP_BACKEND=parallel[:N]` for the plain entry points) to
+//! points, instead of replaying every schedule from round 1. Every entry
+//! point takes a [`SweepBackend`]; pass [`SweepBackend::parallel`] to
 //! additionally fan the work units out over a worker pool. Reports are
-//! identical across backends and thread counts, and identical to the
-//! retired run-from-scratch sweep — [`worst_case_decision_round_replay`]
-//! keeps that baseline alive for the differential suite and the
-//! `sweep_throughput` benchmark.
+//! identical across backends and thread counts.
 
 use indulgent_model::{ConsensusViolation, ProcessFactory, Round, RunOutcome, SystemConfig, Value};
-use indulgent_sim::{
-    run_schedule, sweep_runs, sweep_schedules, ExecutorError, ModelKind, Schedule, SweepBackend,
-};
+use indulgent_sim::{sweep_runs, ExecutorError, ModelKind, Schedule, SweepBackend};
 
 /// Result of an exhaustive serial-run sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,9 +70,7 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Folds one run outcome into a partial report; shared by the incremental
-/// and the replay sweep paths (and every backend of each) so their
-/// semantics cannot drift.
+/// Folds one run outcome into a partial report; shared by every backend.
 fn fold_run(
     report: &mut Option<WorstCaseReport>,
     schedule: &Schedule,
@@ -134,48 +126,15 @@ fn merge_reports(
 }
 
 /// Exhaustively runs `factory` under every serial schedule of `config`
-/// (crashes in rounds `1..=crash_horizon`), checking the consensus
-/// properties in each run and reporting the worst and best global-decision
-/// rounds.
+/// (crashes in rounds `1..=crash_horizon`) on `backend`, checking the
+/// consensus properties in each run and reporting the worst and best
+/// global-decision rounds.
 ///
-/// The sweep backend comes from the environment
-/// ([`SweepBackend::from_env`]); use [`worst_case_decision_round_with`] to
-/// pick it explicitly. `run_horizon` bounds each run's execution; it must
-/// be generous enough for the algorithm to decide in every serial run
-/// (serial runs are synchronous, so for the paper's algorithms `t + 3`
-/// already suffices).
-///
-/// # Errors
-///
-/// Returns [`CheckError`] on a property violation or undecided run.
-pub fn worst_case_decision_round<F>(
-    factory: &F,
-    config: SystemConfig,
-    kind: ModelKind,
-    proposals: &[Value],
-    crash_horizon: u32,
-    run_horizon: u32,
-) -> Result<WorstCaseReport, CheckError>
-where
-    F: ProcessFactory + Sync,
-{
-    worst_case_decision_round_with(
-        factory,
-        config,
-        kind,
-        proposals,
-        crash_horizon,
-        run_horizon,
-        SweepBackend::from_env(),
-    )
-}
-
-/// [`worst_case_decision_round`] with an explicit sweep backend.
-///
+/// `run_horizon` bounds each run's execution; it must be generous enough
+/// for the algorithm to decide in every serial run (serial runs are
+/// synchronous, so for the paper's algorithms `t + 3` already suffices).
 /// The returned report is identical for every backend and thread count
-/// (the engine merges per-unit partials in serial visit order), and
-/// identical to [`worst_case_decision_round_replay`] — the incremental
-/// engine changes how runs are executed, never what they compute.
+/// (the engine merges per-unit partials in serial visit order).
 ///
 /// # Errors
 ///
@@ -184,7 +143,7 @@ where
 /// serial backend's (the sweep aborts early on the first failure a worker
 /// hits), but an error is reported if and only if the serial sweep would
 /// report one.
-pub fn worst_case_decision_round_with<F>(
+pub fn worst_case_decision_round<F>(
     factory: &F,
     config: SystemConfig,
     kind: ModelKind,
@@ -211,77 +170,14 @@ where
     Ok(report.expect("serial enumeration visits at least the crash-free run"))
 }
 
-/// The retired run-from-scratch sweep: identical report to
-/// [`worst_case_decision_round_with`], but every schedule is replayed from
-/// round 1 by [`run_schedule`] instead of sharing prefix execution.
-///
-/// Kept as the reference implementation for the differential conformance
-/// suite (replay vs incremental must stay bit-identical) and as the
-/// baseline of the `sweep_throughput` benchmark; new callers should use
-/// the incremental entry points.
-///
-/// # Errors
-///
-/// Returns [`CheckError`] on a property violation or undecided run.
-pub fn worst_case_decision_round_replay<F>(
-    factory: &F,
-    config: SystemConfig,
-    kind: ModelKind,
-    proposals: &[Value],
-    crash_horizon: u32,
-    run_horizon: u32,
-    backend: SweepBackend,
-) -> Result<WorstCaseReport, CheckError>
-where
-    F: ProcessFactory + Sync,
-{
-    let report = sweep_schedules(
-        config,
-        kind,
-        crash_horizon,
-        backend,
-        || None,
-        |report, schedule| {
-            let outcome = run_schedule(factory, proposals, schedule, run_horizon)?;
-            fold_run(report, schedule, &outcome)
-        },
-        merge_reports,
-    )?;
-    Ok(report.expect("serial enumeration visits at least the crash-free run"))
-}
-
-/// Runs [`worst_case_decision_round`] over every binary proposal vector
-/// (all `2^n` assignments of `{0, 1}`), returning the overall worst case.
+/// Runs [`worst_case_decision_round`] on `backend` over every binary
+/// proposal vector (all `2^n` assignments of `{0, 1}`), returning the
+/// overall worst case.
 ///
 /// # Errors
 ///
 /// Returns the first [`CheckError`] encountered.
 pub fn worst_case_over_binary_proposals<F>(
-    factory: &F,
-    config: SystemConfig,
-    kind: ModelKind,
-    crash_horizon: u32,
-    run_horizon: u32,
-) -> Result<WorstCaseReport, CheckError>
-where
-    F: ProcessFactory + Sync,
-{
-    worst_case_over_binary_proposals_with(
-        factory,
-        config,
-        kind,
-        crash_horizon,
-        run_horizon,
-        SweepBackend::from_env(),
-    )
-}
-
-/// [`worst_case_over_binary_proposals`] with an explicit sweep backend.
-///
-/// # Errors
-///
-/// Returns the first [`CheckError`] encountered.
-pub fn worst_case_over_binary_proposals_with<F>(
     factory: &F,
     config: SystemConfig,
     kind: ModelKind,
@@ -296,7 +192,7 @@ where
     let mut overall: Option<WorstCaseReport> = None;
     for bits in 0u64..(1 << n) {
         let proposals: Vec<Value> = (0..n).map(|i| Value::binary(bits & (1 << i) != 0)).collect();
-        let report = worst_case_decision_round_with(
+        let report = worst_case_decision_round(
             factory,
             config,
             kind,
@@ -312,8 +208,11 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use indulgent_consensus::{AtPlus2, FloodSet, RotatingCoordinator};
     use indulgent_model::ProcessId;
+    use indulgent_sim::{for_each_serial_schedule, run_schedule};
 
     use super::*;
 
@@ -325,8 +224,16 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let report =
-            worst_case_decision_round(&factory, config, ModelKind::Es, &proposals, 3, 30).unwrap();
+        let report = worst_case_decision_round(
+            &factory,
+            config,
+            ModelKind::Es,
+            &proposals,
+            3,
+            30,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // t + 2
         assert_eq!(report.best_round, Round::new(3)); // never earlier either
         assert_eq!(report.runs, 97);
@@ -337,8 +244,16 @@ mod tests {
         let config = SystemConfig::synchronous(4, 2).unwrap();
         let factory = move |_i: usize, v: Value| FloodSet::new(config, v);
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let report =
-            worst_case_decision_round(&factory, config, ModelKind::Scs, &proposals, 3, 10).unwrap();
+        let report = worst_case_decision_round(
+            &factory,
+            config,
+            ModelKind::Scs,
+            &proposals,
+            3,
+            10,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // t + 1
         assert_eq!(report.best_round, Round::new(3));
     }
@@ -350,8 +265,15 @@ mod tests {
             let id = ProcessId::new(i);
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
-        let report =
-            worst_case_over_binary_proposals(&factory, config, ModelKind::Es, 3, 30).unwrap();
+        let report = worst_case_over_binary_proposals(
+            &factory,
+            config,
+            ModelKind::Es,
+            3,
+            30,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // t + 2 with t = 1
                                                        // 8 proposal vectors x 37 serial schedules each.
         assert_eq!(report.runs, 8 * 37);
@@ -364,8 +286,16 @@ mod tests {
         let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
         let proposals: Vec<Value> = [5u64, 3, 8].map(Value::new).to_vec();
         // Crashes may land anywhere in the first 2t + 2 rounds.
-        let report =
-            worst_case_decision_round(&factory, config, ModelKind::Es, &proposals, 4, 30).unwrap();
+        let report = worst_case_decision_round(
+            &factory,
+            config,
+            ModelKind::Es,
+            &proposals,
+            4,
+            30,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(report.worst_round, Round::new(4)); // 2t + 2
         assert_eq!(report.best_round, Round::new(2)); // failure-free phase 1
     }
@@ -376,8 +306,16 @@ mod tests {
         let config = SystemConfig::synchronous(4, 2).unwrap();
         let factory = move |_i: usize, v: Value| EarlyFloodSet::new(config, v);
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let report =
-            worst_case_decision_round(&factory, config, ModelKind::Scs, &proposals, 3, 10).unwrap();
+        let report = worst_case_decision_round(
+            &factory,
+            config,
+            ModelKind::Scs,
+            &proposals,
+            3,
+            10,
+            SweepBackend::Serial,
+        )
+        .unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // min(f+2, t+1) with f = t = 2
         assert_eq!(report.best_round, Round::new(2)); // failure-free f + 2
     }
@@ -390,8 +328,16 @@ mod tests {
         let early = config.t() as u32; // decide at round t
         let factory = move |_i: usize, v: Value| FloodSet::deciding_at(Round::new(early), v);
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let err = worst_case_decision_round(&factory, config, ModelKind::Scs, &proposals, 3, 10)
-            .unwrap_err();
+        let err = worst_case_decision_round(
+            &factory,
+            config,
+            ModelKind::Scs,
+            &proposals,
+            3,
+            10,
+            SweepBackend::Serial,
+        )
+        .unwrap_err();
         assert!(matches!(err, CheckError::Violation { .. }));
     }
 
@@ -403,7 +349,7 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let serial = worst_case_decision_round_with(
+        let serial = worst_case_decision_round(
             &factory,
             config,
             ModelKind::Es,
@@ -414,7 +360,7 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 4] {
-            let parallel = worst_case_decision_round_with(
+            let parallel = worst_case_decision_round(
                 &factory,
                 config,
                 ModelKind::Es,
@@ -436,18 +382,16 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
         let proposals: Vec<Value> = [5u64, 3, 8, 1, 9].map(Value::new).to_vec();
-        let replay = worst_case_decision_round_replay(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals,
-            4,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        // The reference: every schedule replayed from round 1.
+        let mut replay = None;
+        let _ = for_each_serial_schedule(config, ModelKind::Es, 4, |schedule| {
+            let outcome = run_schedule(&factory, &proposals, schedule, 30).unwrap();
+            fold_run(&mut replay, schedule, &outcome).unwrap();
+            ControlFlow::Continue(())
+        });
+        let replay = replay.unwrap();
         for backend in [SweepBackend::Serial, SweepBackend::parallel(4)] {
-            let incremental = worst_case_decision_round_with(
+            let incremental = worst_case_decision_round(
                 &factory,
                 config,
                 ModelKind::Es,
@@ -469,8 +413,16 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
         let short: Vec<Value> = [5u64, 3].map(Value::new).to_vec();
-        let err =
-            worst_case_decision_round(&factory, config, ModelKind::Es, &short, 3, 30).unwrap_err();
+        let err = worst_case_decision_round(
+            &factory,
+            config,
+            ModelKind::Es,
+            &short,
+            3,
+            30,
+            SweepBackend::Serial,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             CheckError::Executor(ExecutorError::ProposalCountMismatch { expected: 4, got: 2 })

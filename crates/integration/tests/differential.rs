@@ -1,17 +1,19 @@
-//! Differential conformance harness for the sweep engines.
+//! Differential conformance harness for the sweep engine.
 //!
 //! Runs identical schedule batches through the executors the workspace
-//! has — the serial replay sweep, the incremental fork-on-branch sweep
-//! (serial and pooled), and, for sampled schedules, the threaded
-//! `indulgent_runtime` — and asserts outcome-for-outcome equality:
+//! has — the run-from-scratch loop (`for_each_serial_schedule` +
+//! `run_schedule`), the incremental fork-on-branch sweep (serial and
+//! pooled), and, for sampled schedules, the threaded `indulgent_runtime` —
+//! and asserts outcome-for-outcome equality:
 //!
 //! * worst-case reports, censuses and valency sets are **bit-identical**
 //!   across backends and thread counts (the engine's determinism
 //!   guarantee);
-//! * the incremental prefix-sharing engine reproduces the run-from-scratch
-//!   replay reports byte for byte, up to the exhaustive `n = 6, t = 2`
-//!   space (the fork-on-branch executor changes how runs execute, never
-//!   what they compute);
+//! * the incremental prefix-sharing engine visits the same schedules in
+//!   the same order as the run-from-scratch loop and produces the same
+//!   outcome for each, schedule for schedule, on the exhaustive
+//!   `n = 6, t = 2` space (the fork-on-branch executor changes how runs
+//!   execute, never what they compute);
 //! * consensus violations are detected by every backend;
 //! * schedules expressible on the real network (crash-before-send) produce
 //!   the same decisions under the deterministic simulator and the
@@ -19,19 +21,22 @@
 //! * the paper's `t + 2` bound (`k_ES`) survives the engine's headline
 //!   workload: an exhaustive `n = 7, t = 2` sweep (~518k serial runs).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::time::Duration;
 
 use indulgent_checker::{
-    decision_round_census_replay, decision_round_census_with, reachable_decisions,
-    worst_case_decision_round_replay, worst_case_decision_round_with, SweepBackend, ValencyParams,
+    decision_round_census, reachable_decisions, worst_case_decision_round, SweepBackend,
+    ValencyParams,
 };
 use indulgent_consensus::{AtPlus2, CoordinatorEcho, FloodSet, RotatingCoordinator};
 use indulgent_integration::proposals;
-use indulgent_model::{ProcessFactory, ProcessId, Round, SystemConfig, Value};
+use indulgent_model::{ProcessFactory, ProcessId, Round, RunOutcome, SystemConfig, Value};
 use indulgent_runtime::{run_network, InstanceSpec};
-use indulgent_sim::{run_schedule, work_units, MessageFate, ModelKind, Schedule};
+use indulgent_sim::{
+    for_each_serial_run, for_each_serial_schedule, run_schedule, work_units, MessageFate,
+    ModelKind, Schedule,
+};
 
 fn at_plus2_factory(
     config: SystemConfig,
@@ -49,7 +54,7 @@ fn worst_case_reports_identical_across_backends() {
         let factory = at_plus2_factory(config);
         let props = proposals(n);
         let crash_horizon = t as u32 + 2;
-        let serial = worst_case_decision_round_with(
+        let serial = worst_case_decision_round(
             &factory,
             config,
             ModelKind::Es,
@@ -61,7 +66,7 @@ fn worst_case_reports_identical_across_backends() {
         .unwrap();
         assert_eq!(serial.worst_round, Round::new(t as u32 + 2), "k_ES = t + 2 for A_t+2");
         for threads in [2, 4] {
-            let parallel = worst_case_decision_round_with(
+            let parallel = worst_case_decision_round(
                 &factory,
                 config,
                 ModelKind::Es,
@@ -84,18 +89,11 @@ fn census_identical_across_backends_including_witnesses() {
     let config = SystemConfig::majority(3, 1).unwrap();
     let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
     let props = proposals(3);
-    let serial = decision_round_census_with(
-        &factory,
-        config,
-        ModelKind::Es,
-        &props,
-        4,
-        30,
-        SweepBackend::Serial,
-    )
-    .unwrap();
+    let serial =
+        decision_round_census(&factory, config, ModelKind::Es, &props, 4, 30, SweepBackend::Serial)
+            .unwrap();
     for threads in [2, 4] {
-        let parallel = decision_round_census_with(
+        let parallel = decision_round_census(
             &factory,
             config,
             ModelKind::Es,
@@ -145,15 +143,8 @@ fn violations_detected_by_every_backend() {
     let factory = move |_i: usize, v: Value| FloodSet::deciding_at(Round::new(early), v);
     let props = proposals(4);
     for backend in [SweepBackend::Serial, SweepBackend::parallel(2), SweepBackend::parallel(4)] {
-        let result = worst_case_decision_round_with(
-            &factory,
-            config,
-            ModelKind::Scs,
-            &props,
-            3,
-            10,
-            backend,
-        );
+        let result =
+            worst_case_decision_round(&factory, config, ModelKind::Scs, &props, 3, 10, backend);
         assert!(result.is_err(), "backend {backend:?} must catch the violation");
     }
 }
@@ -233,55 +224,49 @@ fn runtime_spot_checks_match_the_swept_schedules() {
     }
 }
 
-/// The tentpole differential: the incremental fork-on-branch engine
-/// (serial and 4-worker pooled) against the serial run-from-scratch
-/// replay, on the exhaustive `n = 6, t = 2` sweep (~93k serial runs) —
-/// reports must be **bit-identical**, including the witness schedule.
+/// Walks the serial space of `config` (crashes in rounds `1..=4`) twice:
+/// through the incremental engine (`for_each_serial_run`) and through the
+/// run-from-scratch loop (`for_each_serial_schedule` + `run_schedule`).
+/// Asserts that both visit the same schedules in the same order with
+/// identical outcomes, and returns the replayed outcomes.
+fn assert_runs_match_replay<F: ProcessFactory>(
+    factory: &F,
+    config: SystemConfig,
+    props: &[Value],
+) -> Vec<RunOutcome> {
+    let mut incremental: Vec<(u64, RunOutcome)> = Vec::new();
+    let _ =
+        for_each_serial_run(factory, props, config, ModelKind::Es, 4, 30, |schedule, outcome| {
+            incremental.push((schedule.fingerprint(), outcome.clone()));
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+    let mut replayed = Vec::with_capacity(incremental.len());
+    let _ = for_each_serial_schedule(config, ModelKind::Es, 4, |schedule| {
+        let outcome = run_schedule(factory, props, schedule, 30).unwrap();
+        let Some((fingerprint, expected)) = incremental.get(replayed.len()) else {
+            panic!("replay visits more schedules than the incremental engine: {schedule:?}");
+        };
+        assert_eq!(*fingerprint, schedule.fingerprint(), "visit order diverged at {schedule:?}");
+        assert_eq!(*expected, outcome, "outcome diverged on {schedule:?}");
+        replayed.push(outcome);
+        ControlFlow::Continue(())
+    });
+    assert_eq!(replayed.len(), incremental.len(), "schedule counts differ");
+    replayed
+}
+
+/// The tentpole differential: on the exhaustive `n = 6, t = 2` space
+/// (~93k serial runs) the incremental engine reproduces the serial
+/// run-from-scratch loop schedule for schedule, and the worst-case report
+/// is bit-identical on the serial and the 4-worker pooled backend.
 #[test]
 fn incremental_engine_matches_serial_replay_on_n6_t2() {
     let config = SystemConfig::majority(6, 2).unwrap();
     let factory = at_plus2_factory(config);
     let props = proposals(6);
-    let crash_horizon = 4; // t + 2
-    let replay = worst_case_decision_round_replay(
-        &factory,
-        config,
-        ModelKind::Es,
-        &props,
-        crash_horizon,
-        30,
-        SweepBackend::Serial,
-    )
-    .unwrap();
-    assert_eq!(replay.worst_round, Round::new(4), "k_ES = t + 2");
-    for backend in [SweepBackend::Serial, SweepBackend::parallel(4)] {
-        let incremental = worst_case_decision_round_with(
-            &factory,
-            config,
-            ModelKind::Es,
-            &props,
-            crash_horizon,
-            30,
-            backend,
-        )
-        .unwrap();
-        assert_eq!(
-            replay, incremental,
-            "incremental report ({backend:?}) must be bit-identical to serial replay"
-        );
-    }
-}
-
-/// Census differential: incremental (pooled ring-mailbox engine, serial
-/// and 4-worker) vs run-from-scratch replay on the exhaustive
-/// `n = 6, t = 2` space (~93k serial runs) — every tally and witness
-/// bit-identical.
-#[test]
-fn incremental_census_matches_replay_on_n6_t2() {
-    let config = SystemConfig::majority(6, 2).unwrap();
-    let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-    let props = proposals(6);
-    let replay = decision_round_census_replay(
+    let replayed = assert_runs_match_replay(&factory, config, &props);
+    let serial = worst_case_decision_round(
         &factory,
         config,
         ModelKind::Es,
@@ -291,11 +276,40 @@ fn incremental_census_matches_replay_on_n6_t2() {
         SweepBackend::Serial,
     )
     .unwrap();
+    assert_eq!(serial.worst_round, Round::new(4), "k_ES = t + 2");
+    assert_eq!(serial.runs, replayed.len() as u64);
+    let pooled = worst_case_decision_round(
+        &factory,
+        config,
+        ModelKind::Es,
+        &props,
+        4,
+        30,
+        SweepBackend::parallel(4),
+    )
+    .unwrap();
+    assert_eq!(serial, pooled, "the 4-worker report must be bit-identical to serial");
+}
+
+/// Census differential for `CoordinatorEcho` on the exhaustive
+/// `n = 6, t = 2` space: the incremental engine reproduces the
+/// run-from-scratch loop schedule for schedule, and the census (serial and
+/// 4-worker pooled) equals the tally of the replayed runs.
+#[test]
+fn incremental_census_matches_replay_on_n6_t2() {
+    let config = SystemConfig::majority(6, 2).unwrap();
+    let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
+    let props = proposals(6);
+    let mut replay_counts: BTreeMap<u32, u64> = BTreeMap::new();
+    for outcome in assert_runs_match_replay(&factory, config, &props) {
+        let round = outcome.global_decision_round().expect("every serial run decides");
+        *replay_counts.entry(round.get()).or_default() += 1;
+    }
     for backend in [SweepBackend::Serial, SweepBackend::parallel(4)] {
-        let incremental =
-            decision_round_census_with(&factory, config, ModelKind::Es, &props, 4, 30, backend)
-                .unwrap();
-        assert_eq!(replay, incremental, "census ({backend:?}) must equal replay");
+        let census =
+            decision_round_census(&factory, config, ModelKind::Es, &props, 4, 30, backend).unwrap();
+        assert_eq!(census.counts, replay_counts, "census ({backend:?}) must equal replay");
+        assert_eq!(census.runs, replay_counts.values().sum::<u64>());
     }
 }
 
@@ -307,7 +321,7 @@ fn exhaustive_n7_t2_sweep_confirms_t_plus_2() {
     let config = SystemConfig::majority(7, 2).unwrap();
     let factory = at_plus2_factory(config);
     let props = proposals(7);
-    let report = worst_case_decision_round_with(
+    let report = worst_case_decision_round(
         &factory,
         config,
         ModelKind::Es,

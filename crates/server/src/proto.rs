@@ -260,6 +260,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads a bool written as `u8::from(b)`, refusing every byte but 0
+    /// and 1.
+    fn bool(&mut self) -> Result<bool, ProtoError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(ProtoError::BadTag(b)),
+        }
+    }
+
     /// Reads a message tag, refusing every tag but `expected`.
     fn tag(&mut self, expected: u8) -> Result<(), ProtoError> {
         match self.u8()? {
@@ -440,8 +450,8 @@ impl AuditSummary {
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
         c.tag(TAG_AUDIT_REPLY)?;
-        let complete = c.u8()? != 0;
-        let ok = c.u8()? != 0;
+        let complete = c.bool()?;
+        let ok = c.bool()?;
         let slots = c.u64()?;
         let committed = c.u64()?;
         let dedup_hits = c.u64()?;
@@ -545,9 +555,12 @@ impl LeaseStatus {
         let status = LeaseStatus {
             shard: c.u32()?,
             shards: c.u32()?,
-            mode: c.u8()?,
+            mode: match c.u8()? {
+                mode @ 0..=2 => mode,
+                mode => return Err(ProtoError::BadTag(mode)),
+            },
             epoch: c.u64()?,
-            healthy: c.u8()? != 0,
+            healthy: c.bool()?,
             grants: c.u32()?,
             read_index: c.u64()?,
             reads_lease: c.u64()?,
@@ -942,6 +955,12 @@ mod tests {
         };
         assert_eq!(AuditSummary::decode(&s.encode()).unwrap(), s);
         assert_eq!(audit_request_frame(), vec![TAG_AUDIT_REQUEST]);
+        // `complete` (byte 1) and `ok` (byte 2) are bools: only 0 and 1.
+        for (offset, byte) in [(1, 2), (1, 0xff), (2, 2), (2, 0x80)] {
+            let mut bytes = s.encode();
+            bytes[offset] = byte;
+            assert_eq!(AuditSummary::decode(&bytes), Err(ProtoError::BadTag(byte)));
+        }
     }
 
     #[test]
@@ -959,6 +978,16 @@ mod tests {
             reads_sequenced: 97,
         };
         assert_eq!(LeaseStatus::decode(&s.encode()).unwrap(), s);
+        for mode in 0..=2 {
+            let s = LeaseStatus { mode, ..s };
+            assert_eq!(LeaseStatus::decode(&s.encode()).unwrap(), s);
+        }
+        // `mode` (byte 9) is 0..=2; `healthy` (byte 18) is a bool.
+        for (offset, byte) in [(9, 3), (9, 0xff), (18, 2), (18, 0xff)] {
+            let mut bytes = s.encode();
+            bytes[offset] = byte;
+            assert_eq!(LeaseStatus::decode(&bytes), Err(ProtoError::BadTag(byte)));
+        }
         assert!(s.to_string().contains("reads=lease"));
         assert!(s.to_string().contains("epoch=5"));
         assert!(s.to_string().contains("shard=2/4"));

@@ -16,10 +16,10 @@
 //! set of schedules [`for_each_serial_schedule`] visits. Concatenating the
 //! units' enumerations in the order [`work_units`] returns them reproduces
 //! the serial visit order *exactly* — the property the deterministic
-//! merges of both sweep engines (the replay pool in
-//! [`parallel`](crate::parallel) and the incremental fork-on-branch DFS in
-//! [`incremental`](crate::incremental)) rely on, and one the partition
-//! tests assert.
+//! merge of the parallel sweep (one incremental fork-on-branch DFS per
+//! unit, [`incremental`](crate::incremental), on the pool of
+//! [`parallel`](crate::parallel)) relies on, and one the partition tests
+//! assert.
 //!
 //! [`for_each_serial_schedule`]: crate::for_each_serial_schedule
 

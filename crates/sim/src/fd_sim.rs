@@ -62,6 +62,8 @@ impl FailureDetector for ScheduleDetector {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use indulgent_model::SystemConfig;
 
     use super::*;
@@ -161,56 +163,46 @@ mod tests {
         assert_eq!(a.decisions, b.decisions);
     }
 
-    /// Sweeps a whole serial-schedule batch through the parallel engine
-    /// and checks the detector's ◇P properties in *every* schedule:
-    /// strong completeness (a crashed process is permanently suspected
-    /// from the round after its crash) and, since serial schedules are
-    /// synchronous, strong accuracy (a suspicion implies the sender's
-    /// message really did not arrive: it crashed by the current round).
+    /// Sweeps the whole serial-schedule space and checks the detector's
+    /// ◇P properties in *every* schedule: strong completeness (a crashed
+    /// process is permanently suspected from the round after its crash)
+    /// and, since serial schedules are synchronous, strong accuracy (a
+    /// suspicion implies the sender's message really did not arrive: it
+    /// crashed by the current round).
     #[test]
     fn detector_properties_hold_over_a_swept_batch() {
-        use crate::parallel::{sweep_schedules, SweepBackend};
+        use crate::serial::for_each_serial_schedule;
 
         let config = SystemConfig::majority(5, 2).unwrap();
         let horizon = 3u32;
-        let checked: Result<u64, String> = sweep_schedules(
-            config,
-            ModelKind::Es,
-            horizon,
-            SweepBackend::parallel(2),
-            || 0u64,
-            |count, schedule| {
-                let mut d = ScheduleDetector::new(schedule.clone());
-                for k in 1..=horizon + 2 {
-                    let round = Round::new(k);
-                    for observer in config.processes() {
-                        if !schedule.completes(observer, round) {
-                            continue;
-                        }
-                        let suspects = d.suspects(observer, round);
-                        for target in config.processes() {
-                            let crashed_by_now =
-                                schedule.crash_round(target).is_some_and(|r| r < round);
-                            if crashed_by_now && !suspects.contains(target) {
-                                return Err(format!(
-                                    "completeness: {observer} trusts crashed {target} at {round}"
-                                ));
-                            }
-                            let crashed_ever = schedule.crash_round(target).is_some();
-                            if suspects.contains(target) && !crashed_ever {
-                                return Err(format!(
-                                    "accuracy: {observer} suspects correct {target} at {round}"
-                                ));
-                            }
-                        }
+        let mut swept = 0u64;
+        let _ = for_each_serial_schedule(config, ModelKind::Es, horizon, |schedule| {
+            let mut d = ScheduleDetector::new(schedule.clone());
+            for k in 1..=horizon + 2 {
+                let round = Round::new(k);
+                for observer in config.processes() {
+                    if !schedule.completes(observer, round) {
+                        continue;
+                    }
+                    let suspects = d.suspects(observer, round);
+                    for target in config.processes() {
+                        let crashed_by_now =
+                            schedule.crash_round(target).is_some_and(|r| r < round);
+                        assert!(
+                            !crashed_by_now || suspects.contains(target),
+                            "completeness: {observer} trusts crashed {target} at {round}"
+                        );
+                        let crashed_ever = schedule.crash_round(target).is_some();
+                        assert!(
+                            crashed_ever || !suspects.contains(target),
+                            "accuracy: {observer} suspects correct {target} at {round}"
+                        );
                     }
                 }
-                *count += 1;
-                Ok(())
-            },
-            |a, b| a + b,
-        );
-        let swept = checked.expect("detector properties hold in every serial schedule");
+            }
+            swept += 1;
+            ControlFlow::Continue(())
+        });
         assert_eq!(swept, crate::serial::count_serial_schedules(config, horizon));
     }
 
@@ -219,7 +211,7 @@ mod tests {
     /// suspicions before K, but from K on every suspicion implies a crash.
     #[test]
     fn eventual_accuracy_holds_over_swept_extensions_of_a_delayed_prefix() {
-        use crate::parallel::{sweep_extensions, SweepBackend};
+        use crate::serial::for_each_serial_extension;
 
         let config = SystemConfig::majority(5, 2).unwrap();
         let sync_from = Round::new(3);
@@ -231,42 +223,34 @@ mod tests {
             .build(horizon)
             .unwrap();
 
-        let checked: Result<u64, String> = sweep_extensions(
-            &prefix,
-            sync_from.get(),
-            horizon,
-            SweepBackend::parallel(2),
-            || 0u64,
-            |count, schedule| {
-                assert_eq!(schedule.sync_from(), sync_from, "extensions must preserve K");
-                let mut d = ScheduleDetector::new(schedule.clone());
-                // False suspicion during the asynchronous prefix is real.
-                if !d.suspects(ProcessId::new(0), Round::new(1)).contains(ProcessId::new(1)) {
-                    return Err("expected a false suspicion before K".into());
-                }
-                // From K on: suspicion implies the target crashed.
-                for k in sync_from.get()..=horizon + 2 {
-                    let round = Round::new(k);
-                    for observer in config.processes() {
-                        if !schedule.completes(observer, round) {
-                            continue;
-                        }
-                        for target in d.suspects(observer, round).iter() {
-                            if schedule.crash_round(target).is_none() {
-                                return Err(format!(
-                                    "eventual accuracy: {observer} suspects correct {target} \
-                                     at {round} (K = {sync_from})"
-                                ));
-                            }
-                        }
+        let mut swept = 0u64;
+        let _ = for_each_serial_extension(&prefix, sync_from.get(), horizon, |schedule| {
+            assert_eq!(schedule.sync_from(), sync_from, "extensions must preserve K");
+            let mut d = ScheduleDetector::new(schedule.clone());
+            // False suspicion during the asynchronous prefix is real.
+            assert!(
+                d.suspects(ProcessId::new(0), Round::new(1)).contains(ProcessId::new(1)),
+                "expected a false suspicion before K"
+            );
+            // From K on: suspicion implies the target crashed.
+            for k in sync_from.get()..=horizon + 2 {
+                let round = Round::new(k);
+                for observer in config.processes() {
+                    if !schedule.completes(observer, round) {
+                        continue;
+                    }
+                    for target in d.suspects(observer, round).iter() {
+                        assert!(
+                            schedule.crash_round(target).is_some(),
+                            "eventual accuracy: {observer} suspects correct {target} \
+                             at {round} (K = {sync_from})"
+                        );
                     }
                 }
-                *count += 1;
-                Ok(())
-            },
-            |a, b| a + b,
-        );
-        let swept = checked.expect("eventual accuracy holds in every extension");
+            }
+            swept += 1;
+            ControlFlow::Continue(())
+        });
         // Bare prefix + one or two crashes in rounds 3..=4 among 5 alive:
         // the batch is non-trivial.
         assert!(swept > 100, "swept only {swept} extensions");

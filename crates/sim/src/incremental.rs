@@ -17,8 +17,10 @@
 //! from round 1. Leaves receive the finished [`RunOutcome`] together with
 //! the schedule, bit-identical to what `run_schedule` would produce on
 //! that schedule — including the early-exit `rounds_executed` and the
-//! full-schedule crash set — which is what lets the checker's reports stay
-//! byte-for-byte equal to the replay engine's.
+//! full-schedule crash set. The run-from-scratch loop
+//! ([`for_each_serial_schedule`](crate::for_each_serial_schedule) +
+//! `run_schedule`) stays the reference: the differential suite compares
+//! the two schedule for schedule.
 //!
 //! Three structural facts make the fusion sound:
 //!
@@ -35,10 +37,10 @@
 //!    early exit.
 //!
 //! [`sweep_runs`] / [`sweep_run_extensions`] are the backend-aware folds:
-//! serial runs the DFS directly; parallel partitions the space into the
-//! same first-crash work units as the replay engine
-//! ([`batch`](crate::batch)) and runs one DFS per unit on the shared
-//! worker pool, merging per-unit accumulators in serial visit order.
+//! serial runs the DFS directly; parallel partitions the space into
+//! first-crash work units ([`batch`](crate::batch)) and runs one DFS per
+//! unit on the worker pool of [`parallel`](crate::parallel), merging
+//! per-unit accumulators in serial visit order.
 //! Random-adversary runs (delays, arbitrary crash patterns outside the
 //! serial tree) have no shared prefix structure to exploit and keep using
 //! the run-from-scratch executor.
@@ -356,11 +358,12 @@ where
 /// Folds `step` over every serial run of `config` — each schedule paired
 /// with its executed [`RunOutcome`] — using `backend`.
 ///
-/// This is the incremental counterpart of "[`sweep_schedules`] +
-/// [`run_schedule`] per schedule": identical fold semantics (per-unit
-/// accumulators merged in serial visit order, identical results for every
-/// backend and thread count), but each shared schedule prefix is executed
-/// once by the fork-on-branch DFS instead of once per schedule.
+/// This is the one exhaustive sweep. It folds the same outcomes, in the
+/// same order, as [`for_each_serial_schedule`] + [`run_schedule`] per
+/// schedule, and its result is identical for every backend and thread
+/// count (per-unit accumulators merged in serial visit order); but each
+/// shared schedule prefix is executed once by the fork-on-branch DFS
+/// instead of once per schedule.
 ///
 /// # Errors
 ///
@@ -372,7 +375,7 @@ where
 ///
 /// Panics (resuming the worker's panic) if `step` panics on any schedule.
 ///
-/// [`sweep_schedules`]: crate::sweep_schedules
+/// [`for_each_serial_schedule`]: crate::for_each_serial_schedule
 /// [`run_schedule`]: crate::run_schedule
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_runs<F, Acc, E, I, S, M>(

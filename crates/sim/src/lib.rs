@@ -19,22 +19,24 @@
 //!   scratch);
 //! * [`serial`] — exhaustive enumeration of serial runs (at most one crash
 //!   per round), the run class used by the lower-bound proof;
-//! * [`batch`] / [`parallel`] — the batch-sweep engine: the serial space
-//!   partitioned into independent work units by first crash, fanned out
-//!   over a scoped worker pool. [`SweepBackend`] selects serial or
-//!   parallel execution (`INDULGENT_SWEEP_BACKEND` in the environment
-//!   flips every default sweep); merged results are identical regardless
-//!   of thread count, which pushes exhaustive sweeps to `n = 7, t = 2`;
+//! * [`batch`] / [`parallel`] — the serial space partitioned into
+//!   independent work units by first crash, fanned out over a scoped
+//!   worker pool. [`SweepBackend`] selects serial or parallel execution
+//!   and is an explicit argument of every exhaustive sweep; merged results
+//!   are identical regardless of thread count;
 //! * [`multishot`] — the multi-shot executor: chained consensus instances
 //!   on one recycled [`RunState`] (instance-reset hooks instead of
 //!   rebuilds), the simulator substrate of the `indulgent-log`
 //!   replicated-log subsystem;
-//! * [`incremental`] — the prefix-sharing sweep: enumeration fused with
-//!   execution. [`for_each_serial_run`] walks the serial-schedule tree
-//!   executing each shared prefix exactly once, forking [`RunState`]
-//!   snapshots at branch points; [`sweep_runs`] folds outcomes over any
-//!   [`SweepBackend`], bit-identical to replaying every schedule but
-//!   algorithmically faster independent of thread count.
+//! * [`incremental`] — the prefix-sharing sweep, the one way to run an
+//!   exhaustive sweep: enumeration fused with execution.
+//!   [`for_each_serial_run`] walks the serial-schedule tree executing each
+//!   shared prefix exactly once, forking [`RunState`] snapshots at branch
+//!   points; [`sweep_runs`] folds outcomes over any [`SweepBackend`],
+//!   bit-identical to [`for_each_serial_schedule`] + [`run_schedule`] on
+//!   every schedule (the reference the differential suite compares it
+//!   against) but algorithmically faster, which pushes exhaustive sweeps
+//!   to `n = 7, t = 2`.
 //!
 //! # Example
 //!
@@ -90,10 +92,7 @@ pub use incremental::{
     for_each_serial_run, for_each_serial_run_extension, sweep_run_extensions, sweep_runs,
 };
 pub use multishot::MultiShotRunner;
-pub use parallel::{
-    pooled_map_indexed, sweep_count, sweep_extensions, sweep_schedules, SweepBackend,
-    SWEEP_BACKEND_ENV,
-};
+pub use parallel::{pooled_map_indexed, SweepBackend};
 pub use random::{random_run, RandomRunParams};
 pub use schedule::{MessageFate, ModelKind, Schedule, ScheduleError};
 pub use serial::{count_serial_schedules, for_each_serial_extension, for_each_serial_schedule};

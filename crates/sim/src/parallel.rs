@@ -1,28 +1,21 @@
-//! The parallel batch-sweep engine.
+//! The worker pool behind every parallel sweep.
 //!
 //! Exhaustive serial-run sweeps are embarrassingly parallel: the schedule
 //! space partitions into independent work units by first crash
 //! ([`batch`](crate::batch)), each unit can be swept without coordination,
 //! and per-unit partial results merge associatively. This module provides
-//! the worker pool that exploits that structure:
+//! the pool that exploits that structure:
 //!
 //! * [`SweepBackend`] selects serial or parallel execution (and the thread
-//!   count); [`SweepBackend::from_env`] reads `INDULGENT_SWEEP_BACKEND` so
-//!   test suites and CI can force the parallel pool without touching call
-//!   sites.
-//! * [`sweep_extensions`] / [`sweep_schedules`] fold a visitor over a
-//!   schedule space: work units travel over a crossbeam channel to a pool
-//!   of scoped worker threads, each worker folds its units locally with
-//!   early-abort propagation, and the per-unit partial accumulators are
-//!   merged **in unit order** — which equals serial visit order — so the
-//!   result is bit-identical regardless of thread count.
-//!
-//! These folds visit *schedules*; when each schedule is also executed,
-//! the incremental engine ([`incremental`](crate::incremental)) runs on
-//! the same pool but shares prefix execution across the tree —
-//! `sweep_runs` there supersedes "`sweep_schedules` + `run_schedule` per
-//! schedule" for exhaustive run sweeps. [`pooled_map_indexed`] exposes
-//! the pool for structureless index/seed fan-outs.
+//!   count); every exhaustive sweep takes it as an explicit argument.
+//! * `pooled_fold` distributes work items over scoped worker threads fed
+//!   by a crossbeam channel, with early-abort propagation, and merges the
+//!   per-item partial accumulators **in item order** — which equals serial
+//!   visit order — so the result is bit-identical regardless of thread
+//!   count. The incremental engine's [`sweep_runs`](crate::sweep_runs)
+//!   runs one fork-on-branch DFS per work unit on it;
+//!   [`pooled_map_indexed`] exposes it for structureless index/seed
+//!   fan-outs.
 //!
 //! The engine counters ([`stats`](crate::stats)) are process-wide relaxed
 //! atomics, so a pooled sweep's workers aggregate into the same tallies a
@@ -44,21 +37,10 @@
 //! lowest-indexed failing unit among those processed).
 
 use std::num::NonZeroUsize;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crossbeam::channel::unbounded;
 use crossbeam::thread as cb_thread;
-
-use indulgent_model::SystemConfig;
-
-use crate::batch::{extension_work_units, WorkUnit};
-use crate::schedule::{ModelKind, Schedule};
-
-/// Environment variable consulted by [`SweepBackend::from_env`]:
-/// `serial` (default), `parallel` (one worker per available core), or
-/// `parallel:N` (exactly `N` workers).
-pub const SWEEP_BACKEND_ENV: &str = "INDULGENT_SWEEP_BACKEND";
 
 /// Execution strategy for exhaustive schedule sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,29 +58,6 @@ impl SweepBackend {
     #[must_use]
     pub fn parallel(threads: usize) -> Self {
         SweepBackend::Parallel(NonZeroUsize::new(threads.max(1)).expect("clamped to >= 1"))
-    }
-
-    /// Reads the backend from [`SWEEP_BACKEND_ENV`].
-    ///
-    /// Unset, empty or `serial` selects [`SweepBackend::Serial`];
-    /// `parallel` selects one worker per available core; `parallel:N`
-    /// selects exactly `N` workers. Anything unparseable falls back to
-    /// serial (sweeps must never fail because of an environment typo).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(SWEEP_BACKEND_ENV) {
-            Ok(value) => match value.trim() {
-                "" | "serial" => SweepBackend::Serial,
-                "parallel" => SweepBackend::parallel(
-                    std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-                ),
-                other => match other.strip_prefix("parallel:").and_then(|n| n.parse().ok()) {
-                    Some(threads) => SweepBackend::parallel(threads),
-                    None => SweepBackend::Serial,
-                },
-            },
-            Err(_) => SweepBackend::Serial,
-        }
     }
 
     /// The number of worker threads this backend uses.
@@ -128,10 +87,9 @@ pub(crate) enum UnitResult<Acc, E> {
 /// `sweep_item` (which should poll `abort` and report
 /// [`UnitResult::Aborted`] when it fires), and merges completed
 /// accumulators **in item order** — the property that makes parallel
-/// folds bit-identical to serial ones. The replay sweeps
-/// ([`sweep_extensions`]), the incremental fork-on-branch sweeps
-/// ([`incremental`](crate::incremental)) and the seeded index maps
-/// ([`pooled_map_indexed`]) all run on this pool.
+/// folds bit-identical to serial ones. The incremental fork-on-branch
+/// sweeps ([`incremental`](crate::incremental)) and the seeded index maps
+/// ([`pooled_map_indexed`]) both run on this pool.
 ///
 /// A panicking `sweep_item` sets the abort flag (stopping the other
 /// workers) and the panic is resumed after the scope joins.
@@ -214,130 +172,6 @@ where
     }
 }
 
-/// Folds `step` over every serial extension of `prefix` (additional
-/// crashes in `from_round..=horizon`), using `backend`.
-///
-/// Semantics match folding [`for_each_serial_extension`] serially:
-/// per-unit accumulators start from `init()`, `step` folds each schedule
-/// in visit order, and `merge` combines unit accumulators in serial visit
-/// order. See the module docs for the determinism contract.
-///
-/// # Errors
-///
-/// Returns the error of a failing `step`; the parallel backend stops
-/// claiming and sweeping work as soon as any worker fails.
-///
-/// # Panics
-///
-/// Panics (resuming the worker's panic) if `step` panics on any schedule.
-///
-/// [`for_each_serial_extension`]: crate::for_each_serial_extension
-pub fn sweep_extensions<Acc, E, I, S, M>(
-    prefix: &Schedule,
-    from_round: u32,
-    horizon: u32,
-    backend: SweepBackend,
-    init: I,
-    step: S,
-    merge: M,
-) -> Result<Acc, E>
-where
-    Acc: Send,
-    E: Send,
-    I: Fn() -> Acc + Sync,
-    S: Fn(&mut Acc, &Schedule) -> Result<(), E> + Sync,
-    M: Fn(Acc, Acc) -> Acc,
-{
-    match backend {
-        SweepBackend::Serial => {
-            let mut acc = init();
-            let mut failure = None;
-            let _ =
-                crate::serial::for_each_serial_extension(
-                    prefix,
-                    from_round,
-                    horizon,
-                    |s| match step(&mut acc, s) {
-                        Ok(()) => ControlFlow::Continue(()),
-                        Err(e) => {
-                            failure = Some(e);
-                            ControlFlow::Break(())
-                        }
-                    },
-                );
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(acc),
-            }
-        }
-        SweepBackend::Parallel(threads) => {
-            let units = extension_work_units(prefix, from_round, horizon);
-            pooled_fold(
-                &units,
-                threads,
-                &|unit, abort| sweep_one_unit(unit, abort, &init, &step),
-                &init,
-                merge,
-            )
-        }
-    }
-}
-
-/// Folds `step` over every serial schedule of `config` (crashes in rounds
-/// `1..=horizon`), using `backend`.
-///
-/// Convenience wrapper over [`sweep_extensions`] with a failure-free
-/// prefix; semantics match folding
-/// [`for_each_serial_schedule`](crate::for_each_serial_schedule) serially.
-///
-/// # Errors
-///
-/// Returns the error of a failing `step` (see [`sweep_extensions`]).
-pub fn sweep_schedules<Acc, E, I, S, M>(
-    config: SystemConfig,
-    kind: ModelKind,
-    horizon: u32,
-    backend: SweepBackend,
-    init: I,
-    step: S,
-    merge: M,
-) -> Result<Acc, E>
-where
-    Acc: Send,
-    E: Send,
-    I: Fn() -> Acc + Sync,
-    S: Fn(&mut Acc, &Schedule) -> Result<(), E> + Sync,
-    M: Fn(Acc, Acc) -> Acc,
-{
-    let prefix = Schedule::failure_free(config, kind);
-    sweep_extensions(&prefix, 1, horizon, backend, init, step, merge)
-}
-
-/// Counts the serial schedules of `config` over rounds `1..=horizon` with
-/// the chosen backend (the parallel counterpart of
-/// [`count_serial_schedules`](crate::count_serial_schedules)).
-#[must_use]
-pub fn sweep_count(
-    config: SystemConfig,
-    kind: ModelKind,
-    horizon: u32,
-    backend: SweepBackend,
-) -> u64 {
-    let counted: Result<u64, std::convert::Infallible> = sweep_schedules(
-        config,
-        kind,
-        horizon,
-        backend,
-        || 0u64,
-        |acc, _| {
-            *acc += 1;
-            Ok(())
-        },
-        |a, b| a + b,
-    );
-    counted.expect("counting never fails")
-}
-
 /// Maps `f` over the index range `0..count` on `backend`'s worker pool,
 /// returning the results **in index order** regardless of thread count.
 ///
@@ -393,176 +227,26 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-fn sweep_one_unit<Acc, E, I, S>(
-    unit: &WorkUnit,
-    abort: &AtomicBool,
-    init: &I,
-    step: &S,
-) -> UnitResult<Acc, E>
-where
-    I: Fn() -> Acc,
-    S: Fn(&mut Acc, &Schedule) -> Result<(), E>,
-{
-    let mut acc = init();
-    let mut failure = None;
-    let mut aborted = false;
-    let _ = unit.for_each(|schedule| {
-        if abort.load(Ordering::Relaxed) {
-            aborted = true;
-            return ControlFlow::Break(());
-        }
-        match step(&mut acc, schedule) {
-            Ok(()) => ControlFlow::Continue(()),
-            Err(e) => {
-                failure = Some(e);
-                ControlFlow::Break(())
-            }
-        }
-    });
-    match (failure, aborted) {
-        (Some(e), _) => UnitResult::Failed(e),
-        (None, true) => UnitResult::Aborted,
-        (None, false) => UnitResult::Complete(acc),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use std::convert::Infallible;
-
-    use indulgent_model::Round;
-
     use super::*;
-    use crate::serial::count_serial_schedules;
-
-    fn cfg() -> SystemConfig {
-        SystemConfig::majority(5, 2).unwrap()
-    }
-
-    #[test]
-    fn parallel_count_matches_serial_for_every_thread_count() {
-        let expected = count_serial_schedules(cfg(), 3);
-        for threads in 1..=5 {
-            let counted = sweep_count(cfg(), ModelKind::Es, 3, SweepBackend::parallel(threads));
-            assert_eq!(counted, expected, "thread count {threads}");
-        }
-        assert_eq!(sweep_count(cfg(), ModelKind::Es, 3, SweepBackend::Serial), expected);
-    }
-
-    #[test]
-    fn fingerprint_fold_is_identical_across_backends() {
-        // An order-sensitive fold (hash chaining) proves the parallel merge
-        // reproduces the serial visit order exactly, not just the multiset.
-        let fold = |backend: SweepBackend| -> Vec<u64> {
-            let folded: Result<Vec<u64>, Infallible> = sweep_schedules(
-                cfg(),
-                ModelKind::Es,
-                3,
-                backend,
-                Vec::new,
-                |acc, s| {
-                    acc.push(s.fingerprint());
-                    Ok(())
-                },
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            );
-            folded.expect("infallible")
-        };
-        let serial = fold(SweepBackend::Serial);
-        assert_eq!(serial, fold(SweepBackend::parallel(2)));
-        assert_eq!(serial, fold(SweepBackend::parallel(4)));
-    }
 
     #[test]
     fn failing_step_aborts_and_reports() {
-        let result: Result<u64, String> = sweep_schedules(
-            cfg(),
-            ModelKind::Es,
-            3,
-            SweepBackend::parallel(4),
-            || 0u64,
-            |acc, s| {
-                *acc += 1;
-                if s.crash_count() == 2 {
-                    Err(format!("two crashes: {:?}", s.faulty()))
-                } else {
-                    Ok(())
-                }
-            },
-            |a, b| a + b,
-        );
-        assert!(result.is_err());
-        let serial_result: Result<u64, String> = sweep_schedules(
-            cfg(),
-            ModelKind::Es,
-            3,
-            SweepBackend::Serial,
-            || 0u64,
-            |acc, s| {
-                *acc += 1;
-                if s.crash_count() == 2 {
-                    Err("two crashes".into())
-                } else {
-                    Ok(())
-                }
-            },
-            |a, b| a + b,
-        );
-        assert!(serial_result.is_err());
-    }
-
-    #[test]
-    fn extension_sweep_respects_the_prefix() {
-        use crate::builder::ScheduleBuilder;
-        use indulgent_model::ProcessId;
-        let prefix = ScheduleBuilder::new(cfg(), ModelKind::Es)
-            .crash_before_send(ProcessId::new(0), Round::FIRST)
-            .build(3)
-            .unwrap();
-        let counted: Result<u64, Infallible> = sweep_extensions(
-            &prefix,
-            2,
-            3,
-            SweepBackend::parallel(3),
-            || 0u64,
-            |acc, s| {
-                assert_eq!(s.crash_round(ProcessId::new(0)), Some(Round::FIRST));
-                *acc += 1;
-                Ok(())
-            },
-            |a, b| a + b,
-        );
-        // Rounds 2 and 3: bare prefix + one more crash among 4 alive with
-        // 2^3 receiver subsets each round.
-        assert_eq!(counted.expect("infallible"), 1 + 2 * 4 * 8);
-    }
-
-    #[test]
-    fn backend_from_env_parses_the_documented_forms() {
-        // The process environment is global and libtest runs tests
-        // concurrently: serialize every env-mutating test on one lock and
-        // restore the prior value (CI forces the variable for whole jobs).
-        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = ENV_LOCK.lock().expect("env lock poisoned");
-        let prior = std::env::var(SWEEP_BACKEND_ENV).ok();
-
-        std::env::set_var(SWEEP_BACKEND_ENV, "parallel:3");
-        assert_eq!(SweepBackend::from_env(), SweepBackend::parallel(3));
-        std::env::set_var(SWEEP_BACKEND_ENV, "serial");
-        assert_eq!(SweepBackend::from_env(), SweepBackend::Serial);
-        std::env::set_var(SWEEP_BACKEND_ENV, "nonsense");
-        assert_eq!(SweepBackend::from_env(), SweepBackend::Serial);
-        std::env::set_var(SWEEP_BACKEND_ENV, "parallel");
-        assert!(matches!(SweepBackend::from_env(), SweepBackend::Parallel(_)));
-        std::env::remove_var(SWEEP_BACKEND_ENV);
-        assert_eq!(SweepBackend::from_env(), SweepBackend::Serial);
-
-        match prior {
-            Some(value) => std::env::set_var(SWEEP_BACKEND_ENV, value),
-            None => std::env::remove_var(SWEEP_BACKEND_ENV),
+        // Item 3 fails; every backend reports its error, and the parallel
+        // pool reports the lowest-indexed failure among those it processed.
+        let items: Vec<u64> = (0..16).collect();
+        let sweep = |&item: &u64, _abort: &AtomicBool| {
+            if item == 3 {
+                UnitResult::Failed(format!("item {item}"))
+            } else {
+                UnitResult::Complete(item)
+            }
+        };
+        for threads in [1, 2, 4] {
+            let threads = NonZeroUsize::new(threads).unwrap();
+            let result = pooled_fold(&items, threads, &sweep, &|| 0u64, |a, b| a + b);
+            assert_eq!(result, Err("item 3".to_owned()), "{threads} workers");
         }
     }
 
@@ -579,18 +263,10 @@ mod tests {
     #[test]
     fn panicking_step_propagates() {
         let result = std::panic::catch_unwind(|| {
-            let _: Result<u64, Infallible> = sweep_schedules(
-                cfg(),
-                ModelKind::Es,
-                2,
-                SweepBackend::parallel(2),
-                || 0u64,
-                |_, s| {
-                    assert!(s.crash_count() < 2, "boom");
-                    Ok(())
-                },
-                |a, b| a + b,
-            );
+            pooled_map_indexed(32, SweepBackend::parallel(2), |i| {
+                assert!(i != 17, "boom");
+                i
+            })
         });
         assert!(result.is_err());
     }

@@ -11,8 +11,8 @@ use indulgent_model::{
 };
 use indulgent_sim::{
     count_serial_schedules, for_each_serial_schedule, random_run, run_schedule, run_traced,
-    sweep_count, work_units, MessageFate, ModelKind, RandomRunParams, Schedule, ScheduleBuilder,
-    SweepBackend,
+    sweep_runs, work_units, ExecutorError, MessageFate, ModelKind, RandomRunParams, Schedule,
+    ScheduleBuilder, SweepBackend,
 };
 use proptest::prelude::*;
 
@@ -348,8 +348,8 @@ proptest! {
         prop_assert!(unit_sizes.iter().all(|&c| c > 0));
     }
 
-    /// The parallel sweep visits exactly as many schedules as the serial
-    /// enumerator, for any thread count.
+    /// The exhaustive run sweep visits exactly as many schedules as the
+    /// serial enumerator, on the serial backend and for any thread count.
     #[test]
     fn parallel_sweep_count_matches_serial(
         n in 3usize..6,
@@ -360,13 +360,24 @@ proptest! {
         prop_assume!(t >= 1);
         let config = SystemConfig::majority(n, t).unwrap();
         let expected = count_serial_schedules(config, horizon);
-        prop_assert_eq!(
-            sweep_count(config, ModelKind::Es, horizon, SweepBackend::parallel(threads)),
-            expected
-        );
-        prop_assert_eq!(
-            sweep_count(config, ModelKind::Es, horizon, SweepBackend::Serial),
-            expected
-        );
+        let proposals: Vec<Value> = (0..n as u64).map(Value::new).collect();
+        for backend in [SweepBackend::Serial, SweepBackend::parallel(threads)] {
+            let counted: Result<u64, ExecutorError> = sweep_runs(
+                &probe_factory(2),
+                &proposals,
+                config,
+                ModelKind::Es,
+                horizon,
+                horizon + 1,
+                backend,
+                || 0,
+                |count, _, _| {
+                    *count += 1;
+                    Ok(())
+                },
+                |a, b| a + b,
+            );
+            prop_assert_eq!(counted.unwrap(), expected);
+        }
     }
 }
