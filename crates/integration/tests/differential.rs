@@ -17,7 +17,7 @@
 //! * consensus violations are detected by every backend;
 //! * schedules expressible on the real network (crash-before-send) produce
 //!   the same decisions under the deterministic simulator and the
-//!   thread-per-process runtime;
+//!   threaded runtime;
 //! * the paper's `t + 2` bound (`k_ES`) survives the engine's headline
 //!   workload: an exhaustive `n = 7, t = 2` sweep (~518k serial runs).
 

@@ -1,14 +1,16 @@
-//! Thread-per-process message-passing runtime.
+//! Multiplexed message-passing runtime: `n` replicas on at most one OS
+//! thread per core.
 //!
 //! The paper's model is abstract; this crate gives it a concrete,
-//! wall-clock incarnation: every process is an OS thread, messages travel
-//! through per-worker delay lines with an injectable delay model, and
-//! round synchronization works the way eventually synchronous systems do
-//! in practice — wait for a quorum of `n - t` current-round messages
-//! (mandatory, this is the model's t-resilience), then a grace period for
-//! stragglers, then move on. A message that misses its round's grace window
-//! is *suspected* exactly as in ES: it still arrives later (reliable
-//! channels), tagged with the round it was sent in.
+//! wall-clock incarnation: every process is a replica hosted by an OS
+//! worker thread, messages travel through per-worker delay lines with an
+//! injectable delay model, and round synchronization works the way
+//! eventually synchronous systems do in practice — wait for a quorum of
+//! `n - t` current-round messages (mandatory, this is the model's
+//! t-resilience), then a grace period for stragglers, then move on. A
+//! message that misses its round's grace window is *suspected* exactly as
+//! in ES: it still arrives later (reliable channels), tagged with the
+//! round it was sent in.
 //!
 //! The same [`RoundProcess`] automatons that run under the deterministic
 //! simulator run here unchanged, which is the point: `quickstart` decisions
@@ -19,20 +21,25 @@
 //!
 //! # Sessions: reusable threads, pipelined instances
 //!
-//! The runtime's unit of reuse is a [`Session`]: `n` worker threads and
-//! their inboxes, spawned **once** and kept alive across any number of
-//! consensus instances. A session is spawned with a `build` and a `reset`
-//! hook ([`Session::with_recycler`]). [`Session::start_instance_recycled`]
-//! hands each worker a proposal and a per-instance [`InstanceSpec`] (crash
-//! rounds, delay model, round budget); the worker resets an automaton
-//! retired by an earlier instance for it, and builds one only when its
-//! pool is empty. Results stream back per replica as [`ReplicaResult`]s.
+//! The runtime's unit of reuse is a [`Session`]: `W = min(n,
+//! available_parallelism)` worker threads and their inboxes, spawned
+//! **once** and kept alive across any number of consensus instances.
+//! Replica `r` lives on worker `r % W`; `W` follows the cores the process
+//! may use (`taskset`, cgroup limits), so more threads than that would
+//! only take turns on the same cores. A session is spawned with a `build`
+//! and a `reset` hook ([`Session::with_recycler`]).
+//! [`Session::start_instance_recycled`] hands each replica a proposal and
+//! a per-instance [`InstanceSpec`] (crash rounds, delay model, round
+//! budget); the replica's worker resets an automaton that replica retired
+//! in an earlier instance, and builds one only when the replica's pool is
+//! empty. Results stream back per replica as [`ReplicaResult`]s.
 //! Multiple instances may be in flight at once — every message is tagged
-//! with its instance, and each worker interleaves the round protocols of
-//! all its active instances in one event loop. This is the substrate of
-//! the `indulgent-log` replicated-log subsystem: a pipelined log keeps a
-//! window of instances running concurrently and pays thread/inbox setup
-//! exactly once, instead of once per decision.
+//! with its instance and its target replica, and each worker interleaves
+//! the round protocols of all its (instance, replica) pairs in one event
+//! loop. This is the substrate of the `indulgent-log` replicated-log
+//! subsystem: a pipelined log keeps a window of instances running
+//! concurrently and pays thread/inbox setup exactly once, instead of once
+//! per decision.
 //!
 //! [`run_network`] runs one instance on a fresh session and returns a
 //! [`NetReport`]. Its reset hook rebuilds the automaton from the factory,
@@ -44,22 +51,34 @@
 //! Everything that can make a worker progress arrives in its one *inbox*:
 //! jobs (new instances), peer messages, and the shutdown item pushed by
 //! [`Session`]'s `Drop`. Each item carries the instant it becomes visible —
-//! a message sent over a link of delay `d` is pushed at send time, due
-//! `d` later — and the inbox never hands an item out before then. A worker
-//! drains what is due, advances every active instance, and parks until the
-//! earliest of the next due item and the earliest `quorum_at + grace`
-//! among its instances. There is no poll interval: the runtime adds
-//! nothing to the delay it models.
+//! a message sent over a link of delay `d` is due `d` after its send —
+//! and the inbox never hands an item out before then. A worker
+//! drains what is due, then advances every (instance, replica) pair it
+//! hosts, pass after pass, until a pass delivers nothing to a co-hosted
+//! replica (a local send can complete a sibling's round). It then parks
+//! until the earliest of the next due item and the earliest
+//! `quorum_at + grace` among its pairs. There is no poll interval: the
+//! runtime adds nothing to the delay it models.
 //!
-//! Under the inbox lock, a pushed message wakes its receiver only when all
+//! A message sent with zero delay to a replica on the sender's own worker,
+//! the sender included, goes straight into that replica's mailbox: no
+//! lock and no wake. Every other message, a delayed one to a co-hosted
+//! replica too, goes through the target worker's inbox: at the end of
+//! each pass, everything the pass sent to a worker is pushed under one
+//! lock, with at most one wake.
+//!
+//! Under the inbox lock, a pushed message wakes its worker only when all
 //! three hold:
 //!
-//! 1. the receiver is parked;
-//! 2. the message is due before the receiver's wake time (a later one is
-//!    picked up when the receiver wakes anyway);
-//! 3. the receiver has already taken the job of the message's instance
+//! 1. the worker is parked;
+//! 2. the message is due before the worker's wake time (a later one is
+//!    picked up when the worker wakes anyway);
+//! 3. the worker has already taken the job of the message's instance
 //!    (until then it could only buffer the message; the job's push wakes
-//!    it, and the message is returned with the job).
+//!    it, and the message is returned with the job). The session pushes
+//!    the jobs of all replicas a worker hosts in one locked batch, so the
+//!    worker takes them together and the condition holds for each of its
+//!    replicas at once.
 //!
 //! Jobs and shutdown always wake. The test and the park happen under the
 //! same lock, so no wake-up is lost. The `runtime_session` metric family
@@ -68,19 +87,20 @@
 //!
 //! A replica that has decided keeps relaying its decision, one broadcast
 //! per round, for peers that have not decided yet. The *stop rule* ends
-//! that: before each relay the worker asks the session's done registry
-//! whether every replica has finished the instance (decided, crashed or
-//! out of rounds). If so, it sends nothing and retires the instance in
-//! the same pass, since no one can need the message any more. The rule is
-//! all-or-nothing on purpose. A decider that skipped only its finished
-//! peers would never complete its round, so it would never send the next
-//! relay that a replica still undecided may need for its quorum. The
-//! `runtime_session.relays` counter counts the relays that were sent.
+//! that: before each relay the replica's worker asks the session's done
+//! registry whether every replica has finished the instance (decided,
+//! crashed or out of rounds). If so, it sends nothing and retires the
+//! replica's instance in the same pass, since no one can need the message
+//! any more. The rule is all-or-nothing on purpose. A decider that
+//! skipped only its finished peers would never complete its round, so it
+//! would never send the next relay that a replica still undecided may
+//! need for its quorum. The `runtime_session.relays` counter counts the
+//! relays that were sent.
 //!
 //! # Crash semantics
 //!
 //! Crashes are *logical*, defined against the per-instance round clock: a
-//! spec entry `crash at round r` means the worker participates in rounds
+//! spec entry `crash at round r` means the replica participates in rounds
 //! `< r` of that instance and is silent from round `r` on — exactly the
 //! simulator's `crash_before_send`. With pipelined instances a permanent
 //! replica crash is expressed by crashing the replica at its chosen
@@ -113,9 +133,11 @@ use indulgent_model::{
 /// have done, summed across all of them. Instances and results are the
 /// session's unit of work, so the first three counters say how much
 /// consensus traffic flowed through the runtime. The next two say how
-/// often workers slept on their inboxes and how many of those sleeps
-/// ended on their own timer (a due message or a grace expiry) rather
-/// than on a push. `relays` counts broadcasts sent
+/// often worker threads slept on their inboxes and how many of those
+/// sleeps ended on their own timer (a due message or a grace expiry)
+/// rather than on a push; a worker parks only once none of the replicas
+/// it hosts can progress, so messages between co-hosted replicas cost no
+/// park. `relays` counts broadcasts sent
 /// by a replica that had already decided the instance: the work done
 /// after the decision, which the stop rule (module docs) keeps to the
 /// rounds where some replica has not finished yet.
@@ -171,7 +193,7 @@ fn note_result(r: ReplicaResult) -> ReplicaResult {
 }
 
 /// What a worker's inbox carries. Jobs and messages are tagged with their
-/// instance, which the wake rule reads.
+/// instance, which the wake rule reads, and name their target replica.
 #[derive(Debug)]
 enum Item<J, M> {
     /// A new instance for the worker.
@@ -214,8 +236,9 @@ impl<T> Eq for Pending<T> {}
 struct InboxState<J, M> {
     queue: BinaryHeap<Pending<Item<J, M>>>,
     pushed: u64,
-    /// Highest instance whose job the receiver has taken (the session
-    /// pushes each worker's jobs in instance order).
+    /// Highest instance whose jobs the receiver has taken (the session
+    /// pushes each worker's jobs in instance order, all of one instance in
+    /// one batch).
     jobs_taken: u64,
     /// Whether the receiver is parked; the push that wakes it clears this,
     /// so later pushes do not wake it again.
@@ -263,17 +286,26 @@ impl<J, M> Inbox<J, M> {
     /// Queues `item`, visible from `due` on, waking the receiver only if
     /// the wake rule says it must.
     fn push(&self, due: Instant, item: Item<J, M>) {
+        self.push_all(std::iter::once((due, item)));
+    }
+
+    /// Queues every `(due, item)` under one lock, waking the receiver at
+    /// most once: if the wake rule says any of them must.
+    fn push_all(&self, items: impl IntoIterator<Item = (Instant, Item<J, M>)>) {
         let mut state = self.lock();
-        let wake = state.parked
-            && match item {
-                Item::Message(instance, _) => {
-                    instance <= state.jobs_taken && state.wake_at.is_none_or(|at| due < at)
-                }
-                Item::Job(..) | Item::Shutdown => true,
-            };
-        let seq = state.pushed;
-        state.pushed += 1;
-        state.queue.push(Pending { due, seq, item });
+        let mut wake = false;
+        for (due, item) in items {
+            wake |= state.parked
+                && match item {
+                    Item::Message(instance, _) => {
+                        instance <= state.jobs_taken && state.wake_at.is_none_or(|at| due < at)
+                    }
+                    Item::Job(..) | Item::Shutdown => true,
+                };
+            let seq = state.pushed;
+            state.pushed += 1;
+            state.queue.push(Pending { due, seq, item });
+        }
         if wake {
             state.parked = false;
             drop(state);
@@ -477,15 +509,15 @@ pub struct InstanceReport {
 }
 
 /// Tracks, per instance, which replicas have finished (decided, crashed,
-/// or exhausted their round budget); workers stop relaying an instance's
+/// or exhausted their round budget); replicas stop relaying an instance's
 /// decision ([`is_done`](Self::is_done), before each relay) and retire it
 /// ([`is_done_ack`](Self::is_done_ack)) once every replica is accounted
 /// for.
 ///
-/// Entries are evicted once every worker has *observed* the full mask
-/// (one retire acknowledgement per worker), so a long-lived session's
-/// registry stays bounded by the in-flight window instead of growing
-/// with every instance ever run.
+/// Entries are evicted once every replica has *observed* the full mask
+/// (one retire acknowledgement per replica, whichever worker hosts it),
+/// so a long-lived session's registry stays bounded by the in-flight
+/// window instead of growing with every instance ever run.
 #[derive(Debug)]
 struct DoneRegistry {
     n: usize,
@@ -509,7 +541,7 @@ impl DoneRegistry {
     }
 
     /// Whether every replica finished `instance`, without acknowledging:
-    /// the relay check of a worker whose instance is not yet retired. The
+    /// the relay check of a replica whose instance is not yet retired. The
     /// entry cannot be evicted under a caller that has marked it itself,
     /// since eviction waits for that caller's own acknowledgement.
     fn is_done(&self, instance: u64) -> bool {
@@ -518,9 +550,9 @@ impl DoneRegistry {
     }
 
     /// Whether every replica finished `instance`; a `true` answer counts
-    /// as the calling worker's retire acknowledgement (each worker asks
+    /// as the calling replica's retire acknowledgement (each replica asks
     /// again only until it gets `true`), and the n-th acknowledgement
-    /// evicts the entry. A worker's own `mark` precedes its
+    /// evicts the entry. A replica's own `mark` precedes its
     /// acknowledgement, so eviction cannot race a late finisher.
     fn is_done_ack(&self, instance: u64) -> bool {
         let mut masks = self.masks.lock().expect("registry poisoned");
@@ -536,7 +568,7 @@ impl DoneRegistry {
     }
 }
 
-/// A worker's set of locally retired instances, bounded by the
+/// A replica's set of locally retired instances, bounded by the
 /// out-of-order retirement window: a watermark covers the dense prefix
 /// (instance ids are handed out from 1), a small set holds the gaps.
 #[derive(Debug, Default)]
@@ -561,40 +593,51 @@ impl RetiredSet {
 }
 
 /// What a worker streams back to the session owner: replica results in
-/// the normal case, a poison marker if the worker thread panics (sent
-/// from the sentinel's unwind path so waiters fail loudly instead of
-/// blocking forever).
+/// the normal case, a poison marker naming the replica being stepped if
+/// the worker thread panics (sent from the sentinel's unwind path so
+/// waiters fail loudly instead of blocking forever).
 #[derive(Debug)]
 enum WorkerEvent {
     Result(ReplicaResult),
     Panicked(ProcessId),
 }
 
-/// Reports a worker panic to the session owner on unwind.
+/// Reports a worker panic to the session owner on unwind, naming the
+/// replica the worker was stepping at the time.
 struct PanicSentinel {
-    id: ProcessId,
+    replica: ProcessId,
     events_tx: Sender<WorkerEvent>,
 }
 
 impl Drop for PanicSentinel {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let _ = self.events_tx.send(WorkerEvent::Panicked(self.id));
+            let _ = self.events_tx.send(WorkerEvent::Panicked(self.replica));
         }
     }
 }
 
-/// The per-instance job handed to a worker thread: its replica's
-/// proposal and its share of the [`InstanceSpec`].
+/// The per-instance job of one replica, handed to the worker that hosts
+/// it: the replica's proposal and its share of the [`InstanceSpec`].
 struct Job {
+    replica: ProcessId,
     proposal: Value,
     crash_round: Option<Round>,
     delays: DelayModel,
     max_rounds: u32,
 }
 
-/// A worker's inbox: jobs and the peer messages of its instances.
-type WorkerInbox<P> = Inbox<Job, DeliveredMsg<<P as RoundProcess>::Msg>>;
+/// A peer message on its way to replica `to`.
+struct Envelope<M> {
+    to: ProcessId,
+    msg: DeliveredMsg<M>,
+}
+
+/// What a worker's inbox carries for automatons `P`.
+type WorkerItem<P> = Item<Job, Envelope<<P as RoundProcess>::Msg>>;
+
+/// A worker's inbox: the jobs and peer messages of the replicas it hosts.
+type WorkerInbox<P> = Inbox<Job, Envelope<<P as RoundProcess>::Msg>>;
 
 /// The reset hook of a [`Recycler`]: `(process index, retired automaton,
 /// next proposal)`.
@@ -615,8 +658,9 @@ impl<P> std::fmt::Debug for Recycler<P> {
     }
 }
 
-/// A pool of `n` replica threads and their inboxes, reusable across any
-/// number of (possibly concurrent) consensus instances.
+/// `n` replicas on `min(n, available_parallelism)` worker threads and
+/// their inboxes, reusable across any number of (possibly concurrent)
+/// consensus instances.
 ///
 /// Spawning threads and inboxes is the expensive part of a networked
 /// run; a `Session` pays it once. Instances are started with
@@ -656,7 +700,7 @@ impl<P> std::fmt::Debug for Recycler<P> {
 #[derive(Debug)]
 pub struct Session<P: RoundProcess> {
     config: SystemConfig,
-    /// One per worker, indexed by replica.
+    /// One per worker; replica `r` lives on worker `r % inboxes.len()`.
     inboxes: Arc<[WorkerInbox<P>]>,
     results_rx: Receiver<WorkerEvent>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -670,14 +714,16 @@ where
     P: RoundProcess + Send + 'static,
     P::Msg: Send + 'static,
 {
-    /// Spawns the session's `n` worker threads. Each worker keeps the
-    /// automatons of its retired instances in a pool and resets one in
-    /// place for its next instance (`reset` receives the replica index,
-    /// the pooled automaton and the new proposal) instead of dropping
-    /// per-instance allocations on the floor; `build` covers an empty
-    /// pool. `grace` is how long a round waits for stragglers once the
-    /// `n - t` quorum of current-round messages has arrived; a message
-    /// that misses the window is suspected for that round.
+    /// Spawns the session's `min(n, available_parallelism)` worker
+    /// threads; replica `r` lives on worker `r % W`. Each replica keeps
+    /// the automatons of its retired instances in a pool of its own, and
+    /// its worker resets one in place for the replica's next instance
+    /// (`reset` receives the replica index, the pooled automaton and the
+    /// new proposal) instead of dropping per-instance allocations on the
+    /// floor; `build` covers an empty pool. `grace` is how long a round
+    /// waits for stragglers once the `n - t` quorum of current-round
+    /// messages has arrived; a message that misses the window is
+    /// suspected for that round.
     #[must_use]
     pub fn with_recycler<B, R>(config: SystemConfig, grace: Duration, build: B, reset: R) -> Self
     where
@@ -685,14 +731,15 @@ where
         R: Fn(usize, &mut P, Value) + Send + Sync + 'static,
     {
         let n = config.n();
-        let inboxes: Arc<[WorkerInbox<P>]> = (0..n).map(|_| Inbox::new()).collect();
+        let workers = std::thread::available_parallelism().map_or(n, usize::from).min(n);
+        let inboxes: Arc<[WorkerInbox<P>]> = (0..workers).map(|_| Inbox::new()).collect();
         let registry = Arc::new(DoneRegistry::new(n));
         let recycler = Arc::new(Recycler { build: Box::new(build), reset: Box::new(reset) });
         let (results_tx, results_rx) = unbounded();
-        let handles = (0..n)
-            .map(|i| {
+        let handles = (0..workers)
+            .map(|index| {
                 let ctx = WorkerCtx {
-                    id: ProcessId::new(i),
+                    index,
                     inboxes: Arc::clone(&inboxes),
                     results_tx: results_tx.clone(),
                     registry: Arc::clone(&registry),
@@ -722,11 +769,11 @@ where
     }
 
     /// Starts the next consensus instance from one proposal per replica
-    /// plus the instance's crash/delay/budget spec: each worker resets a
-    /// pooled automaton through the session's reset hook, or builds one
-    /// on an empty pool. Returns the instance id (monotonic from 1). The
-    /// call never blocks; any number of instances may be in flight
-    /// concurrently.
+    /// plus the instance's crash/delay/budget spec: each replica's worker
+    /// resets an automaton from the replica's pool through the session's
+    /// reset hook, or builds one on an empty pool. Returns the instance
+    /// id (monotonic from 1). The call never blocks; any number of
+    /// instances may be in flight concurrently.
     ///
     /// # Panics
     ///
@@ -738,14 +785,18 @@ where
         let instance = self.next_instance;
         self.next_instance += 1;
         let now = Instant::now();
-        for (i, &proposal) in proposals.iter().enumerate() {
-            let job = Job {
-                proposal,
-                crash_round: spec.crashes[i],
-                delays: spec.delays,
-                max_rounds: spec.max_rounds,
-            };
-            self.inboxes[i].push(now, Item::Job(instance, job));
+        let workers = self.inboxes.len();
+        for (w, inbox) in self.inboxes.iter().enumerate() {
+            inbox.push_all((w..proposals.len()).step_by(workers).map(|i| {
+                let job = Job {
+                    replica: ProcessId::new(i),
+                    proposal: proposals[i],
+                    crash_round: spec.crashes[i],
+                    delays: spec.delays,
+                    max_rounds: spec.max_rounds,
+                };
+                (now, Item::Job(instance, job))
+            }));
         }
         instance
     }
@@ -871,8 +922,10 @@ impl<P: RoundProcess> Drop for Session<P> {
 
 /// Everything a worker thread owns.
 struct WorkerCtx<P: RoundProcess> {
-    id: ProcessId,
-    /// Every worker's inbox: its own at index `id`, its peers' for sends.
+    /// This worker's index `w`: it hosts replicas `w, w + W, w + 2W, ...`.
+    index: usize,
+    /// Every worker's inbox: its own at index `index`, its peers' for
+    /// sends.
     inboxes: Arc<[WorkerInbox<P>]>,
     results_tx: Sender<WorkerEvent>,
     registry: Arc<DoneRegistry>,
@@ -884,14 +937,15 @@ struct WorkerCtx<P: RoundProcess> {
 
 impl<P: RoundProcess> std::fmt::Debug for WorkerCtx<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerCtx").field("id", &self.id).finish_non_exhaustive()
+        f.debug_struct("WorkerCtx").field("index", &self.index).finish_non_exhaustive()
     }
 }
 
-/// One instance's protocol state inside a worker: a small state machine
-/// advanced opportunistically by the event loop.
+/// One (instance, replica) pair's protocol state inside a worker: a small
+/// state machine advanced opportunistically by the event loop.
 struct ActiveInstance<P: RoundProcess> {
     instance: u64,
+    replica: ProcessId,
     process: P,
     crash_round: Option<Round>,
     delays: DelayModel,
@@ -914,13 +968,40 @@ struct ActiveInstance<P: RoundProcess> {
 
 type Mailbox<M> = BTreeMap<u32, Vec<DeliveredMsg<M>>>;
 
+/// What a worker keeps for one replica it hosts, across instances.
+struct Hosted<P: RoundProcess> {
+    /// Arrived messages, keyed by instance then by the round they were
+    /// sent in. Entries may exist before the instance's job arrives (a
+    /// faster peer started it first).
+    mailboxes: HashMap<u64, Mailbox<P::Msg>>,
+    /// Instances this replica has fully retired; stragglers are dropped.
+    retired: RetiredSet,
+    /// Retired automatons awaiting reuse.
+    pool: Vec<P>,
+}
+
+impl<P: RoundProcess> Hosted<P> {
+    fn new() -> Self {
+        Hosted { mailboxes: HashMap::new(), retired: RetiredSet::default(), pool: Vec::new() }
+    }
+
+    /// Files a message of `instance` for this replica, unless the replica
+    /// has retired the instance.
+    fn receive(&mut self, instance: u64, msg: DeliveredMsg<P::Msg>) {
+        if !self.retired.contains(instance) {
+            let mailbox = self.mailboxes.entry(instance).or_default();
+            mailbox.entry(msg.sent_round.get()).or_default().push(msg);
+        }
+    }
+}
+
 fn activate<P: RoundProcess>(
     instance: u64,
     job: Job,
-    replica: usize,
     recycler: &Recycler<P>,
     pool: &mut Vec<P>,
 ) -> ActiveInstance<P> {
+    let replica = job.replica.index();
     let process = match pool.pop() {
         Some(mut p) => {
             (recycler.reset)(replica, &mut p, job.proposal);
@@ -930,6 +1011,7 @@ fn activate<P: RoundProcess>(
     };
     ActiveInstance {
         instance,
+        replica: job.replica,
         process,
         crash_round: job.crash_round,
         delays: job.delays,
@@ -946,19 +1028,20 @@ fn activate<P: RoundProcess>(
 
 fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
     // If anything below panics, tell the session owner on unwind so its
-    // blocking waits fail loudly instead of hanging.
-    let _sentinel = PanicSentinel { id: ctx.id, events_tx: ctx.results_tx.clone() };
-    let replica = ctx.id.index();
-    let inbox = &ctx.inboxes[replica];
+    // blocking waits fail loudly instead of hanging. The loop keeps the
+    // sentinel pointed at the replica it is stepping.
+    let mut sentinel =
+        PanicSentinel { replica: ProcessId::new(ctx.index), events_tx: ctx.results_tx.clone() };
+    let workers = ctx.inboxes.len();
+    let inbox = &ctx.inboxes[ctx.index];
+    // Every hosted (instance, replica) pair in flight, in job order.
     let mut active: Vec<ActiveInstance<P>> = Vec::new();
-    // Arrived messages, keyed by instance then by the round they were
-    // sent in. Entries may exist before the instance's job arrives (a
-    // faster peer started it first).
-    let mut mailboxes: HashMap<u64, Mailbox<P::Msg>> = HashMap::new();
-    // Instances this worker has fully retired; stragglers are dropped.
-    let mut retired = RetiredSet::default();
-    // Retired automatons awaiting reuse.
-    let mut pool: Vec<P> = Vec::new();
+    // Replica `r` is `hosted[r / W]`.
+    let mut hosted: Vec<Hosted<P>> =
+        (ctx.index..ctx.n).step_by(workers).map(|_| Hosted::new()).collect();
+    // Messages for other workers' inboxes (and delayed ones for this
+    // worker's own), indexed by worker and pushed once per pass.
+    let mut outbox: Vec<Vec<(Instant, WorkerItem<P>)>> = (0..workers).map(|_| Vec::new()).collect();
     let mut due = Vec::new();
 
     loop {
@@ -968,37 +1051,52 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
         for item in due.drain(..) {
             match item {
                 Item::Job(instance, job) => {
-                    active.push(activate(instance, job, replica, &ctx.recycler, &mut pool));
+                    sentinel.replica = job.replica;
+                    let pool = &mut hosted[job.replica.index() / workers].pool;
+                    active.push(activate(instance, job, &ctx.recycler, pool));
                 }
-                Item::Message(instance, msg) => {
-                    if !retired.contains(instance) {
-                        let mailbox = mailboxes.entry(instance).or_default();
-                        mailbox.entry(msg.sent_round.get()).or_default().push(msg);
-                    }
+                Item::Message(instance, Envelope { to, msg }) => {
+                    hosted[to.index() / workers].receive(instance, msg);
                 }
                 Item::Shutdown => return,
             }
         }
 
-        // Advance every active instance as far as it can go.
-        for inst in &mut active {
-            advance_instance(&ctx, inst, mailboxes.entry(inst.instance).or_default());
+        // Advance every hosted pair as far as it can go, pass after pass
+        // while a pass delivers to a co-hosted replica: that message may
+        // complete the round of a pair visited earlier in the pass.
+        loop {
+            let mut delivered_locally = false;
+            for inst in &mut active {
+                sentinel.replica = inst.replica;
+                delivered_locally |= advance_instance(&ctx, inst, &mut hosted, &mut outbox);
+            }
+            for (to, items) in ctx.inboxes.iter().zip(&mut outbox) {
+                if !items.is_empty() {
+                    to.push_all(items.drain(..));
+                }
+            }
+            if !delivered_locally {
+                break;
+            }
         }
 
-        // Retire instances that are globally done (or locally halted and
-        // globally done): free their mailboxes and drop future
-        // stragglers. The registry lock is only taken for instances this
-        // worker has already finished locally, and a global finish is
-        // noticed on the worker's next wake (finishing wakes no one).
+        // Retire pairs whose instance is globally done (after finishing
+        // locally): free their mailboxes, drop future stragglers and pool
+        // the automaton. The registry lock is only taken for pairs that
+        // have already finished locally, and a global finish is noticed
+        // on the worker's next wake (finishing wakes no one).
         let mut i = 0;
         while i < active.len() {
             let inst = &active[i];
             let gone =
                 (inst.halted || inst.decision.is_some()) && ctx.registry.is_done_ack(inst.instance);
             if gone {
-                mailboxes.remove(&inst.instance);
-                retired.insert(inst.instance);
-                pool.push(active.remove(i).process);
+                let inst = active.remove(i);
+                let replica = &mut hosted[inst.replica.index() / workers];
+                replica.mailboxes.remove(&inst.instance);
+                replica.retired.insert(inst.instance);
+                replica.pool.push(inst.process);
             } else {
                 i += 1;
             }
@@ -1006,14 +1104,21 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
     }
 }
 
-/// Runs one instance's protocol forward: send if due, deliver every round
-/// whose quorum-plus-grace condition is met, repeat until the instance
-/// blocks on the network (or halts).
+/// Runs one (instance, replica) pair's protocol forward: send if due,
+/// deliver every round whose quorum-plus-grace condition is met, repeat
+/// until the pair blocks on the network (or halts). Messages to replicas
+/// of this worker with zero delay go straight into their mailboxes, the
+/// rest into `outbox`. Returns whether a message went straight to a
+/// replica other than the sender.
 fn advance_instance<P: RoundProcess>(
     ctx: &WorkerCtx<P>,
     inst: &mut ActiveInstance<P>,
-    mailbox: &mut Mailbox<P::Msg>,
-) {
+    hosted: &mut [Hosted<P>],
+    outbox: &mut [Vec<(Instant, WorkerItem<P>)>],
+) -> bool {
+    let workers = outbox.len();
+    let me = inst.replica;
+    let mut delivered_locally = false;
     while !inst.halted {
         let k = inst.round;
         if !inst.sent {
@@ -1021,38 +1126,42 @@ fn advance_instance<P: RoundProcess>(
             // on (the simulator's `crash_before_send`).
             if inst.crash_round.is_some_and(|c| k >= c.get()) {
                 halt_and_report(ctx, inst);
-                return;
+                break;
             }
             if k > inst.max_rounds {
                 halt_and_report(ctx, inst);
-                return;
+                break;
             }
             // The stop rule (module docs): no relay once every replica
             // has finished; the retire pass then takes the instance.
             if inst.decision.is_some() {
                 if ctx.registry.is_done(inst.instance) {
-                    return;
+                    break;
                 }
                 session_metrics().relays.incr();
             }
             let round = Round::new(k);
             let msg = inst.process.send(round);
             let now = Instant::now();
-            for (j, inbox) in ctx.inboxes.iter().enumerate() {
+            for j in 0..ctx.n {
                 let to = ProcessId::new(j);
-                let delay = if to == ctx.id {
-                    Duration::ZERO
+                let delay =
+                    if to == me { Duration::ZERO } else { inst.delays.delay_for(round, me, to) };
+                let msg = DeliveredMsg { sender: me, sent_round: round, msg: msg.clone() };
+                if delay.is_zero() && j % workers == ctx.index {
+                    hosted[j / workers].receive(inst.instance, msg);
+                    delivered_locally |= to != me;
                 } else {
-                    inst.delays.delay_for(round, ctx.id, to)
-                };
-                let msg = DeliveredMsg { sender: ctx.id, sent_round: round, msg: msg.clone() };
-                inbox.push(now + delay, Item::Message(inst.instance, msg));
+                    let item = Item::Message(inst.instance, Envelope { to, msg });
+                    outbox[j % workers].push((now + delay, item));
+                }
             }
             inst.sent = true;
         }
 
         // Receive phase: the round completes once all `n` current-round
         // messages arrived, or the `n - t` quorum plus the grace window.
+        let mailbox = hosted[me.index() / workers].mailboxes.entry(inst.instance).or_default();
         let current = mailbox.get(&k).map_or(0, Vec::len);
         let ready = if current >= ctx.n {
             true
@@ -1063,7 +1172,7 @@ fn advance_instance<P: RoundProcess>(
             false
         };
         if !ready {
-            return;
+            break;
         }
 
         // Deliver everything sent in rounds <= k that has arrived.
@@ -1079,8 +1188,8 @@ fn advance_instance<P: RoundProcess>(
         inst.last_round = k;
         if let Step::Decide(value) = step {
             if inst.decision.is_none() {
-                inst.decision = Some(Decision { process: ctx.id, round, value });
-                ctx.registry.mark(inst.instance, ctx.id);
+                inst.decision = Some(Decision { process: me, round, value });
+                ctx.registry.mark(inst.instance, me);
                 report(ctx, inst);
             }
         }
@@ -1088,13 +1197,14 @@ fn advance_instance<P: RoundProcess>(
         inst.sent = false;
         inst.quorum_at = None;
     }
+    delivered_locally
 }
 
-/// Stops the instance locally (crash or exhausted budget), reporting its
+/// Stops the pair locally (crash or exhausted budget), reporting its
 /// terminal state if it has not reported yet.
 fn halt_and_report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
     inst.halted = true;
-    ctx.registry.mark(inst.instance, ctx.id);
+    ctx.registry.mark(inst.instance, inst.replica);
     report(ctx, inst);
 }
 
@@ -1107,7 +1217,7 @@ fn report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
     inst.reported = true;
     let _ = ctx.results_tx.send(WorkerEvent::Result(ReplicaResult {
         instance: inst.instance,
-        replica: ctx.id,
+        replica: inst.replica,
         decision: inst.decision,
         last_round: inst.last_round,
     }));
@@ -1595,13 +1705,13 @@ mod tests {
         for _ in 0..3 {
             session.start_instance_recycled(&[Value::new(7); 5], &spec);
         }
-        // Each worker has taken its three jobs once every inbox holds its
-        // peers' round-1 messages, all due 10 s from now.
-        let pending = 3 * (config.n() - 1);
-        for inbox in session.inboxes.iter() {
-            while inbox.lock().queue.len() < pending {
-                std::thread::yield_now();
-            }
+        // Every replica has taken its three jobs once the worker inboxes
+        // together hold each replica's round-1 messages to its peers, all
+        // due 10 s from now.
+        let pending = 3 * config.n() * (config.n() - 1);
+        while session.inboxes.iter().map(|inbox| inbox.lock().queue.len()).sum::<usize>() < pending
+        {
+            std::thread::yield_now();
         }
         let start = Instant::now();
         drop(session);
