@@ -20,9 +20,9 @@ fn relays() -> u64 {
 
 /// When every replica decides at round 2, each one relays at most once:
 /// the round-3 broadcast it may send before its last peer has reported.
-/// After that the done registry reads full and nobody sends again. The
-/// long grace keeps a round with only a quorum of relays from completing
-/// before the registry fills.
+/// After that the worker counts every replica finished and nobody sends
+/// again. The long grace keeps a round with only a quorum of relays from
+/// completing before the count is full.
 #[test]
 fn decided_replicas_stop_relaying_once_everyone_finished() {
     let config = SystemConfig::majority(5, 2).expect("valid config");

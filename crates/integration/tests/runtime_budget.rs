@@ -45,29 +45,28 @@ fn parks_per_instance(
     (worker_parks() - before) as f64 / instances as f64
 }
 
-/// A worker parks only when none of the replicas it hosts can progress.
-/// When every replica decides at round 2, a worker waits at most four
-/// times per instance at depth 1: for the job, and for the remote
-/// messages of rounds 1, 2 and the round-3 relay; replicas on the same
-/// worker reach each other without a park. So the budget is four parks
-/// per instance per worker thread the session should spawn,
-/// `W = min(n, available_parallelism)`. On 2 vCPUs that is 8, against
-/// 2.5 to 3.6 recorded (debug and release builds), while five threads,
-/// one per replica, park about 18 times.
+/// A worker parks only when none of its instances can progress, and
+/// every message of an instance stays on the instance's worker. When
+/// every replica decides at round 2 over instant links, a worker runs an
+/// instance from its job to its retirement without parking: each round
+/// completes once the last replica has sent, in the same wake. So a
+/// worker parks once per instance, for its job. At depth 1 that is one
+/// park per instance whatever the number of workers: 1.00 was recorded on
+/// 2 vCPUs in every release and debug run, against 2.5 to 3.6 when the
+/// replicas of an instance were spread over both workers and had to wake
+/// each other every round. The budget is 1.5, which leaves room for a
+/// spurious condvar wake-up or a timed wake, but not for one cross-worker
+/// exchange per round.
 ///
-/// At depth 4 one wake serves the round phases of several instances:
-/// 0.5 to 1.6 parks per instance were recorded on 2 vCPUs, against about
-/// 4.2 with five threads. The budget is two parks per instance per worker,
-/// 4 on 2 vCPUs, which leaves room for a scheduler that splits what one
-/// wake usually serves; the depth-1 budget is the one that tells the
-/// thread counts apart. Under `taskset -c 0` the session spawns one
-/// worker, which shares its core with the test thread and parks less than
-/// once per instance at either depth.
+/// At depth 4 the session pushes a job while the worker is still busy
+/// with an earlier instance, and one wake takes several jobs: 0.20 to
+/// 0.49 parks per instance were recorded on 2 vCPUs. The budget is 1.0:
+/// at most one park per instance, as at depth 1. Under `taskset -c 0`
+/// the one worker shares its core with the test thread and parks far
+/// less (0.01 to 0.06 recorded).
 #[test]
 fn warm_session_parks_within_budget() {
     let config = SystemConfig::majority(5, 2).expect("valid config");
-    let n = config.n();
-    let workers = std::thread::available_parallelism().map_or(n, usize::from).min(n) as f64;
     let build = move |i: usize, v: Value| {
         let id = ProcessId::new(i);
         AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
@@ -80,17 +79,7 @@ fn warm_session_parks_within_budget() {
 
     let depth1 = parks_per_instance(&mut session, 2_000, 1);
     let depth4 = parks_per_instance(&mut session, 2_000, 4);
-    println!(
-        "worker parks per instance on {workers} workers: depth 1 {depth1:.2}, depth 4 {depth4:.2}"
-    );
-    assert!(
-        depth1 <= 4.0 * workers,
-        "{depth1:.2} parks per instance at depth 1, budget {} for {workers} workers",
-        4.0 * workers
-    );
-    assert!(
-        depth4 <= 2.0 * workers,
-        "{depth4:.2} parks per instance at depth 4, budget {} for {workers} workers",
-        2.0 * workers
-    );
+    println!("worker parks per instance: depth 1 {depth1:.2}, depth 4 {depth4:.2}");
+    assert!(depth1 <= 1.5, "{depth1:.2} parks per instance at depth 1, budget 1.5");
+    assert!(depth4 <= 1.0, "{depth4:.2} parks per instance at depth 4, budget 1.0");
 }

@@ -1,5 +1,6 @@
-//! A session hosts its `n` replicas on `min(n, available_parallelism)`
-//! worker threads, and dropping it ends every one of them. The check
+//! A session runs its instances of `n` replicas on `min(n,
+//! available_parallelism)` worker threads, and dropping it ends every one
+//! of them. The check
 //! counts this process's live threads via /proc, so it lives in a test
 //! binary of its own: no sibling test can spawn or join threads between
 //! its counts.

@@ -2,10 +2,14 @@
 //! runtime [`Session`].
 //!
 //! Threads and channels are spawned once per runner; every instance hands
-//! its proposals to the existing workers as a job, and each worker resets
-//! an automaton retired by an earlier instance for it. A pipelined log
-//! thus keeps up to `W` instances racing concurrently on the same
-//! threads. Crash specs use the session's logical per-instance semantics
+//! its proposals to one of the existing workers as jobs, and that worker
+//! runs all the instance's replicas, resetting automatons retired by its
+//! earlier instances. A pipelined log thus keeps its whole window of
+//! instances in flight, and instances on different workers race each
+//! other on different cores, while the replicas of one instance
+//! interleave on one thread under the session's delay model (the
+//! runtime's module docs label this as a model). Crash specs use the
+//! session's logical per-instance semantics
 //! (silent from the crash round of the crash instance on), which keeps
 //! crash-only executions value-identical to the deterministic
 //! [`SimLogRunner`](crate::SimLogRunner) at any pipeline depth.
@@ -63,8 +67,8 @@ where
     /// through `reset` for the next instance instead of being rebuilt —
     /// the same `reset_instance` contract the simulator's multi-shot
     /// executor uses, on the runtime substrate. `factory` only covers
-    /// cold starts (the first `W` instances of a pipeline of depth `W`,
-    /// or bursts that outrun retirement).
+    /// cold starts (each worker's first instances, up to the pipeline
+    /// depth, or bursts that outrun retirement).
     #[must_use]
     pub fn recycling<F, R>(config: SystemConfig, factory: F, reset: R, profile: NetProfile) -> Self
     where

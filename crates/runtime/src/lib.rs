@@ -1,10 +1,10 @@
-//! Multiplexed message-passing runtime: `n` replicas on at most one OS
-//! thread per core.
+//! Multiplexed message-passing runtime: consensus instances on at most
+//! one OS thread per core.
 //!
 //! The paper's model is abstract; this crate gives it a concrete,
-//! wall-clock incarnation: every process is a replica hosted by an OS
-//! worker thread, messages travel through per-worker delay lines with an
-//! injectable delay model, and round synchronization works the way
+//! wall-clock incarnation: every process is a replica stepped by an OS
+//! worker thread, delayed messages wait on a per-worker delay line under
+//! an injectable delay model, and round synchronization works the way
 //! eventually synchronous systems do in practice — wait for a quorum of
 //! `n - t` current-round messages (mandatory, this is the model's
 //! t-resilience), then a grace period for stragglers, then move on. A
@@ -14,7 +14,12 @@
 //!
 //! The same [`RoundProcess`] automatons that run under the deterministic
 //! simulator run here unchanged, which is the point: `quickstart` decisions
-//! in the simulator carry over to a racing, multi-threaded execution. Use
+//! in the simulator carry over to a racing, multi-threaded execution. That
+//! execution is a *model* of a network in one respect: what races is
+//! *instances*, each on its own worker thread, while the `n` replicas of
+//! one instance interleave on one thread. Which of their messages make a
+//! round's grace window is decided by the delay model and the wall clock,
+//! not by the OS scheduling one replica ahead of another. Use
 //! [`DelayModel::AsyncUntil`] to inject an asynchronous prefix (false
 //! suspicions) and [`InstanceSpec::crash`] to crash processes at chosen
 //! rounds.
@@ -24,22 +29,25 @@
 //! The runtime's unit of reuse is a [`Session`]: `W = min(n,
 //! available_parallelism)` worker threads and their inboxes, spawned
 //! **once** and kept alive across any number of consensus instances.
-//! Replica `r` lives on worker `r % W`; `W` follows the cores the process
+//! Placement is by instance: all `n` replicas of instance `i` run on
+//! worker `i % W`, so no message ever passes between workers, and the
+//! parallelism comes from instances in flight together (a pipelined log
+//! or a sharded service keeps several). `W` follows the cores the process
 //! may use (`taskset`, cgroup limits), so more threads than that would
 //! only take turns on the same cores. A session is spawned with a `build`
 //! and a `reset` hook ([`Session::with_recycler`]).
-//! [`Session::start_instance_recycled`] hands each replica a proposal and
-//! a per-instance [`InstanceSpec`] (crash rounds, delay model, round
-//! budget); the replica's worker resets an automaton that replica retired
-//! in an earlier instance, and builds one only when the replica's pool is
-//! empty. Results stream back per replica as [`ReplicaResult`]s.
-//! Multiple instances may be in flight at once — every message is tagged
-//! with its instance and its target replica, and each worker interleaves
-//! the round protocols of all its (instance, replica) pairs in one event
-//! loop. This is the substrate of the `indulgent-log` replicated-log
-//! subsystem: a pipelined log keeps a window of instances running
-//! concurrently and pays thread/inbox setup exactly once, instead of once
-//! per decision.
+//! [`Session::start_instance_recycled`] hands the instance's worker, in
+//! one locked batch, one job per replica: its proposal and its share of
+//! the [`InstanceSpec`] (crash rounds, delay model, round budget). The
+//! worker keeps one automaton pool per replica index; it resets an
+//! automaton that index retired in an earlier instance, and builds one
+//! only when the pool is empty. Results stream back per replica as
+//! [`ReplicaResult`]s. Multiple instances may be in flight at once, and
+//! each worker interleaves the round protocols of all its instances in
+//! one event loop. This is the substrate of the `indulgent-log`
+//! replicated-log subsystem: a pipelined log keeps a window of instances
+//! running concurrently and pays thread/inbox setup exactly once, instead
+//! of once per decision.
 //!
 //! [`run_network`] runs one instance on a fresh session and returns a
 //! [`NetReport`]. Its reset hook rebuilds the automaton from the factory,
@@ -49,53 +57,42 @@
 //! # Workers: one delay-line inbox each
 //!
 //! Everything that can make a worker progress arrives in its one *inbox*:
-//! jobs (new instances), peer messages, and the shutdown item pushed by
-//! [`Session`]'s `Drop`. Each item carries the instant it becomes visible —
-//! a message sent over a link of delay `d` is due `d` after its send —
-//! and the inbox never hands an item out before then. A worker
-//! drains what is due, then advances every (instance, replica) pair it
-//! hosts, pass after pass, until a pass delivers nothing to a co-hosted
-//! replica (a local send can complete a sibling's round). It then parks
-//! until the earliest of the next due item and the earliest
-//! `quorum_at + grace` among its pairs. There is no poll interval: the
+//! jobs (new instances), the worker's own delayed messages, and the
+//! shutdown item pushed by [`Session`]'s `Drop`. Each item carries the
+//! instant it becomes visible — a message sent over a link of delay `d`
+//! is due `d` after its send — and the inbox never hands an item out
+//! before then. A worker drains what is due, then advances every replica
+//! of every instance it runs, pass after pass, until a pass delivers
+//! nothing to another replica (a send can complete a sibling's round). It
+//! then parks until the earliest of the next due item and the earliest
+//! `quorum_at + grace` among its replicas. There is no poll interval: the
 //! runtime adds nothing to the delay it models.
 //!
-//! A message sent with zero delay to a replica on the sender's own worker,
-//! the sender included, goes straight into that replica's mailbox: no
-//! lock and no wake. Every other message, a delayed one to a co-hosted
-//! replica too, goes through the target worker's inbox: at the end of
-//! each pass, everything the pass sent to a worker is pushed under one
-//! lock, with at most one wake.
+//! A message sent with zero delay goes straight into its target's
+//! mailbox. A delayed one goes onto the worker's own delay line: at the
+//! end of each pass, everything the pass delayed is pushed under one lock.
+//! A message that falls due after its instance retired is a straggler and
+//! is dropped; none can fall due before its instance starts, since only
+//! the instance's own replicas, on the same worker, send them.
 //!
-//! Under the inbox lock, a pushed message wakes its worker only when all
-//! three hold:
-//!
-//! 1. the worker is parked;
-//! 2. the message is due before the worker's wake time (a later one is
-//!    picked up when the worker wakes anyway);
-//! 3. the worker has already taken the job of the message's instance
-//!    (until then it could only buffer the message; the job's push wakes
-//!    it, and the message is returned with the job). The session pushes
-//!    the jobs of all replicas a worker hosts in one locked batch, so the
-//!    worker takes them together and the condition holds for each of its
-//!    replicas at once.
-//!
-//! Jobs and shutdown always wake. The test and the park happen under the
-//! same lock, so no wake-up is lost. The `runtime_session` metric family
-//! counts `worker_parks` and `worker_timed_wakes` (parks that ended on
-//! their own timer).
+//! The wake rule is one condition: a push wakes its worker if the worker
+//! is parked. Only the session pushes from another thread, and only jobs
+//! and shutdown, which must wake; the worker's own pushes happen while it
+//! is awake. The test and the park happen under the same lock, so no
+//! wake-up is lost. The `runtime_session` metric family counts
+//! `worker_parks` and `worker_timed_wakes` (parks that ended on their own
+//! timer).
 //!
 //! A replica that has decided keeps relaying its decision, one broadcast
 //! per round, for peers that have not decided yet. The *stop rule* ends
-//! that: before each relay the replica's worker asks the session's done
-//! registry whether every replica has finished the instance (decided,
-//! crashed or out of rounds). If so, it sends nothing and retires the
-//! replica's instance in the same pass, since no one can need the message
-//! any more. The rule is all-or-nothing on purpose. A decider that
-//! skipped only its finished peers would never complete its round, so it
-//! would never send the next relay that a replica still undecided may
-//! need for its quorum. The `runtime_session.relays` counter counts the
-//! relays that were sent.
+//! that: before each relay the worker counts the instance's finished
+//! replicas (decided, crashed or out of rounds). Once all `n` have
+//! finished it sends nothing and retires the instance in the same pass,
+//! since no one can need the message any more. The rule is all-or-nothing
+//! on purpose. A decider that skipped only its finished peers would never
+//! complete its round, so it would never send the next relay that a
+//! replica still undecided may need for its quorum. The
+//! `runtime_session.relays` counter counts the relays that were sent.
 //!
 //! # Crash semantics
 //!
@@ -119,7 +116,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -135,9 +132,9 @@ use indulgent_model::{
 /// consensus traffic flowed through the runtime. The next two say how
 /// often worker threads slept on their inboxes and how many of those
 /// sleeps ended on their own timer (a due message or a grace expiry)
-/// rather than on a push; a worker parks only once none of the replicas
-/// it hosts can progress, so messages between co-hosted replicas cost no
-/// park. `relays` counts broadcasts sent
+/// rather than on a push; a worker parks only once none of its instances
+/// can progress, so the messages of an instance's replicas to each other
+/// cost no park. `relays` counts broadcasts sent
 /// by a replica that had already decided the instance: the work done
 /// after the decision, which the stop rule (module docs) keeps to the
 /// rounds where some replica has not finished yet.
@@ -193,12 +190,12 @@ fn note_result(r: ReplicaResult) -> ReplicaResult {
 }
 
 /// What a worker's inbox carries. Jobs and messages are tagged with their
-/// instance, which the wake rule reads, and name their target replica.
+/// instance and name their target replica.
 #[derive(Debug)]
 enum Item<J, M> {
     /// A new instance for the worker.
     Job(u64, J),
-    /// A peer's message of an instance.
+    /// A delayed message of an instance.
     Message(u64, M),
     /// The session is gone: the worker exits.
     Shutdown,
@@ -236,19 +233,12 @@ impl<T> Eq for Pending<T> {}
 struct InboxState<J, M> {
     queue: BinaryHeap<Pending<Item<J, M>>>,
     pushed: u64,
-    /// Highest instance whose jobs the receiver has taken (the session
-    /// pushes each worker's jobs in instance order, all of one instance in
-    /// one batch).
-    jobs_taken: u64,
     /// Whether the receiver is parked; the push that wakes it clears this,
     /// so later pushes do not wake it again.
     parked: bool,
-    /// When a parked receiver wakes on its own (`None`: only a push wakes
-    /// it).
-    wake_at: Option<Instant>,
 }
 
-/// A worker's delay line: jobs, peer messages and shutdown in one queue,
+/// A worker's delay line: jobs, delayed messages and shutdown in one queue,
 /// each item invisible until its due instant. The wake rule is in the
 /// module docs.
 struct Inbox<J, M> {
@@ -265,13 +255,7 @@ impl<J, M> std::fmt::Debug for Inbox<J, M> {
 impl<J, M> Inbox<J, M> {
     fn new() -> Self {
         Inbox {
-            state: Mutex::new(InboxState {
-                queue: BinaryHeap::new(),
-                pushed: 0,
-                jobs_taken: 0,
-                parked: false,
-                wake_at: None,
-            }),
+            state: Mutex::new(InboxState { queue: BinaryHeap::new(), pushed: 0, parked: false }),
             wake: Condvar::new(),
         }
     }
@@ -283,30 +267,21 @@ impl<J, M> Inbox<J, M> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `item`, visible from `due` on, waking the receiver only if
-    /// the wake rule says it must.
+    /// Queues `item`, visible from `due` on, waking a parked receiver.
     fn push(&self, due: Instant, item: Item<J, M>) {
         self.push_all(std::iter::once((due, item)));
     }
 
-    /// Queues every `(due, item)` under one lock, waking the receiver at
-    /// most once: if the wake rule says any of them must.
+    /// Queues every `(due, item)` under one lock, waking a parked receiver
+    /// once (the wake rule in the module docs).
     fn push_all(&self, items: impl IntoIterator<Item = (Instant, Item<J, M>)>) {
         let mut state = self.lock();
-        let mut wake = false;
         for (due, item) in items {
-            wake |= state.parked
-                && match item {
-                    Item::Message(instance, _) => {
-                        instance <= state.jobs_taken && state.wake_at.is_none_or(|at| due < at)
-                    }
-                    Item::Job(..) | Item::Shutdown => true,
-                };
             let seq = state.pushed;
             state.pushed += 1;
             state.queue.push(Pending { due, seq, item });
         }
-        if wake {
+        if state.parked {
             state.parked = false;
             drop(state);
             self.wake.notify_one();
@@ -315,28 +290,23 @@ impl<J, M> Inbox<J, M> {
 
     /// Moves every due item into `out`, earliest first. If none is due,
     /// parks until the next item falls due or `limit` passes, re-parking
-    /// after a push that only moved the wake time earlier; returns with
-    /// `out` empty only once `limit` has passed.
+    /// after a wake-up that finds nothing due; returns with `out` empty
+    /// only once `limit` has passed.
     fn pop_until(&self, limit: Option<Instant>, out: &mut Vec<Item<J, M>>) {
         let metrics = session_metrics();
         let mut state = self.lock();
         loop {
             let now = Instant::now();
             while state.queue.peek().is_some_and(|p| p.due <= now) {
-                let item = state.queue.pop().expect("peeked").item;
-                if let Item::Job(instance, _) = item {
-                    state.jobs_taken = state.jobs_taken.max(instance);
-                }
-                out.push(item);
+                out.push(state.queue.pop().expect("peeked").item);
             }
             if !out.is_empty() || limit.is_some_and(|at| at <= now) {
                 return;
             }
-            let wake_at = [limit, state.queue.peek().map(|p| p.due)].into_iter().flatten().min();
+            let deadline = [limit, state.queue.peek().map(|p| p.due)].into_iter().flatten().min();
             state.parked = true;
-            state.wake_at = wake_at;
             metrics.worker_parks.incr();
-            state = match wake_at {
+            state = match deadline {
                 Some(at) => {
                     let (state, wait) = self
                         .wake
@@ -508,90 +478,6 @@ pub struct InstanceReport {
     pub rounds_executed: u32,
 }
 
-/// Tracks, per instance, which replicas have finished (decided, crashed,
-/// or exhausted their round budget); replicas stop relaying an instance's
-/// decision ([`is_done`](Self::is_done), before each relay) and retire it
-/// ([`is_done_ack`](Self::is_done_ack)) once every replica is accounted
-/// for.
-///
-/// Entries are evicted once every replica has *observed* the full mask
-/// (one retire acknowledgement per replica, whichever worker hosts it),
-/// so a long-lived session's registry stays bounded by the in-flight
-/// window instead of growing with every instance ever run.
-#[derive(Debug)]
-struct DoneRegistry {
-    n: usize,
-    full: u64,
-    /// instance -> (finished-replica mask, retire acknowledgements).
-    masks: Mutex<HashMap<u64, (u64, usize)>>,
-}
-
-impl DoneRegistry {
-    fn new(n: usize) -> Self {
-        DoneRegistry {
-            n,
-            full: if n == 64 { u64::MAX } else { (1 << n) - 1 },
-            masks: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn mark(&self, instance: u64, p: ProcessId) {
-        let mut masks = self.masks.lock().expect("registry poisoned");
-        masks.entry(instance).or_insert((0, 0)).0 |= 1 << p.index();
-    }
-
-    /// Whether every replica finished `instance`, without acknowledging:
-    /// the relay check of a replica whose instance is not yet retired. The
-    /// entry cannot be evicted under a caller that has marked it itself,
-    /// since eviction waits for that caller's own acknowledgement.
-    fn is_done(&self, instance: u64) -> bool {
-        let masks = self.masks.lock().expect("registry poisoned");
-        masks.get(&instance).is_some_and(|entry| entry.0 == self.full)
-    }
-
-    /// Whether every replica finished `instance`; a `true` answer counts
-    /// as the calling replica's retire acknowledgement (each replica asks
-    /// again only until it gets `true`), and the n-th acknowledgement
-    /// evicts the entry. A replica's own `mark` precedes its
-    /// acknowledgement, so eviction cannot race a late finisher.
-    fn is_done_ack(&self, instance: u64) -> bool {
-        let mut masks = self.masks.lock().expect("registry poisoned");
-        let Some(entry) = masks.get_mut(&instance) else { return false };
-        if entry.0 != self.full {
-            return false;
-        }
-        entry.1 += 1;
-        if entry.1 == self.n {
-            masks.remove(&instance);
-        }
-        true
-    }
-}
-
-/// A replica's set of locally retired instances, bounded by the
-/// out-of-order retirement window: a watermark covers the dense prefix
-/// (instance ids are handed out from 1), a small set holds the gaps.
-#[derive(Debug, Default)]
-struct RetiredSet {
-    /// Every instance `<= below` is retired.
-    below: u64,
-    /// Retired instances above the watermark.
-    above: HashSet<u64>,
-}
-
-impl RetiredSet {
-    fn insert(&mut self, instance: u64) {
-        self.above.insert(instance);
-        while self.above.remove(&(self.below + 1)) {
-            self.below += 1;
-        }
-    }
-
-    fn contains(&self, instance: u64) -> bool {
-        instance <= self.below || self.above.contains(&instance)
-    }
-}
-
 /// What a worker streams back to the session owner: replica results in
 /// the normal case, a poison marker naming the replica being stepped if
 /// the worker thread panics (sent from the sentinel's unwind path so
@@ -617,8 +503,9 @@ impl Drop for PanicSentinel {
     }
 }
 
-/// The per-instance job of one replica, handed to the worker that hosts
-/// it: the replica's proposal and its share of the [`InstanceSpec`].
+/// The per-instance job of one replica, handed to the worker that runs
+/// the instance: the replica's proposal and its share of the
+/// [`InstanceSpec`].
 struct Job {
     replica: ProcessId,
     proposal: Value,
@@ -627,7 +514,7 @@ struct Job {
     max_rounds: u32,
 }
 
-/// A peer message on its way to replica `to`.
+/// A delayed message on its way to replica `to`.
 struct Envelope<M> {
     to: ProcessId,
     msg: DeliveredMsg<M>,
@@ -636,7 +523,7 @@ struct Envelope<M> {
 /// What a worker's inbox carries for automatons `P`.
 type WorkerItem<P> = Item<Job, Envelope<<P as RoundProcess>::Msg>>;
 
-/// A worker's inbox: the jobs and peer messages of the replicas it hosts.
+/// A worker's inbox: the jobs of its instances and their delayed messages.
 type WorkerInbox<P> = Inbox<Job, Envelope<<P as RoundProcess>::Msg>>;
 
 /// The reset hook of a [`Recycler`]: `(process index, retired automaton,
@@ -652,15 +539,9 @@ struct Recycler<P> {
     reset: ResetFn<P>,
 }
 
-impl<P> std::fmt::Debug for Recycler<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recycler").finish_non_exhaustive()
-    }
-}
-
-/// `n` replicas on `min(n, available_parallelism)` worker threads and
-/// their inboxes, reusable across any number of (possibly concurrent)
-/// consensus instances.
+/// `min(n, available_parallelism)` worker threads and their inboxes,
+/// reusable across any number of (possibly concurrent) consensus
+/// instances of `n` replicas, each instance on one worker.
 ///
 /// Spawning threads and inboxes is the expensive part of a networked
 /// run; a `Session` pays it once. Instances are started with
@@ -700,8 +581,8 @@ impl<P> std::fmt::Debug for Recycler<P> {
 #[derive(Debug)]
 pub struct Session<P: RoundProcess> {
     config: SystemConfig,
-    /// One per worker; replica `r` lives on worker `r % inboxes.len()`.
-    inboxes: Arc<[WorkerInbox<P>]>,
+    /// One per worker; instance `i` runs on worker `i % inboxes.len()`.
+    inboxes: Vec<Arc<WorkerInbox<P>>>,
     results_rx: Receiver<WorkerEvent>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_instance: u64,
@@ -714,13 +595,14 @@ where
     P: RoundProcess + Send + 'static,
     P::Msg: Send + 'static,
 {
-    /// Spawns the session's `min(n, available_parallelism)` worker
-    /// threads; replica `r` lives on worker `r % W`. Each replica keeps
-    /// the automatons of its retired instances in a pool of its own, and
-    /// its worker resets one in place for the replica's next instance
-    /// (`reset` receives the replica index, the pooled automaton and the
-    /// new proposal) instead of dropping per-instance allocations on the
-    /// floor; `build` covers an empty pool. `grace` is how long a round
+    /// Spawns the session's `W = min(n, available_parallelism)` worker
+    /// threads; instance `i` runs all its replicas on worker `i % W`.
+    /// Each worker keeps one pool per replica index of the automatons
+    /// its retired instances leave, and resets one in place for that
+    /// replica of its next instance (`reset` receives the replica index,
+    /// the pooled automaton and the new proposal) instead of dropping
+    /// per-instance allocations on the floor; `build` covers an empty
+    /// pool. `grace` is how long a round
     /// waits for stragglers once the `n - t` quorum of current-round
     /// messages has arrived; a message that misses the window is
     /// suspected for that round.
@@ -732,17 +614,16 @@ where
     {
         let n = config.n();
         let workers = std::thread::available_parallelism().map_or(n, usize::from).min(n);
-        let inboxes: Arc<[WorkerInbox<P>]> = (0..workers).map(|_| Inbox::new()).collect();
-        let registry = Arc::new(DoneRegistry::new(n));
+        let inboxes: Vec<Arc<WorkerInbox<P>>> =
+            (0..workers).map(|_| Arc::new(Inbox::new())).collect();
         let recycler = Arc::new(Recycler { build: Box::new(build), reset: Box::new(reset) });
         let (results_tx, results_rx) = unbounded();
-        let handles = (0..workers)
-            .map(|index| {
+        let handles = inboxes
+            .iter()
+            .map(|inbox| {
                 let ctx = WorkerCtx {
-                    index,
-                    inboxes: Arc::clone(&inboxes),
+                    inbox: Arc::clone(inbox),
                     results_tx: results_tx.clone(),
-                    registry: Arc::clone(&registry),
                     grace,
                     quorum: config.quorum(),
                     n,
@@ -769,11 +650,12 @@ where
     }
 
     /// Starts the next consensus instance from one proposal per replica
-    /// plus the instance's crash/delay/budget spec: each replica's worker
-    /// resets an automaton from the replica's pool through the session's
-    /// reset hook, or builds one on an empty pool. Returns the instance
-    /// id (monotonic from 1). The call never blocks; any number of
-    /// instances may be in flight concurrently.
+    /// plus the instance's crash/delay/budget spec. Instance `i` goes to
+    /// worker `i % W`, all `n` jobs in one locked batch; for each replica
+    /// the worker resets an automaton from that replica index's pool
+    /// through the session's reset hook, or builds one on an empty pool.
+    /// Returns the instance id (monotonic from 1). The call never blocks;
+    /// any number of instances may be in flight concurrently.
     ///
     /// # Panics
     ///
@@ -785,19 +667,19 @@ where
         let instance = self.next_instance;
         self.next_instance += 1;
         let now = Instant::now();
-        let workers = self.inboxes.len();
-        for (w, inbox) in self.inboxes.iter().enumerate() {
-            inbox.push_all((w..proposals.len()).step_by(workers).map(|i| {
+        let inbox = &self.inboxes[(instance % self.inboxes.len() as u64) as usize];
+        inbox.push_all(proposals.iter().zip(&spec.crashes).enumerate().map(
+            |(i, (&proposal, &crash_round))| {
                 let job = Job {
                     replica: ProcessId::new(i),
-                    proposal: proposals[i],
-                    crash_round: spec.crashes[i],
+                    proposal,
+                    crash_round,
                     delays: spec.delays,
                     max_rounds: spec.max_rounds,
                 };
                 (now, Item::Job(instance, job))
-            }));
-        }
+            },
+        ));
         instance
     }
 
@@ -922,34 +804,30 @@ impl<P: RoundProcess> Drop for Session<P> {
 
 /// Everything a worker thread owns.
 struct WorkerCtx<P: RoundProcess> {
-    /// This worker's index `w`: it hosts replicas `w, w + W, w + 2W, ...`.
-    index: usize,
-    /// Every worker's inbox: its own at index `index`, its peers' for
-    /// sends.
-    inboxes: Arc<[WorkerInbox<P>]>,
+    inbox: Arc<WorkerInbox<P>>,
     results_tx: Sender<WorkerEvent>,
-    registry: Arc<DoneRegistry>,
     grace: Duration,
     quorum: usize,
     n: usize,
     recycler: Arc<Recycler<P>>,
 }
 
-impl<P: RoundProcess> std::fmt::Debug for WorkerCtx<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerCtx").field("index", &self.index).finish_non_exhaustive()
-    }
-}
-
-/// One (instance, replica) pair's protocol state inside a worker: a small
-/// state machine advanced opportunistically by the event loop.
-struct ActiveInstance<P: RoundProcess> {
-    instance: u64,
-    replica: ProcessId,
-    process: P,
-    crash_round: Option<Round>,
+/// One instance in flight on a worker: all `n` of its replicas.
+struct Instance<P: RoundProcess> {
+    id: u64,
     delays: DelayModel,
     max_rounds: u32,
+    /// Replica `r` at index `r`.
+    replicas: Vec<Replica<P>>,
+    /// Replicas that have reported: decided, crashed or out of rounds.
+    finished: usize,
+}
+
+/// One replica's protocol state in one instance: a small state machine
+/// advanced opportunistically by the event loop.
+struct Replica<P: RoundProcess> {
+    process: P,
+    crash_round: Option<Round>,
     /// Round currently executing.
     round: u32,
     /// Whether this round's send phase has run.
@@ -958,71 +836,56 @@ struct ActiveInstance<P: RoundProcess> {
     /// `None` outside a round's grace wait.
     quorum_at: Option<Instant>,
     decision: Option<Decision>,
-    /// Result sent to the session owner.
-    reported: bool,
-    /// Stopped participating (crashed or budget exhausted); waiting for
-    /// the instance to retire globally.
+    /// Stopped participating (crashed or budget exhausted).
     halted: bool,
     last_round: u32,
+    /// Arrived messages, keyed by the round they were sent in.
+    mailbox: BTreeMap<u32, Vec<DeliveredMsg<P::Msg>>>,
 }
 
-type Mailbox<M> = BTreeMap<u32, Vec<DeliveredMsg<M>>>;
-
-/// What a worker keeps for one replica it hosts, across instances.
-struct Hosted<P: RoundProcess> {
-    /// Arrived messages, keyed by instance then by the round they were
-    /// sent in. Entries may exist before the instance's job arrives (a
-    /// faster peer started it first).
-    mailboxes: HashMap<u64, Mailbox<P::Msg>>,
-    /// Instances this replica has fully retired; stragglers are dropped.
-    retired: RetiredSet,
-    /// Retired automatons awaiting reuse.
-    pool: Vec<P>,
-}
-
-impl<P: RoundProcess> Hosted<P> {
-    fn new() -> Self {
-        Hosted { mailboxes: HashMap::new(), retired: RetiredSet::default(), pool: Vec::new() }
-    }
-
-    /// Files a message of `instance` for this replica, unless the replica
-    /// has retired the instance.
-    fn receive(&mut self, instance: u64, msg: DeliveredMsg<P::Msg>) {
-        if !self.retired.contains(instance) {
-            let mailbox = self.mailboxes.entry(instance).or_default();
-            mailbox.entry(msg.sent_round.get()).or_default().push(msg);
+impl<P: RoundProcess> Replica<P> {
+    /// The replica of `job` at round 1, on an automaton reset from `pool`,
+    /// or built if the pool is empty.
+    fn start(job: Job, recycler: &Recycler<P>, pool: &mut Vec<P>) -> Self {
+        let replica = job.replica.index();
+        let process = match pool.pop() {
+            Some(mut p) => {
+                (recycler.reset)(replica, &mut p, job.proposal);
+                p
+            }
+            None => (recycler.build)(replica, job.proposal),
+        };
+        Replica {
+            process,
+            crash_round: job.crash_round,
+            round: 1,
+            sent: false,
+            quorum_at: None,
+            decision: None,
+            halted: false,
+            last_round: 0,
+            mailbox: BTreeMap::new(),
         }
     }
+
+    fn receive(&mut self, msg: DeliveredMsg<P::Msg>) {
+        self.mailbox.entry(msg.sent_round.get()).or_default().push(msg);
+    }
 }
 
-fn activate<P: RoundProcess>(
-    instance: u64,
-    job: Job,
-    recycler: &Recycler<P>,
-    pool: &mut Vec<P>,
-) -> ActiveInstance<P> {
-    let replica = job.replica.index();
-    let process = match pool.pop() {
-        Some(mut p) => {
-            (recycler.reset)(replica, &mut p, job.proposal);
-            p
-        }
-        None => (recycler.build)(replica, job.proposal),
-    };
-    ActiveInstance {
-        instance,
-        replica: job.replica,
-        process,
-        crash_round: job.crash_round,
-        delays: job.delays,
-        max_rounds: job.max_rounds,
-        round: 1,
-        sent: false,
-        quorum_at: None,
-        decision: None,
-        reported: false,
-        halted: false,
-        last_round: 0,
+impl<P: RoundProcess> Instance<P> {
+    /// Sends replica `r`'s result to the session owner and counts the
+    /// replica as finished. Called once per replica: when it first
+    /// decides, or when it halts undecided.
+    fn report(&mut self, r: usize, results_tx: &Sender<WorkerEvent>) {
+        self.finished += 1;
+        let replica = &self.replicas[r];
+        let _ = results_tx.send(WorkerEvent::Result(ReplicaResult {
+            instance: self.id,
+            replica: ProcessId::new(r),
+            decision: replica.decision,
+            last_round: replica.last_round,
+        }));
     }
 }
 
@@ -1031,142 +894,156 @@ fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
     // blocking waits fail loudly instead of hanging. The loop keeps the
     // sentinel pointed at the replica it is stepping.
     let mut sentinel =
-        PanicSentinel { replica: ProcessId::new(ctx.index), events_tx: ctx.results_tx.clone() };
-    let workers = ctx.inboxes.len();
-    let inbox = &ctx.inboxes[ctx.index];
-    // Every hosted (instance, replica) pair in flight, in job order.
-    let mut active: Vec<ActiveInstance<P>> = Vec::new();
-    // Replica `r` is `hosted[r / W]`.
-    let mut hosted: Vec<Hosted<P>> =
-        (ctx.index..ctx.n).step_by(workers).map(|_| Hosted::new()).collect();
-    // Messages for other workers' inboxes (and delayed ones for this
-    // worker's own), indexed by worker and pushed once per pass.
-    let mut outbox: Vec<Vec<(Instant, WorkerItem<P>)>> = (0..workers).map(|_| Vec::new()).collect();
+        PanicSentinel { replica: ProcessId::new(0), events_tx: ctx.results_tx.clone() };
+    // Instances in flight, in job order.
+    let mut active: Vec<Instance<P>> = Vec::new();
+    // Retired automatons awaiting reuse, one pool per replica index.
+    let mut pools: Vec<Vec<P>> = (0..ctx.n).map(|_| Vec::new()).collect();
+    // Messages a pass delayed, pushed onto this worker's inbox once per
+    // pass.
+    let mut delayed = Vec::new();
     let mut due = Vec::new();
 
     loop {
         // Sleep until an item falls due or a round's grace runs out.
-        let grace_ends = active.iter().filter_map(|i| i.quorum_at).min().map(|at| at + ctx.grace);
-        inbox.pop_until(grace_ends, &mut due);
+        let grace_ends = active
+            .iter()
+            .flat_map(|inst| &inst.replicas)
+            .filter_map(|r| r.quorum_at)
+            .min()
+            .map(|at| at + ctx.grace);
+        ctx.inbox.pop_until(grace_ends, &mut due);
         for item in due.drain(..) {
             match item {
-                Item::Job(instance, job) => {
+                Item::Job(id, job) => {
+                    // An instance's jobs arrive together, in replica order.
                     sentinel.replica = job.replica;
-                    let pool = &mut hosted[job.replica.index() / workers].pool;
-                    active.push(activate(instance, job, &ctx.recycler, pool));
+                    if active.last().is_none_or(|inst| inst.id != id) {
+                        active.push(Instance {
+                            id,
+                            delays: job.delays,
+                            max_rounds: job.max_rounds,
+                            replicas: Vec::with_capacity(ctx.n),
+                            finished: 0,
+                        });
+                    }
+                    let pool = &mut pools[job.replica.index()];
+                    let inst = active.last_mut().expect("pushed above");
+                    inst.replicas.push(Replica::start(job, &ctx.recycler, pool));
                 }
-                Item::Message(instance, Envelope { to, msg }) => {
-                    hosted[to.index() / workers].receive(instance, msg);
+                Item::Message(id, Envelope { to, msg }) => {
+                    // A straggler of a retired instance is dropped.
+                    if let Some(inst) = active.iter_mut().find(|inst| inst.id == id) {
+                        inst.replicas[to.index()].receive(msg);
+                    }
                 }
                 Item::Shutdown => return,
             }
         }
 
-        // Advance every hosted pair as far as it can go, pass after pass
-        // while a pass delivers to a co-hosted replica: that message may
-        // complete the round of a pair visited earlier in the pass.
-        loop {
-            let mut delivered_locally = false;
-            for inst in &mut active {
-                sentinel.replica = inst.replica;
-                delivered_locally |= advance_instance(&ctx, inst, &mut hosted, &mut outbox);
-            }
-            for (to, items) in ctx.inboxes.iter().zip(&mut outbox) {
-                if !items.is_empty() {
-                    to.push_all(items.drain(..));
-                }
-            }
-            if !delivered_locally {
-                break;
-            }
+        for inst in &mut active {
+            advance_instance(&ctx, inst, &mut sentinel, &mut delayed);
+        }
+        if !delayed.is_empty() {
+            ctx.inbox.push_all(delayed.drain(..));
         }
 
-        // Retire pairs whose instance is globally done (after finishing
-        // locally): free their mailboxes, drop future stragglers and pool
-        // the automaton. The registry lock is only taken for pairs that
-        // have already finished locally, and a global finish is noticed
-        // on the worker's next wake (finishing wakes no one).
-        let mut i = 0;
-        while i < active.len() {
-            let inst = &active[i];
-            let gone =
-                (inst.halted || inst.decision.is_some()) && ctx.registry.is_done_ack(inst.instance);
-            if gone {
-                let inst = active.remove(i);
-                let replica = &mut hosted[inst.replica.index() / workers];
-                replica.mailboxes.remove(&inst.instance);
-                replica.retired.insert(inst.instance);
-                replica.pool.push(inst.process);
-            } else {
-                i += 1;
+        // Retire the instances every replica has finished, pooling their
+        // automatons.
+        active.retain_mut(|inst| {
+            if inst.finished < ctx.n {
+                return true;
             }
+            for (pool, replica) in pools.iter_mut().zip(inst.replicas.drain(..)) {
+                pool.push(replica.process);
+            }
+            false
+        });
+    }
+}
+
+/// Runs every replica of `inst` forward, pass after pass while a pass
+/// delivers to another replica: that message may complete the round of a
+/// replica visited earlier in the pass. Delayed messages go into
+/// `delayed`.
+fn advance_instance<P: RoundProcess>(
+    ctx: &WorkerCtx<P>,
+    inst: &mut Instance<P>,
+    sentinel: &mut PanicSentinel,
+    delayed: &mut Vec<(Instant, WorkerItem<P>)>,
+) {
+    loop {
+        let mut delivered = false;
+        for r in 0..ctx.n {
+            sentinel.replica = ProcessId::new(r);
+            delivered |= advance_replica(ctx, inst, r, delayed);
+        }
+        if !delivered {
+            return;
         }
     }
 }
 
-/// Runs one (instance, replica) pair's protocol forward: send if due,
-/// deliver every round whose quorum-plus-grace condition is met, repeat
-/// until the pair blocks on the network (or halts). Messages to replicas
-/// of this worker with zero delay go straight into their mailboxes, the
-/// rest into `outbox`. Returns whether a message went straight to a
-/// replica other than the sender.
-fn advance_instance<P: RoundProcess>(
+/// Runs replica `me` of `inst` forward: send if due, deliver every round
+/// whose quorum-plus-grace condition is met, repeat until the replica
+/// blocks on the network (or halts). Zero-delay messages go straight into
+/// their target's mailbox, delayed ones into `delayed`. Returns whether a
+/// message went straight to a replica other than the sender.
+fn advance_replica<P: RoundProcess>(
     ctx: &WorkerCtx<P>,
-    inst: &mut ActiveInstance<P>,
-    hosted: &mut [Hosted<P>],
-    outbox: &mut [Vec<(Instant, WorkerItem<P>)>],
+    inst: &mut Instance<P>,
+    me: usize,
+    delayed: &mut Vec<(Instant, WorkerItem<P>)>,
 ) -> bool {
-    let workers = outbox.len();
-    let me = inst.replica;
-    let mut delivered_locally = false;
-    while !inst.halted {
-        let k = inst.round;
-        if !inst.sent {
+    let sender = ProcessId::new(me);
+    let mut delivered = false;
+    while !inst.replicas[me].halted {
+        let replica = &mut inst.replicas[me];
+        let k = replica.round;
+        if !replica.sent {
             // Logical crash: silent in this instance from the crash round
             // on (the simulator's `crash_before_send`).
-            if inst.crash_round.is_some_and(|c| k >= c.get()) {
-                halt_and_report(ctx, inst);
-                break;
-            }
-            if k > inst.max_rounds {
-                halt_and_report(ctx, inst);
+            if replica.crash_round.is_some_and(|c| k >= c.get()) || k > inst.max_rounds {
+                replica.halted = true;
+                if replica.decision.is_none() {
+                    inst.report(me, &ctx.results_tx);
+                }
                 break;
             }
             // The stop rule (module docs): no relay once every replica
             // has finished; the retire pass then takes the instance.
-            if inst.decision.is_some() {
-                if ctx.registry.is_done(inst.instance) {
+            if replica.decision.is_some() {
+                if inst.finished == ctx.n {
                     break;
                 }
                 session_metrics().relays.incr();
             }
             let round = Round::new(k);
-            let msg = inst.process.send(round);
+            let msg = replica.process.send(round);
+            replica.sent = true;
             let now = Instant::now();
-            for j in 0..ctx.n {
+            for (j, receiver) in inst.replicas.iter_mut().enumerate() {
                 let to = ProcessId::new(j);
                 let delay =
-                    if to == me { Duration::ZERO } else { inst.delays.delay_for(round, me, to) };
-                let msg = DeliveredMsg { sender: me, sent_round: round, msg: msg.clone() };
-                if delay.is_zero() && j % workers == ctx.index {
-                    hosted[j / workers].receive(inst.instance, msg);
-                    delivered_locally |= to != me;
+                    if j == me { Duration::ZERO } else { inst.delays.delay_for(round, sender, to) };
+                let msg = DeliveredMsg { sender, sent_round: round, msg: msg.clone() };
+                if delay.is_zero() {
+                    receiver.receive(msg);
+                    delivered |= j != me;
                 } else {
-                    let item = Item::Message(inst.instance, Envelope { to, msg });
-                    outbox[j % workers].push((now + delay, item));
+                    delayed.push((now + delay, Item::Message(inst.id, Envelope { to, msg })));
                 }
             }
-            inst.sent = true;
         }
 
         // Receive phase: the round completes once all `n` current-round
         // messages arrived, or the `n - t` quorum plus the grace window.
-        let mailbox = hosted[me.index() / workers].mailboxes.entry(inst.instance).or_default();
-        let current = mailbox.get(&k).map_or(0, Vec::len);
+        let replica = &mut inst.replicas[me];
+        let current = replica.mailbox.get(&k).map_or(0, Vec::len);
         let ready = if current >= ctx.n {
             true
         } else if current >= ctx.quorum {
-            let entered = *inst.quorum_at.get_or_insert_with(Instant::now);
+            let entered = *replica.quorum_at.get_or_insert_with(Instant::now);
             entered.elapsed() >= ctx.grace
         } else {
             false
@@ -1177,50 +1054,26 @@ fn advance_instance<P: RoundProcess>(
 
         // Deliver everything sent in rounds <= k that has arrived.
         let round = Round::new(k);
-        let ready_rounds: Vec<u32> = mailbox.range(..=k).map(|(&r, _)| r).collect();
+        let ready_rounds: Vec<u32> = replica.mailbox.range(..=k).map(|(&r, _)| r).collect();
         let mut batch: Vec<DeliveredMsg<P::Msg>> = Vec::new();
         for r in ready_rounds {
-            batch.extend(mailbox.remove(&r).unwrap_or_default());
+            batch.extend(replica.mailbox.remove(&r).unwrap_or_default());
         }
         batch.sort_by_key(|m| (m.sent_round, m.sender));
         let delivery = Delivery::new(round, batch);
-        let step = inst.process.deliver(round, &delivery);
-        inst.last_round = k;
+        let step = replica.process.deliver(round, &delivery);
+        replica.last_round = k;
+        replica.round += 1;
+        replica.sent = false;
+        replica.quorum_at = None;
         if let Step::Decide(value) = step {
-            if inst.decision.is_none() {
-                inst.decision = Some(Decision { process: me, round, value });
-                ctx.registry.mark(inst.instance, me);
-                report(ctx, inst);
+            if replica.decision.is_none() {
+                replica.decision = Some(Decision { process: sender, round, value });
+                inst.report(me, &ctx.results_tx);
             }
         }
-        inst.round += 1;
-        inst.sent = false;
-        inst.quorum_at = None;
     }
-    delivered_locally
-}
-
-/// Stops the pair locally (crash or exhausted budget), reporting its
-/// terminal state if it has not reported yet.
-fn halt_and_report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
-    inst.halted = true;
-    ctx.registry.mark(inst.instance, inst.replica);
-    report(ctx, inst);
-}
-
-/// Sends the replica's result for this instance to the session owner
-/// (at most once).
-fn report<P: RoundProcess>(ctx: &WorkerCtx<P>, inst: &mut ActiveInstance<P>) {
-    if inst.reported {
-        return;
-    }
-    inst.reported = true;
-    let _ = ctx.results_tx.send(WorkerEvent::Result(ReplicaResult {
-        instance: inst.instance,
-        replica: inst.replica,
-        decision: inst.decision,
-        last_round: inst.last_round,
-    }));
+    delivered
 }
 
 /// Runs `factory`-built automatons over real threads and channels: a
@@ -1547,18 +1400,40 @@ mod tests {
     }
 
     #[test]
-    fn retired_set_watermark_absorbs_in_order_and_gaps() {
-        let mut r = RetiredSet::default();
-        r.insert(2);
-        assert!(r.contains(2));
-        assert!(!r.contains(1));
-        r.insert(1);
-        assert_eq!(r.below, 2);
-        assert!(r.above.is_empty(), "dense prefix collapses into the watermark");
-        r.insert(4);
-        r.insert(3);
-        assert_eq!(r.below, 4);
-        assert!(r.contains(3) && r.contains(4) && !r.contains(5));
+    fn an_instance_runs_all_its_replicas_on_one_worker() {
+        // An automaton that records the thread each of its sends runs on.
+        #[derive(Debug, Clone)]
+        struct ThreadProbe(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+        impl RoundProcess for ThreadProbe {
+            type Msg = ();
+            fn send(&mut self, _round: Round) {
+                self.0.lock().expect("probe log").push(std::thread::current().id());
+            }
+            fn deliver(&mut self, _round: Round, _delivery: &Delivery<()>) -> Step {
+                Step::Continue
+            }
+        }
+        let config = cfg();
+        let sends = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&sends);
+        let build = move |_i: usize, _v: Value| ThreadProbe(Arc::clone(&log));
+        let mut session = Session::with_recycler(config, GRACE, build, |_i, _p, _v| {});
+        let spec = InstanceSpec::synchronous(config).with_max_rounds(2);
+        let mut threads = Vec::new();
+        for _ in 0..2 {
+            let instance = session.start_instance_recycled(&vals(&[1, 1, 1, 1, 1]), &spec);
+            session.wait_instance(instance);
+            let sent = std::mem::take(&mut *sends.lock().expect("probe log"));
+            assert_eq!(sent.len(), 2 * config.n(), "every replica sends in rounds 1 and 2");
+            assert!(
+                sent.iter().all(|&t| t == sent[0]),
+                "instance {instance} sent from several threads: {sent:?}"
+            );
+            threads.push(sent[0]);
+        }
+        if std::thread::available_parallelism().map_or(1, usize::from) >= 2 {
+            assert_ne!(threads[0], threads[1], "consecutive instances run on different workers");
+        }
     }
 
     #[test]
@@ -1614,11 +1489,8 @@ mod tests {
     }
 
     #[test]
-    fn push_due_sooner_cuts_a_parked_wait_short() {
+    fn a_job_push_cuts_a_timed_park_short() {
         let inbox: Inbox<(), ()> = Inbox::new();
-        let mut taken = Vec::new();
-        inbox.push(Instant::now(), Item::Job(1, ()));
-        inbox.pop_until(None, &mut taken);
         std::thread::scope(|s| {
             let receiver = s.spawn(|| {
                 let mut out = Vec::new();
@@ -1626,36 +1498,14 @@ mod tests {
                 (out.len(), Instant::now())
             });
             wait_parked(&inbox);
-            let due = Instant::now() + Duration::from_millis(1);
-            inbox.push(due, Item::Message(1, ()));
+            let pushed = Instant::now();
+            inbox.push(pushed, Item::Job(1, ()));
             let (popped, returned) = receiver.join().expect("receiver thread");
-            assert_eq!(popped, 1, "the message, not the 10 s limit, ends the wait");
-            assert!(returned >= due);
+            assert_eq!(popped, 1, "the job, not the 10 s limit, ends the wait");
             assert!(
-                returned - due < Duration::from_millis(100),
-                "returned {:?} after the message fell due",
-                returned - due
-            );
-        });
-    }
-
-    #[test]
-    fn message_of_an_untaken_job_waits_for_the_job() {
-        let inbox: Inbox<&str, &str> = Inbox::new();
-        std::thread::scope(|s| {
-            let receiver = s.spawn(|| {
-                let mut out = Vec::new();
-                inbox.pop_until(None, &mut out);
-                out
-            });
-            wait_parked(&inbox);
-            inbox.push(Instant::now(), Item::Message(1, "early"));
-            assert!(inbox.lock().parked, "the receiver holds no job of instance 1 yet");
-            inbox.push(Instant::now(), Item::Job(1, "job"));
-            let out = receiver.join().expect("receiver thread");
-            assert!(
-                matches!(out[..], [Item::Message(1, "early"), Item::Job(1, "job")]),
-                "the job's wake-up returns the waiting message with it: {out:?}"
+                returned - pushed < Duration::from_millis(100),
+                "returned {:?} after the job was pushed",
+                returned - pushed
             );
         });
     }
