@@ -197,3 +197,32 @@ fn at_plus2_phase1_steps_are_allocation_free_when_warm() {
     assert_eq!(allocs, 0, "warm Phase 1 rounds of A_t+2 must not allocate");
     assert_eq!(state.rounds_executed(), 4);
 }
+
+#[test]
+fn request_and_response_codecs_allocate_only_the_frame() {
+    // Every command costs one request decode and one response encode on
+    // the server (and the reverse on the client): encoding allocates the
+    // frame once, sized up front, and decoding touches the heap not at all.
+    use indulgent_model::{ClientId, RequestId};
+    use indulgent_server::{KvOp, Outcome, Request, Response};
+
+    for op in [KvOp::Put { key: 7, value: u32::MAX }, KvOp::Get { key: 7 }] {
+        let request = Request { client: ClientId(1), request: RequestId(2), op };
+        let mut bytes = Vec::new();
+        assert_eq!(allocations_in(|| bytes = request.encode()), 1, "{op:?} encode");
+        let allocs = allocations_in(|| assert_eq!(Request::decode(&bytes), Ok(request)));
+        assert_eq!(allocs, 0, "{op:?} decode");
+    }
+    for outcome in [
+        Outcome::Put { slot: 3 },
+        Outcome::Get { slot: 3, value: None },
+        Outcome::Get { slot: 3, value: Some(9) },
+        Outcome::Read { index: 3, value: Some(9) },
+    ] {
+        let response = Response { request: RequestId(2), shard: 1, outcome };
+        let mut bytes = Vec::new();
+        assert_eq!(allocations_in(|| bytes = response.encode()), 1, "{outcome:?} encode");
+        let allocs = allocations_in(|| assert_eq!(Response::decode(&bytes), Ok(response)));
+        assert_eq!(allocs, 0, "{outcome:?} decode");
+    }
+}
