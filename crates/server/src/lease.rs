@@ -126,6 +126,14 @@ impl ReadPath {
             ReadPath::Lease => 2,
         }
     }
+
+    /// The read path whose [`as_wire`](ReadPath::as_wire) is `mode`, if
+    /// any: the inverse the `LeaseStatus` decoder and display use.
+    pub(crate) fn from_wire(mode: u8) -> Option<Self> {
+        [ReadPath::Sequenced, ReadPath::Quorum, ReadPath::Lease]
+            .into_iter()
+            .find(|path| path.as_wire() == mode)
+    }
 }
 
 /// Lease timing knobs.
@@ -378,14 +386,14 @@ impl LeaderLease {
 /// burned; a corrupt file is an error, not a silent reset — resetting
 /// would let a stale incarnation reuse a granted epoch).
 pub fn load_epoch(dir: &Path) -> io::Result<u64> {
-    Ok(load_checked(&dir.join(EPOCH_FILE))?.map_or(0, u64::from_le_bytes))
+    Ok(load_checked(&dir.join(EPOCH_FILE))?.unwrap_or(0))
 }
 
 /// Durably burns `epoch` into `dir` (atomic temp-write + fsync + rename,
 /// the snapshot idiom). Must complete before the incarnation serves
 /// anything under `epoch`.
 pub fn store_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
-    store_checked(&dir.join(EPOCH_FILE), &epoch.to_le_bytes())
+    store_checked(&dir.join(EPOCH_FILE), &epoch)
 }
 
 /// A process-unique holder incarnation id (pid in the high bits, a

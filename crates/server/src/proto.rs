@@ -14,15 +14,20 @@
 //! order was respected *per shard* — on one connection, ack slots for a
 //! given shard never decrease.
 //!
-//! Serialization is a fixed-layout little-endian byte format written by
-//! hand: the messages are a handful of integers, and the vendored serde
-//! facade intentionally has no byte format, so the service owns its wire
-//! surface end to end (matching [`crate::wire`]'s vendored framing).
+//! Serialization is a fixed-layout little-endian byte format. This
+//! module holds its one codec: each kind of value is written and read by
+//! one `Field` impl, and each layout — every message here, the snapshot
+//! payload ([`crate::snapshot`]) and the WAL slot payload ([`crate::wal`])
+//! — is declared once, as the list of its fields, by `layout!`, which
+//! derives both directions from it. `tests/golden_bytes.rs` pins the bytes.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use indulgent_model::{ClientId, RequestId};
+use indulgent_model::{BatchId, ClientId, RequestId};
 use indulgent_obs::{HistogramSnapshot, BUCKETS};
+
+use crate::lease::ReadPath;
 
 /// A key-value operation.
 ///
@@ -201,6 +206,9 @@ pub enum ProtoError {
     BadTag(u8),
     /// Bytes left over after a complete message.
     TrailingBytes,
+    /// A histogram's bucket counts sum past `u64::MAX`: no snapshot of a
+    /// real histogram holds them.
+    CountOverflow,
 }
 
 impl fmt::Display for ProtoError {
@@ -209,6 +217,7 @@ impl fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "message truncated"),
             ProtoError::BadTag(t) => write!(f, "unknown tag 0x{t:02x}"),
             ProtoError::TrailingBytes => write!(f, "trailing bytes after message"),
+            ProtoError::CountOverflow => write!(f, "histogram bucket counts overflow u64"),
         }
     }
 }
@@ -220,26 +229,9 @@ impl std::error::Error for ProtoError {}
 pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
-        let (&b, rest) = self.0.split_first().ok_or(ProtoError::Truncated)?;
-        self.0 = rest;
-        Ok(b)
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
-        Ok(self.bytes(N)?.try_into().expect("split at N"))
+    /// Reads one field.
+    pub(crate) fn get<T: Field>(&mut self) -> Result<T, ProtoError> {
+        T::get(self)
     }
 
     pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -251,28 +243,9 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    /// Reads a value written by [`put_value`].
-    fn value(&mut self) -> Result<Option<u32>, ProtoError> {
-        match self.u8()? {
-            VAL_NONE => Ok(None),
-            VAL_SOME => Ok(Some(self.u32()?)),
-            t => Err(ProtoError::BadTag(t)),
-        }
-    }
-
-    /// Reads a bool written as `u8::from(b)`, refusing every byte but 0
-    /// and 1.
-    fn bool(&mut self) -> Result<bool, ProtoError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(ProtoError::BadTag(b)),
-        }
-    }
-
     /// Reads a message tag, refusing every tag but `expected`.
-    fn tag(&mut self, expected: u8) -> Result<(), ProtoError> {
-        match self.u8()? {
+    pub(crate) fn tag(&mut self, expected: u8) -> Result<(), ProtoError> {
+        match self.get::<u8>()? {
             t if t == expected => Ok(()),
             t => Err(ProtoError::BadTag(t)),
         }
@@ -287,16 +260,263 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Writes a read's value: a presence byte, then the value if set.
-fn put_value(out: &mut Vec<u8>, value: Option<u32>) {
-    match value {
-        Some(v) => {
-            out.push(VAL_SOME);
-            out.extend_from_slice(&v.to_le_bytes());
+/// One kind of value in a fixed layout, written and read back by the
+/// same impl.
+pub(crate) trait Field: Sized {
+    /// Appends the value's bytes.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads a value [`put`](Field::put) wrote, refusing any other bytes.
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError>;
+}
+
+/// `value`'s bytes.
+pub(crate) fn to_bytes<T: Field>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
+}
+
+/// Reads exactly one `T` from `bytes`.
+pub(crate) fn from_bytes<T: Field>(bytes: &[u8]) -> Result<T, ProtoError> {
+    let mut c = Cursor(bytes);
+    let value = c.get()?;
+    c.finish()?;
+    Ok(value)
+}
+
+/// Declares a byte layout once, as the list of its fields in order, and
+/// derives both directions from it.
+///
+/// - `Type; a, b: Via` makes a struct a [`Field`]: its fields back to
+///   back, `b` written through the adapter newtype `Via`.
+/// - `Type = TAG, MAX; …` also gives it a public `encode` (the tag, then
+///   the fields, in one allocation of `MAX` bytes, its longest frame) and
+///   `decode` (checks the tag, reads the fields, refuses trailing bytes).
+/// - `enum Type; A = TAG { a, b }, …` makes an enum a [`Field`]: the
+///   variant's tag byte, then its fields; an unknown tag is refused.
+macro_rules! layout {
+    (enum $ty:ident; $($v:ident = $tag:path { $($f:ident),+ }),+ $(,)?) => {
+        impl Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v { $($f),+ } => {
+                        out.push($tag);
+                        $(Field::put($f, out);)+
+                    })+
+                }
+            }
+
+            fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+                match c.get::<u8>()? {
+                    $($tag => Ok($ty::$v { $($f: c.get()?),+ }),)+
+                    t => Err(ProtoError::BadTag(t)),
+                }
+            }
         }
-        None => out.push(VAL_NONE),
+    };
+    ($ty:ident; $($f:tt $(: $via:ident)?),+ $(,)?) => {
+        impl $crate::proto::Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::proto::Field::put(&$($via)?(self.$f), out);)+
+            }
+
+            #[allow(unused_parens)] // `let (v)` reads a field with no adapter.
+            fn get(c: &mut $crate::proto::Cursor<'_>) -> Result<Self, $crate::proto::ProtoError> {
+                Ok($ty { $($f: { let $($via)?(v) = c.get()?; v }),+ })
+            }
+        }
+    };
+    ($ty:ident = $tag:expr, $max:expr; $($fields:tt)+) => {
+        layout!($ty; $($fields)+);
+
+        impl $ty {
+            /// Encodes the message as one frame payload.
+            #[must_use]
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity($max);
+                out.push($tag);
+                Field::put(self, &mut out);
+                debug_assert!(out.len() <= $max, "frame longer than its declared maximum");
+                out
+            }
+
+            /// Decodes one frame payload.
+            pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
+                let mut c = Cursor(bytes);
+                c.tag($tag)?;
+                let message = c.get()?;
+                c.finish()?;
+                Ok(message)
+            }
+        }
+    };
+}
+pub(crate) use layout;
+
+macro_rules! int_fields {
+    ($($t:ty),+) => {$(
+        /// Little-endian, fixed width.
+        impl Field for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+                Ok(<$t>::from_le_bytes(c.bytes(size_of::<$t>())?.try_into().expect("sized")))
+            }
+        }
+    )+};
+}
+int_fields!(u8, u16, u32, u64);
+
+// Ids: the id's `u64`.
+layout!(ClientId; 0);
+layout!(RequestId; 0);
+layout!(BatchId; 0);
+
+/// One byte, `u8::from(b)`: every byte but 0 and 1 is refused.
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(ProtoError::BadTag(b)),
+        }
     }
 }
+
+/// A read's value: a presence byte, then the value if set.
+impl Field for Option<u32> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                out.push(VAL_SOME);
+                v.put(out);
+            }
+            None => out.push(VAL_NONE),
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.get::<u8>()? {
+            VAL_NONE => Ok(None),
+            VAL_SOME => c.get().map(Some),
+            t => Err(ProtoError::BadTag(t)),
+        }
+    }
+}
+
+// An op tag, the key, and a `Put`'s value.
+layout!(enum KvOp; Put = OP_PUT { key, value }, Get = OP_GET { key });
+
+// An outcome tag, the slot (or read index), and a read's value.
+layout!(enum Outcome;
+    Put = OP_PUT { slot }, Get = OP_GET { slot, value }, Read = OP_READ { index, value });
+
+/// The 64 bucket counts, then sum, then max. The observation count is
+/// not carried — it is the sum of the buckets, recomputed on decode, and
+/// buckets that sum past `u64::MAX` are refused.
+impl Field for HistogramSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        for b in &self.buckets {
+            b.put(out);
+        }
+        self.sum.put(out);
+        self.max.put(out);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let mut buckets = [0u64; BUCKETS];
+        let mut count = 0u64;
+        for b in &mut buckets {
+            *b = c.get()?;
+            count = count.checked_add(*b).ok_or(ProtoError::CountOverflow)?;
+        }
+        Ok(HistogramSnapshot { buckets, count, sum: c.get()?, max: c.get()? })
+    }
+}
+
+/// A response as WAL records and snapshots keep it: its frame, prefixed
+/// by the frame's u16 length.
+pub(crate) struct Prefixed(pub(crate) Response);
+
+impl Field for Prefixed {
+    fn put(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0, 0, TAG_RESPONSE]);
+        self.0.put(out);
+        let len = u16::try_from(out.len() - start - 2).expect("responses are tens of bytes");
+        out[start..start + 2].copy_from_slice(&len.to_le_bytes());
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let len: u16 = c.get()?;
+        Response::decode(c.bytes(usize::from(len))?).map(Prefixed)
+    }
+}
+
+/// A u32 count, then the elements. The count reserves no more elements
+/// than there are bytes left, so a count that no input backs fails as
+/// [`ProtoError::Truncated`] instead of asking for the memory.
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        u32::try_from(self.len()).expect("lists hold under 2^32 entries").put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let n: u32 = c.get()?;
+        let mut items = Vec::with_capacity((n as usize).min(c.0.len()));
+        for _ in 0..n {
+            items.push(c.get()?);
+        }
+        Ok(items)
+    }
+}
+
+/// A u32 count, then each entry's key and value, in key order.
+impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        u32::try_from(self.len()).expect("maps hold under 2^32 entries").put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let n: u32 = c.get()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            let k = c.get()?;
+            map.insert(k, c.get()?);
+        }
+        Ok(map)
+    }
+}
+
+/// [`LeaseStatus::mode`]: a [`ReadPath`] wire byte, refusing any other.
+struct Mode(u8);
+
+impl Field for Mode {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let mode = c.get()?;
+        ReadPath::from_wire(mode).map(|_| Mode(mode)).ok_or(ProtoError::BadTag(mode))
+    }
+}
+
+layout!(Request = TAG_REQUEST, 24; client, request, op);
+layout!(Response = TAG_RESPONSE, 27; request, shard, outcome);
 
 /// The rejoin sync protocol, riding the same framed transport as the
 /// request/response traffic.
@@ -340,53 +560,48 @@ pub enum SyncFrame {
 }
 
 impl SyncFrame {
-    /// Encodes the frame payload.
+    /// Encodes the frame payload: the tag, the fixed fields, then a
+    /// chunk's or record's bytes to the end of the frame.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        let tail: &[u8] = match self {
+            SyncFrame::SnapshotChunk { bytes, .. } | SyncFrame::Record { bytes } => bytes,
+            SyncFrame::Request { .. } | SyncFrame::Done { .. } => &[],
+        };
+        let mut out = Vec::with_capacity(13 + tail.len());
         match self {
             SyncFrame::Request { from_slot, shard } => {
-                let mut out = Vec::with_capacity(13);
                 out.push(TAG_SYNC_REQUEST);
-                out.extend_from_slice(&from_slot.to_le_bytes());
-                out.extend_from_slice(&shard.to_le_bytes());
-                out
+                from_slot.put(&mut out);
+                shard.put(&mut out);
             }
-            SyncFrame::SnapshotChunk { index, total, bytes } => {
-                let mut out = Vec::with_capacity(9 + bytes.len());
+            SyncFrame::SnapshotChunk { index, total, .. } => {
                 out.push(TAG_SYNC_SNAPSHOT);
-                out.extend_from_slice(&index.to_le_bytes());
-                out.extend_from_slice(&total.to_le_bytes());
-                out.extend_from_slice(bytes);
-                out
+                index.put(&mut out);
+                total.put(&mut out);
             }
-            SyncFrame::Record { bytes } => {
-                let mut out = Vec::with_capacity(1 + bytes.len());
-                out.push(TAG_SYNC_RECORD);
-                out.extend_from_slice(bytes);
-                out
-            }
+            SyncFrame::Record { .. } => out.push(TAG_SYNC_RECORD),
             SyncFrame::Done { applied_through } => {
-                let mut out = Vec::with_capacity(9);
                 out.push(TAG_SYNC_DONE);
-                out.extend_from_slice(&applied_through.to_le_bytes());
-                out
+                applied_through.put(&mut out);
             }
         }
+        out.extend_from_slice(tail);
+        out
     }
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
-        let frame = match c.u8()? {
-            TAG_SYNC_REQUEST => SyncFrame::Request { from_slot: c.u64()?, shard: c.u32()? },
-            TAG_SYNC_SNAPSHOT => {
-                let index = c.u32()?;
-                let total = c.u32()?;
-                let rest = c.bytes(c.0.len())?.to_vec();
-                SyncFrame::SnapshotChunk { index, total, bytes: rest }
-            }
+        let frame = match c.get::<u8>()? {
+            TAG_SYNC_REQUEST => SyncFrame::Request { from_slot: c.get()?, shard: c.get()? },
+            TAG_SYNC_SNAPSHOT => SyncFrame::SnapshotChunk {
+                index: c.get()?,
+                total: c.get()?,
+                bytes: c.bytes(c.0.len())?.to_vec(),
+            },
             TAG_SYNC_RECORD => SyncFrame::Record { bytes: c.bytes(c.0.len())?.to_vec() },
-            TAG_SYNC_DONE => SyncFrame::Done { applied_through: c.u64()? },
+            TAG_SYNC_DONE => SyncFrame::Done { applied_through: c.get()? },
             t => return Err(ProtoError::BadTag(t)),
         };
         c.finish()?;
@@ -429,76 +644,27 @@ pub struct AuditSummary {
     pub shards: u32,
 }
 
-impl AuditSummary {
-    /// Encodes the reply payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(47);
-        out.push(TAG_AUDIT_REPLY);
-        out.push(u8::from(self.complete));
-        out.push(u8::from(self.ok));
-        out.extend_from_slice(&self.slots.to_le_bytes());
-        out.extend_from_slice(&self.committed.to_le_bytes());
-        out.extend_from_slice(&self.dedup_hits.to_le_bytes());
-        out.extend_from_slice(&self.fast_reads.to_le_bytes());
-        out.extend_from_slice(&self.lease_epoch.to_le_bytes());
-        out.extend_from_slice(&self.shards.to_le_bytes());
-        out
-    }
+layout!(AuditSummary = TAG_AUDIT_REPLY, 47;
+    complete, ok, slots, committed, dedup_hits, fast_reads, lease_epoch, shards);
 
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        c.tag(TAG_AUDIT_REPLY)?;
-        let complete = c.bool()?;
-        let ok = c.bool()?;
-        let slots = c.u64()?;
-        let committed = c.u64()?;
-        let dedup_hits = c.u64()?;
-        let fast_reads = c.u64()?;
-        let lease_epoch = c.u64()?;
-        let shards = c.u32()?;
-        c.finish()?;
-        Ok(AuditSummary {
-            complete,
-            ok,
-            slots,
-            committed,
-            dedup_hits,
-            fast_reads,
-            lease_epoch,
-            shards,
-        })
-    }
-}
+/// A lease-state request: the shard group whose lease agent is asked.
+struct LeaseStateRequest(u32);
+/// A metrics-scrape request: the shard group whose engine is asked.
+struct StatsRequest(u32);
 
-/// A shard-addressed request frame payload: `tag`, then the shard.
-fn shard_request_frame(tag: u8, shard: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5);
-    out.push(tag);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out
-}
-
-/// Parses the shard a `tag`-tagged shard-addressed request names.
-fn shard_request_shard(tag: u8, bytes: &[u8]) -> Result<u32, ProtoError> {
-    let mut c = Cursor(bytes);
-    c.tag(tag)?;
-    let shard = c.u32()?;
-    c.finish()?;
-    Ok(shard)
-}
+layout!(LeaseStateRequest = TAG_LEASE_STATE_REQUEST, 5; 0);
+layout!(StatsRequest = TAG_STATS_REQUEST, 5; 0);
 
 /// The lease-state request frame payload, addressed to one shard group's
 /// lease agent.
 #[must_use]
 pub fn lease_state_request_frame(shard: u32) -> Vec<u8> {
-    shard_request_frame(TAG_LEASE_STATE_REQUEST, shard)
+    LeaseStateRequest(shard).encode()
 }
 
 /// Parses the shard a lease-state request addresses.
 pub fn lease_state_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    shard_request_shard(TAG_LEASE_STATE_REQUEST, bytes)
+    LeaseStateRequest::decode(bytes).map(|request| request.0)
 }
 
 /// A point-in-time dump of the engine's lease and read-path state —
@@ -510,7 +676,7 @@ pub struct LeaseStatus {
     pub shard: u32,
     /// How many shard groups the service runs (each with its own lease).
     pub shards: u32,
-    /// The configured read path: 0 = sequenced, 1 = quorum, 2 = lease.
+    /// The configured read path, as [`ReadPath::as_wire`] encodes it.
     pub mode: u8,
     /// The current lease epoch (0 when leases are disabled).
     pub epoch: u64,
@@ -529,55 +695,16 @@ pub struct LeaseStatus {
     pub reads_sequenced: u64,
 }
 
-impl LeaseStatus {
-    /// Encodes the reply payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(55);
-        out.push(TAG_LEASE_STATE);
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.shards.to_le_bytes());
-        out.push(self.mode);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.push(u8::from(self.healthy));
-        out.extend_from_slice(&self.grants.to_le_bytes());
-        out.extend_from_slice(&self.read_index.to_le_bytes());
-        out.extend_from_slice(&self.reads_lease.to_le_bytes());
-        out.extend_from_slice(&self.reads_quorum.to_le_bytes());
-        out.extend_from_slice(&self.reads_sequenced.to_le_bytes());
-        out
-    }
-
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        c.tag(TAG_LEASE_STATE)?;
-        let status = LeaseStatus {
-            shard: c.u32()?,
-            shards: c.u32()?,
-            mode: match c.u8()? {
-                mode @ 0..=2 => mode,
-                mode => return Err(ProtoError::BadTag(mode)),
-            },
-            epoch: c.u64()?,
-            healthy: c.bool()?,
-            grants: c.u32()?,
-            read_index: c.u64()?,
-            reads_lease: c.u64()?,
-            reads_quorum: c.u64()?,
-            reads_sequenced: c.u64()?,
-        };
-        c.finish()?;
-        Ok(status)
-    }
-}
+layout!(LeaseStatus = TAG_LEASE_STATE, 55; shard, shards, mode: Mode, epoch, healthy, grants,
+    read_index, reads_lease, reads_quorum, reads_sequenced);
 
 impl fmt::Display for LeaseStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mode = match self.mode {
-            0 => "sequenced",
-            1 => "quorum",
-            _ => "lease",
+        let mode = match ReadPath::from_wire(self.mode) {
+            Some(ReadPath::Sequenced) => "sequenced",
+            Some(ReadPath::Quorum) => "quorum",
+            Some(ReadPath::Lease) => "lease",
+            None => "unknown",
         };
         write!(
             f,
@@ -600,33 +727,12 @@ impl fmt::Display for LeaseStatus {
 /// group's engine.
 #[must_use]
 pub fn stats_request_frame(shard: u32) -> Vec<u8> {
-    shard_request_frame(TAG_STATS_REQUEST, shard)
+    StatsRequest(shard).encode()
 }
 
 /// Parses the shard a metrics-scrape request addresses.
 pub fn stats_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    shard_request_shard(TAG_STATS_REQUEST, bytes)
-}
-
-/// Writes a histogram snapshot: 64 bucket counts, then sum, then max
-/// (all `u64` LE). The observation count is not carried — it is the sum
-/// of the buckets, recomputed on decode.
-fn encode_histogram(out: &mut Vec<u8>, snap: &HistogramSnapshot) {
-    for b in &snap.buckets {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out.extend_from_slice(&snap.sum.to_le_bytes());
-    out.extend_from_slice(&snap.max.to_le_bytes());
-}
-
-fn decode_histogram(c: &mut Cursor<'_>) -> Result<HistogramSnapshot, ProtoError> {
-    let mut buckets = [0u64; BUCKETS];
-    let mut count = 0u64;
-    for b in &mut buckets {
-        *b = c.u64()?;
-        count += *b;
-    }
-    Ok(HistogramSnapshot { buckets, count, sum: c.u64()?, max: c.u64()? })
+    StatsRequest::decode(bytes).map(|request| request.0)
 }
 
 /// A point-in-time scrape of one shard group's engine metrics — the
@@ -636,7 +742,7 @@ fn decode_histogram(c: &mut Cursor<'_>) -> Result<HistogramSnapshot, ProtoError>
 /// aggregates merge exactly ([`HistogramSnapshot::merge`]); stage
 /// latencies and the WAL fsync are in nanoseconds, the seal-depth
 /// histogram counts queued batches sampled at each seal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsReport {
     /// The shard group this scrape describes.
     pub shard: u32,
@@ -667,6 +773,10 @@ pub struct StatsReport {
     /// Sealed-batch queue depth sampled at each seal.
     pub seal_depth: HistogramSnapshot,
 }
+
+layout!(StatsReport = TAG_STATS, 1 + 8 + 48 + 6 * (BUCKETS + 2) * 8; shard, shards, slots, committed, dedup_hits, reads_lease,
+    reads_quorum, reads_sequenced, submit_seal, seal_decide, decide_apply, apply_ack, wal_fsync,
+    seal_depth);
 
 impl StatsReport {
     /// The six stage histograms with their wire/JSON names, report order.
@@ -703,66 +813,7 @@ impl StatsReport {
     /// An all-zero report for `shard` of `shards` (the merge identity).
     #[must_use]
     pub fn zero(shard: u32, shards: u32) -> Self {
-        StatsReport {
-            shard,
-            shards,
-            slots: 0,
-            committed: 0,
-            dedup_hits: 0,
-            reads_lease: 0,
-            reads_quorum: 0,
-            reads_sequenced: 0,
-            submit_seal: HistogramSnapshot::empty(),
-            seal_decide: HistogramSnapshot::empty(),
-            decide_apply: HistogramSnapshot::empty(),
-            apply_ack: HistogramSnapshot::empty(),
-            wal_fsync: HistogramSnapshot::empty(),
-            seal_depth: HistogramSnapshot::empty(),
-        }
-    }
-
-    /// Encodes the reply payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        // 1 tag + 2 u32 + 6 u64 + 6 histograms of (64 + 2) u64.
-        let mut out = Vec::with_capacity(1 + 8 + 48 + 6 * (BUCKETS + 2) * 8);
-        out.push(TAG_STATS);
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.shards.to_le_bytes());
-        out.extend_from_slice(&self.slots.to_le_bytes());
-        out.extend_from_slice(&self.committed.to_le_bytes());
-        out.extend_from_slice(&self.dedup_hits.to_le_bytes());
-        out.extend_from_slice(&self.reads_lease.to_le_bytes());
-        out.extend_from_slice(&self.reads_quorum.to_le_bytes());
-        out.extend_from_slice(&self.reads_sequenced.to_le_bytes());
-        for (_, snap) in self.stages() {
-            encode_histogram(&mut out, snap);
-        }
-        out
-    }
-
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        c.tag(TAG_STATS)?;
-        let report = StatsReport {
-            shard: c.u32()?,
-            shards: c.u32()?,
-            slots: c.u64()?,
-            committed: c.u64()?,
-            dedup_hits: c.u64()?,
-            reads_lease: c.u64()?,
-            reads_quorum: c.u64()?,
-            reads_sequenced: c.u64()?,
-            submit_seal: decode_histogram(&mut c)?,
-            seal_decide: decode_histogram(&mut c)?,
-            decide_apply: decode_histogram(&mut c)?,
-            apply_ack: decode_histogram(&mut c)?,
-            wal_fsync: decode_histogram(&mut c)?,
-            seal_depth: decode_histogram(&mut c)?,
-        };
-        c.finish()?;
-        Ok(report)
+        StatsReport { shard, shards, ..StatsReport::default() }
     }
 }
 
@@ -786,88 +837,6 @@ impl fmt::Display for StatsReport {
             write!(f, " {name}[n={} p50={p50} p99={p99} max={}]", snap.count, snap.max)?;
         }
         Ok(())
-    }
-}
-
-impl Request {
-    /// Encodes the request as one frame payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        out.push(TAG_REQUEST);
-        out.extend_from_slice(&self.client.0.to_le_bytes());
-        out.extend_from_slice(&self.request.0.to_le_bytes());
-        match self.op {
-            KvOp::Put { key, value } => {
-                out.push(OP_PUT);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            KvOp::Get { key } => {
-                out.push(OP_GET);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        c.tag(TAG_REQUEST)?;
-        let client = ClientId(c.u64()?);
-        let request = RequestId(c.u64()?);
-        let op = match c.u8()? {
-            OP_PUT => KvOp::Put { key: c.u16()?, value: c.u32()? },
-            OP_GET => KvOp::Get { key: c.u16()? },
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(Request { client, request, op })
-    }
-}
-
-impl Response {
-    /// Encodes the response as one frame payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28);
-        out.push(TAG_RESPONSE);
-        out.extend_from_slice(&self.request.0.to_le_bytes());
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        match self.outcome {
-            Outcome::Put { slot } => {
-                out.push(OP_PUT);
-                out.extend_from_slice(&slot.to_le_bytes());
-            }
-            Outcome::Get { slot, value } => {
-                out.push(OP_GET);
-                out.extend_from_slice(&slot.to_le_bytes());
-                put_value(&mut out, value);
-            }
-            Outcome::Read { index, value } => {
-                out.push(OP_READ);
-                out.extend_from_slice(&index.to_le_bytes());
-                put_value(&mut out, value);
-            }
-        }
-        out
-    }
-
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        c.tag(TAG_RESPONSE)?;
-        let request = RequestId(c.u64()?);
-        let shard = c.u32()?;
-        let outcome = match c.u8()? {
-            OP_PUT => Outcome::Put { slot: c.u64()? },
-            OP_GET => Outcome::Get { slot: c.u64()?, value: c.value()? },
-            OP_READ => Outcome::Read { index: c.u64()?, value: c.value()? },
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(Response { request, shard, outcome })
     }
 }
 

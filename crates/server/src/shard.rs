@@ -117,14 +117,14 @@ pub fn shard_dir(root: &Path, idx: u32) -> PathBuf {
 /// a silent default — booting with the wrong shard count rehashes the
 /// keyspace.
 pub fn load_manifest(root: &Path) -> io::Result<Option<u32>> {
-    Ok(load_checked(&root.join(MANIFEST_FILE))?.map(u32::from_le_bytes))
+    load_checked(&root.join(MANIFEST_FILE))
 }
 
 /// Durably records `shards` at `root` (atomic temp-write + fsync +
 /// rename, the snapshot idiom). Must complete before any shard serves
 /// so a crash mid-boot cannot leave an unlabeled multi-shard layout.
 pub fn store_manifest(root: &Path, shards: u32) -> io::Result<()> {
-    store_checked(&root.join(MANIFEST_FILE), &shards.to_le_bytes())
+    store_checked(&root.join(MANIFEST_FILE), &shards)
 }
 
 /// Dedup bookkeeping for one `(client, request)` pair.

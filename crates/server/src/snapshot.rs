@@ -17,10 +17,9 @@ use std::path::Path;
 
 use indulgent_model::{ClientId, RequestId};
 
-use crate::proto::{Cursor, ProtoError, Response};
+use crate::proto::{from_bytes, layout, to_bytes, Prefixed, ProtoError, Response};
 use crate::wal::{
-    atomic_replace, frame_record, put_response, read_if_exists, read_response, WalDecoder,
-    WalError, WalTail, MAX_RECORD, RECORD_HEADER_LEN,
+    atomic_replace, frame_record, read_if_exists, WalDecoder, WalError, WalTail, RECORD_HEADER_LEN,
 };
 
 /// One cached session acknowledgement: the dedup table entry that makes
@@ -52,54 +51,19 @@ pub struct Snapshot {
     pub sessions: Vec<SessionEntry>,
 }
 
+layout!(SessionEntry; client, request, response: Prefixed);
+layout!(Snapshot; applied_through, next_batch, committed, store, sessions);
+
 impl Snapshot {
     /// Encodes the snapshot payload (no framing).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.store.len() * 6 + self.sessions.len() * 40);
-        out.extend_from_slice(&self.applied_through.to_le_bytes());
-        out.extend_from_slice(&self.next_batch.to_le_bytes());
-        out.extend_from_slice(&self.committed.to_le_bytes());
-        out.extend_from_slice(
-            &u32::try_from(self.store.len()).expect("u16-keyed store").to_le_bytes(),
-        );
-        for (&key, &value) in &self.store {
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&value.to_le_bytes());
-        }
-        out.extend_from_slice(
-            &u32::try_from(self.sessions.len()).expect("bounded session table").to_le_bytes(),
-        );
-        for s in &self.sessions {
-            out.extend_from_slice(&s.client.0.to_le_bytes());
-            out.extend_from_slice(&s.request.0.to_le_bytes());
-            put_response(&mut out, &s.response);
-        }
-        out
+        to_bytes(self)
     }
 
     /// Decodes a snapshot payload produced by [`encode`](Snapshot::encode).
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        let applied_through = c.u64()?;
-        let next_batch = c.u64()?;
-        let committed = c.u64()?;
-        let store_len = c.u32()?;
-        let mut store = BTreeMap::new();
-        for _ in 0..store_len {
-            let key = c.u16()?;
-            store.insert(key, c.u32()?);
-        }
-        let sessions_len = c.u32()?;
-        let mut sessions = Vec::with_capacity(sessions_len as usize);
-        for _ in 0..sessions_len {
-            let client = ClientId(c.u64()?);
-            let request = RequestId(c.u64()?);
-            let response = read_response(&mut c)?;
-            sessions.push(SessionEntry { client, request, response });
-        }
-        c.finish()?;
-        Ok(Snapshot { applied_through, next_batch, committed, store, sessions })
+        from_bytes(bytes)
     }
 
     /// Serializes the snapshot as one checksummed, framed record — the
@@ -107,7 +71,6 @@ impl Snapshot {
     #[must_use]
     pub fn to_framed_bytes(&self) -> Vec<u8> {
         let payload = self.encode();
-        assert!(payload.len() <= MAX_RECORD, "snapshot exceeds MAX_RECORD");
         let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
         frame_record(&payload, &mut out);
         out

@@ -39,7 +39,9 @@ use std::path::{Path, PathBuf};
 
 use indulgent_model::{BatchId, ClientId, RequestId};
 
-use crate::proto::{Cursor, KvOp, ProtoError, Response};
+use crate::proto::{
+    from_bytes, layout, to_bytes, Cursor, Field, KvOp, Prefixed, ProtoError, Response,
+};
 use crate::snapshot::Snapshot;
 
 /// One acknowledged command inside a slot, as the engine recorded it.
@@ -65,6 +67,23 @@ pub struct SlotRecord {
     pub batch: BatchId,
     /// The batch's commands in order, with their recorded acks.
     pub commands: Vec<AckRecord>,
+}
+
+layout!(AckRecord; client, request, op: Payload, response: Prefixed);
+layout!(SlotRecord; slot, batch, commands);
+
+/// An operation as the `u64` command payload the log carries
+/// ([`KvOp::to_payload`]): its form inside a slot record.
+struct Payload(KvOp);
+
+impl Field for Payload {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.to_payload().put(out);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        c.get().map(|payload| Payload(KvOp::from_payload(payload)))
+    }
 }
 
 /// Hard bound on a WAL record's payload size (1 MiB).
@@ -169,64 +188,21 @@ impl From<ProtoError> for WalError {
 /// Appends `payload` to `out` as one record: length, CRC32, payload.
 pub(crate) fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
     assert!(payload.len() <= MAX_RECORD, "record payload exceeds MAX_RECORD");
-    out.extend_from_slice(
-        &u32::try_from(payload.len()).expect("bounded by MAX_RECORD").to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    u32::try_from(payload.len()).expect("bounded by MAX_RECORD").put(out);
+    crc32(payload).put(out);
     out.extend_from_slice(payload);
-}
-
-/// Appends a recorded acknowledgement, prefixed by its u16 length — the
-/// form both slot records and snapshots keep responses in.
-pub(crate) fn put_response(out: &mut Vec<u8>, response: &Response) {
-    let bytes = response.encode();
-    out.extend_from_slice(
-        &u16::try_from(bytes.len()).expect("responses are tens of bytes").to_le_bytes(),
-    );
-    out.extend_from_slice(&bytes);
-}
-
-/// Reads an acknowledgement written by [`put_response`].
-pub(crate) fn read_response(c: &mut Cursor<'_>) -> Result<Response, ProtoError> {
-    let len = c.u16()?;
-    Response::decode(c.bytes(usize::from(len))?)
 }
 
 /// Encodes a slot record's payload (no framing): slot, batch id, and the
 /// commands with their recorded acknowledgements.
 #[must_use]
 pub fn encode_payload(rec: &SlotRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + rec.commands.len() * 48);
-    out.extend_from_slice(&rec.slot.to_le_bytes());
-    out.extend_from_slice(&rec.batch.0.to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(rec.commands.len()).expect("bounded by batch size").to_le_bytes(),
-    );
-    for ack in &rec.commands {
-        out.extend_from_slice(&ack.client.0.to_le_bytes());
-        out.extend_from_slice(&ack.request.0.to_le_bytes());
-        out.extend_from_slice(&ack.op.to_payload().to_le_bytes());
-        put_response(&mut out, &ack.response);
-    }
-    out
+    to_bytes(rec)
 }
 
 /// Decodes a slot record payload produced by [`encode_payload`].
 pub fn decode_payload(bytes: &[u8]) -> Result<SlotRecord, ProtoError> {
-    let mut c = Cursor(bytes);
-    let slot = c.u64()?;
-    let batch = BatchId(c.u64()?);
-    let count = c.u32()?;
-    let mut commands = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let client = ClientId(c.u64()?);
-        let request = RequestId(c.u64()?);
-        let op = KvOp::from_payload(c.u64()?);
-        let response = read_response(&mut c)?;
-        commands.push(AckRecord { client, request, op, response });
-    }
-    c.finish()?;
-    Ok(SlotRecord { slot, batch, commands })
+    from_bytes(bytes)
 }
 
 /// Encodes one framed record (header + checksum + payload) appended to
@@ -276,12 +252,12 @@ impl WalDecoder {
         // more than MAX_RECORD can never complete into a valid frame, so
         // corruption is flagged before waiting for (or allocating) the
         // announced payload.
-        let len = c.u32().ok()? as usize;
+        let len = c.get::<u32>().ok()? as usize;
         if len > MAX_RECORD {
             self.corrupt = Some(self.offset);
             return None;
         }
-        let stored = c.u32().ok()?;
+        let stored: u32 = c.get().ok()?;
         let payload = c.bytes(len).ok()?;
         if crc32(payload) != stored {
             self.corrupt = Some(self.offset);
@@ -428,22 +404,22 @@ fn damaged(what: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// Loads a fixed-width value stored by [`store_checked`]; `Ok(None)` if
-/// none was ever stored. A wrong length or checksum is an error, never a
-/// silent default.
-pub(crate) fn load_checked<const N: usize>(path: &Path) -> io::Result<Option<[u8; N]>> {
+/// Loads a value stored by [`store_checked`]; `Ok(None)` if none was
+/// ever stored. A wrong length or checksum is an error, never a silent
+/// default.
+pub(crate) fn load_checked<T: Field>(path: &Path) -> io::Result<Option<T>> {
     let Some(bytes) = read_if_exists(path)? else { return Ok(None) };
-    let mut c = Cursor(&bytes);
-    match (c.take::<N>(), c.u32(), c.finish()) {
-        (Ok(value), Ok(stored), Ok(())) if crc32(&value) == stored => Ok(Some(value)),
+    let (body, crc) = bytes.split_at(bytes.len().saturating_sub(4));
+    match (from_bytes(body), from_bytes::<u32>(crc)) {
+        (Ok(value), Ok(stored)) if crc32(body) == stored => Ok(Some(value)),
         _ => Err(damaged(format!("{} is malformed or fails its checksum", path.display()))),
     }
 }
 
 /// Durably stores `value` followed by its CRC32 at `path`.
-pub(crate) fn store_checked(path: &Path, value: &[u8]) -> io::Result<()> {
-    let mut bytes = value.to_vec();
-    bytes.extend_from_slice(&crc32(value).to_le_bytes());
+pub(crate) fn store_checked<T: Field>(path: &Path, value: &T) -> io::Result<()> {
+    let mut bytes = to_bytes(value);
+    crc32(&bytes).put(&mut bytes);
     atomic_replace(path, &bytes)
 }
 

@@ -406,3 +406,49 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // A decoder refuses what it cannot read and never panics or aborts:
+    // neither on arbitrary bytes nor on a valid encoding with a run of
+    // its bytes overwritten (a peer's bug, or rot the CRC did not catch).
+    #[test]
+    fn no_input_panics_a_decoder(
+        w in proptest::collection::vec(any::<u64>(), 16..17),
+        samples in proptest::collection::vec(any::<u64>(), 0..60),
+        blob in proptest::collection::vec(any::<u8>(), 0..40),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+    ) {
+        for row in contract_rows(&w, &samples, &blob) {
+            let _ = (row.decode)(&noise);
+            let mut damaged = row.bytes.clone();
+            let at = at % damaged.len();
+            for (byte, n) in damaged[at..].iter_mut().zip(&noise) {
+                *byte = *n;
+            }
+            let _ = (row.decode)(&damaged);
+        }
+    }
+}
+
+#[test]
+fn counts_that_no_input_backs_are_truncated() {
+    // Three u64 counters, an empty store, then u32::MAX session entries.
+    let mut snapshot = vec![0; 28];
+    snapshot.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(Snapshot::decode(&snapshot), Err(ProtoError::Truncated));
+    // Slot and batch, then u32::MAX commands.
+    let mut slot = vec![0; 16];
+    slot.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(decode_payload(&slot), Err(ProtoError::Truncated));
+}
+
+#[test]
+fn histogram_buckets_that_overflow_their_count_are_refused() {
+    let mut report = StatsReport::zero(0, 1);
+    report.wal_fsync.buckets[0] = u64::MAX;
+    report.wal_fsync.buckets[1] = 1;
+    assert_eq!(StatsReport::decode(&report.encode()), Err(ProtoError::CountOverflow));
+}
