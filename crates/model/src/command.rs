@@ -20,14 +20,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// Identifier of a client command, unique within a workload.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CommandId(pub u64);
 
 impl fmt::Display for CommandId {
@@ -44,9 +40,7 @@ impl fmt::Display for CommandId {
 /// `(ClientId, RequestId)`, so a client that retries a request — on the
 /// same connection or after reconnecting — is recognized and answered
 /// with the original acknowledgement instead of a second apply.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -62,9 +56,7 @@ impl fmt::Display for ClientId {
 /// exactly-once key. Ids need not be dense — only monotonic — so a
 /// client may skip numbers, but reusing one *is* the retry protocol:
 /// the service deduplicates it against the decided log.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
 impl RequestId {
@@ -87,7 +79,7 @@ impl fmt::Display for RequestId {
 /// reproduction needs ordering and equality, not serialization of real
 /// application state. A key-value store encodes `(key, value)` pairs into
 /// the integer (see the `replicated_kv` example).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Command {
     /// Unique command id (assigned at submission).
     pub id: CommandId,
@@ -97,7 +89,7 @@ pub struct Command {
 
 /// Identifier of a batch of commands; doubles as the consensus proposal
 /// for a log slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BatchId(pub u64);
 
 impl BatchId {
@@ -136,7 +128,7 @@ impl fmt::Display for BatchId {
 }
 
 /// A batch of client commands proposed for one log slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     /// The batch id (monotonic per frontend; older batches have lower ids).
     pub id: BatchId,
@@ -152,7 +144,7 @@ pub struct Batch {
 /// earlier slot is `Duplicate` (apply-time deduplication — the safety net
 /// that keeps at-most-once semantics even if a proposer re-proposes a
 /// chosen batch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppliedEntry {
     /// The batch was applied at this slot (first occurrence).
     Applied(BatchId),

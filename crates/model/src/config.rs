@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::process::{ProcessId, ProcessSet};
 
 /// Resilience regime a configuration must satisfy.
@@ -14,7 +12,7 @@ use crate::process::{ProcessId, ProcessSet};
 /// * `A_{f+2}` needs `t < n/3` ([`Resilience::Third`]),
 /// * SCS algorithms such as FloodSet only need `t ≤ n - 2`
 ///   ([`Resilience::Synchronous`]) for the `t + 1` bound to be meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resilience {
     /// `0 < t < n/2`: a majority of processes is correct. Required by every
     /// indulgent algorithm (Chandra–Toueg), and by the paper's lower bound.
@@ -44,7 +42,7 @@ pub enum Resilience {
 /// assert_eq!(cfg.quorum(), 3); // n - t
 /// # Ok::<(), indulgent_model::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystemConfig {
     n: usize,
     t: usize,

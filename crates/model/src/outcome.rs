@@ -8,14 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::process::{ProcessId, ProcessSet};
 use crate::round::Round;
 use crate::value::Value;
 
 /// A recorded decision: which process decided which value in which round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// The deciding process.
     pub process: ProcessId,
@@ -45,7 +43,7 @@ pub struct Decision {
 /// assert!(outcome.check_consensus().is_ok());
 /// assert_eq!(outcome.global_decision_round(), Some(Round::new(3)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Proposal of each process (index = process id).
     pub proposals: Vec<Value>,

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a process in the system `Π = {p0, …, p(n-1)}`.
 ///
 /// `ProcessId` is a cheap copyable newtype over the process index. Process
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(usize);
 
 impl ProcessId {
@@ -82,9 +80,7 @@ impl From<ProcessId> for usize {
 /// assert!(halt.contains(ProcessId::new(4)));
 /// assert!(!halt.contains(ProcessId::new(0)));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessSet(u64);
 
 impl ProcessSet {

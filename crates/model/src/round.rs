@@ -6,8 +6,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A round number, starting at 1.
 ///
 /// # Examples
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((r + 2).get(), 3);
 /// assert_eq!((r + 2) - r, 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Round(u32);
 
 impl Round {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A consensus proposal/decision value.
 ///
 /// The paper assumes the set of proposal values in a run is totally ordered
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.get(), 42);
 /// assert!(Value::ZERO < Value::ONE);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(u64);
 
 impl Value {

@@ -11,10 +11,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use indulgent_model::{ProcessId, ProcessSet, Round, SystemConfig};
-use serde::{Deserialize, Serialize};
 
 /// Which round-based model a schedule belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Synchronous crash-stop model: messages are received in the round they
     /// are sent, except that a subset of the messages sent by a process in
@@ -26,7 +25,7 @@ pub enum ModelKind {
 }
 
 /// The fate of one (round, sender → receiver) message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MessageFate {
     /// Delivered in the round it was sent (the default).
     #[default]
@@ -42,7 +41,7 @@ pub enum MessageFate {
 /// Build schedules with [`ScheduleBuilder`](crate::ScheduleBuilder), the
 /// random generators in [`random`](crate::random), or the serial-run
 /// enumerator in [`serial`](crate::serial).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     config: SystemConfig,
     kind: ModelKind,
@@ -57,9 +56,8 @@ pub struct Schedule {
     /// fate override. Derived from the fields above at construction; the
     /// executor's per-round clean test is one mask probe instead of a
     /// crash-vector scan plus an ordered-map seek (rounds `>= 64` fall
-    /// back to the scan). With the real `serde` this field would carry
-    /// `#[serde(skip)]` and be recomputed on deserialize; the vendored
-    /// derive serializes nothing.
+    /// back to the scan). A schedule is never persisted or sent, so the
+    /// field has no byte form to keep in step with the others.
     dirty_rounds: u64,
     /// Bit `k` set (for rounds `k <= 63`) when round `k` has at least one
     /// fate override — the O(1) front door of the per-sender override
