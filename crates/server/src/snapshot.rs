@@ -18,9 +18,7 @@ use std::path::Path;
 use indulgent_model::{ClientId, RequestId};
 
 use crate::proto::{from_bytes, layout, to_bytes, Prefixed, ProtoError, Response};
-use crate::wal::{
-    atomic_replace, frame_record, read_if_exists, WalDecoder, WalError, WalTail, RECORD_HEADER_LEN,
-};
+use crate::wal::{atomic_replace, frame_record, read_if_exists, WalDecoder, WalError, WalTail};
 
 /// One cached session acknowledgement: the dedup table entry that makes
 /// a pre-crash retry idempotent after recovery.
@@ -70,9 +68,8 @@ impl Snapshot {
     /// byte form written to disk and shipped over the sync channel.
     #[must_use]
     pub fn to_framed_bytes(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        frame_record(&payload, &mut out);
+        let mut out = Vec::new();
+        frame_record(self, &mut out);
         out
     }
 

@@ -185,12 +185,17 @@ impl From<ProtoError> for WalError {
     }
 }
 
-/// Appends `payload` to `out` as one record: length, CRC32, payload.
-pub(crate) fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
+/// Appends `value` to `out` as one record: length, CRC32, payload.
+pub(crate) fn frame_record<T: Field>(value: &T, out: &mut Vec<u8>) {
+    let header = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    value.put(out);
+    let payload = &out[header + RECORD_HEADER_LEN..];
     assert!(payload.len() <= MAX_RECORD, "record payload exceeds MAX_RECORD");
-    u32::try_from(payload.len()).expect("bounded by MAX_RECORD").put(out);
-    crc32(payload).put(out);
-    out.extend_from_slice(payload);
+    let len = u32::try_from(payload.len()).expect("bounded by MAX_RECORD");
+    let crc = crc32(payload);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..header + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Encodes a slot record's payload (no framing): slot, batch id, and the
@@ -208,7 +213,7 @@ pub fn decode_payload(bytes: &[u8]) -> Result<SlotRecord, ProtoError> {
 /// Encodes one framed record (header + checksum + payload) appended to
 /// `out`.
 pub fn encode_record(rec: &SlotRecord, out: &mut Vec<u8>) {
-    frame_record(&encode_payload(rec), out);
+    frame_record(rec, out);
 }
 
 /// Incremental WAL record decoder: feed file bytes in any chunking, pop
