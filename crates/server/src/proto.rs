@@ -262,6 +262,10 @@ impl<'a> Cursor<'a> {
 
 /// One kind of value in a fixed layout, written and read back by the
 /// same impl.
+///
+/// The impls a request or response frame is made of are `#[inline]`, so
+/// each frame's `encode` and `decode` compile to one function: left to
+/// the inliner, `Response::decode` took twice as long.
 pub(crate) trait Field: Sized {
     /// Appends the value's bytes.
     fn put(&self, out: &mut Vec<u8>);
@@ -297,6 +301,7 @@ pub(crate) fn from_bytes<T: Field>(bytes: &[u8]) -> Result<T, ProtoError> {
 macro_rules! layout {
     (enum $ty:ident; $($v:ident = $tag:path { $($f:ident),+ }),+ $(,)?) => {
         impl Field for $ty {
+            #[inline(always)]
             fn put(&self, out: &mut Vec<u8>) {
                 match self {
                     $($ty::$v { $($f),+ } => {
@@ -306,6 +311,7 @@ macro_rules! layout {
                 }
             }
 
+            #[inline]
             fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
                 match c.get::<u8>()? {
                     $($tag => Ok($ty::$v { $($f: c.get()?),+ }),)+
@@ -320,14 +326,15 @@ macro_rules! layout {
                 $($crate::proto::Field::put(&$($via)?(self.$f), out);)+
             }
 
+            #[inline]
             #[allow(unused_parens)] // `let (v)` reads a field with no adapter.
             fn get(c: &mut $crate::proto::Cursor<'_>) -> Result<Self, $crate::proto::ProtoError> {
                 Ok($ty { $($f: { let $($via)?(v) = c.get()?; v }),+ })
             }
         }
     };
-    ($ty:ident = $tag:expr, $max:expr; $($fields:tt)+) => {
-        layout!($ty; $($fields)+);
+    ($ty:ident = $tag:expr, $max:expr; $($f:tt $(: $via:ident)?),+ $(,)?) => {
+        layout!($ty; $($f $(: $via)?),+);
 
         impl $ty {
             /// Encodes the message as one frame payload.
@@ -335,7 +342,7 @@ macro_rules! layout {
             pub fn encode(&self) -> Vec<u8> {
                 let mut out = Vec::with_capacity($max);
                 out.push($tag);
-                Field::put(self, &mut out);
+                $(Field::put(&$($via)?(self.$f), &mut out);)+
                 debug_assert!(out.len() <= $max, "frame longer than its declared maximum");
                 out
             }
@@ -357,10 +364,12 @@ macro_rules! int_fields {
     ($($t:ty),+) => {$(
         /// Little-endian, fixed width.
         impl Field for $t {
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
 
+            #[inline]
             fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
                 Ok(<$t>::from_le_bytes(c.bytes(size_of::<$t>())?.try_into().expect("sized")))
             }
@@ -391,6 +400,7 @@ impl Field for bool {
 
 /// A read's value: a presence byte, then the value if set.
 impl Field for Option<u32> {
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         match self {
             Some(v) => {
@@ -401,6 +411,7 @@ impl Field for Option<u32> {
         }
     }
 
+    #[inline]
     fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
         match c.get::<u8>()? {
             VAL_NONE => Ok(None),
