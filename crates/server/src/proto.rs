@@ -865,6 +865,22 @@ mod tests {
     }
 
     #[test]
+    fn response_round_trips() {
+        for outcome in [
+            Outcome::Put { slot: 1 },
+            Outcome::Get { slot: u64::MAX, value: None },
+            Outcome::Get { slot: 3, value: Some(u32::MAX) },
+            Outcome::Read { index: 0, value: None },
+            Outcome::Read { index: u64::MAX, value: Some(7) },
+        ] {
+            for shard in [0, 3, u32::MAX] {
+                let r = Response { request: RequestId(9), shard, outcome };
+                assert_eq!(Response::decode(&r.encode()).unwrap(), r);
+            }
+        }
+    }
+
+    #[test]
     fn payload_packing_round_trips() {
         for op in [
             KvOp::Put { key: 0, value: 0 },
@@ -875,6 +891,56 @@ mod tests {
         }
         // Puts and gets of the same key pack to distinct payloads.
         assert_ne!(KvOp::Put { key: 3, value: 0 }.to_payload(), KvOp::Get { key: 3 }.to_payload());
+    }
+
+    #[test]
+    fn malformed_messages_are_rejected() {
+        assert_eq!(Request::decode(&[]), Err(ProtoError::Truncated));
+        assert_eq!(Request::decode(&[0x77]), Err(ProtoError::BadTag(0x77)));
+        let mut ok =
+            Request { client: ClientId(1), request: RequestId(2), op: KvOp::Get { key: 3 } }
+                .encode();
+        ok.push(0);
+        assert_eq!(Request::decode(&ok), Err(ProtoError::TrailingBytes));
+        ok.truncate(ok.len() - 3);
+        assert_eq!(Request::decode(&ok), Err(ProtoError::Truncated));
+        assert_eq!(Response::decode(&[TAG_RESPONSE]), Err(ProtoError::Truncated));
+    }
+
+    #[test]
+    fn sync_frames_round_trip() {
+        for frame in [
+            SyncFrame::Request { from_slot: 17, shard: 3 },
+            SyncFrame::SnapshotChunk { index: 2, total: 5, bytes: vec![1, 2, 3] },
+            SyncFrame::SnapshotChunk { index: 0, total: 1, bytes: vec![] },
+            SyncFrame::Record { bytes: vec![0xaa; 40] },
+            SyncFrame::Done { applied_through: u64::MAX },
+        ] {
+            assert_eq!(SyncFrame::decode(&frame.encode()).unwrap(), frame);
+        }
+        assert_eq!(SyncFrame::decode(&[0x7f]), Err(ProtoError::BadTag(0x7f)));
+    }
+
+    #[test]
+    fn audit_summary_round_trips() {
+        let s = AuditSummary {
+            complete: true,
+            ok: false,
+            slots: 9,
+            committed: 72,
+            dedup_hits: 3,
+            fast_reads: 41,
+            lease_epoch: 2,
+            shards: 4,
+        };
+        assert_eq!(AuditSummary::decode(&s.encode()).unwrap(), s);
+        assert_eq!(audit_request_frame(), vec![TAG_AUDIT_REQUEST]);
+        // `complete` (byte 1) and `ok` (byte 2) are bools: only 0 and 1.
+        for (offset, byte) in [(1, 2), (1, 0xff), (2, 2), (2, 0x80)] {
+            let mut bytes = s.encode();
+            bytes[offset] = byte;
+            assert_eq!(AuditSummary::decode(&bytes), Err(ProtoError::BadTag(byte)));
+        }
     }
 
     #[test]
@@ -892,6 +958,16 @@ mod tests {
             reads_sequenced: 97,
         };
         assert_eq!(LeaseStatus::decode(&s.encode()).unwrap(), s);
+        for mode in 0..=2 {
+            let s = LeaseStatus { mode, ..s };
+            assert_eq!(LeaseStatus::decode(&s.encode()).unwrap(), s);
+        }
+        // `mode` (byte 9) is 0..=2; `healthy` (byte 18) is a bool.
+        for (offset, byte) in [(9, 3), (9, 0xff), (18, 2), (18, 0xff)] {
+            let mut bytes = s.encode();
+            bytes[offset] = byte;
+            assert_eq!(LeaseStatus::decode(&bytes), Err(ProtoError::BadTag(byte)));
+        }
         assert!(s.to_string().contains("reads=lease"));
         assert!(s.to_string().contains("epoch=5"));
         assert!(s.to_string().contains("shard=2/4"));
@@ -924,6 +1000,11 @@ mod tests {
         assert_eq!(StatsReport::decode(&r.encode()).unwrap(), r);
         assert!(r.to_string().contains("shard=1/4"));
         assert!(r.to_string().contains("wal_fsync[n=17"));
+        assert_eq!(StatsReport::decode(&[0x70]), Err(ProtoError::BadTag(0x70)));
+        assert_eq!(StatsReport::decode(&[TAG_STATS, 1, 2]), Err(ProtoError::Truncated));
+        let mut long = r.encode();
+        long.push(0);
+        assert_eq!(StatsReport::decode(&long), Err(ProtoError::TrailingBytes));
     }
 
     #[test]

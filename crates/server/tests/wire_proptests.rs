@@ -188,6 +188,24 @@ proptest! {
         let decoded = StatsReport::decode(&payloads[0]).expect("valid payload");
         prop_assert_eq!(decoded, report);
     }
+
+    // The payload is fixed-size: any strict prefix is rejected as
+    // truncated, and any appended garbage as trailing bytes — a scrape
+    // can never silently mis-parse into a different report.
+    #[test]
+    fn stats_report_rejects_truncation_and_padding(
+        counters in proptest::collection::vec(any::<u64>(), 8..9),
+        samples in proptest::collection::vec(any::<u64>(), 0..30),
+        cut_back in any::<usize>(),
+        pad in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let payload = report_from(&counters, &samples).encode();
+        let cut = payload.len() - (cut_back % payload.len() + 1);
+        prop_assert_eq!(StatsReport::decode(&payload[..cut]), Err(ProtoError::Truncated));
+        let mut padded = payload;
+        padded.extend_from_slice(&pad);
+        prop_assert_eq!(StatsReport::decode(&padded), Err(ProtoError::TrailingBytes));
+    }
 }
 
 /// A decoder that reports whether it read back one particular value.
