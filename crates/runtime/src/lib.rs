@@ -117,10 +117,10 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use indulgent_model::{
     Decision, DeliveredMsg, Delivery, ProcessFactory, ProcessId, ProcessSet, Round, RoundProcess,
     RunOutcome, Step, SystemConfig, Value,
@@ -617,7 +617,7 @@ where
         let inboxes: Vec<Arc<WorkerInbox<P>>> =
             (0..workers).map(|_| Arc::new(Inbox::new())).collect();
         let recycler = Arc::new(Recycler { build: Box::new(build), reset: Box::new(reset) });
-        let (results_tx, results_rx) = unbounded();
+        let (results_tx, results_rx) = channel();
         let handles = inboxes
             .iter()
             .map(|inbox| {
@@ -1515,7 +1515,7 @@ mod tests {
         // 2 000 instances, 4 in flight, every link 500 µs: a lost wake-up
         // leaves a wait blocked forever, so the run happens on its own
         // thread and the test waits for it with a deadline.
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = channel();
         std::thread::spawn(move || {
             let config = cfg();
             let build = move |i: usize, v: Value| {

@@ -43,11 +43,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot};
 use indulgent_model::{SystemConfig, Value};
 use indulgent_obs::FlightKind;
@@ -286,7 +286,7 @@ impl EngineHandle {
     #[must_use]
     pub fn connect(&self) -> (SubmitHandle, Receiver<Outbound>) {
         let conn = ConnId(self.next_conn.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         // A send failure means the engine already shut down; the submit
         // handle's sends will surface that to the caller.
         let _ = self.intake.send(EngineMsg::Register { conn, tx });
@@ -366,7 +366,7 @@ impl SubmitHandle {
     /// A handle on no engine: what it submits lands on the returned
     /// receiver, for tests of what a transport sends in which order.
     pub(crate) fn detached(conn: ConnId) -> (SubmitHandle, Receiver<EngineMsg>) {
-        let (intake, rx) = unbounded();
+        let (intake, rx) = channel();
         (SubmitHandle { conn, intake }, rx)
     }
 }
@@ -384,7 +384,7 @@ impl KvEngine {
     /// the durability directory first, if one is configured).
     #[must_use]
     pub fn spawn(config: EngineConfig) -> Self {
-        let (intake_tx, intake_rx) = unbounded();
+        let (intake_tx, intake_rx) = channel();
         let handle = EngineHandle { intake: intake_tx, next_conn: Arc::new(AtomicU64::new(1)) };
         let driver = std::thread::spawn(move || drive(&config, &intake_rx));
         KvEngine { handle, driver }

@@ -35,11 +35,11 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::Receiver;
 use indulgent_obs::Counter;
 
 use crate::audit::ShardedAudit;
@@ -397,9 +397,9 @@ fn frontdoor_metrics() -> &'static FrontdoorMetrics {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::channel;
     use std::time::Instant;
 
-    use crossbeam::channel::unbounded;
     use indulgent_model::{ClientId, RequestId};
 
     use super::*;
@@ -514,7 +514,7 @@ mod tests {
     /// Runs the writer over `queued` (the engine already gone) and
     /// returns what it wrote.
     fn written(queued: Vec<Outbound>) -> Recorder {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         queued.into_iter().for_each(|out| tx.send(out).unwrap());
         drop(tx);
         let mut out = Recorder::default();

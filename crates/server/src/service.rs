@@ -23,9 +23,9 @@ use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Receiver;
 use indulgent_model::{ClientId, RequestId};
 
 use crate::engine::{EngineHandle, Outbound, SubmitHandle};
@@ -155,7 +155,8 @@ impl LocalKv {
                 // call.
                 Ok(Outbound::Ack(resp)) if resp.request == request => return Ok(resp),
                 Ok(_) => {}
-                Err(_) => return Err(ServiceError::Timeout { request }),
+                Err(RecvTimeoutError::Timeout) => return Err(ServiceError::Timeout { request }),
+                Err(RecvTimeoutError::Disconnected) => return Err(ServiceError::Disconnected),
             }
         }
     }

@@ -45,9 +45,9 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use indulgent_model::{BatchId, ClientId, Decision, RequestId};
 use indulgent_obs::{FlightKind, FlightRecorder, Histogram};
 
@@ -855,7 +855,8 @@ pub(crate) fn audit_summary(shards: &[ShardState]) -> AuditSummary {
 
 #[cfg(test)]
 mod tests {
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
+
     use indulgent_model::{ProcessId, Round};
 
     use super::*;
@@ -934,8 +935,8 @@ mod tests {
     fn a_retried_parked_read_is_acked_on_the_retrying_connection_only() {
         let cfg = EngineConfig::default_5().with_reads(ReadPath::Lease);
         let get = Request { client: ClientId(7), request: RequestId(0), op: KvOp::Get { key: 3 } };
-        let (tx1, rx1) = unbounded();
-        let (tx2, rx2) = unbounded();
+        let (tx1, rx1) = channel();
+        let (tx2, rx2) = channel();
         let conns = HashMap::from([(ConnId(1), tx1), (ConnId(2), tx2)]);
         let submit_twice = |sh: &mut ShardState| {
             sh.submit(&conns, ConnId(1), get);

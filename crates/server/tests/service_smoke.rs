@@ -2,11 +2,12 @@
 //! differential and fault-injection suites live in
 //! `crates/integration/tests/server.rs`).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use indulgent_model::{ClientId, RequestId};
+use indulgent_runtime::DelayModel;
 use indulgent_server::{
-    EngineConfig, KvEngine, KvOp, KvServer, KvService, LocalKv, Outcome, RemoteKv,
+    EngineConfig, KvEngine, KvOp, KvServer, KvService, LocalKv, Outcome, RemoteKv, ServiceError,
 };
 
 /// Small, deterministic engine sizing for tests: batch of 1 so every
@@ -112,4 +113,28 @@ fn engine_drains_within_a_bounded_shutdown() {
     let ack = acks.recv_timeout(Duration::from_secs(1)).expect("ack delivered");
     let indulgent_server::Outbound::Ack(resp) = ack else { panic!("expected an ack, got {ack:?}") };
     assert_eq!(resp.request, RequestId(0));
+}
+
+#[test]
+fn a_call_waiting_on_a_killed_engine_reports_disconnected() {
+    // Replica links slower than the call's 10 s timeout: no instance
+    // decides, so the put is still waiting for its ack when the engine
+    // dies under it.
+    let config = test_config().with_delays(DelayModel::Uniform { delay: Duration::from_secs(10) });
+    let engine = KvEngine::spawn(config);
+    let mut kv = LocalKv::connect(&engine.handle(), ClientId(1));
+    let killer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        engine.kill();
+    });
+    let start = Instant::now();
+    let waited = kv.put(1, 1);
+    assert!(
+        matches!(waited, Err(ServiceError::Disconnected)),
+        "a dead engine is not a slow one: {waited:?}"
+    );
+    assert!(start.elapsed() < Duration::from_secs(5), "failed after {:?}", start.elapsed());
+    killer.join().expect("kill returns");
+    let next = kv.put(2, 2);
+    assert!(matches!(next, Err(ServiceError::Disconnected)), "next call: {next:?}");
 }

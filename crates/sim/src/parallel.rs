@@ -8,14 +8,14 @@
 //!
 //! * [`SweepBackend`] selects serial or parallel execution (and the thread
 //!   count); every exhaustive sweep takes it as an explicit argument.
-//! * `pooled_fold` distributes work items over scoped worker threads fed
-//!   by a crossbeam channel, with early-abort propagation, and merges the
-//!   per-item partial accumulators **in item order** — which equals serial
-//!   visit order — so the result is bit-identical regardless of thread
-//!   count. The incremental engine's [`sweep_runs`](crate::sweep_runs)
-//!   runs one fork-on-branch DFS per work unit on it;
-//!   [`pooled_map_indexed`] exposes it for structureless index/seed
-//!   fan-outs.
+//! * `pooled_fold` distributes work items over scoped worker threads that
+//!   claim item indices from one shared counter, with early-abort
+//!   propagation, and merges the per-item partial accumulators **in item
+//!   order** — which equals serial visit order — so the result is
+//!   bit-identical regardless of thread count. The incremental engine's
+//!   [`sweep_runs`](crate::sweep_runs) runs one fork-on-branch DFS per
+//!   work unit on it; [`pooled_map_indexed`] exposes it for structureless
+//!   index/seed fan-outs.
 //!
 //! The engine counters ([`stats`](crate::stats)) are process-wide relaxed
 //! atomics, so a pooled sweep's workers aggregate into the same tallies a
@@ -37,10 +37,7 @@
 //! lowest-indexed failing unit among those processed).
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use crossbeam::channel::unbounded;
-use crossbeam::thread as cb_thread;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Execution strategy for exhaustive schedule sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,7 +89,8 @@ pub(crate) enum UnitResult<Acc, E> {
 /// ([`pooled_map_indexed`]) both run on this pool.
 ///
 /// A panicking `sweep_item` sets the abort flag (stopping the other
-/// workers) and the panic is resumed after the scope joins.
+/// workers) and its own panic payload is resumed once every worker has
+/// stopped.
 pub(crate) fn pooled_fold<T, Acc, E, U, I, M>(
     items: &[T],
     threads: NonZeroUsize,
@@ -110,66 +108,51 @@ where
 {
     let workers = threads.get().min(items.len()).max(1);
     let abort = AtomicBool::new(false);
-    let (work_tx, work_rx) = unbounded::<usize>();
-    for idx in 0..items.len() {
-        work_tx.send(idx).expect("work receiver alive");
-    }
-    drop(work_tx);
-    let (result_tx, result_rx) = unbounded::<(usize, UnitResult<Acc, E>)>();
-
-    let pool = cb_thread::scope(|scope| {
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let result_tx = result_tx.clone();
-            let (items, abort) = (&items, &abort);
-            scope.spawn(move |_| {
-                while let Ok(idx) = work_rx.recv() {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let outcome = {
-                        let _panic_guard = AbortOnPanic(abort);
-                        sweep_item(&items[idx], abort)
-                    };
-                    let failed = matches!(outcome, UnitResult::Failed(_));
-                    if failed {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    let _ = result_tx.send((idx, outcome));
-                    if failed {
-                        break;
-                    }
-                }
-            });
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(idx) else { break };
+            let outcome = {
+                let _panic_guard = AbortOnPanic(&abort);
+                sweep_item(item, &abort)
+            };
+            if matches!(outcome, UnitResult::Failed(_)) {
+                abort.store(true, Ordering::Relaxed);
+            }
+            done.push((idx, outcome));
         }
-    });
-    if let Err(panic) = pool {
-        std::panic::resume_unwind(panic);
-    }
-    drop(result_tx);
+        done
+    };
 
-    let mut partials: Vec<(usize, UnitResult<Acc, E>)> = result_rx.iter().collect();
+    let mut partials = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        let mut partials = Vec::new();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => partials.extend(done),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        partials
+    });
     partials.sort_by_key(|(idx, _)| *idx);
     let mut merged: Option<Acc> = None;
-    let mut first_failure: Option<E> = None;
     for (_, outcome) in partials {
         match outcome {
             UnitResult::Complete(acc) => {
-                merged = Some(match merged.take() {
+                merged = Some(match merged {
                     None => acc,
                     Some(m) => merge(m, acc),
                 });
             }
-            UnitResult::Failed(e) => {
-                first_failure.get_or_insert(e);
-            }
+            // In item order, so the first failure met is the lowest-indexed.
+            UnitResult::Failed(e) => return Err(e),
             UnitResult::Aborted => {}
         }
     }
-    match first_failure {
-        Some(e) => Err(e),
-        None => Ok(merged.unwrap_or_else(init)),
-    }
+    Ok(merged.unwrap_or_else(init))
 }
 
 /// Maps `f` over the index range `0..count` on `backend`'s worker pool,
@@ -215,8 +198,8 @@ where
 }
 
 /// Sets the abort flag if dropped while panicking, so a panicking `step`
-/// stops the other workers just like a failing one (the panic itself is
-/// re-raised by the pool after the scope joins).
+/// stops the other workers just like a failing one (the pool re-raises
+/// the panic once every worker has stopped).
 struct AbortOnPanic<'a>(&'a AtomicBool);
 
 impl Drop for AbortOnPanic<'_> {
@@ -264,10 +247,15 @@ mod tests {
     fn panicking_step_propagates() {
         let result = std::panic::catch_unwind(|| {
             pooled_map_indexed(32, SweepBackend::parallel(2), |i| {
-                assert!(i != 17, "boom");
+                assert!(i != 17, "boom at {i}");
                 i
             })
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the step's panic propagates");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("boom at 17"), "the worker's own payload is re-raised");
     }
 }
