@@ -1,5 +1,5 @@
 //! B1b — per-algorithm cost of one failure-free synchronous run, plus the
-//! threaded runtime for comparison with the simulator.
+//! wall-clock runtime for comparison with the simulator.
 
 use std::time::Duration;
 

@@ -9,7 +9,7 @@
 //! algorithm. Everything here runs on the round automaton interface of
 //! [`indulgent_model`], under the deterministic simulator
 //! (`indulgent-sim`), the exhaustive checker (`indulgent-checker`) or the
-//! threaded runtime (`indulgent-runtime`).
+//! wall-clock runtime (`indulgent-runtime`).
 //!
 //! # The algorithms
 //!

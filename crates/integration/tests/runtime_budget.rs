@@ -1,36 +1,37 @@
-//! The threaded runtime's wake budget: how often a warm session's worker
-//! threads park on their inboxes per consensus instance. The check reads
-//! the process-global `runtime_session.worker_parks` counter, so it lives
-//! in a test binary of its own: no sibling test can park a worker between
-//! its two reads.
+//! The runtime's sleep budget: how often a warm session's result calls
+//! sleep per consensus instance. The check reads the process-global
+//! `runtime_session.caller_sleeps` counter, so it lives in a test binary
+//! of its own: no sibling test can sleep in a session between its two
+//! reads.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{ProcessId, SystemConfig, Value};
-use indulgent_runtime::{InstanceSpec, Session};
+use indulgent_runtime::{DelayModel, InstanceSpec, Session};
 
-/// The `runtime_session.worker_parks` counter (0 before any session
+/// The `runtime_session.caller_sleeps` counter (0 before any session
 /// exists).
-fn worker_parks() -> u64 {
+fn caller_sleeps() -> u64 {
     indulgent_obs::dump_to_string()
         .lines()
-        .find_map(|line| line.strip_prefix("runtime_session.worker_parks "))
+        .find_map(|line| line.strip_prefix("runtime_session.caller_sleeps "))
         .map_or(0, |v| v.parse().expect("counter value"))
 }
 
-/// Runs `instances` instances with `depth` of them in flight, each waited
-/// for in full before its slot is reused, and returns the worker parks
-/// per instance.
-fn parks_per_instance(
+/// Runs `instances` instances under `delays` with `depth` of them in
+/// flight, each waited for in full before its slot is reused, and
+/// returns the caller's sleeps per instance.
+fn sleeps_per_instance(
     session: &mut Session<AtPlus2<RotatingCoordinator>>,
+    delays: DelayModel,
     instances: u64,
     depth: usize,
 ) -> f64 {
-    let spec = InstanceSpec::synchronous(session.config());
+    let spec = InstanceSpec::synchronous(session.config()).with_delays(delays);
     let n = session.config().n();
-    let before = worker_parks();
+    let before = caller_sleeps();
     let mut window = VecDeque::new();
     for i in 0..instances {
         if window.len() == depth {
@@ -42,28 +43,30 @@ fn parks_per_instance(
     for id in window {
         session.wait_instance(id);
     }
-    (worker_parks() - before) as f64 / instances as f64
+    (caller_sleeps() - before) as f64 / instances as f64
 }
 
-/// A worker parks only when none of its instances can progress, and
-/// every message of an instance stays on the instance's worker. When
-/// every replica decides at round 2 over instant links, a worker runs an
-/// instance from its job to its retirement without parking: each round
-/// completes once the last replica has sent, in the same wake. So a
-/// worker parks once per instance, for its job. At depth 1 that is one
-/// park per instance whatever the number of workers: 1.00 was recorded on
-/// 2 vCPUs in every release and debug run, against 2.5 to 3.6 when the
-/// replicas of an instance were spread over both workers and had to wake
-/// each other every round. The budget is 1.5, which leaves room for a
-/// spurious condvar wake-up or a timed wake, but not for one cross-worker
-/// exchange per round.
+/// A result call sleeps only when a pump leaves no result ready, and
+/// then only until the session's next deadline.
 ///
-/// At depth 4 the session pushes a job while the worker is still busy
-/// with an earlier instance, and one wake takes several jobs: 0.20 to
-/// 0.49 parks per instance were recorded on 2 vCPUs. The budget is 1.0:
-/// at most one park per instance, as at depth 1. Under `taskset -c 0`
-/// the one worker shares its core with the test thread and parks far
-/// less (0.01 to 0.06 recorded).
+/// Over instant links every message goes straight into its mailbox, and
+/// every round completes once the last replica has sent, in the same
+/// pump. When every replica decides at round 2, the first result call
+/// after a start runs the instance to its last result, so a warm session
+/// sleeps 0 times per instance at any depth.
+///
+/// Over 500 µs links a round's messages all fall due together, 500 µs
+/// after the pump that sent them, and a sleep never ends before its
+/// deadline: one sleep per round. Every replica decides at round 2, and
+/// retiring the instance drops the relays still on the delay line, so
+/// nothing else can wake a sleep: 2 sleeps per instance at depth 1. At
+/// depth 4 a window's four instances start before the next pump and run
+/// in lockstep, sharing each sleep: 0.5 per instance. Exactly 2.00 and
+/// 0.50 were recorded on 2 vCPUs, in release and debug and under
+/// `taskset -c 0`. The budgets, 2.2 and 0.6, leave 10 % for a rare extra
+/// wake-up but not for one per instance (such as a wake-up for relays
+/// left on the delay line), and not for a poll, which would sleep once
+/// per tick instead of once per round.
 #[test]
 fn warm_session_parks_within_budget() {
     let config = SystemConfig::majority(5, 2).expect("valid config");
@@ -74,12 +77,21 @@ fn warm_session_parks_within_budget() {
     };
     let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| p.reset_instance(v);
     let mut session = Session::with_recycler(config, Duration::from_millis(2), build, reset);
+    let instant = DelayModel::Instant;
+    let links = DelayModel::Uniform { delay: Duration::from_micros(500) };
     // Warm the automaton pools so every measured start goes through reset.
-    parks_per_instance(&mut session, 200, 4);
+    sleeps_per_instance(&mut session, instant, 200, 4);
 
-    let depth1 = parks_per_instance(&mut session, 2_000, 1);
-    let depth4 = parks_per_instance(&mut session, 2_000, 4);
-    println!("worker parks per instance: depth 1 {depth1:.2}, depth 4 {depth4:.2}");
-    assert!(depth1 <= 1.5, "{depth1:.2} parks per instance at depth 1, budget 1.5");
-    assert!(depth4 <= 1.0, "{depth4:.2} parks per instance at depth 4, budget 1.0");
+    let instant1 = sleeps_per_instance(&mut session, instant, 2_000, 1);
+    let instant4 = sleeps_per_instance(&mut session, instant, 2_000, 4);
+    let delayed1 = sleeps_per_instance(&mut session, links, 300, 1);
+    let delayed4 = sleeps_per_instance(&mut session, links, 300, 4);
+    println!(
+        "caller sleeps per instance: instant links depth 1 {instant1:.2}, depth 4 {instant4:.2}; \
+         500 us links depth 1 {delayed1:.2}, depth 4 {delayed4:.2}"
+    );
+    assert_eq!(instant1, 0.0, "{instant1:.2} sleeps per instance at depth 1, instant links");
+    assert_eq!(instant4, 0.0, "{instant4:.2} sleeps per instance at depth 4, instant links");
+    assert!(delayed1 <= 2.2, "{delayed1:.2} sleeps per instance at depth 1, budget 2.2");
+    assert!(delayed4 <= 0.6, "{delayed4:.2} sleeps per instance at depth 4, budget 0.6");
 }

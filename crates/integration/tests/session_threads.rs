@@ -1,15 +1,14 @@
-//! A session runs its instances of `n` replicas on `min(n,
-//! available_parallelism)` worker threads, and dropping it ends every one
-//! of them. The check
+//! A session steps its instances on the caller's thread: it adds no
+//! thread while it runs, and dropping it leaves none behind. The check
 //! counts this process's live threads via /proc, so it lives in a test
 //! binary of its own: no sibling test can spawn or join threads between
 //! its counts.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{ProcessId, SystemConfig, Value};
-use indulgent_runtime::{InstanceSpec, Session};
+use indulgent_runtime::{DelayModel, InstanceSpec, Session};
 
 #[cfg(target_os = "linux")]
 fn live_threads() -> usize {
@@ -19,7 +18,6 @@ fn live_threads() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn session_spawns_one_worker_per_core_and_joins_them_on_drop() {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     for (n, t) in [(3, 1), (5, 2), (7, 3)] {
         let config = SystemConfig::majority(n, t).expect("valid config");
         let build = move |i: usize, v: Value| {
@@ -31,24 +29,17 @@ fn session_spawns_one_worker_per_core_and_joins_them_on_drop() {
         };
         let before = live_threads();
         let mut session = Session::with_recycler(config, Duration::from_millis(2), build, reset);
-        let instance = session
-            .start_instance_recycled(&vec![Value::new(1); n], &InstanceSpec::synchronous(config));
-        let report = session.wait_instance(instance);
-        assert!(report.decisions.iter().all(Option::is_some), "n = {n}: every replica decides");
-        let during = live_threads();
-        assert_eq!(during - before, n.min(cores), "n = {n} on {cores} cores: worker threads");
-
-        drop(session);
-        // A joined thread leaves /proc a moment after its joiner wakes,
-        // so the count may lag the join by a few microseconds.
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while live_threads() > before {
-            assert!(
-                Instant::now() < deadline,
-                "n = {n}: {} threads outlived the session",
-                live_threads() - before
-            );
-            std::thread::yield_now();
+        // One instance over instant links, one whose messages wait on the
+        // delay line: neither may hand work to another thread.
+        for delays in [DelayModel::Instant, DelayModel::Uniform { delay: Duration::from_millis(1) }]
+        {
+            let spec = InstanceSpec::synchronous(config).with_delays(delays);
+            let instance = session.start_instance_recycled(&vec![Value::new(1); n], &spec);
+            let report = session.wait_instance(instance);
+            assert!(report.decisions.iter().all(Option::is_some), "n = {n}: every replica decides");
+            assert_eq!(live_threads(), before, "n = {n}, {delays:?}: a session adds no thread");
         }
+        drop(session);
+        assert_eq!(live_threads(), before, "n = {n}: dropping a session leaves no thread");
     }
 }

@@ -11,20 +11,31 @@
 //!
 //! The counter is thread-local, so the harness's own threads don't
 //! perturb the measurement; this file deliberately contains few tests
-//! (each runs on its own thread with its own tally).
+//! (each runs on its own thread with its own tally). The wall-clock
+//! runtime steps its instances on the caller's thread, so the same
+//! counter sees a whole runtime instance; its case also checks that
+//! every replica did step there.
 //!
 //! [`RunState::step`]: indulgent_sim::RunState
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{Delivery, ProcessId, Round, RoundProcess, Step, SystemConfig, Value};
+use indulgent_runtime::{InstanceSpec, Session};
 use indulgent_sim::{ModelKind, RunState, Schedule, ScheduleBuilder};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Sends of [`OnThisThread`] automatons made on this thread.
+    static SENDS_HERE: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Sends of [`OnThisThread`] automatons made on any thread.
+static SENDS: AtomicU64 = AtomicU64::new(0);
 
 /// Counts this thread's heap acquisitions (alloc/realloc); frees are not
 /// counted — dropping into a warm buffer is fine, acquiring is not.
@@ -225,4 +236,65 @@ fn request_and_response_codecs_allocate_only_the_frame() {
         let allocs = allocations_in(|| assert_eq!(Response::decode(&bytes), Ok(response)));
         assert_eq!(allocs, 0, "{outcome:?} decode");
     }
+}
+
+/// `A_{t+2}` that counts its sends, per thread and in all: a send counted
+/// in all but not on the test's thread ran somewhere else.
+#[derive(Debug, Clone)]
+struct OnThisThread(AtPlus2<RotatingCoordinator>);
+
+impl RoundProcess for OnThisThread {
+    type Msg = <AtPlus2<RotatingCoordinator> as RoundProcess>::Msg;
+
+    fn send(&mut self, round: Round) -> Self::Msg {
+        SENDS.fetch_add(1, Ordering::Relaxed);
+        SENDS_HERE.with(|c| c.set(c.get() + 1));
+        self.0.send(round)
+    }
+
+    fn deliver(&mut self, round: Round, delivery: &Delivery<Self::Msg>) -> Step {
+        self.0.deliver(round, delivery)
+    }
+}
+
+#[test]
+fn warm_runtime_session_instance_is_allocation_free() {
+    // A warm recycling session over instant links: a start reuses a
+    // retired instance's replicas, mailboxes and vectors, and the caller's
+    // `n` `next_result`s step the whole instance through one pooled
+    // delivery. Warm-up fills the pools, the result queue and the rings.
+    const INSTANCES: u64 = 200;
+    let config = SystemConfig::majority(5, 2).unwrap();
+    let n = config.n();
+    let build = move |i: usize, v: Value| {
+        let id = ProcessId::new(i);
+        OnThisThread(
+            AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
+                .with_failure_free_optimization(),
+        )
+    };
+    let reset = |_i: usize, p: &mut OnThisThread, v: Value| p.0.reset_instance(v);
+    let mut session = Session::with_recycler(config, Duration::from_millis(2), build, reset);
+    let spec = InstanceSpec::synchronous(config);
+    let mut proposals = vec![Value::ZERO; n];
+    let mut run = |session: &mut Session<OnThisThread>, instances: u64| {
+        for i in 0..instances {
+            proposals.fill(Value::new(i));
+            let instance = session.start_instance_recycled(&proposals, &spec);
+            for _ in 0..n {
+                let r = session.next_result();
+                assert_eq!(r.instance, instance);
+                assert_eq!(r.decision.expect("failure-free replicas decide").value, Value::new(i));
+            }
+        }
+    };
+    run(&mut session, 10);
+
+    let (sends, here) = (SENDS.load(Ordering::Relaxed), SENDS_HERE.with(Cell::get));
+    let allocs = allocations_in(|| run(&mut session, INSTANCES));
+    let sends = SENDS.load(Ordering::Relaxed) - sends;
+    let here = SENDS_HERE.with(Cell::get) - here;
+    assert!(sends >= 2 * n as u64 * INSTANCES, "{sends} sends: every replica sends in rounds 1-2");
+    assert_eq!(here, sends, "every replica steps on the caller's thread");
+    assert_eq!(allocs, 0, "{allocs} allocations in {INSTANCES} warm instances");
 }

@@ -5,7 +5,7 @@
 //! (the bounded in-flight window), and how decided values are applied to
 //! the log. Execution itself goes through the [`InstanceRunner`] trait,
 //! implemented by the deterministic simulator
-//! ([`SimLogRunner`](crate::SimLogRunner)) and the threaded runtime
+//! ([`SimLogRunner`](crate::SimLogRunner)) and the wall-clock runtime
 //! ([`SessionLogRunner`](crate::SessionLogRunner)) — one policy, two
 //! substrates, differentially comparable executions.
 //!
@@ -318,7 +318,7 @@ pub struct ShotAsync {
 }
 
 /// One consensus substrate driving log instances — the single trait both
-/// the deterministic simulator and the threaded runtime implement.
+/// the deterministic simulator and the wall-clock runtime implement.
 ///
 /// Instances are started in id order (`1, 2, …`), possibly several in
 /// flight at once (the driver's pipeline window). `wait_decided` may be

@@ -32,8 +32,9 @@
 //!   [`SimLogRunner`] runs instances on the deterministic multi-shot
 //!   executor (`indulgent_sim::MultiShotRunner`, recycled `RunState`,
 //!   instance-reset hooks), [`SessionLogRunner`] pipelines them over a
-//!   reusable threaded [`indulgent_runtime::Session`] whose workers reset
-//!   retired automatons through the same hooks;
+//!   reusable wall-clock [`indulgent_runtime::Session`], stepped on the
+//!   driver's thread, that resets retired automatons through the same
+//!   hooks;
 //! * [`LogReport::check`] — the total-order invariant checker: per-slot
 //!   agreement and validity, identical applied logs on all correct
 //!   replicas, exactly-once acknowledged commands.
@@ -151,7 +152,7 @@ pub fn run_log_sim(
     ))
 }
 
-/// Runs a full log workload on the threaded session substrate with the
+/// Runs a full log workload on the wall-clock session substrate with the
 /// default `A_{t+2}` slot algorithm.
 #[must_use]
 pub fn run_log_session(

@@ -1,18 +1,16 @@
 //! The wall-clock substrate: log instances pipelined over a reusable
 //! runtime [`Session`].
 //!
-//! Threads and channels are spawned once per runner; every instance hands
-//! its proposals to one of the existing workers as jobs, and that worker
-//! runs all the instance's replicas, resetting automatons retired by its
-//! earlier instances. A pipelined log thus keeps its whole window of
-//! instances in flight, and instances on different workers race each
-//! other on different cores, while the replicas of one instance
-//! interleave on one thread under the session's delay model (the
-//! runtime's module docs label this as a model). Crash specs use the
-//! session's logical per-instance semantics
-//! (silent from the crash round of the crash instance on), which keeps
-//! crash-only executions value-identical to the deterministic
-//! [`SimLogRunner`](crate::SimLogRunner) at any pipeline depth.
+//! The session runs on the caller's thread: every instance registers its
+//! proposals, and the driver's waits step the replicas of every instance
+//! in flight, resetting automatons that earlier instances retired. A
+//! pipelined log thus keeps its whole window of instances in flight on
+//! one thread, under the session's delay model (the runtime's module
+//! docs label this as a model). Crash specs use the session's logical
+//! per-instance semantics (silent from the crash round of the crash
+//! instance on), which keeps crash-only executions value-identical to the
+//! deterministic [`SimLogRunner`](crate::SimLogRunner) at any pipeline
+//! depth.
 
 use std::time::Duration;
 
@@ -48,32 +46,24 @@ impl NetProfile {
 
 /// Wall-clock log substrate over one reusable [`Session`].
 #[derive(Debug)]
-pub struct SessionLogRunner<P>
-where
-    P: RoundProcess + Send + 'static,
-    P::Msg: Send + 'static,
-{
+pub struct SessionLogRunner<P: RoundProcess> {
     session: Session<P>,
     profile: NetProfile,
     started: u64,
 }
 
-impl<P> SessionLogRunner<P>
-where
-    P: RoundProcess + Send + 'static,
-    P::Msg: Send + 'static,
-{
-    /// Spawns the session threads. Retired automatons are reset in place
-    /// through `reset` for the next instance instead of being rebuilt —
-    /// the same `reset_instance` contract the simulator's multi-shot
-    /// executor uses, on the runtime substrate. `factory` only covers
-    /// cold starts (each worker's first instances, up to the pipeline
-    /// depth, or bursts that outrun retirement).
+impl<P: RoundProcess> SessionLogRunner<P> {
+    /// A runner over a fresh session. Retired automatons are reset in
+    /// place through `reset` for the next instance instead of being
+    /// rebuilt — the same `reset_instance` contract the simulator's
+    /// multi-shot executor uses, on the runtime substrate. `factory` only
+    /// covers cold starts (the first instances, up to the pipeline depth,
+    /// or bursts that outrun retirement).
     #[must_use]
     pub fn recycling<F, R>(config: SystemConfig, factory: F, reset: R, profile: NetProfile) -> Self
     where
-        F: ProcessFactory<Process = P> + Send + Sync + 'static,
-        R: Fn(usize, &mut P, Value) + Send + Sync + 'static,
+        F: ProcessFactory<Process = P> + 'static,
+        R: Fn(usize, &mut P, Value) + 'static,
     {
         let build = move |i, v| factory.build(i, v);
         SessionLogRunner {
@@ -84,11 +74,7 @@ where
     }
 }
 
-impl<P> InstanceRunner for SessionLogRunner<P>
-where
-    P: RoundProcess + Send + 'static,
-    P::Msg: Send + 'static,
-{
+impl<P: RoundProcess> InstanceRunner for SessionLogRunner<P> {
     fn start(&mut self, instance: u64, proposals: &[Value], spec: &ShotSpec) {
         let delays = match spec.asynchrony {
             Some(chaos) => DelayModel::AsyncUntil {

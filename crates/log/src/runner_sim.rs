@@ -8,7 +8,7 @@
 //! `RunState` via the algorithms' instance-reset hooks. Execution is
 //! fully deterministic: the same scenario always yields the same decided
 //! log, which is the reference the runtime differential tests pin the
-//! threaded [`SessionLogRunner`](crate::SessionLogRunner) against.
+//! wall-clock [`SessionLogRunner`](crate::SessionLogRunner) against.
 
 use indulgent_model::{
     Decision, ProcessFactory, ProcessId, Round, RoundProcess, RunOutcome, SystemConfig, Value,

@@ -10,6 +10,8 @@
 //!   resilience regimes (`t < n/2`, `t < n/3`, `t ≤ n - 2`);
 //! * [`Delivery`] and [`RoundProcess`] — the send/receive round automaton
 //!   interface every algorithm implements;
+//! * [`RingMailbox`] — the allocation-free per-receiver mailbox the
+//!   simulator and the wall-clock runtime both keep pending messages in;
 //! * [`RunOutcome`] — executor-independent run results with checking of the
 //!   consensus properties (validity, uniform agreement, termination);
 //! * [`Command`], [`Batch`], [`AppliedEntry`] — the multi-shot vocabulary
@@ -74,6 +76,7 @@
 mod automaton;
 mod command;
 mod config;
+mod mailbox;
 mod message;
 mod outcome;
 mod process;
@@ -83,6 +86,7 @@ mod value;
 pub use automaton::{ProcessFactory, RoundProcess, Step};
 pub use command::{AppliedEntry, Batch, BatchId, ClientId, Command, CommandId, RequestId};
 pub use config::{ConfigError, Resilience, SystemConfig};
+pub use mailbox::RingMailbox;
 pub use message::{DeliveredMsg, Delivery};
 pub use outcome::{ConsensusViolation, Decision, RunOutcome};
 pub use process::{Iter, ProcessId, ProcessSet};

@@ -1,7 +1,7 @@
 //! Run outcomes and consensus property verification.
 //!
 //! Every executor in the workspace (deterministic simulator, exhaustive
-//! checker, threaded runtime) reports a [`RunOutcome`]: who proposed what,
+//! checker, wall-clock runtime) reports a [`RunOutcome`]: who proposed what,
 //! who crashed, and who decided what in which round. The consensus
 //! properties of Sect. 1.3 — validity, uniform agreement, termination — are
 //! checked directly on outcomes.

@@ -1,150 +1,105 @@
-//! Multiplexed message-passing runtime: consensus instances on at most
-//! one OS thread per core.
+//! Wall-clock message-passing runtime: consensus instances stepped on
+//! the caller's thread.
 //!
-//! The paper's model is abstract; this crate gives it a concrete,
-//! wall-clock incarnation: every process is a replica stepped by an OS
-//! worker thread, delayed messages wait on a per-worker delay line under
-//! an injectable delay model, and round synchronization works the way
-//! eventually synchronous systems do in practice — wait for a quorum of
-//! `n - t` current-round messages (mandatory, this is the model's
-//! t-resilience), then a grace period for stragglers, then move on. A
-//! message that misses its round's grace window is *suspected* exactly as
-//! in ES: it still arrives later (reliable channels), tagged with the
-//! round it was sent in.
+//! The paper's model is abstract; this crate times it by the wall clock.
+//! Every process is a replica whose messages travel under an injectable
+//! delay model, and a round ends the way it does in an eventually
+//! synchronous system: once a quorum of `n - t` current-round messages
+//! has arrived (the model's t-resilience), plus a grace period for
+//! stragglers. A message that misses its round's grace window is
+//! *suspected* exactly as in ES: it still arrives later (reliable
+//! channels), tagged with the round it was sent in.
 //!
 //! The same [`RoundProcess`] automatons that run under the deterministic
-//! simulator run here unchanged, which is the point: `quickstart` decisions
-//! in the simulator carry over to a racing, multi-threaded execution. That
-//! execution is a *model* of a network in one respect: what races is
-//! *instances*, each on its own worker thread, while the `n` replicas of
-//! one instance interleave on one thread. Which of their messages make a
-//! round's grace window is decided by the delay model and the wall clock,
-//! not by the OS scheduling one replica ahead of another. Use
+//! simulator run here unchanged. This is a *model* of a network, not a
+//! distributed system: the replicas are in-process automata stepped on
+//! one thread, the caller's, and the delay model and the clock decide
+//! which messages make a round's grace window. Use
 //! [`DelayModel::AsyncUntil`] to inject an asynchronous prefix (false
 //! suspicions) and [`InstanceSpec::crash`] to crash processes at chosen
 //! rounds.
 //!
-//! # Sessions: reusable threads, pipelined instances
+//! # Sessions
 //!
-//! The runtime's unit of reuse is a [`Session`]: `W = min(n,
-//! available_parallelism)` worker threads and their inboxes, spawned
-//! **once** and kept alive across any number of consensus instances.
-//! Placement is by instance: all `n` replicas of instance `i` run on
-//! worker `i % W`, so no message ever passes between workers, and the
-//! parallelism comes from instances in flight together (a pipelined log
-//! or a sharded service keeps several). `W` follows the cores the process
-//! may use (`taskset`, cgroup limits), so more threads than that would
-//! only take turns on the same cores. A session is spawned with a `build`
-//! and a `reset` hook ([`Session::with_recycler`]).
-//! [`Session::start_instance_recycled`] hands the instance's worker, in
-//! one locked batch, one job per replica: its proposal and its share of
-//! the [`InstanceSpec`] (crash rounds, delay model, round budget). The
-//! worker keeps one automaton pool per replica index; it resets an
-//! automaton that index retired in an earlier instance, and builds one
-//! only when the pool is empty. Results stream back per replica as
-//! [`ReplicaResult`]s. Multiple instances may be in flight at once, and
-//! each worker interleaves the round protocols of all its instances in
-//! one event loop. This is the substrate of the `indulgent-log`
-//! replicated-log subsystem: a pipelined log keeps a window of instances
-//! running concurrently and pays thread/inbox setup exactly once, instead
-//! of once per decision.
+//! A [`Session`] spawns no thread. [`Session::start_instance_recycled`]
+//! registers an instance, and the result calls *pump* the session on the
+//! caller's thread. A pump reads the clock once, moves every due delayed
+//! message into its mailbox, advances every replica of every instance in
+//! flight as far as it can go, and retires the instances whose replicas
+//! have all finished. When a pump leaves no result ready, the call sleeps
+//! until the next deadline: the next due delayed message or the earliest
+//! `quorum_at + grace`. There is no poll interval, and over instant links
+//! an instance runs from its start to its last result in one pump. The
+//! `runtime_session` metric family counts `caller_sleeps` and
+//! `caller_timed_wakes` (sleeps that ended on the session's deadline
+//! rather than on the caller's timeout).
 //!
-//! [`run_network`] runs one instance on a fresh session and returns a
-//! [`NetReport`]. Its reset hook rebuilds the automaton from the factory,
-//! so any [`ProcessFactory`] runs there, with or without an instance
-//! reset of its own.
+//! A retired instance keeps its replicas (automatons, mailboxes, vectors)
+//! for a later start, which resets each automaton in place through the
+//! session's `reset` hook ([`Session::with_recycler`]). Messages wait in
+//! one [`RingMailbox`] per replica and reach the automaton through one
+//! pooled [`Delivery`], so a warm instance over instant links allocates
+//! nothing. [`run_network`] runs one instance on a fresh session.
 //!
-//! # Workers: one delay-line inbox each
+//! # Messages and rounds
 //!
-//! Everything that can make a worker progress arrives in its one *inbox*:
-//! jobs (new instances), the worker's own delayed messages, and the
-//! shutdown item pushed by [`Session`]'s `Drop`. Each item carries the
-//! instant it becomes visible — a message sent over a link of delay `d`
-//! is due `d` after its send — and the inbox never hands an item out
-//! before then. A worker drains what is due, then advances every replica
-//! of every instance it runs, pass after pass, until a pass delivers
-//! nothing to another replica (a send can complete a sibling's round). It
-//! then parks until the earliest of the next due item and the earliest
-//! `quorum_at + grace` among its replicas. There is no poll interval: the
-//! runtime adds nothing to the delay it models.
-//!
-//! A message sent with zero delay goes straight into its target's
-//! mailbox. A delayed one goes onto the worker's own delay line: at the
-//! end of each pass, everything the pass delayed is pushed under one lock.
-//! A message that falls due after its instance retired is a straggler and
-//! is dropped; none can fall due before its instance starts, since only
-//! the instance's own replicas, on the same worker, send them.
-//!
-//! The wake rule is one condition: a push wakes its worker if the worker
-//! is parked. Only the session pushes from another thread, and only jobs
-//! and shutdown, which must wake; the worker's own pushes happen while it
-//! is awake. The test and the park happen under the same lock, so no
-//! wake-up is lost. The `runtime_session` metric family counts
-//! `worker_parks` and `worker_timed_wakes` (parks that ended on their own
-//! timer).
+//! A zero-delay message goes straight into its target's mailbox; a
+//! delayed one waits on the session's delay line, a min-heap by due
+//! instant (`d` after the pump that sent it). A retiring instance drops
+//! its messages still on the line: no replica needs them. A mailbox keys
+//! a message by the round it was sent in, or by the receiver's current
+//! round if that has passed, so a late message joins the next receive
+//! phase. The automaton gets its messages in (sent round, sender) order,
+//! as under the simulator.
 //!
 //! A replica that has decided keeps relaying its decision, one broadcast
 //! per round, for peers that have not decided yet. The *stop rule* ends
-//! that: before each relay the worker counts the instance's finished
-//! replicas (decided, crashed or out of rounds). Once all `n` have
-//! finished it sends nothing and retires the instance in the same pass,
-//! since no one can need the message any more. The rule is all-or-nothing
-//! on purpose. A decider that skipped only its finished peers would never
-//! complete its round, so it would never send the next relay that a
-//! replica still undecided may need for its quorum. The
-//! `runtime_session.relays` counter counts the relays that were sent.
+//! that: once all `n` replicas have finished (decided, crashed or out of
+//! rounds), no one sends and the instance retires in the same pump. The
+//! rule is all-or-nothing on purpose: a decider that skipped only its
+//! finished peers would never complete its round, so it would never send
+//! the next relay that a replica still undecided may need for its quorum.
+//! A replica that has just decided lets its peers take their turn in the
+//! pump first, so when all decide in the same round no one relays. The
+//! `runtime_session.relays` counter counts the relays sent.
 //!
 //! # Crash semantics
 //!
-//! Crashes are *logical*, defined against the per-instance round clock: a
-//! spec entry `crash at round r` means the replica participates in rounds
-//! `< r` of that instance and is silent from round `r` on — exactly the
-//! simulator's `crash_before_send`. With pipelined instances a permanent
-//! replica crash is expressed by crashing the replica at its chosen
-//! `(instance, round)` and at round 1 of every later instance; because
-//! the crash point of each instance is fixed logically rather than by
-//! wall-clock coincidence, crash-only log executions remain
-//! deterministically comparable to the simulator's multi-shot executor at
-//! any pipeline depth (the `indulgent-log` differential tests rely on
-//! this).
-//!
-//! This substrate replaces the tokio-style network harness a reproduction
-//! might otherwise reach for: round-based algorithms need no async I/O, so
-//! plain threads keep the dependency set small.
+//! Crashes are *logical*: a replica crashed at round `r` of an instance
+//! takes part in its rounds `< r` and is silent from `r` on, the
+//! simulator's `crash_before_send`. A permanent crash is that plus round 1
+//! of every later instance. Crash points fixed by round, not by the
+//! clock, keep crash-only log executions comparable to the simulator's at
+//! any pipeline depth (the `indulgent-log` differential tests).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::fmt;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use indulgent_model::{
-    Decision, DeliveredMsg, Delivery, ProcessFactory, ProcessId, ProcessSet, Round, RoundProcess,
-    RunOutcome, Step, SystemConfig, Value,
+    Decision, DeliveredMsg, Delivery, ProcessFactory, ProcessId, ProcessSet, RingMailbox, Round,
+    RoundProcess, RunOutcome, Step, SystemConfig, Value,
 };
 
-/// The `runtime_session` metric family: what this process's sessions
-/// have done, summed across all of them. Instances and results are the
-/// session's unit of work, so the first three counters say how much
-/// consensus traffic flowed through the runtime. The next two say how
-/// often worker threads slept on their inboxes and how many of those
-/// sleeps ended on their own timer (a due message or a grace expiry)
-/// rather than on a push; a worker parks only once none of its instances
-/// can progress, so the messages of an instance's replicas to each other
-/// cost no park. `relays` counts broadcasts sent
-/// by a replica that had already decided the instance: the work done
-/// after the decision, which the stop rule (module docs) keeps to the
-/// rounds where some replica has not finished yet.
+/// The `runtime_session` metric family, summed over this process's
+/// sessions: instances and results (how much consensus traffic flowed),
+/// the result calls' sleeps and those that ended on the session's own
+/// deadline rather than on the caller's timeout, and `relays`, the
+/// broadcasts of replicas that had already decided (the stop rule in the
+/// module docs bounds them).
 #[derive(Debug)]
 struct SessionMetrics {
     instances_started: indulgent_obs::Counter,
     results_delivered: indulgent_obs::Counter,
     decisions_delivered: indulgent_obs::Counter,
-    worker_parks: indulgent_obs::Counter,
-    worker_timed_wakes: indulgent_obs::Counter,
+    caller_sleeps: indulgent_obs::Counter,
+    caller_timed_wakes: indulgent_obs::Counter,
     relays: indulgent_obs::Counter,
 }
 
@@ -152,8 +107,8 @@ static SESSION_METRICS: SessionMetrics = SessionMetrics {
     instances_started: indulgent_obs::Counter::new(),
     results_delivered: indulgent_obs::Counter::new(),
     decisions_delivered: indulgent_obs::Counter::new(),
-    worker_parks: indulgent_obs::Counter::new(),
-    worker_timed_wakes: indulgent_obs::Counter::new(),
+    caller_sleeps: indulgent_obs::Counter::new(),
+    caller_timed_wakes: indulgent_obs::Counter::new(),
     relays: indulgent_obs::Counter::new(),
 };
 
@@ -166,8 +121,8 @@ impl indulgent_obs::MetricFamily for SessionMetrics {
         sink.counter("instances_started", self.instances_started.get());
         sink.counter("results_delivered", self.results_delivered.get());
         sink.counter("decisions_delivered", self.decisions_delivered.get());
-        sink.counter("worker_parks", self.worker_parks.get());
-        sink.counter("worker_timed_wakes", self.worker_timed_wakes.get());
+        sink.counter("caller_sleeps", self.caller_sleeps.get());
+        sink.counter("caller_timed_wakes", self.caller_timed_wakes.get());
         sink.counter("relays", self.relays.get());
     }
 }
@@ -179,149 +134,48 @@ fn session_metrics() -> &'static SessionMetrics {
     &SESSION_METRICS
 }
 
-/// Tallies one result on its way out of the session's receive paths.
+/// Tallies one result on its way out of the session's result calls.
 fn note_result(r: ReplicaResult) -> ReplicaResult {
     let metrics = session_metrics();
     metrics.results_delivered.incr();
-    if r.decision.is_some() {
-        metrics.decisions_delivered.incr();
-    }
+    metrics.decisions_delivered.add(u64::from(r.decision.is_some()));
     r
 }
 
-/// What a worker's inbox carries. Jobs and messages are tagged with their
-/// instance and name their target replica.
-#[derive(Debug)]
-enum Item<J, M> {
-    /// A new instance for the worker.
-    Job(u64, J),
-    /// A delayed message of an instance.
-    Message(u64, M),
-    /// The session is gone: the worker exits.
-    Shutdown,
-}
-
-/// A queued item and the instant it becomes visible.
-struct Pending<T> {
+/// A delayed message on the delay line: due at `due` for replica `to` of
+/// instance `instance`.
+struct Pending<M> {
     due: Instant,
-    /// Push order: items due at the same instant leave first-in first-out.
-    seq: u64,
-    item: T,
+    instance: u64,
+    to: usize,
+    msg: DeliveredMsg<M>,
 }
 
-// Reversed, so the max-heap `BinaryHeap` pops the earliest due item first.
-impl<T> Ord for Pending<T> {
+// Reversed, so the max-heap `BinaryHeap` pops the earliest due message
+// first.
+impl<M> Ord for Pending<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
+        other.due.cmp(&self.due)
     }
 }
 
-impl<T> PartialOrd for Pending<T> {
+impl<M> PartialOrd for Pending<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> PartialEq for Pending<T> {
+impl<M> PartialEq for Pending<M> {
     fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
+        self.due == other.due
     }
 }
 
-impl<T> Eq for Pending<T> {}
+impl<M> Eq for Pending<M> {}
 
-struct InboxState<J, M> {
-    queue: BinaryHeap<Pending<Item<J, M>>>,
-    pushed: u64,
-    /// Whether the receiver is parked; the push that wakes it clears this,
-    /// so later pushes do not wake it again.
-    parked: bool,
-}
-
-/// A worker's delay line: jobs, delayed messages and shutdown in one queue,
-/// each item invisible until its due instant. The wake rule is in the
-/// module docs.
-struct Inbox<J, M> {
-    state: Mutex<InboxState<J, M>>,
-    wake: Condvar,
-}
-
-impl<J, M> std::fmt::Debug for Inbox<J, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inbox").finish_non_exhaustive()
-    }
-}
-
-impl<J, M> Inbox<J, M> {
-    fn new() -> Self {
-        Inbox {
-            state: Mutex::new(InboxState { queue: BinaryHeap::new(), pushed: 0, parked: false }),
-            wake: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, InboxState<J, M>> {
-        // No critical section can panic halfway through an update, so a
-        // poisoned lock still guards a valid state — and `Session::drop`,
-        // which pushes, must not panic.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Queues `item`, visible from `due` on, waking a parked receiver.
-    fn push(&self, due: Instant, item: Item<J, M>) {
-        self.push_all(std::iter::once((due, item)));
-    }
-
-    /// Queues every `(due, item)` under one lock, waking a parked receiver
-    /// once (the wake rule in the module docs).
-    fn push_all(&self, items: impl IntoIterator<Item = (Instant, Item<J, M>)>) {
-        let mut state = self.lock();
-        for (due, item) in items {
-            let seq = state.pushed;
-            state.pushed += 1;
-            state.queue.push(Pending { due, seq, item });
-        }
-        if state.parked {
-            state.parked = false;
-            drop(state);
-            self.wake.notify_one();
-        }
-    }
-
-    /// Moves every due item into `out`, earliest first. If none is due,
-    /// parks until the next item falls due or `limit` passes, re-parking
-    /// after a wake-up that finds nothing due; returns with `out` empty
-    /// only once `limit` has passed.
-    fn pop_until(&self, limit: Option<Instant>, out: &mut Vec<Item<J, M>>) {
-        let metrics = session_metrics();
-        let mut state = self.lock();
-        loop {
-            let now = Instant::now();
-            while state.queue.peek().is_some_and(|p| p.due <= now) {
-                out.push(state.queue.pop().expect("peeked").item);
-            }
-            if !out.is_empty() || limit.is_some_and(|at| at <= now) {
-                return;
-            }
-            let deadline = [limit, state.queue.peek().map(|p| p.due)].into_iter().flatten().min();
-            state.parked = true;
-            metrics.worker_parks.incr();
-            state = match deadline {
-                Some(at) => {
-                    let (state, wait) = self
-                        .wake
-                        .wait_timeout(state, at.saturating_duration_since(now))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if wait.timed_out() {
-                        metrics.worker_timed_wakes.incr();
-                    }
-                    state
-                }
-                None => self.wake.wait(state).unwrap_or_else(PoisonError::into_inner),
-            };
-            state.parked = false;
-        }
-    }
+/// Pops the earliest message of the delay line if it is due at `now`.
+fn pop_due<M>(line: &mut BinaryHeap<Pending<M>>, now: Instant) -> Option<Pending<M>> {
+    line.peek_mut().filter(|p| p.due <= now).map(PeekMut::pop)
 }
 
 /// When messages become visible to their receiver.
@@ -329,11 +183,9 @@ impl<J, M> Inbox<J, M> {
 pub enum DelayModel {
     /// Deliver instantly (a synchronous network).
     Instant,
-    /// Every message between distinct processes takes `delay` to arrive —
-    /// a uniform network RTT. Rounds become latency-bound (nobody is
-    /// suspected: all messages arrive together, within the quorum wait),
-    /// which is the regime where pipelining consensus instances pays:
-    /// the log throughput bench uses this as its realistic network.
+    /// Every message between distinct processes takes `delay` to arrive.
+    /// Rounds become latency-bound (nobody is suspected: all messages
+    /// arrive together), the regime where pipelining instances pays.
     Uniform {
         /// One-way latency applied to every non-self message.
         delay: Duration,
@@ -362,10 +214,9 @@ impl DelayModel {
             DelayModel::Instant => Duration::ZERO,
             DelayModel::Uniform { delay } => delay,
             DelayModel::AsyncUntil { until_round, delay, probability, seed } => {
-                if round.get() >= until_round {
-                    return Duration::ZERO;
-                }
-                if edge_coin(seed, round.get(), from, to) < probability {
+                let late = round.get() < until_round
+                    && edge_coin(seed, round.get(), from, to) < probability;
+                if late {
                     delay
                 } else {
                     Duration::ZERO
@@ -376,12 +227,9 @@ impl DelayModel {
 }
 
 /// Deterministic per-edge coin in `[0, 1)` (splitmix64) over a message's
-/// `(seed, round, sender, receiver)` coordinates.
-///
-/// This is the randomness source of [`DelayModel::AsyncUntil`], exported
-/// so other adversaries built on the same coordinates (e.g. the
-/// `indulgent-log` simulator substrate's seeded delay schedules) share
-/// one construction instead of drifting copies.
+/// `(seed, round, sender, receiver)` coordinates: the randomness of
+/// [`DelayModel::AsyncUntil`], shared with other adversaries on the same
+/// coordinates (the `indulgent-log` simulator's seeded delay schedules).
 #[must_use]
 pub fn edge_coin(seed: u64, round: u32, from: ProcessId, to: ProcessId) -> f64 {
     let mut x =
@@ -451,9 +299,9 @@ pub struct NetReport {
     pub elapsed: Duration,
 }
 
-/// One replica's terminal report for one instance, streamed back to the
-/// session owner: its first decision (or `None` if it crashed or ran out
-/// of rounds undecided) and the last round it executed.
+/// One replica's terminal report for one instance: its first decision
+/// (`None` if it crashed or ran out of rounds undecided) and the last
+/// round it executed.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaResult {
     /// The instance this result belongs to.
@@ -478,79 +326,15 @@ pub struct InstanceReport {
     pub rounds_executed: u32,
 }
 
-/// What a worker streams back to the session owner: replica results in
-/// the normal case, a poison marker naming the replica being stepped if
-/// the worker thread panics (sent from the sentinel's unwind path so
-/// waiters fail loudly instead of blocking forever).
-#[derive(Debug)]
-enum WorkerEvent {
-    Result(ReplicaResult),
-    Panicked(ProcessId),
-}
+/// A session's reset hook: `(replica index, retired automaton, next
+/// proposal)`.
+type ResetFn<P> = Box<dyn Fn(usize, &mut P, Value)>;
 
-/// Reports a worker panic to the session owner on unwind, naming the
-/// replica the worker was stepping at the time.
-struct PanicSentinel {
-    replica: ProcessId,
-    events_tx: Sender<WorkerEvent>,
-}
-
-impl Drop for PanicSentinel {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.events_tx.send(WorkerEvent::Panicked(self.replica));
-        }
-    }
-}
-
-/// The per-instance job of one replica, handed to the worker that runs
-/// the instance: the replica's proposal and its share of the
-/// [`InstanceSpec`].
-struct Job {
-    replica: ProcessId,
-    proposal: Value,
-    crash_round: Option<Round>,
-    delays: DelayModel,
-    max_rounds: u32,
-}
-
-/// A delayed message on its way to replica `to`.
-struct Envelope<M> {
-    to: ProcessId,
-    msg: DeliveredMsg<M>,
-}
-
-/// What a worker's inbox carries for automatons `P`.
-type WorkerItem<P> = Item<Job, Envelope<<P as RoundProcess>::Msg>>;
-
-/// A worker's inbox: the jobs of its instances and their delayed messages.
-type WorkerInbox<P> = Inbox<Job, Envelope<<P as RoundProcess>::Msg>>;
-
-/// The reset hook of a [`Recycler`]: `(process index, retired automaton,
-/// next proposal)`.
-type ResetFn<P> = Box<dyn Fn(usize, &mut P, Value) + Send + Sync>;
-
-/// The build + reset hooks of a session, shared with every worker so
-/// retired automatons are reset in place for the next instance instead
-/// of being dropped and rebuilt (the same `reset_instance` contract the
-/// simulator's multi-shot executor uses).
-struct Recycler<P> {
-    build: Box<dyn Fn(usize, Value) -> P + Send + Sync>,
-    reset: ResetFn<P>,
-}
-
-/// `min(n, available_parallelism)` worker threads and their inboxes,
-/// reusable across any number of (possibly concurrent) consensus
-/// instances of `n` replicas, each instance on one worker.
-///
-/// Spawning threads and inboxes is the expensive part of a networked
-/// run; a `Session` pays it once. Instances are started with
-/// [`start_instance_recycled`](Session::start_instance_recycled) and
-/// complete independently; results stream back through
-/// [`next_result`](Session::next_result) /
-/// [`wait_instance`](Session::wait_instance) /
-/// [`wait_decision`](Session::wait_decision). Dropping the session shuts
-/// the workers down and joins them.
+/// A reusable home for any number of (possibly concurrent) consensus
+/// instances of `n` replicas, stepped on the caller's thread by the
+/// result calls (module docs). A start reuses the replicas of a retired
+/// instance, so a warm session allocates nothing per instance over
+/// instant links.
 ///
 /// # Examples
 ///
@@ -569,8 +353,8 @@ struct Recycler<P> {
 /// let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| p.reset_instance(v);
 /// let mut session = Session::with_recycler(cfg, Duration::from_millis(4), build, reset);
 /// let spec = InstanceSpec::synchronous(cfg);
-/// // Two back-to-back instances on the same threads: the second resets
-/// // the automatons the first one retired.
+/// // Two back-to-back instances: the second resets the automatons the
+/// // first one retired.
 /// for proposals in [[6u64, 2, 8, 4, 7], [9, 9, 1, 9, 9]] {
 ///     let instance = session.start_instance_recycled(&proposals.map(Value::new), &spec);
 ///     let report = session.wait_instance(instance);
@@ -578,67 +362,57 @@ struct Recycler<P> {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
 pub struct Session<P: RoundProcess> {
     config: SystemConfig,
-    /// One per worker; instance `i` runs on worker `i % inboxes.len()`.
-    inboxes: Vec<Arc<WorkerInbox<P>>>,
-    results_rx: Receiver<WorkerEvent>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    grace: Duration,
+    /// `(replica index, proposal)` to a new automaton.
+    build: Box<dyn Fn(usize, Value) -> P>,
+    reset: ResetFn<P>,
     next_instance: u64,
-    /// Results received but not yet consumed, grouped by instance.
+    /// Instances in flight, in start order.
+    active: Vec<Instance<P>>,
+    /// Retired instances, whose replicas the next starts reuse.
+    retired: Vec<Instance<P>>,
+    /// Delayed messages, earliest due first.
+    delay_line: BinaryHeap<Pending<P::Msg>>,
+    /// The one delivery every receive phase is rebuilt in.
+    delivery: Delivery<P::Msg>,
+    /// Results produced by pumps and not yet returned.
+    ready: VecDeque<ReplicaResult>,
+    /// Results taken by `wait_decision`/`wait_instance` for an instance
+    /// other than the one waited for, grouped by instance.
     collected: HashMap<u64, Vec<ReplicaResult>>,
 }
 
-impl<P> Session<P>
-where
-    P: RoundProcess + Send + 'static,
-    P::Msg: Send + 'static,
-{
-    /// Spawns the session's `W = min(n, available_parallelism)` worker
-    /// threads; instance `i` runs all its replicas on worker `i % W`.
-    /// Each worker keeps one pool per replica index of the automatons
-    /// its retired instances leave, and resets one in place for that
-    /// replica of its next instance (`reset` receives the replica index,
-    /// the pooled automaton and the new proposal) instead of dropping
-    /// per-instance allocations on the floor; `build` covers an empty
-    /// pool. `grace` is how long a round
-    /// waits for stragglers once the `n - t` quorum of current-round
-    /// messages has arrived; a message that misses the window is
-    /// suspected for that round.
+impl<P: RoundProcess> fmt::Debug for Session<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let in_flight = self.active.len();
+        f.debug_struct("Session").field("in_flight", &in_flight).finish_non_exhaustive()
+    }
+}
+
+impl<P: RoundProcess> Session<P> {
+    /// A session whose starts reset retired automatons in place through
+    /// `reset(replica index, automaton, proposal)`, and `build` one when
+    /// none is retired. `grace` is how long a round waits for stragglers
+    /// once the `n - t` quorum of current-round messages has arrived.
     #[must_use]
     pub fn with_recycler<B, R>(config: SystemConfig, grace: Duration, build: B, reset: R) -> Self
     where
-        B: Fn(usize, Value) -> P + Send + Sync + 'static,
-        R: Fn(usize, &mut P, Value) + Send + Sync + 'static,
+        B: Fn(usize, Value) -> P + 'static,
+        R: Fn(usize, &mut P, Value) + 'static,
     {
-        let n = config.n();
-        let workers = std::thread::available_parallelism().map_or(n, usize::from).min(n);
-        let inboxes: Vec<Arc<WorkerInbox<P>>> =
-            (0..workers).map(|_| Arc::new(Inbox::new())).collect();
-        let recycler = Arc::new(Recycler { build: Box::new(build), reset: Box::new(reset) });
-        let (results_tx, results_rx) = channel();
-        let handles = inboxes
-            .iter()
-            .map(|inbox| {
-                let ctx = WorkerCtx {
-                    inbox: Arc::clone(inbox),
-                    results_tx: results_tx.clone(),
-                    grace,
-                    quorum: config.quorum(),
-                    n,
-                    recycler: Arc::clone(&recycler),
-                };
-                std::thread::spawn(move || worker(ctx))
-            })
-            .collect();
-
         Session {
             config,
-            inboxes,
-            results_rx,
-            handles,
+            grace,
+            build: Box::new(build),
+            reset: Box::new(reset),
             next_instance: 1,
+            active: Vec::new(),
+            retired: Vec::new(),
+            delay_line: BinaryHeap::new(),
+            delivery: Delivery::empty(Round::FIRST),
+            ready: VecDeque::new(),
             collected: HashMap::new(),
         }
     }
@@ -649,13 +423,9 @@ where
         self.config
     }
 
-    /// Starts the next consensus instance from one proposal per replica
-    /// plus the instance's crash/delay/budget spec. Instance `i` goes to
-    /// worker `i % W`, all `n` jobs in one locked batch; for each replica
-    /// the worker resets an automaton from that replica index's pool
-    /// through the session's reset hook, or builds one on an empty pool.
-    /// Returns the instance id (monotonic from 1). The call never blocks;
-    /// any number of instances may be in flight concurrently.
+    /// Registers the next instance from one proposal per replica and its
+    /// crash/delay/budget spec, and returns its id (monotonic from 1).
+    /// The call steps nothing; the result calls run the instance.
     ///
     /// # Panics
     ///
@@ -664,91 +434,104 @@ where
         assert_eq!(proposals.len(), self.config.n(), "one proposal per replica required");
         assert_eq!(spec.crashes.len(), self.config.n(), "one crash slot per replica required");
         session_metrics().instances_started.incr();
-        let instance = self.next_instance;
+        let id = self.next_instance;
         self.next_instance += 1;
-        let now = Instant::now();
-        let inbox = &self.inboxes[(instance % self.inboxes.len() as u64) as usize];
-        inbox.push_all(proposals.iter().zip(&spec.crashes).enumerate().map(
-            |(i, (&proposal, &crash_round))| {
-                let job = Job {
-                    replica: ProcessId::new(i),
-                    proposal,
-                    crash_round,
-                    delays: spec.delays,
-                    max_rounds: spec.max_rounds,
-                };
-                (now, Item::Job(instance, job))
-            },
-        ));
-        instance
+        let inst = match self.retired.pop() {
+            Some(mut inst) => {
+                for (i, replica) in inst.replicas.iter_mut().enumerate() {
+                    (self.reset)(i, &mut replica.process, proposals[i]);
+                    replica.restart();
+                }
+                // Field by field: the crash vector keeps its buffer.
+                inst.spec.crashes.clone_from(&spec.crashes);
+                (inst.spec.delays, inst.spec.max_rounds) = (spec.delays, spec.max_rounds);
+                Instance { id, finished: 0, ..inst }
+            }
+            None => {
+                let build = |i| Replica::new((self.build)(i, proposals[i]));
+                let replicas = (0..proposals.len()).map(build).collect();
+                Instance { id, spec: spec.clone(), replicas, finished: 0 }
+            }
+        };
+        self.active.push(inst);
+        id
     }
 
-    /// Receives one worker event, propagating worker panics to the
-    /// session owner (mirroring the old joined-thread behavior).
-    fn recv_result(&mut self) -> ReplicaResult {
-        match self.results_rx.recv() {
-            Ok(WorkerEvent::Result(r)) => note_result(r),
-            Ok(WorkerEvent::Panicked(id)) => panic!("worker thread {id} panicked"),
-            Err(_) => panic!("workers exited with results outstanding"),
-        }
-    }
-
-    /// Receives the next replica result from any in-flight instance,
-    /// blocking until one arrives.
+    /// Returns the next replica result if one is ready after at most one
+    /// pump, without sleeping: the call for an event loop layered over a
+    /// session, such as the `indulgent-server` engine.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked, or if every worker exited with
-    /// results still outstanding.
-    pub fn next_result(&mut self) -> ReplicaResult {
-        self.recv_result()
-    }
-
-    /// Receives the next replica result if one is already queued, without
-    /// blocking — the pump an *event loop* layered over a session uses
-    /// (the `indulgent-server` engine interleaves socket intake, batch
-    /// sealing and decision application on one thread, so it must never
-    /// park on the session).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked.
+    /// Propagates a panic of an automaton or a hook.
     pub fn try_next_result(&mut self) -> Option<ReplicaResult> {
-        match self.results_rx.try_recv() {
-            Ok(WorkerEvent::Result(r)) => Some(note_result(r)),
-            Ok(WorkerEvent::Panicked(id)) => panic!("worker thread {id} panicked"),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => panic!("workers exited with the session alive"),
+        if self.ready.is_empty() {
+            self.pump();
         }
+        self.ready.pop_front().map(note_result)
     }
 
-    /// Receives the next replica result, waiting at most `timeout`;
-    /// `None` on timeout. The bounded-blocking variant of
-    /// [`try_next_result`](Session::try_next_result) for event loops that
-    /// want to sleep when idle without missing a result.
+    /// Returns the next replica result of any instance in flight,
+    /// pumping and sleeping until one is ready.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked.
+    /// Panics if no result can ever arrive (nothing in flight, or no
+    /// instance with a message or a grace period pending), and
+    /// propagates a panic of an automaton or a hook.
+    pub fn next_result(&mut self) -> ReplicaResult {
+        self.next_result_until(None).expect("waits without a limit")
+    }
+
+    /// Returns the next replica result, pumping and sleeping at most
+    /// `timeout`; `None` on timeout.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic of an automaton or a hook.
     pub fn next_result_timeout(&mut self, timeout: Duration) -> Option<ReplicaResult> {
-        match self.results_rx.recv_timeout(timeout) {
-            Ok(WorkerEvent::Result(r)) => Some(note_result(r)),
-            Ok(WorkerEvent::Panicked(id)) => panic!("worker thread {id} panicked"),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("workers exited with the session alive")
+        self.next_result_until(Some(Instant::now() + timeout))
+    }
+
+    /// Pumps until a result is ready or `limit` has passed, sleeping to
+    /// the next deadline in between (module docs).
+    fn next_result_until(&mut self, limit: Option<Instant>) -> Option<ReplicaResult> {
+        let metrics = session_metrics();
+        loop {
+            if let Some(r) = self.ready.pop_front() {
+                return Some(note_result(r));
+            }
+            let now = self.pump();
+            if !self.ready.is_empty() {
+                continue;
+            }
+            if limit.is_some_and(|at| at <= now) {
+                return None;
+            }
+            let deadline = self.next_deadline();
+            let Some(wake) = deadline.into_iter().chain(limit).min() else {
+                panic!(
+                    "no result can arrive: {} instance(s) in flight, none with a delayed \
+                     message or a grace period pending",
+                    self.active.len()
+                );
+            };
+            metrics.caller_sleeps.incr();
+            std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+            if deadline == Some(wake) {
+                metrics.caller_timed_wakes.incr();
             }
         }
     }
 
     /// Blocks until the first *decision* of `instance` is known and
-    /// returns it, buffering results of other instances. Returns `None`
-    /// only if all `n` replicas reported without any deciding (crashes +
-    /// exhausted budgets).
+    /// returns it, keeping results of other instances for later waits.
+    /// Returns `None` only if all `n` replicas reported without any
+    /// deciding (crashes + exhausted budgets).
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked.
+    /// As [`next_result`](Session::next_result).
     pub fn wait_decision(&mut self, instance: u64) -> Option<Decision> {
         loop {
             let results = self.collected.entry(instance).or_default();
@@ -758,18 +541,17 @@ where
             if results.len() == self.config.n() {
                 return None;
             }
-            let r = self.recv_result();
-            self.collected.entry(r.instance).or_default().push(r);
+            self.collect_next();
         }
     }
 
     /// Blocks until all `n` replicas of `instance` have reported and
-    /// assembles the instance report, buffering results of other
-    /// instances.
+    /// assembles the instance report, keeping results of other instances
+    /// for later waits.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked.
+    /// As [`next_result`](Session::next_result).
     pub fn wait_instance(&mut self, instance: u64) -> InstanceReport {
         loop {
             if self.collected.get(&instance).is_some_and(|rs| rs.len() == self.config.n()) {
@@ -782,52 +564,96 @@ where
                 }
                 return InstanceReport { instance, decisions, rounds_executed };
             }
-            let r = self.recv_result();
-            self.collected.entry(r.instance).or_default().push(r);
+            self.collect_next();
         }
     }
-}
 
-impl<P: RoundProcess> Drop for Session<P> {
-    fn drop(&mut self) {
-        // Shutdown is due at once, so delayed messages still queued do
-        // not hold a worker back.
+    /// Keeps the next result for the wait of its instance.
+    fn collect_next(&mut self) {
+        let r = self.next_result();
+        self.collected.entry(r.instance).or_default().push(r);
+    }
+
+    /// One pump (module docs): reads the clock once, moves every due
+    /// delayed message into its mailbox, advances every instance in
+    /// flight and retires the finished ones. Returns the clock reading.
+    fn pump(&mut self) -> Instant {
         let now = Instant::now();
-        for inbox in self.inboxes.iter() {
-            inbox.push(now, Item::Shutdown);
+        while let Some(p) = pop_due(&mut self.delay_line, now) {
+            let inst = self.active.iter_mut().find(|inst| inst.id == p.instance);
+            inst.expect("retiring drops an instance's delayed messages").replicas[p.to]
+                .receive(p.msg);
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        let mut pump = Pump {
+            now,
+            grace: self.grace,
+            quorum: self.config.quorum(),
+            delay_line: &mut self.delay_line,
+            delivery: &mut self.delivery,
+            ready: &mut self.ready,
+        };
+        for inst in &mut self.active {
+            pump.advance_instance(inst);
         }
+        let mut i = 0;
+        while i < self.active.len() {
+            if self.active[i].finished == self.config.n() {
+                let inst = self.active.remove(i);
+                // Its stragglers (relays nobody needs) would only wake a
+                // sleep for nothing.
+                self.delay_line.retain(|p| p.instance != inst.id);
+                self.retired.push(inst);
+            } else {
+                i += 1;
+            }
+        }
+        now
+    }
+
+    /// When the next pump can make progress that this one could not: the
+    /// next delayed message falls due or a round's grace runs out.
+    fn next_deadline(&self) -> Option<Instant> {
+        let grace_ends = self
+            .active
+            .iter()
+            .flat_map(|inst| &inst.replicas)
+            .filter_map(|r| r.quorum_at)
+            .min()
+            .map(|at| at + self.grace);
+        grace_ends.into_iter().chain(self.delay_line.peek().map(|p| p.due)).min()
     }
 }
 
-/// Everything a worker thread owns.
-struct WorkerCtx<P: RoundProcess> {
-    inbox: Arc<WorkerInbox<P>>,
-    results_tx: Sender<WorkerEvent>,
-    grace: Duration,
-    quorum: usize,
-    n: usize,
-    recycler: Arc<Recycler<P>>,
-}
-
-/// One instance in flight on a worker: all `n` of its replicas.
+/// One instance in flight: all `n` of its replicas.
 struct Instance<P: RoundProcess> {
     id: u64,
-    delays: DelayModel,
-    max_rounds: u32,
+    spec: InstanceSpec,
     /// Replica `r` at index `r`.
     replicas: Vec<Replica<P>>,
     /// Replicas that have reported: decided, crashed or out of rounds.
     finished: usize,
 }
 
+impl<P: RoundProcess> Instance<P> {
+    /// Queues replica `r`'s result and counts the replica as finished.
+    /// Called once per replica: when it first decides, or when it halts
+    /// undecided.
+    fn report(&mut self, r: usize, ready: &mut VecDeque<ReplicaResult>) {
+        self.finished += 1;
+        let replica = &self.replicas[r];
+        ready.push_back(ReplicaResult {
+            instance: self.id,
+            replica: ProcessId::new(r),
+            decision: replica.decision,
+            last_round: replica.last_round,
+        });
+    }
+}
+
 /// One replica's protocol state in one instance: a small state machine
-/// advanced opportunistically by the event loop.
+/// advanced opportunistically by the pumps.
 struct Replica<P: RoundProcess> {
     process: P,
-    crash_round: Option<Round>,
     /// Round currently executing.
     round: u32,
     /// Whether this round's send phase has run.
@@ -839,261 +665,183 @@ struct Replica<P: RoundProcess> {
     /// Stopped participating (crashed or budget exhausted).
     halted: bool,
     last_round: u32,
-    /// Arrived messages, keyed by the round they were sent in.
-    mailbox: BTreeMap<u32, Vec<DeliveredMsg<P::Msg>>>,
+    /// Arrived messages by arrival round (module docs); the ring's due
+    /// slot is the current round.
+    mailbox: RingMailbox<P::Msg>,
 }
 
 impl<P: RoundProcess> Replica<P> {
-    /// The replica of `job` at round 1, on an automaton reset from `pool`,
-    /// or built if the pool is empty.
-    fn start(job: Job, recycler: &Recycler<P>, pool: &mut Vec<P>) -> Self {
-        let replica = job.replica.index();
-        let process = match pool.pop() {
-            Some(mut p) => {
-                (recycler.reset)(replica, &mut p, job.proposal);
-                p
-            }
-            None => (recycler.build)(replica, job.proposal),
-        };
+    fn new(process: P) -> Self {
         Replica {
             process,
-            crash_round: job.crash_round,
             round: 1,
             sent: false,
             quorum_at: None,
             decision: None,
             halted: false,
             last_round: 0,
-            mailbox: BTreeMap::new(),
+            mailbox: RingMailbox::new(),
         }
+    }
+
+    /// Back to round 1 with an empty mailbox.
+    fn restart(&mut self) {
+        self.round = 1;
+        self.sent = false;
+        self.quorum_at = None;
+        self.decision = None;
+        self.halted = false;
+        self.last_round = 0;
+        self.mailbox.clear_all();
     }
 
     fn receive(&mut self, msg: DeliveredMsg<P::Msg>) {
-        self.mailbox.entry(msg.sent_round.get()).or_default().push(msg);
+        let offset = msg.sent_round.get().saturating_sub(self.round);
+        self.mailbox.slot_mut(offset as usize).push(msg);
     }
 }
 
-impl<P: RoundProcess> Instance<P> {
-    /// Sends replica `r`'s result to the session owner and counts the
-    /// replica as finished. Called once per replica: when it first
-    /// decides, or when it halts undecided.
-    fn report(&mut self, r: usize, results_tx: &Sender<WorkerEvent>) {
-        self.finished += 1;
-        let replica = &self.replicas[r];
-        let _ = results_tx.send(WorkerEvent::Result(ReplicaResult {
-            instance: self.id,
-            replica: ProcessId::new(r),
-            decision: replica.decision,
-            last_round: replica.last_round,
-        }));
-    }
+/// What one pump steps the instances with: its clock reading and the
+/// session's shared buffers.
+struct Pump<'a, M> {
+    now: Instant,
+    grace: Duration,
+    quorum: usize,
+    delay_line: &'a mut BinaryHeap<Pending<M>>,
+    delivery: &'a mut Delivery<M>,
+    ready: &'a mut VecDeque<ReplicaResult>,
 }
 
-fn worker<P: RoundProcess>(ctx: WorkerCtx<P>) {
-    // If anything below panics, tell the session owner on unwind so its
-    // blocking waits fail loudly instead of hanging. The loop keeps the
-    // sentinel pointed at the replica it is stepping.
-    let mut sentinel =
-        PanicSentinel { replica: ProcessId::new(0), events_tx: ctx.results_tx.clone() };
-    // Instances in flight, in job order.
-    let mut active: Vec<Instance<P>> = Vec::new();
-    // Retired automatons awaiting reuse, one pool per replica index.
-    let mut pools: Vec<Vec<P>> = (0..ctx.n).map(|_| Vec::new()).collect();
-    // Messages a pass delayed, pushed onto this worker's inbox once per
-    // pass.
-    let mut delayed = Vec::new();
-    let mut due = Vec::new();
-
-    loop {
-        // Sleep until an item falls due or a round's grace runs out.
-        let grace_ends = active
-            .iter()
-            .flat_map(|inst| &inst.replicas)
-            .filter_map(|r| r.quorum_at)
-            .min()
-            .map(|at| at + ctx.grace);
-        ctx.inbox.pop_until(grace_ends, &mut due);
-        for item in due.drain(..) {
-            match item {
-                Item::Job(id, job) => {
-                    // An instance's jobs arrive together, in replica order.
-                    sentinel.replica = job.replica;
-                    if active.last().is_none_or(|inst| inst.id != id) {
-                        active.push(Instance {
-                            id,
-                            delays: job.delays,
-                            max_rounds: job.max_rounds,
-                            replicas: Vec::with_capacity(ctx.n),
-                            finished: 0,
-                        });
-                    }
-                    let pool = &mut pools[job.replica.index()];
-                    let inst = active.last_mut().expect("pushed above");
-                    inst.replicas.push(Replica::start(job, &ctx.recycler, pool));
-                }
-                Item::Message(id, Envelope { to, msg }) => {
-                    // A straggler of a retired instance is dropped.
-                    if let Some(inst) = active.iter_mut().find(|inst| inst.id == id) {
-                        inst.replicas[to.index()].receive(msg);
-                    }
-                }
-                Item::Shutdown => return,
+impl<M: Clone> Pump<'_, M> {
+    /// Runs every replica of `inst` forward, pass after pass while a pass
+    /// delivers to another replica (that message may complete the round
+    /// of a replica visited earlier in the pass) or a replica decides.
+    fn advance_instance<P: RoundProcess<Msg = M>>(&mut self, inst: &mut Instance<P>) {
+        loop {
+            let mut delivered = false;
+            for r in 0..inst.replicas.len() {
+                delivered |= self.advance_replica(inst, r);
+            }
+            if !delivered {
+                return;
             }
         }
-
-        for inst in &mut active {
-            advance_instance(&ctx, inst, &mut sentinel, &mut delayed);
-        }
-        if !delayed.is_empty() {
-            ctx.inbox.push_all(delayed.drain(..));
-        }
-
-        // Retire the instances every replica has finished, pooling their
-        // automatons.
-        active.retain_mut(|inst| {
-            if inst.finished < ctx.n {
-                return true;
-            }
-            for (pool, replica) in pools.iter_mut().zip(inst.replicas.drain(..)) {
-                pool.push(replica.process);
-            }
-            false
-        });
     }
-}
 
-/// Runs every replica of `inst` forward, pass after pass while a pass
-/// delivers to another replica: that message may complete the round of a
-/// replica visited earlier in the pass. Delayed messages go into
-/// `delayed`.
-fn advance_instance<P: RoundProcess>(
-    ctx: &WorkerCtx<P>,
-    inst: &mut Instance<P>,
-    sentinel: &mut PanicSentinel,
-    delayed: &mut Vec<(Instant, WorkerItem<P>)>,
-) {
-    loop {
+    /// Runs replica `me` of `inst` forward: send if due, deliver every
+    /// round whose quorum-plus-grace condition is met, until the replica
+    /// blocks on the network or halts. Returns whether another pass may
+    /// make progress: a message went straight to another replica, or the
+    /// replica has just decided and not yet relayed.
+    fn advance_replica<P: RoundProcess<Msg = M>>(
+        &mut self,
+        inst: &mut Instance<P>,
+        me: usize,
+    ) -> bool {
+        let n = inst.replicas.len();
+        let sender = ProcessId::new(me);
         let mut delivered = false;
-        for r in 0..ctx.n {
-            sentinel.replica = ProcessId::new(r);
-            delivered |= advance_replica(ctx, inst, r, delayed);
-        }
-        if !delivered {
-            return;
-        }
-    }
-}
-
-/// Runs replica `me` of `inst` forward: send if due, deliver every round
-/// whose quorum-plus-grace condition is met, repeat until the replica
-/// blocks on the network (or halts). Zero-delay messages go straight into
-/// their target's mailbox, delayed ones into `delayed`. Returns whether a
-/// message went straight to a replica other than the sender.
-fn advance_replica<P: RoundProcess>(
-    ctx: &WorkerCtx<P>,
-    inst: &mut Instance<P>,
-    me: usize,
-    delayed: &mut Vec<(Instant, WorkerItem<P>)>,
-) -> bool {
-    let sender = ProcessId::new(me);
-    let mut delivered = false;
-    while !inst.replicas[me].halted {
-        let replica = &mut inst.replicas[me];
-        let k = replica.round;
-        if !replica.sent {
-            // Logical crash: silent in this instance from the crash round
-            // on (the simulator's `crash_before_send`).
-            if replica.crash_round.is_some_and(|c| k >= c.get()) || k > inst.max_rounds {
-                replica.halted = true;
-                if replica.decision.is_none() {
-                    inst.report(me, &ctx.results_tx);
-                }
-                break;
-            }
-            // The stop rule (module docs): no relay once every replica
-            // has finished; the retire pass then takes the instance.
-            if replica.decision.is_some() {
-                if inst.finished == ctx.n {
+        while !inst.replicas[me].halted {
+            let replica = &mut inst.replicas[me];
+            let k = replica.round;
+            if !replica.sent {
+                // Logical crash: silent in this instance from the crash
+                // round on (the simulator's `crash_before_send`).
+                let crashed = inst.spec.crashes[me].is_some_and(|c| k >= c.get());
+                if crashed || k > inst.spec.max_rounds {
+                    replica.halted = true;
+                    if replica.decision.is_none() {
+                        inst.report(me, self.ready);
+                    }
                     break;
                 }
-                session_metrics().relays.incr();
+                // The stop rule (module docs): no relay once every replica
+                // has finished; the pump then retires the instance.
+                if replica.decision.is_some() {
+                    if inst.finished == n {
+                        break;
+                    }
+                    session_metrics().relays.incr();
+                }
+                let round = Round::new(k);
+                let msg = replica.process.send(round);
+                replica.sent = true;
+                for (j, receiver) in inst.replicas.iter_mut().enumerate() {
+                    // A halted replica never receives again.
+                    if receiver.halted {
+                        continue;
+                    }
+                    let to = ProcessId::new(j);
+                    let delay = if j == me {
+                        Duration::ZERO
+                    } else {
+                        inst.spec.delays.delay_for(round, sender, to)
+                    };
+                    let msg = DeliveredMsg { sender, sent_round: round, msg: msg.clone() };
+                    if delay.is_zero() {
+                        receiver.receive(msg);
+                        delivered |= j != me;
+                    } else {
+                        let due = self.now + delay;
+                        self.delay_line.push(Pending { due, instance: inst.id, to: j, msg });
+                    }
+                }
             }
+
+            // Receive phase: the round completes once all `n` current-round
+            // messages arrived, or the `n - t` quorum plus the grace window.
+            let replica = &mut inst.replicas[me];
+            let current = replica.mailbox.due().iter().filter(|m| m.sent_round.get() == k).count();
+            let ready = if current >= n {
+                true
+            } else if current >= self.quorum {
+                let entered = *replica.quorum_at.get_or_insert(self.now);
+                self.now.duration_since(entered) >= self.grace
+            } else {
+                false
+            };
+            if !ready {
+                break;
+            }
+
+            // Deliver everything due: this round's messages and late ones.
+            // Arrival order is wall-clock order; a sender sends once per
+            // round, so (sent round, sender) orders them uniquely.
             let round = Round::new(k);
-            let msg = replica.process.send(round);
-            replica.sent = true;
-            let now = Instant::now();
-            for (j, receiver) in inst.replicas.iter_mut().enumerate() {
-                let to = ProcessId::new(j);
-                let delay =
-                    if j == me { Duration::ZERO } else { inst.delays.delay_for(round, sender, to) };
-                let msg = DeliveredMsg { sender, sent_round: round, msg: msg.clone() };
-                if delay.is_zero() {
-                    receiver.receive(msg);
-                    delivered |= j != me;
-                } else {
-                    delayed.push((now + delay, Item::Message(inst.id, Envelope { to, msg })));
+            let due = replica.mailbox.due_mut();
+            due.sort_unstable_by_key(|m| (m.sent_round, m.sender));
+            self.delivery.reset(round);
+            self.delivery.append(due);
+            replica.mailbox.advance();
+            let step = replica.process.deliver(round, self.delivery);
+            replica.last_round = k;
+            replica.round += 1;
+            replica.sent = false;
+            replica.quorum_at = None;
+            if let Step::Decide(value) = step {
+                if replica.decision.is_none() {
+                    replica.decision = Some(Decision { process: sender, round, value });
+                    inst.report(me, self.ready);
+                    // Let the peers finish this round before relaying: if
+                    // they all decide in this pass, the stop rule sends
+                    // nothing. Another pass sends the relay otherwise.
+                    return true;
                 }
             }
         }
-
-        // Receive phase: the round completes once all `n` current-round
-        // messages arrived, or the `n - t` quorum plus the grace window.
-        let replica = &mut inst.replicas[me];
-        let current = replica.mailbox.get(&k).map_or(0, Vec::len);
-        let ready = if current >= ctx.n {
-            true
-        } else if current >= ctx.quorum {
-            let entered = *replica.quorum_at.get_or_insert_with(Instant::now);
-            entered.elapsed() >= ctx.grace
-        } else {
-            false
-        };
-        if !ready {
-            break;
-        }
-
-        // Deliver everything sent in rounds <= k that has arrived.
-        let round = Round::new(k);
-        let ready_rounds: Vec<u32> = replica.mailbox.range(..=k).map(|(&r, _)| r).collect();
-        let mut batch: Vec<DeliveredMsg<P::Msg>> = Vec::new();
-        for r in ready_rounds {
-            batch.extend(replica.mailbox.remove(&r).unwrap_or_default());
-        }
-        batch.sort_by_key(|m| (m.sent_round, m.sender));
-        let delivery = Delivery::new(round, batch);
-        let step = replica.process.deliver(round, &delivery);
-        replica.last_round = k;
-        replica.round += 1;
-        replica.sent = false;
-        replica.quorum_at = None;
-        if let Step::Decide(value) = step {
-            if replica.decision.is_none() {
-                replica.decision = Some(Decision { process: sender, round, value });
-                inst.report(me, &ctx.results_tx);
-            }
-        }
+        delivered
     }
-    delivered
 }
 
-/// Runs `factory`-built automatons over real threads and channels: a
-/// fresh [`Session`] with straggler window `grace`, one instance under
-/// `spec`, joined on completion. The session's reset hook rebuilds an
-/// automaton from `factory`, so automatons without an instance reset of
-/// their own run here too.
-///
-/// Every process broadcasts one message per round (including to itself,
-/// instantly), waits for the `n - t` quorum of current-round messages plus
-/// the grace window, and hands its automaton everything that arrived.
-/// A process that has decided relays its decision in each later round
-/// only while some process has not finished; once every process has
-/// decided, crashed or run out of rounds, no one sends again (the stop
-/// rule of the module docs).
+/// Runs one instance of `factory`-built automatons under `spec` on a
+/// fresh [`Session`] with straggler window `grace`. The session's reset
+/// hook rebuilds from `factory`, so automatons without an instance reset
+/// of their own run here too.
 ///
 /// # Panics
 ///
 /// Panics if `proposals.len()` or `spec.crashes.len()` differs from
-/// `config.n()`, or if a worker thread panics.
+/// `config.n()`, and propagates a panic of an automaton.
 pub fn run_network<F>(
     config: SystemConfig,
     factory: F,
@@ -1102,13 +850,11 @@ pub fn run_network<F>(
     spec: &InstanceSpec,
 ) -> NetReport
 where
-    F: ProcessFactory + Send + Sync + 'static,
-    F::Process: Send + 'static,
-    <F::Process as RoundProcess>::Msg: Send + 'static,
+    F: ProcessFactory + 'static,
 {
     let start = Instant::now();
-    let factory = Arc::new(factory);
-    let rebuild = Arc::clone(&factory);
+    let factory = Rc::new(factory);
+    let rebuild = Rc::clone(&factory);
     let mut session = Session::with_recycler(
         config,
         grace,
@@ -1133,7 +879,9 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use indulgent_consensus::{AtPlus2, CoordinatorEcho, RotatingCoordinator};
 
@@ -1175,7 +923,7 @@ mod tests {
         assert_eq!(
             report.outcome.global_decision_round(),
             Some(Round::new(4)),
-            "t + 2 fast decision should carry over to the threaded runtime"
+            "t + 2 fast decision should carry over to the wall-clock runtime"
         );
         for d in report.outcome.decisions.iter().flatten() {
             assert_eq!(d.value, Value::new(2));
@@ -1226,7 +974,7 @@ mod tests {
         let mut session = Session::with_recycler(config, GRACE, build, at_reset);
         let spec = InstanceSpec::synchronous(config);
         // Several sequential instances: after the first, every automaton
-        // comes out of the worker pools via the reset hook. Decisions must
+        // is a retired one put through the reset hook. Decisions must
         // match what fresh automatons would produce (min proposal).
         for (proposals, expect) in
             [([6u64, 2, 8, 4, 7], 2u64), ([9, 9, 1, 9, 9], 1), ([5, 5, 5, 5, 5], 5)]
@@ -1374,13 +1122,24 @@ mod tests {
             assert_eq!(r.decision.expect("decided").value, Value::new(1));
         }
         assert!(session.try_next_result().is_none(), "exactly n results per instance");
+        assert!(
+            session.next_result_timeout(Duration::from_millis(1)).is_none(),
+            "an idle session times out instead of waiting for a result that cannot come"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "worker thread p2 panicked")]
+    #[should_panic(expected = "no result can arrive")]
+    fn next_result_with_nothing_in_flight_panics_instead_of_hanging() {
+        let mut session = at_session(cfg());
+        let _ = session.next_result();
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates_to_waiters() {
-        // An automaton that panics mid-protocol must not hang the
-        // session's blocking waits; the poison marker surfaces it.
+        // An automaton that panics mid-protocol unwinds out of the wait
+        // that stepped it, with its own payload.
         #[derive(Debug, Clone)]
         struct Bomb(ProcessId);
         impl RoundProcess for Bomb {
@@ -1402,37 +1161,34 @@ mod tests {
     #[test]
     fn an_instance_runs_all_its_replicas_on_one_worker() {
         // An automaton that records the thread each of its sends runs on.
+        // The log is an `Rc`: the session needs no `Send` automaton.
         #[derive(Debug, Clone)]
-        struct ThreadProbe(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+        struct ThreadProbe(Rc<RefCell<Vec<std::thread::ThreadId>>>);
         impl RoundProcess for ThreadProbe {
             type Msg = ();
             fn send(&mut self, _round: Round) {
-                self.0.lock().expect("probe log").push(std::thread::current().id());
+                self.0.borrow_mut().push(std::thread::current().id());
             }
             fn deliver(&mut self, _round: Round, _delivery: &Delivery<()>) -> Step {
                 Step::Continue
             }
         }
         let config = cfg();
-        let sends = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&sends);
-        let build = move |_i: usize, _v: Value| ThreadProbe(Arc::clone(&log));
+        let sends = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&sends);
+        let build = move |_i: usize, _v: Value| ThreadProbe(Rc::clone(&log));
         let mut session = Session::with_recycler(config, GRACE, build, |_i, _p, _v| {});
         let spec = InstanceSpec::synchronous(config).with_max_rounds(2);
-        let mut threads = Vec::new();
+        let caller = std::thread::current().id();
         for _ in 0..2 {
             let instance = session.start_instance_recycled(&vals(&[1, 1, 1, 1, 1]), &spec);
             session.wait_instance(instance);
-            let sent = std::mem::take(&mut *sends.lock().expect("probe log"));
+            let sent = std::mem::take(&mut *sends.borrow_mut());
             assert_eq!(sent.len(), 2 * config.n(), "every replica sends in rounds 1 and 2");
             assert!(
-                sent.iter().all(|&t| t == sent[0]),
-                "instance {instance} sent from several threads: {sent:?}"
+                sent.iter().all(|&t| t == caller),
+                "instance {instance} sent off the caller's thread: {sent:?}"
             );
-            threads.push(sent[0]);
-        }
-        if std::thread::available_parallelism().map_or(1, usize::from) >= 2 {
-            assert_ne!(threads[0], threads[1], "consecutive instances run on different workers");
         }
     }
 
@@ -1457,65 +1213,35 @@ mod tests {
         assert!(r2.decisions.iter().all(Option::is_some), "instance 2 is crash-free");
     }
 
-    /// Spins until the inbox's receiver is parked, so the next push is
-    /// made against a sleeping receiver.
-    fn wait_parked<J, M>(inbox: &Inbox<J, M>) {
-        while !inbox.lock().parked {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
     fn delay_line_never_returns_an_item_before_it_is_due() {
-        let inbox: Inbox<(), Instant> = Inbox::new();
+        let mut line = BinaryHeap::new();
         let start = Instant::now();
         // Pushed out of due order, 250 µs apart; one is due at once.
         for us in [750u64, 0, 500, 250, 750] {
             let due = start + Duration::from_micros(us);
-            inbox.push(due, Item::Message(1, due));
+            let msg = DeliveredMsg { sender: ProcessId::new(0), sent_round: Round::FIRST, msg: () };
+            line.push(Pending { due, instance: 1, to: 0, msg });
         }
-        let mut out = Vec::new();
         let mut seen = Vec::new();
-        while seen.len() < 5 {
-            inbox.pop_until(None, &mut out);
+        while let Some(next) = line.peek().map(|p| p.due) {
             let now = Instant::now();
-            for item in out.drain(..) {
-                let Item::Message(_, due) = item else { panic!("only messages were queued") };
-                assert!(due <= now, "returned {:?} before its due time", due - now);
-                seen.push(due);
+            while let Some(p) = pop_due(&mut line, now) {
+                assert!(p.due <= now, "returned {:?} before its due time", p.due - now);
+                seen.push(p.due);
             }
+            std::thread::sleep(next.saturating_duration_since(Instant::now()));
         }
+        assert_eq!(seen.len(), 5);
         assert!(seen.windows(2).all(|w| w[0] <= w[1]), "earliest due first");
     }
 
     #[test]
-    fn a_job_push_cuts_a_timed_park_short() {
-        let inbox: Inbox<(), ()> = Inbox::new();
-        std::thread::scope(|s| {
-            let receiver = s.spawn(|| {
-                let mut out = Vec::new();
-                inbox.pop_until(Some(Instant::now() + Duration::from_secs(10)), &mut out);
-                (out.len(), Instant::now())
-            });
-            wait_parked(&inbox);
-            let pushed = Instant::now();
-            inbox.push(pushed, Item::Job(1, ()));
-            let (popped, returned) = receiver.join().expect("receiver thread");
-            assert_eq!(popped, 1, "the job, not the 10 s limit, ends the wait");
-            assert!(
-                returned - pushed < Duration::from_millis(100),
-                "returned {:?} after the job was pushed",
-                returned - pushed
-            );
-        });
-    }
-
-    #[test]
     fn pipelined_delayed_instances_lose_no_wake_up() {
-        // 2 000 instances, 4 in flight, every link 500 µs: a lost wake-up
-        // leaves a wait blocked forever, so the run happens on its own
-        // thread and the test waits for it with a deadline.
-        let (done_tx, done_rx) = channel();
+        // 2 000 instances, 4 in flight, every link 500 µs: a wait that
+        // slept past its deadline for good would block, so the run happens
+        // on its own thread and the test waits for it with a deadline.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let config = cfg();
             let build = move |i: usize, v: Value| {
@@ -1535,8 +1261,9 @@ mod tests {
                 let v = Value::new(i);
                 window.push_back((session.start_instance_recycled(&[v; 5], &spec), v));
             }
-            // With no later job to wake a lagging replica, the last window
-            // completes on every replica only if messages wake receivers.
+            // With no later start to pump a lagging replica along, the
+            // last window completes on every replica only if the sleeps
+            // end on the delayed messages' due instants.
             for (id, v) in window {
                 let report = session.wait_instance(id);
                 assert!(report.decisions.iter().all(|d| d.is_some_and(|d| d.value == v)));
@@ -1555,14 +1282,10 @@ mod tests {
         for _ in 0..3 {
             session.start_instance_recycled(&[Value::new(7); 5], &spec);
         }
-        // Every replica has taken its three jobs once the worker inboxes
-        // together hold each replica's round-1 messages to its peers, all
-        // due 10 s from now.
-        let pending = 3 * config.n() * (config.n() - 1);
-        while session.inboxes.iter().map(|inbox| inbox.lock().queue.len()).sum::<usize>() < pending
-        {
-            std::thread::yield_now();
-        }
+        // One pump sends every replica's round-1 messages to its peers,
+        // all due 10 s from now, and returns without a result.
+        assert!(session.try_next_result().is_none());
+        assert_eq!(session.delay_line.len(), 3 * config.n() * (config.n() - 1));
         let start = Instant::now();
         drop(session);
         assert!(start.elapsed() < Duration::from_millis(50), "drop took {:?}", start.elapsed());

@@ -26,9 +26,12 @@
 //!    **before** any acknowledgement leaves, then ack;
 //! 5. **serve reads** — answer parked reads at the new applied frontier.
 //!
-//! All shards multiplex over the *one* replica session, so S shards
-//! share one worker pool. Session instance ids are global; the driver
-//! keeps a routing table from instance id to `(shard, local instance)`.
+//! All shards multiplex over the *one* replica session, which runs on
+//! the driver thread: the loop steps every consensus round inline when
+//! it pumps results (`try_next_result`) or waits for one
+//! (`next_result_timeout`), and S shards add no thread. Session instance
+//! ids are global; the driver keeps a routing table from instance id to
+//! `(shard, local instance)`.
 //! Acks carry the owning shard: the linearization point is
 //! `(shard, slot)`, and per-connection session order is per-shard slot
 //! monotonicity. Exactly-once dedup is untouched by sharding because a
@@ -120,8 +123,8 @@ pub struct EngineConfig {
     pub lease: LeaseConfig,
     /// How many shard groups partition the keyspace. Each shard owns an
     /// independent log pipeline (batching, slot space, WAL, lease), all
-    /// multiplexed over the *one* replica session's worker pool — S
-    /// shards do not spawn S thread pools.
+    /// multiplexed over the *one* replica session on the driver thread —
+    /// S shards add no thread.
     pub shards: usize,
 }
 
@@ -512,9 +515,10 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
         }
     }
 
-    // ONE recycling session serves every shard: the worker pool is
-    // shared, so S shards add zero threads over a single group. Instance
-    // ids are global; `routes` maps them back to shards.
+    // ONE recycling session serves every shard, stepped on this thread
+    // by the result calls below, so S shards add zero threads over a
+    // single group. Instance ids are global; `routes` maps them back to
+    // shards.
     let mut session: Session<AtSlot> =
         Session::with_recycler(cfg.system, GRACE, at_plus2_factory(cfg.system), at_plus2_reset());
     let spec = InstanceSpec { crashes: vec![None; n], delays: cfg.delays, max_rounds: MAX_ROUNDS };
@@ -598,9 +602,10 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             break;
         }
 
-        // 7. Watchdog + idle strategy: park briefly on the intake
-        // channel (new work wakes us); pending consensus results bound
-        // the nap so the apply path stays hot.
+        // 7. Watchdog + idle strategy: with instances in flight, step the
+        // session and sleep until its next deadline, at most 200 µs (the
+        // intake waits meanwhile); otherwise park briefly on the intake
+        // channel (new work wakes us).
         if shards.iter().any(ShardState::busy) {
             assert!(
                 last_progress.elapsed() < STALL_TIMEOUT,

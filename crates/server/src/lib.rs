@@ -23,8 +23,8 @@
 //!   driven step by step (submit, start, on-result, apply, serve reads).
 //! * [`engine`] — the event loop: routes intake to shard groups,
 //!   pipelines consensus instances of every shard on *one* reusable
-//!   replica session (shared worker pool — S shards, one set of
-//!   threads), feeds replica results back to their shards, and answers
+//!   replica session stepped on the driver thread (S shards, no thread
+//!   of their own), feeds replica results back to their shards, and answers
 //!   control requests. Shutdown returns a [`ShardedAudit`].
 //! * [`audit`] — verification: [`ServiceAudit::check`] replays a shard's
 //!   log with independent code, re-derives every acknowledgement and

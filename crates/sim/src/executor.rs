@@ -28,7 +28,8 @@
 //! test in `crates/integration/tests/zero_alloc.rs`):
 //!
 //! * **Flat ring mailboxes.** Each receiver's pending messages live in a
-//!   [`RingMailbox`]: a flat ring of message buffers keyed by
+//!   [`RingMailbox`] (shared with the wall-clock runtime through
+//!   `indulgent-model`): a flat ring of message buffers keyed by
 //!   arrival-round *offset* from the round currently executing (offset 0
 //!   = due now). Delays are bounded by the schedule horizon, so the ring
 //!   grows to the longest in-flight delay span once and then cycles,
@@ -56,111 +57,12 @@
 use std::fmt;
 
 use indulgent_model::{
-    Decision, DeliveredMsg, Delivery, ProcessFactory, Round, RoundProcess, RunOutcome, Step, Value,
+    Decision, DeliveredMsg, Delivery, ProcessFactory, RingMailbox, Round, RoundProcess, RunOutcome,
+    Step, Value,
 };
 
 use crate::schedule::{MessageFate, Schedule};
 use crate::stats::engine_counters;
-
-/// Per-receiver mailbox: a flat ring of message buffers keyed by
-/// arrival-round offset from the round currently executing.
-///
-/// `slots[(head + offset) % slots.len()]` holds the messages arriving
-/// `offset` rounds from now; offset 0 is the round being executed. The
-/// executor pushes every surviving message copy at its arrival offset
-/// (0 for on-time delivery, `arrival - k` for a delay landing at
-/// `arrival`), drains the due slot in the receive phase, and
-/// [`advance`](RingMailbox::advance)s the ring by one slot per round.
-/// The ring grows only when a delay reaches beyond its current span —
-/// bounded by the schedule horizon — after which stepping recycles the
-/// same buffers round after round: the steady state allocates nothing.
-#[derive(Debug)]
-struct RingMailbox<M> {
-    slots: Vec<Vec<DeliveredMsg<M>>>,
-    head: usize,
-}
-
-impl<M> RingMailbox<M> {
-    /// An empty one-slot ring (the footprint of a delay-free run).
-    fn new() -> Self {
-        RingMailbox { slots: vec![Vec::new()], head: 0 }
-    }
-
-    /// The buffer for messages arriving `offset` rounds from the round
-    /// being executed, growing the ring if the delay reaches beyond it.
-    fn slot_mut(&mut self, offset: usize) -> &mut Vec<DeliveredMsg<M>> {
-        if offset >= self.slots.len() {
-            self.grow(offset + 1);
-        }
-        let len = self.slots.len();
-        &mut self.slots[(self.head + offset) % len]
-    }
-
-    /// Whether anything is due in the round being executed.
-    fn due_is_empty(&self) -> bool {
-        self.slots[self.head].is_empty()
-    }
-
-    /// The buffer due in the round being executed.
-    fn due_mut(&mut self) -> &mut Vec<DeliveredMsg<M>> {
-        let head = self.head;
-        &mut self.slots[head]
-    }
-
-    /// Rotates the ring by one round. Anything left in the due slot is
-    /// dropped — messages addressed to a receiver that crashed before
-    /// their arrival round — so the buffer is clean for its next lap.
-    fn advance(&mut self) {
-        self.slots[self.head].clear();
-        self.head = (self.head + 1) % self.slots.len();
-    }
-
-    /// Empties every slot, keeping the ring's span and each buffer's
-    /// capacity — the multi-shot instance reset: the next instance starts
-    /// with clean mailboxes but a warm ring.
-    fn clear_all(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.head = 0;
-    }
-
-    /// Re-bases the ring at `head = 0` with at least `min_slots` slots,
-    /// preserving every buffer (and its capacity) at its logical offset.
-    fn grow(&mut self, min_slots: usize) {
-        let new_len = min_slots.next_power_of_two().max(4);
-        let old_len = self.slots.len();
-        let mut slots = Vec::with_capacity(new_len);
-        for i in 0..old_len {
-            slots.push(std::mem::take(&mut self.slots[(self.head + i) % old_len]));
-        }
-        slots.resize_with(new_len, Vec::new);
-        self.slots = slots;
-        self.head = 0;
-    }
-}
-
-impl<M: Clone> Clone for RingMailbox<M> {
-    fn clone(&self) -> Self {
-        RingMailbox { slots: self.slots.clone(), head: self.head }
-    }
-
-    /// Mirrors `source`'s physical layout while reusing `self`'s existing
-    /// buffers — the incremental sweep recycles fork snapshots through
-    /// this, so the per-slot `Vec`s (and their message payloads' buffers)
-    /// are rewritten in place instead of reallocated.
-    fn clone_from(&mut self, source: &Self) {
-        if self.slots.len() != source.slots.len() {
-            // Rare: the rings grew apart between snapshots. Keep as many
-            // existing buffers as possible and adopt the source layout.
-            self.slots.resize_with(source.slots.len(), Vec::new);
-        }
-        self.head = source.head;
-        for (dst, src) in self.slots.iter_mut().zip(&source.slots) {
-            dst.clone_from(src);
-        }
-    }
-}
 
 /// Per-step scratch space owned by a [`RunState`]: buffers whose contents
 /// are meaningless between steps but whose *capacity* is the point —

@@ -1,10 +1,10 @@
-//! Run `A_{t+2}` over real threads and channels — a manual chaos probe.
+//! Run `A_{t+2}` against the wall clock — a manual chaos probe.
 //!
-//! One reusable [`Session`] (threads and channels spawned once) runs
-//! three consensus instances back to back: a synchronous network, one
-//! with a mid-protocol crash, and one with an asynchronous prefix causing
-//! false suspicions. The same automaton code that runs under the
-//! deterministic simulator races here against wall-clock timeouts.
+//! One reusable [`Session`], stepped on this thread, runs three consensus
+//! instances back to back: a synchronous network, one with a
+//! mid-protocol crash, and one with an asynchronous prefix causing false
+//! suspicions. The same automaton code that runs under the deterministic
+//! simulator races here against wall-clock timeouts.
 //!
 //! Flags make it a probe for arbitrary configurations:
 //!
@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| p.reset_instance(v);
 
-    // The session is spawned once; all three instances reuse its threads
-    // and channels, and the later two reset the automatons of the first.
+    // The session is built once; the later two instances reset the
+    // automatons of the first.
     let mut session = Session::with_recycler(cfg, Duration::from_millis(4), build, reset);
     let overall = std::time::Instant::now();
 
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {} decided {} at {}", d.process, d.value, d.round);
     }
 
-    // 2. Crash one process mid-protocol (same threads, next instance).
+    // 2. Crash one process mid-protocol (same session, next instance).
     let started = std::time::Instant::now();
     let spec = InstanceSpec::synchronous(cfg).crash(ProcessId::new(1), Round::new(2));
     let instance = session.start_instance_recycled(&proposals, &spec);
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(d.value, expected, "agreement under asynchrony");
     }
     println!(
-        "\nuniform agreement held in all three executions (n={n}, t={t}, total {:?}, one thread pool)",
+        "\nuniform agreement held in all three executions (n={n}, t={t}, total {:?}, one session)",
         overall.elapsed()
     );
     Ok(())

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SystemConfig::majority(5, 2)?;
     let log_config = LogConfig::sequential(10).with_batch_size(4).with_pipeline_depth(3);
 
-    // 1. Healthy service on the threaded runtime: 10 slots, 4 writes per
+    // 1. Healthy service on the wall-clock runtime: 10 slots, 4 writes per
     // batch, 3 instances pipelined.
     let start = Instant::now();
     let healthy = run_log_session(
