@@ -15,23 +15,27 @@
 //! crashes in rounds `1..=4` (15 681 schedules per iteration); every
 //! variant computes the same run count and worst and best decision rounds
 //! (the incremental ones the identical `WorstCaseReport`), so the timings
-//! are apples to apples. Criterion's throughput annotation is the schedule
-//! count, so the report reads directly in schedules/second.
+//! are apples to apples.
 //!
-//! Besides the criterion output, the bench emits a machine-readable
-//! `BENCH_sweep.json` (schedules/second per backend, the
-//! incremental-over-replay speedup, and the engine counters of one
-//! incremental-serial sweep — rounds stepped, shared-broadcast fast-path
-//! hits, deliveries built, payload clones, snapshot forks) at the
-//! workspace root, where the committed copy records the last measurement.
-//! Set `BENCH_SWEEP_JSON` to redirect the file, or to `0` to skip it (CI
-//! does, to run the agreement check without rewriting the file).
+//! A plain program (`harness = false`), run with
+//! `cargo bench --bench sweep_throughput`. It first checks that every
+//! variant agrees, then times each one over 7 samples after one warm-up
+//! and writes `BENCH_sweep.json` at the workspace root, where the
+//! committed copy records the last measurement: per variant the median
+//! seconds per sweep (`seconds_per_iter`, and `schedules_per_second` from
+//! it) with the fastest and slowest sample (`seconds_min`,
+//! `seconds_max`); the single-core incremental-over-replay speedup; and
+//! the engine counters of one incremental-serial sweep (rounds stepped,
+//! shared-broadcast fast-path hits, deliveries built, payload clones,
+//! snapshot forks). Set `BENCH_SWEEP_JSON` to redirect the file, or to
+//! `0` to run only the agreement check (CI does). A failed write exits
+//! non-zero.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use indulgent_checker::{worst_case_decision_round, SweepBackend, WorstCaseReport};
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
@@ -41,6 +45,9 @@ use indulgent_sim::{
 
 const CRASH_HORIZON: u32 = 4;
 const RUN_HORIZON: u32 = 30;
+
+/// Timed samples per variant, after one untimed warm-up run.
+const SAMPLES: usize = 7;
 
 /// What every variant computes: runs swept, worst and best global-decision
 /// round.
@@ -127,12 +134,11 @@ const VARIANTS: &[Variant] = &[
     },
 ];
 
-fn bench_sweep_throughput(c: &mut Criterion) {
+fn main() {
     let bench = Bench {
         config: SystemConfig::majority(5, 2).expect("valid config"),
         props: (0..5).map(|i| Value::new(i as u64 * 2 + 1)).collect(),
     };
-    let schedules = count_serial_schedules(bench.config, CRASH_HORIZON);
 
     // Sanity: every variant computes the same result before we time
     // anything (the differential suite checks this exhaustively; the bench
@@ -145,38 +151,29 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         assert_eq!(pooled, reference, "incremental-parallel-{threads} diverged");
     }
     assert_eq!(bench.replay(), summary(&reference), "replay-serial diverged");
+    println!("all {} variants agree", VARIANTS.len());
 
-    let mut group = c.benchmark_group("sweep_throughput");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(schedules));
-    for variant in VARIANTS {
-        group.bench_with_input(
-            BenchmarkId::new("worst_case_n5_t2", variant.name),
-            variant,
-            |b, variant| b.iter(|| (variant.run)(&bench)),
-        );
-    }
-    group.finish();
-
-    emit_json(&bench, schedules);
+    emit_json(&bench, count_serial_schedules(bench.config, CRASH_HORIZON));
 }
 
-/// Times `f` and returns its best wall-clock duration over `iters` runs
-/// (after one warmup).
-fn best_of(iters: u32, mut f: impl FnMut()) -> Duration {
+/// Runs `f` once to warm up, then times it `SAMPLES` times; returns the
+/// wall-clock durations sorted ascending.
+fn sorted_samples(mut f: impl FnMut()) -> [Duration; SAMPLES] {
     f();
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .min()
-        .expect("at least one iteration")
+    let mut samples = [Duration::ZERO; SAMPLES];
+    for sample in &mut samples {
+        let start = Instant::now();
+        f();
+        *sample = start.elapsed();
+    }
+    samples.sort();
+    samples
 }
 
-/// Writes `BENCH_sweep.json`: schedules/second per engine/backend and the
-/// single-core incremental-over-replay speedup.
+/// Writes `BENCH_sweep.json`: per engine/backend the median, fastest and
+/// slowest seconds per sweep and the median schedules/second, plus the
+/// single-core incremental-over-replay speedup. Exits non-zero if the file
+/// cannot be written.
 ///
 /// Cargo runs benches with the working directory set to the owning
 /// package (`crates/bench`), so the default path anchors at the workspace
@@ -187,24 +184,18 @@ fn emit_json(bench: &Bench, schedules: u64) {
     if path == "0" {
         return;
     }
-    let mut rows = Vec::new();
-    for variant in VARIANTS {
-        let elapsed = best_of(3, || {
-            let _ = (variant.run)(bench);
-        });
-        let secs = elapsed.as_secs_f64();
-        rows.push((variant, secs, schedules as f64 / secs));
-    }
-    let replay_rate = rows
+    let rows: Vec<_> = VARIANTS
         .iter()
-        .find(|(v, _, _)| v.name == "replay-serial")
-        .map(|&(_, _, rate)| rate)
-        .expect("replay baseline measured");
-    let incremental_rate = rows
-        .iter()
-        .find(|(v, _, _)| v.name == "incremental-serial")
-        .map(|&(_, _, rate)| rate)
-        .expect("incremental serial measured");
+        .map(|variant| {
+            let samples = sorted_samples(|| {
+                black_box((variant.run)(bench));
+            });
+            (variant, samples, schedules as f64 / samples[SAMPLES / 2].as_secs_f64())
+        })
+        .collect();
+    let rate_of = |name: &str| {
+        rows.iter().find(|(v, _, _)| v.name == name).map(|&(_, _, rate)| rate).expect("measured")
+    };
 
     // Engine counters over exactly one incremental-serial sweep: *what*
     // the engine did, alongside how fast it did it. The counters are
@@ -222,10 +213,11 @@ fn emit_json(bench: &Bench, schedules: u64) {
         "  \"config\": {{\"n\": 5, \"t\": 2, \"crash_horizon\": {CRASH_HORIZON}, \"run_horizon\": {RUN_HORIZON}}},"
     );
     let _ = writeln!(json, "  \"schedules_per_iter\": {schedules},");
+    let _ = writeln!(json, "  \"samples_per_variant\": {SAMPLES},");
     let _ = writeln!(
         json,
         "  \"incremental_over_replay_single_core\": {:.3},",
-        incremental_rate / replay_rate
+        rate_of("incremental-serial") / rate_of("replay-serial")
     );
     let _ = writeln!(
         json,
@@ -237,22 +229,26 @@ fn emit_json(bench: &Bench, schedules: u64) {
         counters.forks
     );
     json.push_str("  \"backends\": [\n");
-    for (i, (variant, secs, rate)) in rows.iter().enumerate() {
+    for (i, (variant, samples, rate)) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \"seconds_per_iter\": {:.6}, \"schedules_per_second\": {:.1}}}",
-            variant.name, variant.engine, variant.threads, secs, rate
+            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \"seconds_per_iter\": {:.6}, \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \"schedules_per_second\": {:.1}}}",
+            variant.name,
+            variant.engine,
+            variant.threads,
+            samples[SAMPLES / 2].as_secs_f64(),
+            samples[0].as_secs_f64(),
+            samples[SAMPLES - 1].as_secs_f64(),
+            rate
         );
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ]\n}\n");
 
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
     print!("{json}");
+    if let Err(e) = std::fs::write(&path, &json) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
-
-criterion_group!(benches, bench_sweep_throughput);
-criterion_main!(benches);

@@ -1,9 +1,9 @@
 //! Experiment implementations (E1–E9; the crate docs map each to its
 //! `exp_*` binary).
 //!
-//! Every function returns plain data rows so that binaries can print them,
-//! benches can time them, and integration tests can assert the paper's
-//! *shape*: who wins, by what factor, where the crossovers fall.
+//! Every function returns plain data rows so that binaries can print them
+//! and tests can assert the paper's *shape*: who wins, by what factor,
+//! where the crossovers fall.
 
 use indulgent_checker::{
     find_bivalent_initial, find_bivalent_prefix, worst_case_decision_round, SweepBackend,
@@ -980,6 +980,14 @@ mod tests {
     }
 
     #[test]
+    fn e4_shape() {
+        for row in diamond_s_table(&[(3, 1), (5, 2)], 20) {
+            assert_eq!(row.sync_max_round, row.bound, "t+2 when synchronous: {row:?}");
+            assert!(row.noisy_round > row.bound, "false suspicions defer to C: {row:?}");
+        }
+    }
+
+    #[test]
     fn e5_shape() {
         let rows = failure_free_table(&[5]);
         let opt = rows.iter().find(|r| r.variant == "A_t+2 + Fig.4").unwrap();
@@ -1000,6 +1008,27 @@ mod tests {
         // The separation at f = 2, k = 0: AMR needs more rounds than A_f+2.
         let sep = rows.iter().find(|r| r.k == 0 && r.f == 2).unwrap();
         assert!(sep.amr > sep.af_plus2, "expected separation: {sep:?}");
+    }
+
+    #[test]
+    fn e7_shape() {
+        for row in early_decision_table(20, SweepBackend::Serial) {
+            assert_eq!(row.at_plus2, 4, "A_t+2 pays t+2 whatever f is: {row:?}");
+            assert!(row.af_plus2 <= row.bound, "A_f+2 exceeded f+2: {row:?}");
+            assert!(row.early_scs <= (row.f as u32 + 2).min(3), "EarlyFloodSet late: {row:?}");
+        }
+    }
+
+    #[test]
+    fn e8_shape() {
+        let rows = scs_contrast_table(&[(3, 1), (4, 1), (4, 2)], SweepBackend::Serial);
+        for row in &rows {
+            let t = row.t as u32;
+            assert_eq!(row.floodset_scs, t + 1, "{row:?}");
+            assert_eq!(row.at_plus2_es, (2 * row.t < row.n).then_some(t + 2), "{row:?}");
+            assert!(row.truncated_violates, "deciding at round t must be caught: {row:?}");
+        }
+        assert_eq!(rows[2].at_plus2_es, None, "t = n/2 admits no indulgent algorithm");
     }
 
     #[test]

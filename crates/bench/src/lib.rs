@@ -16,8 +16,9 @@
 //! | E8 — the SCS contrast | `exp_scs_contrast` |
 //! | E9 — latency versus the synchrony round `K` | `exp_asynchrony` |
 //!
-//! The criterion benches in `benches/` time the same computations so
-//! `cargo bench` exercises every experiment end to end.
+//! The tests in [`experiments`] check every table's shape at small
+//! parameters. The one bench, `cargo bench --bench sweep_throughput`,
+//! times the checker's exhaustive sweep and writes `BENCH_sweep.json`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

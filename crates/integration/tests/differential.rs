@@ -3,7 +3,7 @@
 //! Runs identical schedule batches through the executors the workspace
 //! has — the run-from-scratch loop (`for_each_serial_schedule` +
 //! `run_schedule`), the incremental fork-on-branch sweep (serial and
-//! pooled), and, for sampled schedules, the threaded `indulgent_runtime` —
+//! pooled), and, for sampled schedules, the wall-clock `indulgent_runtime` —
 //! and asserts outcome-for-outcome equality:
 //!
 //! * worst-case reports, censuses and valency sets are **bit-identical**
@@ -17,7 +17,7 @@
 //! * consensus violations are detected by every backend;
 //! * schedules expressible on the real network (crash-before-send) produce
 //!   the same decisions under the deterministic simulator and the
-//!   threaded runtime;
+//!   wall-clock runtime;
 //! * the paper's `t + 2` bound (`k_ES`) survives the engine's headline
 //!   workload: an exhaustive `n = 7, t = 2` sweep (~518k serial runs).
 
@@ -150,7 +150,7 @@ fn violations_detected_by_every_backend() {
 }
 
 /// Schedules whose every crash loses all messages (crash strictly before
-/// sending) are exactly the ones the threaded runtime can express via
+/// sending) are exactly the ones the wall-clock runtime can express via
 /// `InstanceSpec::crash`; sample them from the swept space and compare
 /// executor against network, outcome for outcome.
 #[test]
@@ -182,7 +182,7 @@ fn runtime_spot_checks_match_the_swept_schedules() {
     // (3 ordered round pairs x 5 x 4 victims).
     assert_eq!(expressible.len(), 1 + 15 + 60);
 
-    // Spot-check a deterministic sample through the threaded runtime.
+    // Spot-check a deterministic sample through the wall-clock runtime.
     for schedule in expressible.iter().step_by(7) {
         let factory = at_plus2_factory(config);
         let sim = run_schedule(&factory, &props, schedule, 30).unwrap();
@@ -190,9 +190,10 @@ fn runtime_spot_checks_match_the_swept_schedules() {
 
         // Round-exact comparison needs a synchronous run: every message
         // inside its round's grace. This binary's sweeps keep both cores
-        // busy, and a runnable worker thread then waits up to ~16 ms for
-        // a core (measured on 2 vCPUs), past the usual 4 ms grace — a
-        // false suspicion the simulator never sees. 50 ms covers the stall.
+        // busy, and this test's own thread, which steps every replica, then
+        // waits up to ~16 ms for a core (measured on 2 vCPUs), past the
+        // usual 4 ms grace — a false suspicion the simulator never sees.
+        // 50 ms covers the stall.
         let grace = Duration::from_millis(50);
         let mut spec = InstanceSpec::synchronous(config);
         for p in config.processes() {

@@ -1,5 +1,5 @@
 //! Differential conformance of the replicated log across substrates:
-//! the threaded runtime's decided log must be value-identical to the
+//! the wall-clock runtime's decided log must be value-identical to the
 //! deterministic simulator's, slot by slot, on every replayable
 //! crash-only scenario — any batch size, any pipeline depth.
 //!

@@ -129,6 +129,23 @@ fn failure_free_optimization_meets_the_two_round_bound() {
     }
 }
 
+/// Without Fig. 4, plain `A_{t+2}` pays the full `t + 2` rounds even in
+/// the failure-free synchronous run, at every system size up to n = 64.
+#[test]
+fn plain_at_plus_2_decides_at_t_plus_2_in_the_failure_free_run() {
+    for n in [4usize, 8, 16, 32, 64] {
+        let t = n / 2 - 1;
+        let config = SystemConfig::majority(n, t).unwrap();
+        let schedule = Schedule::failure_free(config, ModelKind::Es);
+        let bound = t as u32 + 2;
+        let outcome = run_schedule(&at_plus2_factory(config), &proposals(n), &schedule, 4 * bound)
+            .expect("one proposal per process");
+        outcome.check_consensus().unwrap();
+        assert!(outcome.all_correct_decided(), "n={n}");
+        assert_eq!(outcome.global_decision_round(), Some(Round::new(bound)), "n={n}");
+    }
+}
+
 /// Lemma 15: `A_{f+2}` decides by `k + f + 2` when the run becomes
 /// synchronous after round `k` — here with crafted prefixes and staggered
 /// crashes for several `(k, f)`.

@@ -1,4 +1,4 @@
-//! Parity between the deterministic simulator and the threaded runtime:
+//! Parity between the deterministic simulator and the wall-clock runtime:
 //! the same automatons, the same decisions.
 
 use std::time::Duration;

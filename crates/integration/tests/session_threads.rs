@@ -17,7 +17,7 @@ fn live_threads() -> usize {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn session_spawns_one_worker_per_core_and_joins_them_on_drop() {
+fn a_session_adds_no_thread_and_leaves_none_on_drop() {
     for (n, t) in [(3, 1), (5, 2), (7, 3)] {
         let config = SystemConfig::majority(n, t).expect("valid config");
         let build = move |i: usize, v: Value| {

@@ -1,7 +1,8 @@
-//! The shard scaling claim depends on S shards *sharing* one session
-//! worker pool, not spawning S of them. The check counts this process's
-//! live threads via /proc, so it lives in a test binary of its own: no
-//! sibling test can spawn or join threads between its two counts.
+//! Shards add no thread: every shard group is an instance stream of one
+//! replica session, stepped on the engine's driver thread. The check
+//! counts this process's live threads via /proc, so it lives in a test
+//! binary of its own: no sibling test can spawn or join threads between
+//! its two counts.
 
 use indulgent_model::ClientId;
 use indulgent_server::{EngineConfig, KvServer, KvService, LocalKv};
@@ -11,12 +12,12 @@ fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("proc readable").count()
 }
 
-/// S shards must not cost S thread pools: the engine multiplexes every
-/// shard group onto one replica session, so the thread bill for
-/// `--shards 4` equals the bill for `--shards 1`.
+/// S shards must not cost S threads: the engine multiplexes every shard
+/// group onto one replica session that its driver thread steps, so the
+/// thread bill for `--shards 4` equals the bill for `--shards 1`.
 #[cfg(target_os = "linux")]
 #[test]
-fn shards_share_one_worker_pool() {
+fn shards_add_no_thread() {
     let delta_for = |shards: usize| {
         let before = live_threads();
         let config =
