@@ -11,20 +11,25 @@
 //!    either park a lease-path `Get` on the read ladder or batch the
 //!    command (sealed at `batch_size`, or by the linger timer so a lone
 //!    request never waits for a full batch);
-//! 2. **start** — pipeline consensus: up to `pipeline_depth` instances
+//! 2. **on-result** — feed every replica result back to the shard that
+//!    proposed the instance;
+//! 3. **apply** — apply decided slots in order: materialize the store,
+//!    compute each response from the store at its slot, persist the slot
+//!    to the write-ahead log ([`crate::wal`]) and `fdatasync` it
+//!    **before** any acknowledgement leaves, then ack;
+//! 4. **serve reads** — answer parked reads at the new applied frontier,
+//!    or demote them into the open batch;
+//! 5. **start** — pipeline consensus: up to `pipeline_depth` instances
 //!    of `A_{t+2}` (round-2 fast path) per shard race on one reusable
 //!    [`Session`], every replica proposing the same sealed batch id (a
 //!    live service has one in-process sequencer, so shared proposals
 //!    make double-choosing impossible by construction — the audit still
 //!    checks it). Only the id goes through agreement; the batch's
-//!    requests wait with it in the shard's in-flight window;
-//! 3. **on-result** — feed every replica result back to the shard that
-//!    proposed the instance;
-//! 4. **apply** — apply decided slots in order: materialize the store,
-//!    compute each response from the store at its slot, persist the slot
-//!    to the write-ahead log ([`crate::wal`]) and `fdatasync` it
-//!    **before** any acknowledgement leaves, then ack;
-//! 5. **serve reads** — answer parked reads at the new applied frontier.
+//!    requests wait with it in the shard's in-flight window.
+//!
+//! Steps 3–5 are one pass per shard, so the window slots an apply frees
+//! are refilled in the same loop iteration: the driver only waits on the
+//! session once no shard has both a sealed batch and a free slot.
 //!
 //! All shards multiplex over the *one* replica session, which runs on
 //! the driver thread: the loop steps every consensus round inline when
@@ -452,7 +457,7 @@ fn absorb_result(
 }
 
 /// What intake leaves for later in the driver loop: control requests,
-/// answered at step 5b against the just-applied state, and the lifecycle
+/// answered at step 4 against the just-applied state, and the lifecycle
 /// flags.
 #[derive(Debug, Default)]
 struct Deferred {
@@ -546,9 +551,21 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             break;
         }
 
-        // 2 + 3. Per shard: seal lingering batches, then propose into
-        // the shard's pipeline window on the shared session.
+        // 2. Pump replica results back to their shards.
+        while let Some(r) = session.try_next_result() {
+            last_progress = Instant::now();
+            absorb_result(&mut shards, &mut routes, n, &r);
+        }
+
+        // 3. One pass per shard: apply decided slots, renew the lease,
+        // run the read ladder at the new frontier, seal lingering
+        // batches (demoted reads included), then start instances on the
+        // shared session in the window slots the apply freed — before
+        // step 6 waits, so a freed slot never idles through a sleep.
         for (si, sh) in shards.iter_mut().enumerate() {
+            sh.apply_decided(&conns);
+            sh.lease_upkeep();
+            sh.serve_reads(&conns);
             sh.seal_lingering(deferred.shutting_down);
             while let Some((local, batch)) = sh.start_next() {
                 proposals.fill(batch.as_value());
@@ -558,21 +575,7 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             }
         }
 
-        // 4. Pump replica results back to their shards.
-        while let Some(r) = session.try_next_result() {
-            last_progress = Instant::now();
-            absorb_result(&mut shards, &mut routes, n, &r);
-        }
-
-        // 5 + 5a. Per shard: apply decided slots, then run the read
-        // ladder at the new frontier.
-        for sh in &mut shards {
-            sh.apply_decided(&conns);
-            sh.lease_upkeep();
-            sh.serve_reads(&conns);
-        }
-
-        // 5b. Answer control requests (state transfers, lease probes,
+        // 4. Answer control requests (state transfers, lease probes,
         // scrapes, audits) against the just-applied state. Requests
         // naming an unknown shard are dropped.
         for (conn, request) in deferred.controls.drain(..) {
@@ -597,15 +600,21 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             let _ = tx.send(Outbound::Control(reply));
         }
 
-        // 6. Exit once shutdown has drained every shard.
+        // 5. Exit once shutdown has drained every shard.
         if deferred.shutting_down && shards.iter().all(ShardState::quiesced) {
             break;
         }
 
-        // 7. Watchdog + idle strategy: with instances in flight, step the
-        // session and sleep until its next deadline, at most 200 µs (the
-        // intake waits meanwhile); otherwise park briefly on the intake
-        // channel (new work wakes us).
+        // 6. Watchdog + idle strategy. Step 3 left no shard able to
+        // start. With instances in flight, step the session — its first
+        // pump sends the round-1 messages of what step 3 started — and
+        // sleep until its next deadline; the 200 µs cap bounds how long
+        // intake waits. Otherwise park briefly on the intake channel
+        // (new work wakes us).
+        debug_assert!(
+            !shards.iter().any(ShardState::can_start),
+            "the driver waits with a startable batch and a free pipeline slot"
+        );
         if shards.iter().any(ShardState::busy) {
             assert!(
                 last_progress.elapsed() < STALL_TIMEOUT,
@@ -623,7 +632,7 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 Duration::from_millis(2)
             };
             // Control requests wait in `deferred` for the next
-            // iteration's step 5b; a Die exits at its step 1.
+            // iteration's step 4; a Die exits at its step 1.
             if let Ok(msg) = intake.recv_timeout(nap) {
                 handle(msg, &mut conns, &mut shards, &router, &mut deferred);
             }
@@ -646,4 +655,48 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     }
 
     ShardedAudit { shards: shards.iter().map(ShardState::audit).collect() }
+}
+
+#[cfg(test)]
+mod tests {
+    use indulgent_model::{ClientId, RequestId};
+
+    use super::*;
+    use crate::proto::{KvOp, Outcome};
+
+    /// At depth 1 and batch 1 over 1 ms links, four puts submitted
+    /// together take four instances in turn: each apply frees the one
+    /// window slot, and the same driver pass must start the next put (in
+    /// debug builds the driver asserts it never waits with a startable
+    /// batch).
+    #[test]
+    fn each_freed_window_slot_is_refilled_over_delayed_links() {
+        let cfg = EngineConfig::default_5()
+            .with_delays(DelayModel::Uniform { delay: Duration::from_millis(1) })
+            .with_pipeline_depth(1)
+            .with_batch_size(1);
+        let engine = KvEngine::spawn(cfg);
+        let (submit, acks) = engine.handle().connect();
+        let puts = (0..4)
+            .map(|i| Request {
+                client: ClientId(1),
+                request: RequestId(i),
+                op: KvOp::Put { key: 5, value: i as u32 },
+            })
+            .collect();
+        assert!(submit.submit_batch(puts));
+        for i in 0..4 {
+            match acks.recv_timeout(Duration::from_secs(10)) {
+                Ok(Outbound::Ack(r)) => {
+                    assert_eq!(
+                        (r.request, r.outcome),
+                        (RequestId(i), Outcome::Put { slot: i + 1 })
+                    );
+                }
+                other => panic!("put {i}: expected its ack, got {other:?}"),
+            }
+        }
+        drop(submit);
+        assert_eq!(engine.shutdown().check(), Ok(()));
+    }
 }

@@ -20,7 +20,7 @@
 //!   and the per-shard state machine — exactly-once dedup against the
 //!   decided log, batching, the in-flight window, in-order apply with
 //!   WAL + checkpoints, crash recovery, and the lease read ladder —
-//!   driven step by step (submit, start, on-result, apply, serve reads).
+//!   driven step by step (submit, on-result, apply, serve reads, start).
 //! * [`engine`] — the event loop: routes intake to shard groups,
 //!   pipelines consensus instances of every shard on *one* reusable
 //!   replica session stepped on the driver thread (S shards, no thread

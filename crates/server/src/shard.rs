@@ -8,8 +8,8 @@
 //! `A_{t+2}` log pipelines. Each shard owns a full stack: its batching
 //! and batch ids, slot space, store slice, dedup table, read ladder,
 //! WAL + snapshot subdirectory, and lease. The engine ([`crate::engine`])
-//! drives every shard through the same steps — submit, start, on-result,
-//! apply, serve reads — none of which needs a replica session.
+//! drives every shard through the same steps — submit, on-result, apply,
+//! serve reads, start — none of which needs a replica session.
 //!
 //! # Crash recovery
 //!
@@ -411,6 +411,13 @@ impl ShardState {
         self.window.len() as u64
     }
 
+    /// A sealed batch is waiting and the pipeline window has room:
+    /// [`start_next`](Self::start_next) would start it. The driver never
+    /// waits while this holds for any shard.
+    pub(crate) fn can_start(&self) -> bool {
+        !self.ready.is_empty() && self.in_flight() < self.cfg.pipeline_depth
+    }
+
     /// Instances in flight, or replica results still to come.
     pub(crate) fn busy(&self) -> bool {
         !self.window.is_empty() || self.results_seen < self.started * self.cfg.system.n() as u64
@@ -510,7 +517,7 @@ impl ShardState {
     /// window if it has room. Returns the shard-local instance the batch
     /// occupies and the id every replica proposes for it.
     pub(crate) fn start_next(&mut self) -> Option<(u64, BatchId)> {
-        if self.in_flight() >= self.cfg.pipeline_depth {
+        if !self.can_start() {
             return None;
         }
         // The batch keeps its seal clock: the seal→decide stage covers
@@ -926,6 +933,41 @@ mod tests {
             sh.on_result(local, 0, Some(decision));
         }
         sh.apply_decided(conns);
+    }
+
+    /// At depth 1 a decided slot still holds the window, and the apply
+    /// that frees it makes the next sealed batch startable at once: the
+    /// refill the driver's per-shard pass performs before it waits.
+    #[test]
+    fn the_apply_that_frees_the_window_lets_the_next_batch_start() {
+        let cfg = EngineConfig::default_5().with_batch_size(1).with_pipeline_depth(1);
+        let (tx, rx) = channel();
+        let conns = HashMap::from([(ConnId(1), tx)]);
+        let mut sh = ShardState::recover(0, &cfg);
+        for i in 0..2 {
+            let put = KvOp::Put { key: 1, value: i };
+            sh.submit(
+                &conns,
+                ConnId(1),
+                Request { client: ClientId(1), request: RequestId(i.into()), op: put },
+            );
+        }
+        assert!(sh.can_start());
+        let (local, first) = sh.start_next().expect("an empty window takes the first batch");
+        assert!(!sh.can_start(), "the window is full");
+        assert_eq!(sh.start_next(), None);
+        for replica in 0..cfg.system.n() {
+            let value = first.as_value();
+            let decision =
+                Decision { process: ProcessId::new(replica), round: Round::new(2), value };
+            sh.on_result(local, replica, Some(decision));
+            assert_eq!(sh.start_next(), None, "a decided slot holds the window until it applies");
+        }
+        sh.apply_decided(&conns);
+        assert!(matches!(rx.try_recv(), Ok(Outbound::Ack(r)) if r.request == RequestId(0)));
+        assert!(sh.can_start(), "the apply freed the window");
+        assert_eq!(sh.start_next(), Some((local + 1, BatchId(first.0 + 1))));
+        assert!(!sh.can_start());
     }
 
     /// A lease-path `Get` submitted on connection 1 and retried on
