@@ -1,25 +1,21 @@
 //! B4 — sweep throughput: schedules/second of the exhaustive worst-case
-//! sweep (the checker's hot loop), across execution engines and backends:
+//! sweep (the checker's hot loop), for both execution engines:
 //!
 //! * `replay-serial` — the run-from-scratch loop the engine is built from:
 //!   every serial schedule enumerated (`for_each_serial_schedule`), then
 //!   re-executed from round 1 (`run_schedule`), with runs and the worst
 //!   and best decision rounds folded inline;
-//! * `incremental-serial` — the fork-on-branch engine: enumeration fused
-//!   with execution, each shared prefix executed once (an algorithmic
-//!   speedup independent of thread count);
-//! * `incremental-parallel-2/4` — the same engine with work units fanned
-//!   over the pooled workers.
+//! * `incremental-serial` — the fork-on-branch engine the checker runs:
+//!   enumeration fused with execution, each shared prefix executed once.
 //!
 //! The swept space is the full `n = 5, t = 2` serial-run space with
-//! crashes in rounds `1..=4` (15 681 schedules per iteration); every
-//! variant computes the same run count and worst and best decision rounds
-//! (the incremental ones the identical `WorstCaseReport`), so the timings
-//! are apples to apples.
+//! crashes in rounds `1..=4` (15 681 schedules per iteration); both
+//! variants compute the same run count and worst and best decision
+//! rounds, so the timings are apples to apples.
 //!
 //! A plain program (`harness = false`), run with
-//! `cargo bench --bench sweep_throughput`. It first checks that every
-//! variant agrees, then times each one over 7 samples after one warm-up
+//! `cargo bench --bench sweep_throughput`. It first checks that the two
+//! variants agree, then times each one over 7 samples after one warm-up
 //! and writes `BENCH_sweep.json` at the workspace root, where the
 //! committed copy records the last measurement: per variant the median
 //! seconds per sweep (`seconds_per_iter`, and `schedules_per_second` from
@@ -36,7 +32,7 @@ use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use indulgent_checker::{worst_case_decision_round, SweepBackend, WorstCaseReport};
+use indulgent_checker::{worst_case_decision_round, WorstCaseReport};
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
 use indulgent_sim::{
@@ -53,11 +49,10 @@ const SAMPLES: usize = 7;
 /// round.
 type Summary = (u64, Round, Round);
 
-/// One measured engine/backend combination.
+/// One measured engine.
 struct Variant {
     name: &'static str,
     engine: &'static str,
-    threads: usize,
     run: fn(&Bench) -> Summary,
 }
 
@@ -94,7 +89,7 @@ impl Bench {
         (runs, worst, best)
     }
 
-    fn incremental(&self, backend: SweepBackend) -> WorstCaseReport {
+    fn incremental(&self) -> WorstCaseReport {
         worst_case_decision_round(
             &self.factory(),
             self.config,
@@ -102,7 +97,6 @@ impl Bench {
             &self.props,
             CRASH_HORIZON,
             RUN_HORIZON,
-            backend,
         )
         .expect("A_t+2 satisfies consensus")
     }
@@ -113,24 +107,11 @@ fn summary(report: &WorstCaseReport) -> Summary {
 }
 
 const VARIANTS: &[Variant] = &[
-    Variant { name: "replay-serial", engine: "replay", threads: 1, run: Bench::replay },
+    Variant { name: "replay-serial", engine: "replay", run: Bench::replay },
     Variant {
         name: "incremental-serial",
         engine: "incremental",
-        threads: 1,
-        run: |b| summary(&b.incremental(SweepBackend::Serial)),
-    },
-    Variant {
-        name: "incremental-parallel-2",
-        engine: "incremental",
-        threads: 2,
-        run: |b| summary(&b.incremental(SweepBackend::parallel(2))),
-    },
-    Variant {
-        name: "incremental-parallel-4",
-        engine: "incremental",
-        threads: 4,
-        run: |b| summary(&b.incremental(SweepBackend::parallel(4))),
+        run: |b| summary(&b.incremental()),
     },
 ];
 
@@ -140,16 +121,12 @@ fn main() {
         props: (0..5).map(|i| Value::new(i as u64 * 2 + 1)).collect(),
     };
 
-    // Sanity: every variant computes the same result before we time
+    // Sanity: both variants compute the same result before we time
     // anything (the differential suite checks this exhaustively; the bench
-    // refuses to publish apples-to-oranges numbers). The pooled reports
-    // must equal the serial one, witness schedule included; the
-    // run-from-scratch loop must agree on runs, worst and best round.
-    let reference = bench.incremental(SweepBackend::Serial);
-    for threads in [2, 4] {
-        let pooled = bench.incremental(SweepBackend::parallel(threads));
-        assert_eq!(pooled, reference, "incremental-parallel-{threads} diverged");
-    }
+    // refuses to publish apples-to-oranges numbers): the run-from-scratch
+    // loop must agree with the incremental engine on runs, worst and best
+    // round.
+    let reference = bench.incremental();
     assert_eq!(bench.replay(), summary(&reference), "replay-serial diverged");
     println!("all {} variants agree", VARIANTS.len());
 
@@ -170,7 +147,7 @@ fn sorted_samples(mut f: impl FnMut()) -> [Duration; SAMPLES] {
     samples
 }
 
-/// Writes `BENCH_sweep.json`: per engine/backend the median, fastest and
+/// Writes `BENCH_sweep.json`: per engine the median, fastest and
 /// slowest seconds per sweep and the median schedules/second, plus the
 /// single-core incremental-over-replay speedup. Exits non-zero if the file
 /// cannot be written.
@@ -201,7 +178,7 @@ fn emit_json(bench: &Bench, schedules: u64) {
     // the engine did, alongside how fast it did it. The counters are
     // process-wide, so measure while nothing else runs.
     let before = engine_counters().snapshot();
-    let _ = bench.incremental(SweepBackend::Serial);
+    let _ = bench.incremental();
     let counters = engine_counters().snapshot().since(&before);
 
     let mut json = String::new();
@@ -228,14 +205,13 @@ fn emit_json(bench: &Bench, schedules: u64) {
         counters.messages_cloned,
         counters.forks
     );
-    json.push_str("  \"backends\": [\n");
+    json.push_str("  \"variants\": [\n");
     for (i, (variant, samples, rate)) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \"seconds_per_iter\": {:.6}, \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \"schedules_per_second\": {:.1}}}",
+            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"seconds_per_iter\": {:.6}, \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \"schedules_per_second\": {:.1}}}",
             variant.name,
             variant.engine,
-            variant.threads,
             samples[SAMPLES / 2].as_secs_f64(),
             samples[0].as_secs_f64(),
             samples[SAMPLES - 1].as_secs_f64(),

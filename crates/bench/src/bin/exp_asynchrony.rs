@@ -3,13 +3,10 @@
 //! the later the (fallback) decision — but safety never budges.
 
 use indulgent_bench::experiments::asynchrony_table;
-use indulgent_bench::{render_table, sweep_backend_from_args};
+use indulgent_bench::render_table;
 
 fn main() {
-    // `--threads N` fans the independent seeded runs over the sweep
-    // engine's worker pool; rows are identical for every thread count.
-    let backend = sweep_backend_from_args(std::env::args().skip(1));
-    let rows = asynchrony_table(&[1, 2, 3, 5, 7, 9], 200, backend);
+    let rows = asynchrony_table(&[1, 2, 3, 5, 7, 9], 200);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

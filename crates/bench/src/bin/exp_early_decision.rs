@@ -5,13 +5,10 @@
 //! `A_{f+2}` already achieves `f + 2` when `t < n/3`.
 
 use indulgent_bench::experiments::early_decision_table;
-use indulgent_bench::{render_table, sweep_backend_from_args};
+use indulgent_bench::render_table;
 
 fn main() {
-    // `--threads N` fans the independent seeded runs over the sweep
-    // engine's worker pool; rows are identical for every thread count.
-    let backend = sweep_backend_from_args(std::env::args().skip(1));
-    let rows = early_decision_table(300, backend);
+    let rows = early_decision_table(300);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

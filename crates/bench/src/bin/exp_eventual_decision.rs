@@ -4,13 +4,10 @@
 //! `k + 2f + 2`.
 
 use indulgent_bench::experiments::eventual_decision_table;
-use indulgent_bench::{render_table, sweep_backend_from_args};
+use indulgent_bench::render_table;
 
 fn main() {
-    // `--threads N` fans the independent seeded runs over the sweep
-    // engine's worker pool; rows are identical for every thread count.
-    let backend = sweep_backend_from_args(std::env::args().skip(1));
-    let rows = eventual_decision_table(&[0, 2, 4, 6], &[0, 1, 2], 50, backend);
+    let rows = eventual_decision_table(&[0, 2, 4, 6], &[0, 1, 2], 50);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -6,28 +6,20 @@
 //! (Lemmas 3–4): a bivalent initial configuration and bivalence surviving
 //! to round `t - 1`.
 //!
-//! Usage: `exp_lower_bound [--threads N]`; without the flag (or with
-//! `--threads 1`) the sweeps run serially and stop at `(5, 2)`, which
-//! stays snappy. With `--threads N` for `N >= 2` the sweeps fan out over
-//! the worker pool and the `(7, 2)` space (~518k serial runs per
-//! algorithm) joins the table.
+//! The table stops at `(5, 2)`, which stays snappy. The `(7, 2)` row
+//! (~518k serial runs for `A_{t+2}`, ~1.3M for the baseline) is recorded
+//! in the README; the `t + 2` bound at `(7, 2)` is pinned by the
+//! integration test `exhaustive_n7_t2_sweep_confirms_t_plus_2`.
 
 use indulgent_bench::experiments::lower_bound_table;
-use indulgent_bench::{render_table, sweep_backend_from_args};
-use indulgent_checker::{decision_round_census, SweepBackend};
+use indulgent_bench::render_table;
+use indulgent_checker::decision_round_census;
 use indulgent_consensus::{AtPlus2, CoordinatorEcho, RotatingCoordinator};
 use indulgent_model::{ProcessId, SystemConfig, Value};
 use indulgent_sim::ModelKind;
 
 fn main() {
-    let backend = sweep_backend_from_args(std::env::args().skip(1));
-    let mut configs = vec![(3, 1), (4, 1), (5, 2)];
-    if backend != SweepBackend::Serial {
-        // The (7, 2) space (~518k serial runs per algorithm) is what the
-        // parallel engine is for; keep the serial default snappy.
-        configs.push((7, 2));
-    }
-    let rows = lower_bound_table(&configs, backend);
+    let rows = lower_bound_table(&[(3, 1), (4, 1), (5, 2)]);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -51,10 +43,7 @@ fn main() {
             &table,
         )
     );
-    println!(
-        "Every ES algorithm's worst case is >= t + 2; A_t+2 attains it exactly. \
-         (sweep backend: {backend:?})"
-    );
+    println!("Every ES algorithm's worst case is >= t + 2; A_t+2 attains it exactly.");
 
     // Decision-round census over the (5, 2) serial-run space: A_t+2 is a
     // single bar at t + 2 while the baseline spreads up to 2t + 2.
@@ -64,14 +53,14 @@ fn main() {
         let id = ProcessId::new(i);
         AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
     };
-    let census = decision_round_census(&at, config, ModelKind::Es, &props, 4, 40, backend)
+    let census = decision_round_census(&at, config, ModelKind::Es, &props, 4, 40)
         .expect("A_t+2 satisfies consensus");
     println!("\nA_t+2 decision-round census over {} serial runs (n=5, t=2):", census.runs);
     for (round, count) in &census.counts {
         println!("  round {round}: {count} runs");
     }
     let hr = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-    let census = decision_round_census(&hr, config, ModelKind::Es, &props, 6, 40, backend)
+    let census = decision_round_census(&hr, config, ModelKind::Es, &props, 6, 40)
         .expect("CoordinatorEcho satisfies consensus");
     println!("HR-style decision-round census over {} serial runs:", census.runs);
     for (round, count) in &census.counts {

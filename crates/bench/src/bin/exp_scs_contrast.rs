@@ -4,11 +4,10 @@
 //! witness that deciding at round `t` in SCS violates agreement.
 
 use indulgent_bench::experiments::scs_contrast_table;
-use indulgent_bench::{render_table, sweep_backend_from_args};
+use indulgent_bench::render_table;
 
 fn main() {
-    let backend = sweep_backend_from_args(std::env::args().skip(1));
-    let rows = scs_contrast_table(&[(3, 1), (4, 1), (4, 2), (5, 2)], backend);
+    let rows = scs_contrast_table(&[(3, 1), (4, 1), (4, 2), (5, 2)]);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

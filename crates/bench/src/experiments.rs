@@ -6,8 +6,7 @@
 //! where the crossovers fall.
 
 use indulgent_checker::{
-    find_bivalent_initial, find_bivalent_prefix, worst_case_decision_round, SweepBackend,
-    ValencyParams,
+    find_bivalent_initial, find_bivalent_prefix, worst_case_decision_round, ValencyParams,
 };
 use indulgent_consensus::{
     AfPlus2, AtPlus2, CoordinatorEcho, EarlyFloodSet, FloodSet, FloodSetWs, LeaderEcho,
@@ -18,8 +17,7 @@ use indulgent_model::{
     Delivery, ProcessFactory, ProcessId, Round, RoundProcess, Step, SystemConfig, Value,
 };
 use indulgent_sim::{
-    pooled_map_indexed, random_run, run_schedule, ModelKind, RandomRunParams, Schedule,
-    ScheduleBuilder,
+    random_run, run_schedule, ModelKind, RandomRunParams, Schedule, ScheduleBuilder,
 };
 
 /// Standard proposal vector: pairwise distinct odd values, with the
@@ -66,9 +64,6 @@ pub struct LowerBoundRow {
 /// E1: exhaustive worst-case decision rounds of the ES algorithms over all
 /// serial synchronous runs, plus the bivalency witnesses of the proof.
 ///
-/// The sweeps (worst case and valency) run on `backend`; the rows are
-/// identical for every backend and thread count.
-///
 /// Every ES consensus algorithm must have `worst_round >= t + 2`
 /// (Proposition 1); `A_{t+2}` attains exactly `t + 2`.
 ///
@@ -77,14 +72,14 @@ pub struct LowerBoundRow {
 /// Panics if a run violates consensus (would indicate an implementation
 /// bug).
 #[must_use]
-pub fn lower_bound_table(configs: &[(usize, usize)], backend: SweepBackend) -> Vec<LowerBoundRow> {
+pub fn lower_bound_table(configs: &[(usize, usize)]) -> Vec<LowerBoundRow> {
     let mut rows = Vec::new();
     for &(n, t) in configs {
         let config = SystemConfig::majority(n, t).expect("valid majority config");
         let crash_horizon = t as u32 + 2;
         let run_horizon = 12 * (t as u32 + 2);
         let props = proposals(n);
-        let vparams = ValencyParams::new(crash_horizon, run_horizon).with_backend(backend);
+        let vparams = ValencyParams::new(crash_horizon, run_horizon);
 
         // A_{t+2}.
         let f = at_plus2_factory(config);
@@ -95,7 +90,6 @@ pub fn lower_bound_table(configs: &[(usize, usize)], backend: SweepBackend) -> V
             &props,
             crash_horizon,
             run_horizon,
-            backend,
         )
         .expect("A_t+2 satisfies consensus in all serial runs");
         let bivalent_initial = find_bivalent_initial(&f, config, ModelKind::Es, vparams).is_some();
@@ -125,7 +119,6 @@ pub fn lower_bound_table(configs: &[(usize, usize)], backend: SweepBackend) -> V
             &props,
             2 * t as u32 + 2,
             run_horizon,
-            backend,
         )
         .expect("CoordinatorEcho satisfies consensus in all serial runs");
         rows.push(LowerBoundRow {
@@ -626,10 +619,8 @@ pub struct EventualDecisionRow {
 
 /// E6: decision latency after the network stabilizes: `A_{f+2}` meets
 /// `k + f + 2`; the AMR-style baseline pays two rounds per crashed leader
-/// (up to `k + 2f + 2`). The independent seeded runs of each `(k, f)`
-/// cell are mapped over `backend`'s pool ([`pooled_map_indexed`]), and the
-/// per-seed maxima are reduced in seed order — rows are identical for
-/// every backend and thread count.
+/// (up to `k + 2f + 2`). Each `(k, f)` cell reports the worst round over
+/// its seeded runs.
 ///
 /// Runs use `n = 7, t = 2`: an asynchronous prefix of `k` rounds (seeded
 /// random delays), then `f` staggered crashes of the lowest-id processes
@@ -639,12 +630,7 @@ pub struct EventualDecisionRow {
 ///
 /// Panics if a run violates consensus.
 #[must_use]
-pub fn eventual_decision_table(
-    ks: &[u32],
-    fs: &[usize],
-    seeds: u32,
-    backend: SweepBackend,
-) -> Vec<EventualDecisionRow> {
+pub fn eventual_decision_table(ks: &[u32], fs: &[usize], seeds: u32) -> Vec<EventualDecisionRow> {
     let config = SystemConfig::third(7, 2).expect("valid config");
     let props = proposals(7);
     let mut rows = Vec::new();
@@ -652,7 +638,8 @@ pub fn eventual_decision_table(
         for &f in fs {
             assert!(f <= config.t(), "f must be at most t");
             let horizon = k + 30;
-            let per_seed = pooled_map_indexed(u64::from(seeds), backend, |seed| {
+            let (mut af_worst, mut amr_worst) = (0, 0);
+            for seed in 0..u64::from(seeds) {
                 // Asynchronous prefix: random delays in rounds 1..=k; then
                 // staggered crashes at rounds k+1, k+2, ... (before send).
                 let base = random_run(
@@ -685,10 +672,9 @@ pub fn eventual_decision_table(
                     .expect("one proposal per process");
                 outcome.check_consensus().expect("consensus holds");
                 let amr_round = outcome.global_decision_round().expect("decided").get();
-                (af_round, amr_round)
-            });
-            let af_worst = per_seed.iter().map(|&(af, _)| af).max().unwrap_or(0);
-            let amr_worst = per_seed.iter().map(|&(_, amr)| amr).max().unwrap_or(0);
+                af_worst = af_worst.max(af_round);
+                amr_worst = amr_worst.max(amr_round);
+            }
             rows.push(EventualDecisionRow {
                 k,
                 f,
@@ -726,21 +712,20 @@ pub struct EarlyDecisionRow {
 /// E7: the `f + 2` early-decision bound in synchronous runs. `A_{t+2}`
 /// always pays `t + 2` regardless of the actual `f` (the paper notes
 /// early-decision tightness was open, resolved in \[5\]); `A_{f+2}` (when
-/// `t < n/3`) already meets `f + 2`. Seeds are mapped over `backend`'s
-/// pool and their maxima reduced in seed order, so rows are identical for
-/// every backend and thread count.
+/// `t < n/3`) already meets `f + 2`.
 ///
 /// # Panics
 ///
 /// Panics if a run violates consensus.
 #[must_use]
-pub fn early_decision_table(seeds: u32, backend: SweepBackend) -> Vec<EarlyDecisionRow> {
+pub fn early_decision_table(seeds: u32) -> Vec<EarlyDecisionRow> {
     let at_config = SystemConfig::majority(5, 2).expect("valid config");
     let af_config = SystemConfig::third(7, 2).expect("valid config");
     let mut rows = Vec::new();
     let scs_config = SystemConfig::synchronous(5, 2).expect("valid config");
     for f in 0..=2usize {
-        let per_seed = pooled_map_indexed(u64::from(seeds), backend, |seed| {
+        let (mut at_worst, mut af_worst, mut scs_worst) = (0, 0, 0);
+        for seed in 0..u64::from(seeds) {
             let schedule = random_run(
                 at_config,
                 ModelKind::Es,
@@ -778,13 +763,15 @@ pub fn early_decision_table(seeds: u32, backend: SweepBackend) -> Vec<EarlyDecis
                 .expect("one proposal per process");
             outcome.check_consensus().expect("consensus holds");
             let scs_round = outcome.global_decision_round().expect("decided").get();
-            (at_round, af_round, scs_round)
-        });
+            at_worst = at_worst.max(at_round);
+            af_worst = af_worst.max(af_round);
+            scs_worst = scs_worst.max(scs_round);
+        }
         rows.push(EarlyDecisionRow {
             f,
-            at_plus2: per_seed.iter().map(|&(at, _, _)| at).max().unwrap_or(0),
-            af_plus2: per_seed.iter().map(|&(_, af, _)| af).max().unwrap_or(0),
-            early_scs: per_seed.iter().map(|&(_, _, scs)| scs).max().unwrap_or(0),
+            at_plus2: at_worst,
+            af_plus2: af_worst,
+            early_scs: scs_worst,
             bound: f as u32 + 2,
         });
     }
@@ -815,17 +802,13 @@ pub struct ScsContrastRow {
 
 /// E8: the price of indulgence, head to head: FloodSet's exhaustive `t+1`
 /// in SCS against `A_{t+2}`'s exhaustive `t+2` in ES, plus the witness
-/// that deciding at round `t` in SCS is impossible. The exhaustive sweeps
-/// run on `backend`.
+/// that deciding at round `t` in SCS is impossible.
 ///
 /// # Panics
 ///
 /// Panics if FloodSet or `A_{t+2}` misbehave in any serial run.
 #[must_use]
-pub fn scs_contrast_table(
-    configs: &[(usize, usize)],
-    backend: SweepBackend,
-) -> Vec<ScsContrastRow> {
+pub fn scs_contrast_table(configs: &[(usize, usize)]) -> Vec<ScsContrastRow> {
     let mut rows = Vec::new();
     for &(n, t) in configs {
         let scs_config = SystemConfig::synchronous(n, t).expect("valid SCS config");
@@ -838,7 +821,6 @@ pub fn scs_contrast_table(
             &props,
             t as u32 + 1,
             t as u32 + 3,
-            backend,
         )
         .expect("FloodSet satisfies consensus in SCS");
 
@@ -850,7 +832,6 @@ pub fn scs_contrast_table(
                 &props,
                 t as u32 + 2,
                 12 * (t as u32 + 2),
-                backend,
             )
             .expect("A_t+2 satisfies consensus in ES")
             .worst_round
@@ -867,7 +848,6 @@ pub fn scs_contrast_table(
             &props,
             t as u32 + 1,
             t as u32 + 3,
-            backend,
         )
         .is_err();
 
@@ -904,21 +884,20 @@ pub struct AsynchronyRow {
 /// E9: how `A_{t+2}`'s decision latency degrades with the length of the
 /// asynchronous prefix (`n = 5, t = 2`, seeded random delays, one crash).
 /// `K = 1` gives the synchronous `t + 2 = 4`; longer prefixes push
-/// decisions into the fallback consensus. Seeds are mapped over
-/// `backend`'s pool and tallied in seed order, so rows are identical for
-/// every backend and thread count.
+/// decisions into the fallback consensus.
 ///
 /// # Panics
 ///
 /// Panics if a run violates consensus.
 #[must_use]
-pub fn asynchrony_table(ks: &[u32], seeds: u32, backend: SweepBackend) -> Vec<AsynchronyRow> {
+pub fn asynchrony_table(ks: &[u32], seeds: u32) -> Vec<AsynchronyRow> {
     let config = SystemConfig::majority(5, 2).expect("valid config");
     let props = proposals(5);
     let mut rows = Vec::new();
     for &k in ks {
         let horizon = k + 40;
-        let rounds = pooled_map_indexed(u64::from(seeds), backend, |seed| {
+        let mut hist = crate::stats::RoundHistogram::new();
+        for seed in 0..u64::from(seeds) {
             let schedule = random_run(
                 config,
                 ModelKind::Es,
@@ -929,11 +908,7 @@ pub fn asynchrony_table(ks: &[u32], seeds: u32, backend: SweepBackend) -> Vec<As
             let outcome = run_schedule(&at_plus2_factory(config), &props, &schedule, horizon)
                 .expect("one proposal per process");
             outcome.check_consensus().expect("consensus holds");
-            outcome.global_decision_round().expect("decided")
-        });
-        let mut hist = crate::stats::RoundHistogram::new();
-        for round in rounds {
-            hist.record(round);
+            hist.record(outcome.global_decision_round().expect("decided"));
         }
         rows.push(AsynchronyRow {
             k,
@@ -952,7 +927,7 @@ mod tests {
 
     #[test]
     fn e1_shape_holds_for_smallest_config() {
-        let rows = lower_bound_table(&[(3, 1)], SweepBackend::parallel(2));
+        let rows = lower_bound_table(&[(3, 1)]);
         let at = rows.iter().find(|r| r.algorithm == "A_t+2").unwrap();
         assert_eq!(at.worst_round, at.bound); // exactly t + 2
         assert!(at.bivalent_initial);
@@ -1000,7 +975,7 @@ mod tests {
 
     #[test]
     fn e6_shape_small() {
-        let rows = eventual_decision_table(&[0, 2], &[0, 2], 10, SweepBackend::Serial);
+        let rows = eventual_decision_table(&[0, 2], &[0, 2], 10);
         for row in &rows {
             assert!(row.af_plus2 <= row.af_bound, "A_f+2 exceeded k+f+2: {row:?}");
             assert!(row.amr <= row.amr_bound, "AMR exceeded k+2f+2: {row:?}");
@@ -1012,7 +987,7 @@ mod tests {
 
     #[test]
     fn e7_shape() {
-        for row in early_decision_table(20, SweepBackend::Serial) {
+        for row in early_decision_table(20) {
             assert_eq!(row.at_plus2, 4, "A_t+2 pays t+2 whatever f is: {row:?}");
             assert!(row.af_plus2 <= row.bound, "A_f+2 exceeded f+2: {row:?}");
             assert!(row.early_scs <= (row.f as u32 + 2).min(3), "EarlyFloodSet late: {row:?}");
@@ -1021,7 +996,7 @@ mod tests {
 
     #[test]
     fn e8_shape() {
-        let rows = scs_contrast_table(&[(3, 1), (4, 1), (4, 2)], SweepBackend::Serial);
+        let rows = scs_contrast_table(&[(3, 1), (4, 1), (4, 2)]);
         for row in &rows {
             let t = row.t as u32;
             assert_eq!(row.floodset_scs, t + 1, "{row:?}");
@@ -1033,26 +1008,7 @@ mod tests {
 
     #[test]
     fn e9_synchronous_baseline() {
-        let rows = asynchrony_table(&[1], 10, SweepBackend::Serial);
+        let rows = asynchrony_table(&[1], 10);
         assert_eq!(rows[0].max_round, 4); // t + 2
-    }
-
-    #[test]
-    fn seeded_tables_identical_across_backends() {
-        // The pooled seed map returns results in seed order, so every
-        // seeded table is bit-identical for any thread count.
-        let serial = format!(
-            "{:?} {:?} {:?}",
-            early_decision_table(8, SweepBackend::Serial),
-            eventual_decision_table(&[0, 2], &[0, 1], 6, SweepBackend::Serial),
-            asynchrony_table(&[1, 3], 8, SweepBackend::Serial),
-        );
-        let pooled = format!(
-            "{:?} {:?} {:?}",
-            early_decision_table(8, SweepBackend::parallel(3)),
-            eventual_decision_table(&[0, 2], &[0, 1], 6, SweepBackend::parallel(3)),
-            asynchrony_table(&[1, 3], 8, SweepBackend::parallel(3)),
-        );
-        assert_eq!(serial, pooled);
     }
 }

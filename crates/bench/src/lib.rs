@@ -27,34 +27,6 @@
 pub mod experiments;
 pub mod stats;
 
-use indulgent_sim::SweepBackend;
-
-/// Parses the common `--threads N` CLI flag of the `exp_*` binaries into a
-/// sweep backend: no flag or `--threads 1` is serial, `--threads N` a
-/// pooled parallel sweep.
-///
-/// # Panics
-///
-/// Panics with a usage message if `--threads` is present without a valid
-/// positive integer.
-pub fn sweep_backend_from_args<I: Iterator<Item = String>>(mut args: I) -> SweepBackend {
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            let threads: usize = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v >= 1)
-                .expect("usage: --threads N (N >= 1)");
-            return if threads == 1 {
-                SweepBackend::Serial
-            } else {
-                SweepBackend::parallel(threads)
-            };
-        }
-    }
-    SweepBackend::Serial
-}
-
 /// Renders a table: a header line, a separator, and one line per row.
 ///
 /// Purely cosmetic (fixed-width columns sized to content); used by all the
@@ -105,26 +77,5 @@ mod tests {
         );
         assert!(s.contains("T\n"));
         assert!(s.lines().count() >= 4);
-    }
-
-    fn backend_of(args: &[&str]) -> SweepBackend {
-        sweep_backend_from_args(args.iter().map(|a| (*a).to_owned()))
-    }
-
-    #[test]
-    fn threads_flag_selects_the_backend() {
-        assert_eq!(backend_of(&[]), SweepBackend::Serial);
-        assert_eq!(backend_of(&["--other"]), SweepBackend::Serial);
-        assert_eq!(backend_of(&["--threads", "1"]), SweepBackend::Serial);
-        assert_eq!(backend_of(&["--threads", "3"]), SweepBackend::parallel(3));
-    }
-
-    #[test]
-    fn bad_threads_flag_panics_with_the_usage() {
-        for args in [&["--threads", "0"][..], &["--threads", "x"], &["--threads"]] {
-            let panic = std::panic::catch_unwind(|| backend_of(args)).expect_err("must panic");
-            let message = panic.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-            assert!(message.contains("usage: --threads N (N >= 1)"), "{args:?}: {message}");
-        }
     }
 }

@@ -9,13 +9,14 @@
 //! the Hurfin–Raynal-style baseline spreads over `2..=2t+2`.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
-use indulgent_model::{ProcessFactory, Round, RunOutcome, SystemConfig, Value};
+use indulgent_model::{ProcessFactory, Round, SystemConfig, Value};
 use indulgent_sim::{
-    random_run, run_schedule, sweep_runs, ModelKind, RandomRunParams, Schedule, SweepBackend,
+    for_each_serial_run, random_run, run_schedule, ModelKind, RandomRunParams, Schedule,
 };
 
-use crate::worst_case::CheckError;
+use crate::worst_case::{checked_decision_round, CheckError};
 
 /// The distribution of global-decision rounds over all serial runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,41 +47,13 @@ impl Census {
     }
 }
 
-/// Folds one executed run into a census; shared by every backend.
-fn fold_census(
-    census: &mut Census,
-    schedule: &Schedule,
-    outcome: &RunOutcome,
-) -> Result<(), CheckError> {
-    if let Err(violation) = outcome.check_consensus() {
-        return Err(CheckError::Violation { violation, schedule: Box::new(schedule.clone()) });
-    }
-    let Some(round) = outcome.global_decision_round() else {
-        return Err(CheckError::NoDecision { schedule: Box::new(schedule.clone()) });
-    };
-    *census.counts.entry(round.get()).or_default() += 1;
-    census.runs += 1;
-    Ok(())
-}
-
-fn merge_censuses(mut left: Census, right: Census) -> Census {
-    for (round, count) in right.counts {
-        *left.counts.entry(round).or_default() += count;
-    }
-    left.runs += right.runs;
-    left
-}
-
-/// Runs `factory` under every serial schedule on `backend` (the
-/// incremental prefix-sharing engine) and tallies the global-decision
-/// rounds.
-///
-/// The census is identical for every backend and thread count (round
-/// tallies are summed per work unit and merged in serial visit order).
+/// Runs `factory` under every serial schedule (the incremental
+/// prefix-sharing engine) and tallies the global-decision rounds.
 ///
 /// # Errors
 ///
-/// Returns [`CheckError`] on a consensus violation or undecided run.
+/// Returns [`CheckError`] on a consensus violation or undecided run; its
+/// witness is the first such schedule in serial enumeration order.
 pub fn decision_round_census<F>(
     factory: &F,
     config: SystemConfig,
@@ -88,23 +61,31 @@ pub fn decision_round_census<F>(
     proposals: &[Value],
     crash_horizon: u32,
     run_horizon: u32,
-    backend: SweepBackend,
 ) -> Result<Census, CheckError>
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
-    sweep_runs(
+    let mut census = Census { counts: BTreeMap::new(), runs: 0 };
+    let flow = for_each_serial_run(
         factory,
         proposals,
         config,
         kind,
         crash_horizon,
         run_horizon,
-        backend,
-        || Census { counts: BTreeMap::new(), runs: 0 },
-        fold_census,
-        merge_censuses,
-    )
+        |schedule, outcome| match checked_decision_round(schedule, outcome) {
+            Ok(round) => {
+                *census.counts.entry(round.get()).or_default() += 1;
+                census.runs += 1;
+                ControlFlow::Continue(())
+            }
+            Err(error) => ControlFlow::Break(error),
+        },
+    )?;
+    match flow {
+        ControlFlow::Continue(()) => Ok(census),
+        ControlFlow::Break(error) => Err(error),
+    }
 }
 
 /// Samples `samples` random synchronous runs (up to `t` crashes each) and
@@ -141,12 +122,7 @@ where
             seed.wrapping_mul(0x9e37_79b9).wrapping_add(i),
         );
         let outcome = run_schedule(factory, proposals, &schedule, run_horizon)?;
-        if let Err(violation) = outcome.check_consensus() {
-            return Err(CheckError::Violation { violation, schedule: Box::new(schedule) });
-        }
-        let Some(round) = outcome.global_decision_round() else {
-            return Err(CheckError::NoDecision { schedule: Box::new(schedule) });
-        };
+        let round = checked_decision_round(&schedule, &outcome)?;
         if worst.as_ref().is_none_or(|(w, _)| round > *w) {
             worst = Some((round, schedule));
         }
@@ -172,16 +148,8 @@ mod tests {
             let id = ProcessId::new(i);
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
-        let census = decision_round_census(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals(4),
-            3,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let census =
+            decision_round_census(&factory, config, ModelKind::Es, &proposals(4), 3, 30).unwrap();
         assert_eq!(census.spread(), 1);
         assert_eq!(census.worst(), Some(Round::new(3))); // t + 2
         assert_eq!(census.runs, 97);
@@ -192,48 +160,11 @@ mod tests {
     fn coordinator_echo_census_spreads_to_2t_plus_2() {
         let config = SystemConfig::majority(3, 1).unwrap();
         let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-        let census = decision_round_census(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals(3),
-            4,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let census =
+            decision_round_census(&factory, config, ModelKind::Es, &proposals(3), 4, 30).unwrap();
         assert_eq!(census.best(), Some(Round::new(2)));
         assert_eq!(census.worst(), Some(Round::new(4))); // 2t + 2
         assert!(census.spread() >= 2);
-    }
-
-    #[test]
-    fn census_is_identical_across_backends() {
-        let config = SystemConfig::majority(3, 1).unwrap();
-        let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
-        let serial = decision_round_census(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals(3),
-            4,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            let parallel = decision_round_census(
-                &factory,
-                config,
-                ModelKind::Es,
-                &proposals(3),
-                4,
-                30,
-                SweepBackend::parallel(threads),
-            )
-            .unwrap();
-            assert_eq!(serial, parallel, "{threads}-thread census must match serial");
-        }
     }
 
     #[test]

@@ -16,16 +16,15 @@
 //!   initial configurations and bivalent serial partial runs.
 //!
 //! Every sweep runs on the **incremental prefix-sharing engine** of
-//! `indulgent_sim` (`sweep_runs`): enumeration is fused with execution, so
-//! each shared schedule prefix in the serial-run tree is executed exactly
-//! once and the automaton state is forked at branch points — an
-//! algorithmic speedup over replaying every schedule from round 1 that
-//! compounds with thread count. Each sweep has one entry point, and it
-//! takes the [`SweepBackend`] (serial or a pooled worker count) as an
-//! explicit argument. Results are identical across backends and thread
-//! counts, and the differential suite checks the engine schedule for
-//! schedule against the run-from-scratch loop; the engine makes
-//! exhaustive sweeps at `n = 7, t = 2` (~518k serial schedules per
+//! `indulgent_sim` (`for_each_serial_run`): enumeration is fused with
+//! execution, so each shared schedule prefix in the serial-run tree is
+//! executed exactly once and the automaton state is forked at branch
+//! points — an algorithmic speedup over replaying every schedule from
+//! round 1. Each sweep has one entry point and visits the schedules in
+//! serial enumeration order on the caller's thread, stopping at the first
+//! run that fails a check; the differential suite checks the engine
+//! schedule for schedule against the run-from-scratch loop. The engine
+//! makes exhaustive sweeps at `n = 7, t = 2` (~518k serial schedules per
 //! proposal vector) practical.
 //! Random-adversary searches ([`randomized_worst_case`]) have no prefix
 //! structure to share and keep the run-from-scratch executor.
@@ -33,7 +32,7 @@
 //! # Example: the `t + 2` worst case, exhaustively
 //!
 //! ```
-//! use indulgent_checker::{worst_case_decision_round, SweepBackend};
+//! use indulgent_checker::worst_case_decision_round;
 //! use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 //! use indulgent_model::{ProcessId, Round, SystemConfig, Value};
 //! use indulgent_sim::ModelKind;
@@ -44,9 +43,7 @@
 //!     AtPlus2::new(cfg, id, v, RotatingCoordinator::new(cfg, id))
 //! };
 //! let proposals: Vec<Value> = [4u64, 7, 2].map(Value::new).to_vec();
-//! let report = worst_case_decision_round(
-//!     &factory, cfg, ModelKind::Es, &proposals, 3, 30, SweepBackend::Serial,
-//! )?;
+//! let report = worst_case_decision_round(&factory, cfg, ModelKind::Es, &proposals, 3, 30)?;
 //! assert_eq!(report.worst_round, Round::new(3)); // t + 2
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -60,7 +57,6 @@ mod valency;
 mod worst_case;
 
 pub use census::{decision_round_census, randomized_worst_case, Census};
-pub use indulgent_sim::SweepBackend;
 pub use valency::{
     find_bivalent_initial, find_bivalent_prefix, initial_valency, reachable_decisions, valency,
     Valency, ValencyParams,

@@ -21,8 +21,7 @@ use std::ops::ControlFlow;
 
 use indulgent_model::{ProcessFactory, SystemConfig, Value};
 use indulgent_sim::{
-    for_each_serial_extension, sweep_run_extensions, ExecutorError, ModelKind, Schedule,
-    SweepBackend,
+    for_each_serial_extension, for_each_serial_run_extension, ModelKind, Schedule,
 };
 
 /// The valency of a partial run of a *binary* consensus algorithm.
@@ -52,22 +51,14 @@ pub struct ValencyParams {
     /// Each extension run executes at most this many rounds (must suffice
     /// for the algorithm to decide in every serial run).
     pub run_horizon: u32,
-    /// Sweep backend used to enumerate the serial extensions.
-    pub backend: SweepBackend,
 }
 
 impl ValencyParams {
-    /// Parameters with the [`SweepBackend::Serial`] backend.
+    /// Parameters sweeping crashes up to `crash_horizon` with runs capped
+    /// at `run_horizon` rounds.
     #[must_use]
     pub fn new(crash_horizon: u32, run_horizon: u32) -> Self {
-        ValencyParams { crash_horizon, run_horizon, backend: SweepBackend::Serial }
-    }
-
-    /// Replaces the sweep backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: SweepBackend) -> Self {
-        self.backend = backend;
-        self
+        ValencyParams { crash_horizon, run_horizon }
     }
 }
 
@@ -95,18 +86,17 @@ pub fn reachable_decisions<F>(
     params: ValencyParams,
 ) -> BTreeSet<Value>
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
-    let swept: Result<BTreeSet<Value>, ExecutorError> = sweep_run_extensions(
+    let mut decisions = BTreeSet::new();
+    let _ = for_each_serial_run_extension(
         factory,
         proposals,
         prefix,
         from_round,
         params.crash_horizon,
         params.run_horizon,
-        params.backend,
-        BTreeSet::new,
-        |decisions, schedule, outcome| {
+        |schedule, outcome| {
             outcome
                 .global_decision_round()
                 .unwrap_or_else(|| panic!("serial extension did not decide: {schedule:?}"));
@@ -118,14 +108,11 @@ where
                 .expect("decided run has a decision")
                 .value;
             decisions.insert(value);
-            Ok(())
+            ControlFlow::<()>::Continue(())
         },
-        |mut a, b| {
-            a.extend(b);
-            a
-        },
-    );
-    swept.expect("one proposal per process required")
+    )
+    .expect("one proposal per process required");
+    decisions
 }
 
 /// Computes the valency of a partial run of a binary consensus algorithm.
@@ -142,7 +129,7 @@ pub fn valency<F>(
     params: ValencyParams,
 ) -> Valency
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
     let decisions = reachable_decisions(factory, proposals, prefix, from_round, params);
     let zero = decisions.contains(&Value::ZERO);
@@ -169,7 +156,7 @@ pub fn initial_valency<F>(
     params: ValencyParams,
 ) -> Valency
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
     let prefix = Schedule::failure_free(config, kind);
     valency(factory, proposals, &prefix, 1, params)
@@ -190,7 +177,7 @@ pub fn find_bivalent_initial<F>(
     params: ValencyParams,
 ) -> Option<Vec<Value>>
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
     let n = config.n();
     for bits in 0u64..(1 << n) {
@@ -219,7 +206,7 @@ pub fn find_bivalent_prefix<F>(
     params: ValencyParams,
 ) -> Option<Schedule>
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
     let empty = Schedule::failure_free(config, kind);
     let mut found: Option<Schedule> = None;

@@ -8,15 +8,17 @@
 //! algorithm and verify the consensus properties in every single run.
 //!
 //! Sweeps run on the **incremental prefix-sharing engine** of
-//! `indulgent_sim` ([`sweep_runs`]): the serial-schedule tree is executed
-//! once per shared prefix, with automaton snapshots forked at branch
-//! points, instead of replaying every schedule from round 1. Every entry
-//! point takes a [`SweepBackend`]; pass [`SweepBackend::parallel`] to
-//! additionally fan the work units out over a worker pool. Reports are
-//! identical across backends and thread counts.
+//! `indulgent_sim` ([`for_each_serial_run`]): the serial-schedule tree is
+//! executed once per shared prefix, with automaton snapshots forked at
+//! branch points, instead of replaying every schedule from round 1. A
+//! sweep visits the schedules in serial enumeration order and stops at
+//! the first run that fails a check, so its report and its error witness
+//! are those of that order.
+
+use std::ops::ControlFlow;
 
 use indulgent_model::{ConsensusViolation, ProcessFactory, Round, RunOutcome, SystemConfig, Value};
-use indulgent_sim::{sweep_runs, ExecutorError, ModelKind, Schedule, SweepBackend};
+use indulgent_sim::{for_each_serial_run, ExecutorError, ModelKind, Schedule};
 
 /// Result of an exhaustive serial-run sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,17 +72,30 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Folds one run outcome into a partial report; shared by every backend.
+/// The global-decision round of a checked run: a consensus violation or a
+/// run without a global decision is the sweep's error, witnessed by
+/// `schedule`.
+pub(crate) fn checked_decision_round(
+    schedule: &Schedule,
+    outcome: &RunOutcome,
+) -> Result<Round, CheckError> {
+    if let Err(violation) = outcome.check_consensus() {
+        return Err(CheckError::Violation { violation, schedule: Box::new(schedule.clone()) });
+    }
+    outcome
+        .global_decision_round()
+        .ok_or_else(|| CheckError::NoDecision { schedule: Box::new(schedule.clone()) })
+}
+
+/// Folds one run outcome into the report, or breaks with the run's error.
 fn fold_run(
     report: &mut Option<WorstCaseReport>,
     schedule: &Schedule,
     outcome: &RunOutcome,
-) -> Result<(), CheckError> {
-    if let Err(violation) = outcome.check_consensus() {
-        return Err(CheckError::Violation { violation, schedule: Box::new(schedule.clone()) });
-    }
-    let Some(round) = outcome.global_decision_round() else {
-        return Err(CheckError::NoDecision { schedule: Box::new(schedule.clone()) });
+) -> ControlFlow<CheckError> {
+    let round = match checked_decision_round(schedule, outcome) {
+        Ok(round) => round,
+        Err(error) => return ControlFlow::Break(error),
     };
     match report {
         None => {
@@ -100,12 +115,11 @@ fn fold_run(
             r.best_round = r.best_round.min(round);
         }
     }
-    Ok(())
+    ControlFlow::Continue(())
 }
 
-/// Merges two partial reports whose runs come from consecutive slices of
-/// the serial visit order (`left` strictly before `right`): the earlier
-/// witness wins ties, so the merged report equals the serial fold.
+/// Merges two reports, `left` swept before `right`: the earlier witness
+/// wins ties.
 fn merge_reports(
     left: Option<WorstCaseReport>,
     right: Option<WorstCaseReport>,
@@ -126,23 +140,18 @@ fn merge_reports(
 }
 
 /// Exhaustively runs `factory` under every serial schedule of `config`
-/// (crashes in rounds `1..=crash_horizon`) on `backend`, checking the
-/// consensus properties in each run and reporting the worst and best
+/// (crashes in rounds `1..=crash_horizon`), checking the consensus
+/// properties in each run and reporting the worst and best
 /// global-decision rounds.
 ///
 /// `run_horizon` bounds each run's execution; it must be generous enough
 /// for the algorithm to decide in every serial run (serial runs are
 /// synchronous, so for the paper's algorithms `t + 3` already suffices).
-/// The returned report is identical for every backend and thread count
-/// (the engine merges per-unit partials in serial visit order).
 ///
 /// # Errors
 ///
-/// Returns [`CheckError`] on a property violation or undecided run. With a
-/// parallel backend the reported witness schedule may differ from the
-/// serial backend's (the sweep aborts early on the first failure a worker
-/// hits), but an error is reported if and only if the serial sweep would
-/// report one.
+/// Returns [`CheckError`] on a property violation or undecided run; its
+/// witness is the first such schedule in serial enumeration order.
 pub fn worst_case_decision_round<F>(
     factory: &F,
     config: SystemConfig,
@@ -150,28 +159,28 @@ pub fn worst_case_decision_round<F>(
     proposals: &[Value],
     crash_horizon: u32,
     run_horizon: u32,
-    backend: SweepBackend,
 ) -> Result<WorstCaseReport, CheckError>
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
-    let report = sweep_runs(
+    let mut report = None;
+    let flow = for_each_serial_run(
         factory,
         proposals,
         config,
         kind,
         crash_horizon,
         run_horizon,
-        backend,
-        || None,
-        fold_run,
-        merge_reports,
+        |schedule, outcome| fold_run(&mut report, schedule, outcome),
     )?;
+    if let ControlFlow::Break(error) = flow {
+        return Err(error);
+    }
     Ok(report.expect("serial enumeration visits at least the crash-free run"))
 }
 
-/// Runs [`worst_case_decision_round`] on `backend` over every binary
-/// proposal vector (all `2^n` assignments of `{0, 1}`), returning the
+/// Runs [`worst_case_decision_round`] over every binary proposal vector
+/// (all `2^n` assignments of `{0, 1}`), returning the
 /// overall worst case.
 ///
 /// # Errors
@@ -183,10 +192,9 @@ pub fn worst_case_over_binary_proposals<F>(
     kind: ModelKind,
     crash_horizon: u32,
     run_horizon: u32,
-    backend: SweepBackend,
 ) -> Result<WorstCaseReport, CheckError>
 where
-    F: ProcessFactory + Sync,
+    F: ProcessFactory,
 {
     let n = config.n();
     let mut overall: Option<WorstCaseReport> = None;
@@ -199,7 +207,6 @@ where
             &proposals,
             crash_horizon,
             run_horizon,
-            backend,
         )?;
         overall = merge_reports(overall, Some(report));
     }
@@ -208,8 +215,6 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::ops::ControlFlow;
-
     use indulgent_consensus::{AtPlus2, FloodSet, RotatingCoordinator};
     use indulgent_model::ProcessId;
     use indulgent_sim::{for_each_serial_schedule, run_schedule};
@@ -224,16 +229,8 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let report = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals,
-            3,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let report =
+            worst_case_decision_round(&factory, config, ModelKind::Es, &proposals, 3, 30).unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // t + 2
         assert_eq!(report.best_round, Round::new(3)); // never earlier either
         assert_eq!(report.runs, 97);
@@ -244,16 +241,8 @@ mod tests {
         let config = SystemConfig::synchronous(4, 2).unwrap();
         let factory = move |_i: usize, v: Value| FloodSet::new(config, v);
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let report = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Scs,
-            &proposals,
-            3,
-            10,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let report =
+            worst_case_decision_round(&factory, config, ModelKind::Scs, &proposals, 3, 10).unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // t + 1
         assert_eq!(report.best_round, Round::new(3));
     }
@@ -265,15 +254,8 @@ mod tests {
             let id = ProcessId::new(i);
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
-        let report = worst_case_over_binary_proposals(
-            &factory,
-            config,
-            ModelKind::Es,
-            3,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let report =
+            worst_case_over_binary_proposals(&factory, config, ModelKind::Es, 3, 30).unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // t + 2 with t = 1
                                                        // 8 proposal vectors x 37 serial schedules each.
         assert_eq!(report.runs, 8 * 37);
@@ -286,16 +268,8 @@ mod tests {
         let factory = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
         let proposals: Vec<Value> = [5u64, 3, 8].map(Value::new).to_vec();
         // Crashes may land anywhere in the first 2t + 2 rounds.
-        let report = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals,
-            4,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let report =
+            worst_case_decision_round(&factory, config, ModelKind::Es, &proposals, 4, 30).unwrap();
         assert_eq!(report.worst_round, Round::new(4)); // 2t + 2
         assert_eq!(report.best_round, Round::new(2)); // failure-free phase 1
     }
@@ -306,16 +280,8 @@ mod tests {
         let config = SystemConfig::synchronous(4, 2).unwrap();
         let factory = move |_i: usize, v: Value| EarlyFloodSet::new(config, v);
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let report = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Scs,
-            &proposals,
-            3,
-            10,
-            SweepBackend::Serial,
-        )
-        .unwrap();
+        let report =
+            worst_case_decision_round(&factory, config, ModelKind::Scs, &proposals, 3, 10).unwrap();
         assert_eq!(report.worst_round, Round::new(3)); // min(f+2, t+1) with f = t = 2
         assert_eq!(report.best_round, Round::new(2)); // failure-free f + 2
     }
@@ -328,50 +294,9 @@ mod tests {
         let early = config.t() as u32; // decide at round t
         let factory = move |_i: usize, v: Value| FloodSet::deciding_at(Round::new(early), v);
         let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let err = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Scs,
-            &proposals,
-            3,
-            10,
-            SweepBackend::Serial,
-        )
-        .unwrap_err();
+        let err = worst_case_decision_round(&factory, config, ModelKind::Scs, &proposals, 3, 10)
+            .unwrap_err();
         assert!(matches!(err, CheckError::Violation { .. }));
-    }
-
-    #[test]
-    fn parallel_backend_reproduces_the_serial_report_exactly() {
-        let config = SystemConfig::majority(4, 1).unwrap();
-        let factory = move |i: usize, v: Value| {
-            let id = ProcessId::new(i);
-            AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
-        };
-        let proposals: Vec<Value> = [5u64, 3, 8, 1].map(Value::new).to_vec();
-        let serial = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Es,
-            &proposals,
-            3,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            let parallel = worst_case_decision_round(
-                &factory,
-                config,
-                ModelKind::Es,
-                &proposals,
-                3,
-                30,
-                SweepBackend::parallel(threads),
-            )
-            .unwrap();
-            assert_eq!(serial, parallel, "{threads}-thread report must match serial");
-        }
     }
 
     #[test]
@@ -386,23 +311,12 @@ mod tests {
         let mut replay = None;
         let _ = for_each_serial_schedule(config, ModelKind::Es, 4, |schedule| {
             let outcome = run_schedule(&factory, &proposals, schedule, 30).unwrap();
-            fold_run(&mut replay, schedule, &outcome).unwrap();
+            assert!(fold_run(&mut replay, schedule, &outcome).is_continue());
             ControlFlow::Continue(())
         });
-        let replay = replay.unwrap();
-        for backend in [SweepBackend::Serial, SweepBackend::parallel(4)] {
-            let incremental = worst_case_decision_round(
-                &factory,
-                config,
-                ModelKind::Es,
-                &proposals,
-                4,
-                30,
-                backend,
-            )
-            .unwrap();
-            assert_eq!(replay, incremental, "incremental {backend:?} must equal replay");
-        }
+        let incremental =
+            worst_case_decision_round(&factory, config, ModelKind::Es, &proposals, 4, 30).unwrap();
+        assert_eq!(replay.unwrap(), incremental, "incremental must equal replay");
     }
 
     #[test]
@@ -413,16 +327,8 @@ mod tests {
             AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
         };
         let short: Vec<Value> = [5u64, 3].map(Value::new).to_vec();
-        let err = worst_case_decision_round(
-            &factory,
-            config,
-            ModelKind::Es,
-            &short,
-            3,
-            30,
-            SweepBackend::Serial,
-        )
-        .unwrap_err();
+        let err =
+            worst_case_decision_round(&factory, config, ModelKind::Es, &short, 3, 30).unwrap_err();
         assert_eq!(
             err,
             CheckError::Executor(ExecutorError::ProposalCountMismatch { expected: 4, got: 2 })

@@ -1,9 +1,7 @@
 //! End-to-end verification of the paper's headline claims, spanning all
 //! workspace crates.
 
-use indulgent_checker::{
-    worst_case_decision_round, worst_case_over_binary_proposals, SweepBackend,
-};
+use indulgent_checker::{worst_case_decision_round, worst_case_over_binary_proposals};
 use indulgent_consensus::{
     AfPlus2, AtPlus2, CoordinatorEcho, FloodSet, RotatingCoordinator, Standalone,
 };
@@ -33,7 +31,6 @@ fn t_plus_2_is_tight_for_at_plus_2() {
             ModelKind::Es,
             t as u32 + 2,
             30,
-            SweepBackend::Serial,
         )
         .unwrap();
         assert_eq!(report.worst_round, Round::new(t as u32 + 2), "n={n}, t={t}");
@@ -54,7 +51,6 @@ fn t_plus_1_is_tight_for_floodset_in_scs() {
             &proposals(n),
             t as u32 + 1,
             t as u32 + 3,
-            SweepBackend::Serial,
         )
         .unwrap();
         assert_eq!(report.worst_round, Round::new(t as u32 + 1), "n={n}, t={t}");

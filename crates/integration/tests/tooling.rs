@@ -1,7 +1,7 @@
 //! Integration tests for the analysis tooling: traces, censuses, the
 //! Sect. 4 detector simulation, and their interplay with the algorithms.
 
-use indulgent_checker::{decision_round_census, randomized_worst_case, SweepBackend};
+use indulgent_checker::{decision_round_census, randomized_worst_case};
 use indulgent_consensus::{AtPlus2, EarlyFloodSet, FloodSet, RotatingCoordinator};
 use indulgent_integration::proposals;
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
@@ -67,30 +67,14 @@ fn trace_render_is_complete() {
 fn censuses_show_the_one_round_price() {
     let scs = SystemConfig::synchronous(4, 1).unwrap();
     let floodset = move |_i: usize, v: Value| FloodSet::new(scs, v);
-    let scs_census = decision_round_census(
-        &floodset,
-        scs,
-        ModelKind::Scs,
-        &proposals(4),
-        2,
-        10,
-        SweepBackend::Serial,
-    )
-    .unwrap();
+    let scs_census =
+        decision_round_census(&floodset, scs, ModelKind::Scs, &proposals(4), 2, 10).unwrap();
     assert_eq!(scs_census.spread(), 1);
     assert_eq!(scs_census.worst(), Some(Round::new(2))); // t + 1
 
     let es = SystemConfig::majority(4, 1).unwrap();
-    let es_census = decision_round_census(
-        &at_factory(es),
-        es,
-        ModelKind::Es,
-        &proposals(4),
-        3,
-        30,
-        SweepBackend::Serial,
-    )
-    .unwrap();
+    let es_census =
+        decision_round_census(&at_factory(es), es, ModelKind::Es, &proposals(4), 3, 30).unwrap();
     assert_eq!(es_census.spread(), 1);
     assert_eq!(es_census.worst(), Some(Round::new(3))); // t + 2
 
@@ -104,16 +88,8 @@ fn censuses_show_the_one_round_price() {
 fn early_floodset_census_spreads_with_f() {
     let config = SystemConfig::synchronous(4, 2).unwrap();
     let early = move |_i: usize, v: Value| EarlyFloodSet::new(config, v);
-    let census = decision_round_census(
-        &early,
-        config,
-        ModelKind::Scs,
-        &proposals(4),
-        3,
-        10,
-        SweepBackend::Serial,
-    )
-    .unwrap();
+    let census =
+        decision_round_census(&early, config, ModelKind::Scs, &proposals(4), 3, 10).unwrap();
     assert_eq!(census.best(), Some(Round::new(2))); // failure-free: f + 2 = 2
     assert_eq!(census.worst(), Some(Round::new(3))); // min(f + 2, t + 1) = 3
     assert!(census.spread() >= 2);

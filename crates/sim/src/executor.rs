@@ -139,7 +139,7 @@ impl fmt::Display for ExecutorError {
 impl std::error::Error for ExecutorError {}
 
 /// Validates the run inputs shared by every executor entry point.
-pub(crate) fn check_run_inputs(n: usize, proposals: &[Value]) -> Result<(), ExecutorError> {
+fn check_run_inputs(n: usize, proposals: &[Value]) -> Result<(), ExecutorError> {
     if proposals.len() != n {
         return Err(ExecutorError::ProposalCountMismatch { expected: n, got: proposals.len() });
     }

@@ -36,11 +36,11 @@
 //!    frozen state across the whole subtree, mirroring `run_schedule`'s
 //!    early exit.
 //!
-//! [`sweep_runs`] / [`sweep_run_extensions`] are the backend-aware folds:
-//! serial runs the DFS directly; parallel partitions the space into
-//! first-crash work units ([`batch`](crate::batch)) and runs one DFS per
-//! unit on the worker pool of [`parallel`](crate::parallel), merging
-//! per-unit accumulators in serial visit order.
+//! The visitor returns [`ControlFlow`]: a fold that rejects a run breaks
+//! with its own value (the checker breaks with its error), and the sweep
+//! stops at the first such schedule in serial visit order and hands the
+//! value back.
+//!
 //! Random-adversary runs (delays, arbitrary crash patterns outside the
 //! serial tree) have no shared prefix structure to exploit and keep using
 //! the run-from-scratch executor.
@@ -58,9 +58,7 @@ use std::ops::ControlFlow;
 
 use indulgent_model::{ProcessFactory, Round, RunOutcome, SystemConfig, Value};
 
-use crate::batch::extension_work_units;
-use crate::executor::{check_run_inputs, ExecutorError, RunState};
-use crate::parallel::{pooled_fold, SweepBackend, UnitResult};
+use crate::executor::{ExecutorError, RunState};
 use crate::schedule::{MessageFate, ModelKind, Schedule};
 
 /// Enumerates every serial schedule of `config` over crash rounds
@@ -72,13 +70,14 @@ use crate::schedule::{MessageFate, ModelKind, Schedule};
 /// (early-exiting once all alive processes decide, like
 /// [`run_schedule`](crate::run_schedule)).
 ///
-/// Returning [`ControlFlow::Break`] from the visitor aborts the sweep.
+/// Returning `ControlFlow::Break(b)` from the visitor stops the sweep at
+/// that schedule, and the sweep returns `Ok(ControlFlow::Break(b))`.
 ///
 /// # Errors
 ///
 /// Returns [`ExecutorError::ProposalCountMismatch`] if `proposals.len()`
 /// differs from `config.n()`.
-pub fn for_each_serial_run<F, V>(
+pub fn for_each_serial_run<F, B, V>(
     factory: &F,
     proposals: &[Value],
     config: SystemConfig,
@@ -86,10 +85,10 @@ pub fn for_each_serial_run<F, V>(
     crash_horizon: u32,
     run_horizon: u32,
     visit: V,
-) -> Result<ControlFlow<()>, ExecutorError>
+) -> Result<ControlFlow<B>, ExecutorError>
 where
     F: ProcessFactory,
-    V: FnMut(&Schedule, &RunOutcome) -> ControlFlow<()>,
+    V: FnMut(&Schedule, &RunOutcome) -> ControlFlow<B>,
 {
     let prefix = Schedule::failure_free(config, kind);
     for_each_serial_run_extension(factory, proposals, &prefix, 1, crash_horizon, run_horizon, visit)
@@ -100,6 +99,7 @@ where
 /// [`for_each_serial_extension`](crate::for_each_serial_extension), in the
 /// same order. The prefix rounds `1..from_round` are executed exactly
 /// once; the DFS forks the resulting snapshot at every branch point.
+/// The visitor stops the sweep as in [`for_each_serial_run`].
 ///
 /// # Errors
 ///
@@ -110,7 +110,7 @@ where
 ///
 /// Panics if `prefix` schedules a crash at or after `from_round` (same
 /// contract as the serial extension enumerator).
-pub fn for_each_serial_run_extension<F, V>(
+pub fn for_each_serial_run_extension<F, B, V>(
     factory: &F,
     proposals: &[Value],
     prefix: &Schedule,
@@ -118,10 +118,10 @@ pub fn for_each_serial_run_extension<F, V>(
     crash_horizon: u32,
     run_horizon: u32,
     mut visit: V,
-) -> Result<ControlFlow<()>, ExecutorError>
+) -> Result<ControlFlow<B>, ExecutorError>
 where
     F: ProcessFactory,
-    V: FnMut(&Schedule, &RunOutcome) -> ControlFlow<()>,
+    V: FnMut(&Schedule, &RunOutcome) -> ControlFlow<B>,
 {
     let config = prefix.config();
     let mut crash_rounds: Vec<Option<Round>> =
@@ -200,7 +200,7 @@ struct DfsCtx {
 /// far. Children extend the schedule at `round` and step the fork by one
 /// round; leaves (past the crash horizon) finish the run and visit.
 #[allow(clippy::too_many_arguments)]
-fn recurse<P, V>(
+fn recurse<P, B, V>(
     ctx: &DfsCtx,
     round: u32,
     crashes: usize,
@@ -211,10 +211,10 @@ fn recurse<P, V>(
     overrides: &mut BTreeMap<(u32, usize, usize), MessageFate>,
     proposals: &[Value],
     visit: &mut V,
-) -> ControlFlow<()>
+) -> ControlFlow<B>
 where
     P: indulgent_model::RoundProcess,
-    V: FnMut(&Schedule, &RunOutcome) -> ControlFlow<()>,
+    V: FnMut(&Schedule, &RunOutcome) -> ControlFlow<B>,
 {
     if round > ctx.crash_horizon || crashes >= ctx.config.t() {
         // Leaf: no further choice is possible — every crash round is
@@ -355,170 +355,6 @@ where
     ControlFlow::Continue(())
 }
 
-/// Folds `step` over every serial run of `config` — each schedule paired
-/// with its executed [`RunOutcome`] — using `backend`.
-///
-/// This is the one exhaustive sweep. It folds the same outcomes, in the
-/// same order, as [`for_each_serial_schedule`] + [`run_schedule`] per
-/// schedule, and its result is identical for every backend and thread
-/// count (per-unit accumulators merged in serial visit order); but each
-/// shared schedule prefix is executed once by the fork-on-branch DFS
-/// instead of once per schedule.
-///
-/// # Errors
-///
-/// Returns `E::from` of the executor's input validation error if the
-/// proposal arity is wrong, or the error of a failing `step` (the
-/// parallel backend stops claiming work as soon as any worker fails).
-///
-/// # Panics
-///
-/// Panics (resuming the worker's panic) if `step` panics on any schedule.
-///
-/// [`for_each_serial_schedule`]: crate::for_each_serial_schedule
-/// [`run_schedule`]: crate::run_schedule
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_runs<F, Acc, E, I, S, M>(
-    factory: &F,
-    proposals: &[Value],
-    config: SystemConfig,
-    kind: ModelKind,
-    crash_horizon: u32,
-    run_horizon: u32,
-    backend: SweepBackend,
-    init: I,
-    step: S,
-    merge: M,
-) -> Result<Acc, E>
-where
-    F: ProcessFactory + Sync,
-    Acc: Send,
-    E: Send + From<ExecutorError>,
-    I: Fn() -> Acc + Sync,
-    S: Fn(&mut Acc, &Schedule, &RunOutcome) -> Result<(), E> + Sync,
-    M: Fn(Acc, Acc) -> Acc,
-{
-    let prefix = Schedule::failure_free(config, kind);
-    sweep_run_extensions(
-        factory,
-        proposals,
-        &prefix,
-        1,
-        crash_horizon,
-        run_horizon,
-        backend,
-        init,
-        step,
-        merge,
-    )
-}
-
-/// Folds `step` over every serial extension of `prefix` (additional
-/// crashes in `from_round..=crash_horizon`), each paired with its executed
-/// [`RunOutcome`], using `backend`. See [`sweep_runs`].
-///
-/// # Errors
-///
-/// Returns `E::from` of the executor's input validation error, or the
-/// error of a failing `step`.
-///
-/// # Panics
-///
-/// Panics if `prefix` schedules a crash at or after `from_round`, or
-/// (resuming the worker's panic) if `step` panics.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_run_extensions<F, Acc, E, I, S, M>(
-    factory: &F,
-    proposals: &[Value],
-    prefix: &Schedule,
-    from_round: u32,
-    crash_horizon: u32,
-    run_horizon: u32,
-    backend: SweepBackend,
-    init: I,
-    step: S,
-    merge: M,
-) -> Result<Acc, E>
-where
-    F: ProcessFactory + Sync,
-    Acc: Send,
-    E: Send + From<ExecutorError>,
-    I: Fn() -> Acc + Sync,
-    S: Fn(&mut Acc, &Schedule, &RunOutcome) -> Result<(), E> + Sync,
-    M: Fn(Acc, Acc) -> Acc,
-{
-    // Validate once up front so the per-unit engines cannot fail: every
-    // unit shares the same factory/proposals/config.
-    check_run_inputs(prefix.config().n(), proposals).map_err(E::from)?;
-    match backend {
-        SweepBackend::Serial => {
-            let mut acc = init();
-            let mut failure = None;
-            let _ = for_each_serial_run_extension(
-                factory,
-                proposals,
-                prefix,
-                from_round,
-                crash_horizon,
-                run_horizon,
-                |schedule, outcome| match step(&mut acc, schedule, outcome) {
-                    Ok(()) => ControlFlow::Continue(()),
-                    Err(e) => {
-                        failure = Some(e);
-                        ControlFlow::Break(())
-                    }
-                },
-            )
-            .expect("run inputs validated above");
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(acc),
-            }
-        }
-        SweepBackend::Parallel(threads) => {
-            let units = extension_work_units(prefix, from_round, crash_horizon);
-            pooled_fold(
-                &units,
-                threads,
-                &|unit, abort| {
-                    let mut acc = init();
-                    let mut failure = None;
-                    let mut aborted = false;
-                    let _ = for_each_serial_run_extension(
-                        factory,
-                        proposals,
-                        unit.prefix(),
-                        unit.from_round(),
-                        crash_horizon,
-                        run_horizon,
-                        |schedule, outcome| {
-                            if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                                aborted = true;
-                                return ControlFlow::Break(());
-                            }
-                            match step(&mut acc, schedule, outcome) {
-                                Ok(()) => ControlFlow::Continue(()),
-                                Err(e) => {
-                                    failure = Some(e);
-                                    ControlFlow::Break(())
-                                }
-                            }
-                        },
-                    )
-                    .expect("run inputs validated above");
-                    match (failure, aborted) {
-                        (Some(e), _) => UnitResult::Failed(e),
-                        (None, true) => UnitResult::Aborted,
-                        (None, false) => UnitResult::Complete(acc),
-                    }
-                },
-                &init,
-                merge,
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use indulgent_model::{Delivery, ProcessId, RoundProcess, Step};
@@ -556,7 +392,7 @@ mod tests {
         }
     }
 
-    fn probe_factory(decide_at: u32) -> impl ProcessFactory<Process = Probe> + Sync {
+    fn probe_factory(decide_at: u32) -> impl ProcessFactory<Process = Probe> {
         move |_i: usize, v: Value| Probe { est: v, decide_at, decided: false }
     }
 
@@ -587,7 +423,7 @@ mod tests {
             6,
             |s, o| {
                 incremental.push((s.fingerprint(), o.clone()));
-                ControlFlow::Continue(())
+                ControlFlow::<()>::Continue(())
             },
         )
         .unwrap();
@@ -614,7 +450,7 @@ mod tests {
             10,
             |s, o| {
                 pairs.push((s.clone(), o.clone()));
-                ControlFlow::Continue(())
+                ControlFlow::<()>::Continue(())
             },
         )
         .unwrap();
@@ -650,104 +486,63 @@ mod tests {
             8,
             |_, o| {
                 incremental.push(o.clone());
-                ControlFlow::Continue(())
+                ControlFlow::<()>::Continue(())
             },
         )
         .unwrap();
         assert_eq!(replay, incremental);
     }
 
-    /// The backend-aware fold is identical across serial and parallel
-    /// backends, including an order-sensitive fingerprint chain.
+    /// A visitor that rejects a run breaks with its own value: the sweep
+    /// stops at the first rejected schedule in serial visit order and
+    /// returns that value.
     #[test]
-    fn sweep_runs_identical_across_backends() {
-        let config = SystemConfig::majority(5, 2).unwrap();
-        let proposals = props(5);
-        let fold = |backend: SweepBackend| -> Vec<(u64, u32)> {
-            let folded: Result<Vec<(u64, u32)>, ExecutorError> = sweep_runs(
-                &probe_factory(3),
-                &proposals,
-                config,
-                ModelKind::Es,
-                3,
-                8,
-                backend,
-                Vec::new,
-                |acc, s, o| {
-                    acc.push((s.fingerprint(), o.rounds_executed));
-                    Ok(())
-                },
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            );
-            folded.expect("valid inputs")
-        };
-        let serial = fold(SweepBackend::Serial);
-        assert_eq!(serial, fold(SweepBackend::parallel(2)));
-        assert_eq!(serial, fold(SweepBackend::parallel(4)));
-    }
-
-    /// A failing step aborts every backend with an error.
-    #[test]
-    fn failing_step_reports_on_every_backend() {
+    fn failing_step_reports_its_error() {
         let config = SystemConfig::majority(4, 1).unwrap();
         let proposals = props(4);
-        #[derive(Debug)]
-        enum E {
-            #[allow(dead_code)]
-            Exec(ExecutorError),
-            TwoCrashesNever,
-        }
-        impl From<ExecutorError> for E {
-            fn from(e: ExecutorError) -> Self {
-                E::Exec(e)
+        let mut first_crash = None;
+        let _ = for_each_serial_schedule(config, ModelKind::Es, 2, |s| {
+            if s.crash_count() == 1 {
+                first_crash = Some(s.fingerprint());
+                return ControlFlow::Break(());
             }
-        }
-        for backend in [SweepBackend::Serial, SweepBackend::parallel(3)] {
-            let result: Result<u64, E> = sweep_runs(
-                &probe_factory(2),
-                &proposals,
-                config,
-                ModelKind::Es,
-                2,
-                6,
-                backend,
-                || 0u64,
-                |acc, s, _| {
-                    *acc += 1;
-                    if s.crash_count() == 1 {
-                        Err(E::TwoCrashesNever)
-                    } else {
-                        Ok(())
-                    }
-                },
-                |a, b| a + b,
-            );
-            assert!(matches!(result, Err(E::TwoCrashesNever)), "backend {backend:?}");
-        }
+            ControlFlow::Continue(())
+        });
+        let mut visited = 0u64;
+        let flow = for_each_serial_run(
+            &probe_factory(2),
+            &proposals,
+            config,
+            ModelKind::Es,
+            2,
+            6,
+            |s, _| {
+                visited += 1;
+                if s.crash_count() == 1 {
+                    ControlFlow::Break(s.fingerprint())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(flow, ControlFlow::Break(first_crash.expect("a one-crash schedule exists")));
+        assert_eq!(visited, 2, "the crash-free run, then the first one-crash run");
     }
 
-    /// Proposal arity is validated once, before any unit runs.
+    /// Proposal arity is validated before any run executes.
     #[test]
     fn arity_mismatch_is_a_typed_error() {
         let config = SystemConfig::majority(4, 1).unwrap();
         let short = props(2);
-        let result: Result<u64, ExecutorError> = sweep_runs(
+        let result = for_each_serial_run(
             &probe_factory(2),
             &short,
             config,
             ModelKind::Es,
             2,
             6,
-            SweepBackend::Serial,
-            || 0u64,
-            |acc, _, _| {
-                *acc += 1;
-                Ok(())
-            },
-            |a, b| a + b,
+            |_, _| -> ControlFlow<()> { panic!("no run executes on a rejected input") },
         );
         assert_eq!(
             result.unwrap_err(),
@@ -771,7 +566,7 @@ mod tests {
             2,
             |s, o| {
                 pairs.push((s.clone(), o.clone()));
-                ControlFlow::Continue(())
+                ControlFlow::<()>::Continue(())
             },
         )
         .unwrap();
@@ -813,24 +608,21 @@ mod tests {
     fn fused_count_equals_schedule_count() {
         let config = SystemConfig::majority(5, 2).unwrap();
         let proposals = props(5);
-        let counted: Result<u64, ExecutorError> = sweep_runs(
+        let mut counted = 0u64;
+        let flow = for_each_serial_run(
             &probe_factory(3),
             &proposals,
             config,
             ModelKind::Es,
             3,
             8,
-            SweepBackend::parallel(2),
-            || 0u64,
-            |acc, _, _| {
-                *acc += 1;
-                Ok(())
+            |_, _| {
+                counted += 1;
+                ControlFlow::<()>::Continue(())
             },
-            |a, b| a + b,
-        );
-        assert_eq!(
-            counted.expect("valid inputs"),
-            crate::serial::count_serial_schedules(config, 3)
-        );
+        )
+        .unwrap();
+        assert_eq!(flow, ControlFlow::Continue(()));
+        assert_eq!(counted, crate::serial::count_serial_schedules(config, 3));
     }
 }

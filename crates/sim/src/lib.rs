@@ -19,11 +19,6 @@
 //!   scratch);
 //! * [`serial`] — exhaustive enumeration of serial runs (at most one crash
 //!   per round), the run class used by the lower-bound proof;
-//! * [`batch`] / [`parallel`] — the serial space partitioned into
-//!   independent work units by first crash, fanned out over a scoped
-//!   worker pool. [`SweepBackend`] selects serial or parallel execution
-//!   and is an explicit argument of every exhaustive sweep; merged results
-//!   are identical regardless of thread count;
 //! * [`multishot`] — the multi-shot executor: chained consensus instances
 //!   on one recycled [`RunState`] (instance-reset hooks instead of
 //!   rebuilds), the simulator substrate of the `indulgent-log`
@@ -32,11 +27,12 @@
 //!   exhaustive sweep: enumeration fused with execution.
 //!   [`for_each_serial_run`] walks the serial-schedule tree executing each
 //!   shared prefix exactly once, forking [`RunState`] snapshots at branch
-//!   points; [`sweep_runs`] folds outcomes over any [`SweepBackend`],
-//!   bit-identical to [`for_each_serial_schedule`] + [`run_schedule`] on
-//!   every schedule (the reference the differential suite compares it
-//!   against) but algorithmically faster, which pushes exhaustive sweeps
-//!   to `n = 7, t = 2`.
+//!   points, and hands each schedule with its outcome to a visitor that
+//!   may stop the sweep with its own value. It visits the same schedules
+//!   in the same order, with the same outcomes, as
+//!   [`for_each_serial_schedule`] + [`run_schedule`] (the reference the
+//!   differential suite compares it against), but algorithmically faster,
+//!   which pushes exhaustive sweeps to `n = 7, t = 2`.
 //!
 //! # Example
 //!
@@ -71,28 +67,22 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 mod builder;
 mod executor;
 pub mod fd_sim;
 pub mod incremental;
 pub mod multishot;
-pub mod parallel;
 pub mod random;
 mod schedule;
 pub mod serial;
 pub mod stats;
 pub mod trace;
 
-pub use batch::{extension_work_units, work_units, WorkUnit};
 pub use builder::ScheduleBuilder;
 pub use executor::{run_schedule, ExecutorError, RoundObserver, RunState};
 pub use fd_sim::ScheduleDetector;
-pub use incremental::{
-    for_each_serial_run, for_each_serial_run_extension, sweep_run_extensions, sweep_runs,
-};
+pub use incremental::{for_each_serial_run, for_each_serial_run_extension};
 pub use multishot::MultiShotRunner;
-pub use parallel::{pooled_map_indexed, SweepBackend};
 pub use random::{random_run, RandomRunParams};
 pub use schedule::{MessageFate, ModelKind, Schedule, ScheduleError};
 pub use serial::{count_serial_schedules, for_each_serial_extension, for_each_serial_schedule};

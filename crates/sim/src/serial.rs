@@ -30,16 +30,12 @@ use crate::schedule::{MessageFate, ModelKind, Schedule};
 /// *synchronous* run of both SCS and ES.
 ///
 /// The number of schedules grows as `O((n · 2^(n-1) · horizon)^t)`. This
-/// single-threaded enumerator handles `n ≤ 6, t ≤ 2` comfortably; for
-/// larger spaces (up to `n = 7, t = 2`, roughly half a million schedules)
-/// use the parallel sweep engine in [`parallel`](crate::parallel), which
-/// partitions the same space into independent work units
-/// ([`batch`](crate::batch)) and fans them out over a worker pool while
-/// preserving this enumerator's visit semantics. When every visited
-/// schedule is also *executed*, prefer the incremental engine in
+/// enumerator handles `n ≤ 6, t ≤ 2` comfortably. When every visited
+/// schedule is also *executed*, use the incremental engine in
 /// [`incremental`](crate::incremental): it fuses this enumeration with
 /// execution, running each shared schedule prefix once instead of once
-/// per schedule.
+/// per schedule, which reaches `n = 7, t = 2` (roughly half a million
+/// schedules).
 pub fn for_each_serial_schedule<F>(
     config: SystemConfig,
     kind: ModelKind,

@@ -21,9 +21,7 @@
 //!
 //! The counters are [`indulgent_obs::Counter`]s — relaxed atomics whose
 //! increments are a few nanoseconds, never synchronize, and never
-//! allocate — and they aggregate across the pooled sweep workers
-//! ([`parallel`](crate::parallel)) as well as the serial engine. The set
-//! also registers as the `sim_engine` [metric family]
+//! allocate. The set also registers as the `sim_engine` [metric family]
 //! (indulgent_obs::MetricFamily), so registry-wide dumps see the round
 //! engine next to the server-side families. They monotonically increase
 //! for the lifetime of the process; measure a region by

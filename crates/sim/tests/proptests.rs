@@ -10,9 +10,8 @@ use indulgent_model::{
     Step, SystemConfig, Value,
 };
 use indulgent_sim::{
-    count_serial_schedules, for_each_serial_schedule, random_run, run_schedule, run_traced,
-    sweep_runs, work_units, ExecutorError, MessageFate, ModelKind, RandomRunParams, Schedule,
-    ScheduleBuilder, SweepBackend,
+    count_serial_schedules, for_each_serial_run, for_each_serial_schedule, random_run,
+    run_schedule, run_traced, MessageFate, ModelKind, RandomRunParams, Schedule, ScheduleBuilder,
 };
 use proptest::prelude::*;
 
@@ -305,79 +304,28 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The batch engine's work units partition the serial space: units are
-    /// pairwise disjoint, and concatenating their enumerations yields the
-    /// exact schedule sequence (count, content *and* order) that
-    /// `for_each_serial_schedule` visits.
-    #[test]
-    fn work_units_partition_the_serial_space(
-        n in 3usize..6,
-        t_pick in 1usize..3,
-        horizon in 1u32..4,
-    ) {
-        let t = t_pick.min((n - 1) / 2);
-        prop_assume!(t >= 1);
-        let config = SystemConfig::majority(n, t).unwrap();
-
-        let mut serial_fps: Vec<u64> = Vec::new();
-        let _ = for_each_serial_schedule(config, ModelKind::Es, horizon, |s| {
-            serial_fps.push(s.fingerprint());
-            ControlFlow::Continue(())
-        });
-
-        let mut unit_fps: Vec<u64> = Vec::new();
-        let mut unit_sizes: Vec<u64> = Vec::new();
-        for unit in work_units(config, ModelKind::Es, horizon) {
-            let before = unit_fps.len();
-            let _ = unit.for_each(|s| {
-                unit_fps.push(s.fingerprint());
-                ControlFlow::Continue(())
-            });
-            unit_sizes.push((unit_fps.len() - before) as u64);
-        }
-
-        // Same visit count and the same schedules in the same order.
-        prop_assert_eq!(serial_fps.len() as u64, count_serial_schedules(config, horizon));
-        prop_assert_eq!(&serial_fps, &unit_fps);
-        // Disjoint: no schedule appears in two units (the serial enumerator
-        // never repeats a schedule, and the sequences are equal, but check
-        // the multiset has no duplicates explicitly).
-        let distinct: std::collections::HashSet<u64> = unit_fps.iter().copied().collect();
-        prop_assert_eq!(distinct.len(), unit_fps.len());
-        // Every unit is non-empty.
-        prop_assert!(unit_sizes.iter().all(|&c| c > 0));
-    }
-
     /// The exhaustive run sweep visits exactly as many schedules as the
-    /// serial enumerator, on the serial backend and for any thread count.
+    /// serial enumerator.
     #[test]
-    fn parallel_sweep_count_matches_serial(
-        n in 3usize..6,
-        horizon in 1u32..4,
-        threads in 1usize..5,
-    ) {
+    fn fused_sweep_count_matches_serial(n in 3usize..6, horizon in 1u32..4) {
         let t = (n - 1) / 2;
         prop_assume!(t >= 1);
         let config = SystemConfig::majority(n, t).unwrap();
-        let expected = count_serial_schedules(config, horizon);
         let proposals: Vec<Value> = (0..n as u64).map(Value::new).collect();
-        for backend in [SweepBackend::Serial, SweepBackend::parallel(threads)] {
-            let counted: Result<u64, ExecutorError> = sweep_runs(
-                &probe_factory(2),
-                &proposals,
-                config,
-                ModelKind::Es,
-                horizon,
-                horizon + 1,
-                backend,
-                || 0,
-                |count, _, _| {
-                    *count += 1;
-                    Ok(())
-                },
-                |a, b| a + b,
-            );
-            prop_assert_eq!(counted.unwrap(), expected);
-        }
+        let mut counted = 0u64;
+        let flow = for_each_serial_run(
+            &probe_factory(2),
+            &proposals,
+            config,
+            ModelKind::Es,
+            horizon,
+            horizon + 1,
+            |_, _| {
+                counted += 1;
+                ControlFlow::<()>::Continue(())
+            },
+        );
+        prop_assert_eq!(flow, Ok(ControlFlow::Continue(())));
+        prop_assert_eq!(counted, count_serial_schedules(config, horizon));
     }
 }

@@ -7,7 +7,7 @@
 //! cargo run --example price_of_indulgence
 //! ```
 
-use indulgent_checker::{worst_case_decision_round, SweepBackend};
+use indulgent_checker::worst_case_decision_round;
 use indulgent_consensus::{AtPlus2, CoordinatorEcho, FloodSet, RotatingCoordinator};
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
 use indulgent_sim::{run_schedule, ModelKind, ScheduleBuilder};
@@ -19,15 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every serial run — exhaustively checked.
     let scs = SystemConfig::synchronous(4, 1)?;
     let floodset = move |_i: usize, v: Value| FloodSet::new(scs, v);
-    let scs_report = worst_case_decision_round(
-        &floodset,
-        scs,
-        ModelKind::Scs,
-        &proposals,
-        2,
-        10,
-        SweepBackend::Serial,
-    )?;
+    let scs_report = worst_case_decision_round(&floodset, scs, ModelKind::Scs, &proposals, 2, 10)?;
     println!(
         "SCS  (n=4, t=1): FloodSet worst case over {} serial runs: round {}",
         scs_report.runs,
@@ -41,15 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let id = ProcessId::new(i);
         AtPlus2::new(es, id, v, RotatingCoordinator::new(es, id))
     };
-    let es_report = worst_case_decision_round(
-        &at_plus2,
-        es,
-        ModelKind::Es,
-        &proposals,
-        3,
-        30,
-        SweepBackend::Serial,
-    )?;
+    let es_report = worst_case_decision_round(&at_plus2, es, ModelKind::Es, &proposals, 3, 30)?;
     println!(
         "ES   (n=4, t=1): A_t+2    worst case over {} serial runs: round {}",
         es_report.runs,
