@@ -1,5 +1,5 @@
-//! Shards add no thread: every shard group is an instance stream of one
-//! replica session, stepped on the engine's driver thread. The check
+//! Shards add no thread: every shard group runs its instances on a
+//! replica session of its own, stepped on the engine's driver thread. The check
 //! counts this process's live threads via /proc, so it lives in a test
 //! binary of its own: no sibling test can spawn or join threads between
 //! its two counts.
@@ -12,9 +12,9 @@ fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("proc readable").count()
 }
 
-/// S shards must not cost S threads: the engine multiplexes every shard
-/// group onto one replica session that its driver thread steps, so the
-/// thread bill for `--shards 4` equals the bill for `--shards 1`.
+/// S shards must not cost S threads: the engine's driver thread steps
+/// every shard group's replica session itself, so the thread bill for
+/// `--shards 4` equals the bill for `--shards 1`.
 #[cfg(target_os = "linux")]
 #[test]
 fn shards_add_no_thread() {

@@ -6,7 +6,7 @@
 //!
 //! The heavy randomized coverage runs on the deterministic simulator
 //! substrate (fast, reproducible by seed); a slimmer randomized matrix
-//! exercises the threaded session substrate with real clocks, and a
+//! exercises the session substrate with real clocks, and a
 //! crash-only case pins the two substrates to the identical decided log
 //! on replayable seeds (the exhaustive pinning lives in the integration
 //! differential suite).
@@ -206,12 +206,12 @@ proptest! {
 }
 
 proptest! {
-    // The threaded substrate spawns real threads per case; keep the case
-    // count wall-clock friendly.
+    // The session substrate waits out real grace periods and link delays
+    // per case; keep the case count wall-clock friendly.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Session substrate: random batch/depth/crash/async combinations on
-    /// real threads still satisfy every invariant.
+    /// Session substrate: random batch/depth/crash/async combinations
+    /// under real clocks still satisfy every invariant.
     #[test]
     fn session_log_chaos_preserves_invariants(
         batch in 1usize..5,

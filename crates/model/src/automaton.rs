@@ -5,8 +5,8 @@
 //! [`RoundProcess`]: a deterministic state machine driven by alternating
 //! *send* and *receive* phases. The same automaton runs unchanged under the
 //! deterministic simulator (`indulgent-sim`), the exhaustive model checker
-//! (`indulgent-checker`) and the threaded message-passing runtime
-//! (`indulgent-runtime`).
+//! (`indulgent-checker`) and the wall-clock message-passing runtime
+//! (`indulgent-runtime`), which steps its replicas on the caller's thread.
 
 use crate::message::Delivery;
 use crate::round::Round;

@@ -30,9 +30,11 @@
 //! until the next deadline: the next due delayed message or the earliest
 //! `quorum_at + grace`. There is no poll interval, and over instant links
 //! an instance runs from its start to its last result in one pump. The
-//! `runtime_session` metric family counts `caller_sleeps` and
-//! `caller_timed_wakes` (sleeps that ended on the session's deadline
-//! rather than on the caller's timeout).
+//! `runtime_session` metric family counts these sleeps as
+//! `caller_sleeps`. An event loop that waits on more than a session, such
+//! as the `indulgent-server` engine, pumps with
+//! [`Session::try_next_result`] and times its own sleep from
+//! [`Session::next_deadline`]; its sleeps are not counted.
 //!
 //! A retired instance keeps its replicas (automatons, mailboxes, vectors)
 //! for a later start, which resets each automaton in place through the
@@ -89,17 +91,15 @@ use indulgent_model::{
 
 /// The `runtime_session` metric family, summed over this process's
 /// sessions: instances and results (how much consensus traffic flowed),
-/// the result calls' sleeps and those that ended on the session's own
-/// deadline rather than on the caller's timeout, and `relays`, the
-/// broadcasts of replicas that had already decided (the stop rule in the
-/// module docs bounds them).
+/// the result calls' sleeps, and `relays`, the broadcasts of replicas
+/// that had already decided (the stop rule in the module docs bounds
+/// them).
 #[derive(Debug)]
 struct SessionMetrics {
     instances_started: indulgent_obs::Counter,
     results_delivered: indulgent_obs::Counter,
     decisions_delivered: indulgent_obs::Counter,
     caller_sleeps: indulgent_obs::Counter,
-    caller_timed_wakes: indulgent_obs::Counter,
     relays: indulgent_obs::Counter,
 }
 
@@ -108,7 +108,6 @@ static SESSION_METRICS: SessionMetrics = SessionMetrics {
     results_delivered: indulgent_obs::Counter::new(),
     decisions_delivered: indulgent_obs::Counter::new(),
     caller_sleeps: indulgent_obs::Counter::new(),
-    caller_timed_wakes: indulgent_obs::Counter::new(),
     relays: indulgent_obs::Counter::new(),
 };
 
@@ -122,7 +121,6 @@ impl indulgent_obs::MetricFamily for SessionMetrics {
         sink.counter("results_delivered", self.results_delivered.get());
         sink.counter("decisions_delivered", self.decisions_delivered.get());
         sink.counter("caller_sleeps", self.caller_sleeps.get());
-        sink.counter("caller_timed_wakes", self.caller_timed_wakes.get());
         sink.counter("relays", self.relays.get());
     }
 }
@@ -472,7 +470,8 @@ impl<P: RoundProcess> Session<P> {
     }
 
     /// Returns the next replica result of any instance in flight,
-    /// pumping and sleeping until one is ready.
+    /// pumping, and sleeping to the next deadline in between (module
+    /// docs), until one is ready.
     ///
     /// # Panics
     ///
@@ -480,47 +479,23 @@ impl<P: RoundProcess> Session<P> {
     /// instance with a message or a grace period pending), and
     /// propagates a panic of an automaton or a hook.
     pub fn next_result(&mut self) -> ReplicaResult {
-        self.next_result_until(None).expect("waits without a limit")
-    }
-
-    /// Returns the next replica result, pumping and sleeping at most
-    /// `timeout`; `None` on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic of an automaton or a hook.
-    pub fn next_result_timeout(&mut self, timeout: Duration) -> Option<ReplicaResult> {
-        self.next_result_until(Some(Instant::now() + timeout))
-    }
-
-    /// Pumps until a result is ready or `limit` has passed, sleeping to
-    /// the next deadline in between (module docs).
-    fn next_result_until(&mut self, limit: Option<Instant>) -> Option<ReplicaResult> {
-        let metrics = session_metrics();
         loop {
             if let Some(r) = self.ready.pop_front() {
-                return Some(note_result(r));
+                return note_result(r);
             }
-            let now = self.pump();
+            self.pump();
             if !self.ready.is_empty() {
                 continue;
             }
-            if limit.is_some_and(|at| at <= now) {
-                return None;
-            }
-            let deadline = self.next_deadline();
-            let Some(wake) = deadline.into_iter().chain(limit).min() else {
+            let Some(wake) = self.next_deadline() else {
                 panic!(
                     "no result can arrive: {} instance(s) in flight, none with a delayed \
                      message or a grace period pending",
                     self.active.len()
                 );
             };
-            metrics.caller_sleeps.incr();
+            session_metrics().caller_sleeps.incr();
             std::thread::sleep(wake.saturating_duration_since(Instant::now()));
-            if deadline == Some(wake) {
-                metrics.caller_timed_wakes.incr();
-            }
         }
     }
 
@@ -576,8 +551,8 @@ impl<P: RoundProcess> Session<P> {
 
     /// One pump (module docs): reads the clock once, moves every due
     /// delayed message into its mailbox, advances every instance in
-    /// flight and retires the finished ones. Returns the clock reading.
-    fn pump(&mut self) -> Instant {
+    /// flight and retires the finished ones.
+    fn pump(&mut self) {
         let now = Instant::now();
         while let Some(p) = pop_due(&mut self.delay_line, now) {
             let inst = self.active.iter_mut().find(|inst| inst.id == p.instance);
@@ -607,12 +582,14 @@ impl<P: RoundProcess> Session<P> {
                 i += 1;
             }
         }
-        now
     }
 
-    /// When the next pump can make progress that this one could not: the
-    /// next delayed message falls due or a round's grace runs out.
-    fn next_deadline(&self) -> Option<Instant> {
+    /// When the next pump can make progress that the last one could not:
+    /// the next delayed message falls due or a round's grace runs out;
+    /// `None` if neither is pending. An instance started since the last
+    /// pump has sent nothing yet, so it has no deadline: pump first.
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<Instant> {
         let grace_ends = self
             .active
             .iter()
@@ -1105,27 +1082,34 @@ mod tests {
     fn non_blocking_result_pump_drains_an_instance() {
         let config = cfg();
         let mut session = at_session(config);
-        let spec = InstanceSpec::synchronous(config);
+        let spec = InstanceSpec::synchronous(config)
+            .with_delays(DelayModel::Uniform { delay: Duration::from_millis(1) });
         assert!(session.try_next_result().is_none(), "nothing in flight yet");
         let instance = session.start_instance_recycled(&vals(&[1, 2, 3, 4, 5]), &spec);
-        // Pump with the bounded-wait variant until all n replicas report.
+        assert_eq!(session.next_deadline(), None, "an unpumped start has sent nothing yet");
+        // Pump, and sleep to the session's own deadline in between, as an
+        // event loop layered over the session does, until all n replicas
+        // report.
         let mut results = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(20);
         while results.len() < config.n() {
             assert!(Instant::now() < deadline, "instance must complete");
-            if let Some(r) = session.next_result_timeout(Duration::from_millis(5)) {
-                assert_eq!(r.instance, instance);
-                results.push(r);
+            match session.try_next_result() {
+                Some(r) => {
+                    assert_eq!(r.instance, instance);
+                    results.push(r);
+                }
+                None => {
+                    let wake = session.next_deadline().expect("a message is on the delay line");
+                    std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                }
             }
         }
         for r in &results {
             assert_eq!(r.decision.expect("decided").value, Value::new(1));
         }
         assert!(session.try_next_result().is_none(), "exactly n results per instance");
-        assert!(
-            session.next_result_timeout(Duration::from_millis(1)).is_none(),
-            "an idle session times out instead of waiting for a result that cannot come"
-        );
+        assert_eq!(session.next_deadline(), None, "an idle session has nothing to wait for");
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!   hash-partitioned across (default 1); with `--dir` the root must
 //!   have been laid out for the same count
 //! * `--reads MODE` — read path: `lease` (default; leader-lease fast
-//!   reads with quorum/sequenced fallback), `quorum` (attest every read
-//!   batch, no lease), or `log` (sequence every read — the pre-lease
-//!   behavior, kept as an escape hatch)
+//!   reads with quorum/sequenced fallback) or `log` (sequence every
+//!   read — the pre-lease behavior, kept as an escape hatch)
 //! * `--stats-every SECS` — periodically scrape the engine's own stats
 //!   port (per-shard [`StatsReport`]s plus the whole-service aggregate)
 //!   and dump the process-wide metrics registry to stdout; 0 (default)
@@ -69,9 +68,8 @@ fn main() {
             "--reads" => {
                 reads = match argv.next().expect("--reads needs a mode").as_str() {
                     "lease" => ReadPath::Lease,
-                    "quorum" => ReadPath::Quorum,
                     "log" | "sequenced" => ReadPath::Sequenced,
-                    other => panic!("--reads must be lease|quorum|log, got {other:?}"),
+                    other => panic!("--reads must be lease|log, got {other:?}"),
                 };
             }
             _ => positional.push(arg),

@@ -11,8 +11,8 @@
 //!    either park a lease-path `Get` on the read ladder or batch the
 //!    command (sealed at `batch_size`, or by the linger timer so a lone
 //!    request never waits for a full batch);
-//! 2. **on-result** — feed every replica result back to the shard that
-//!    proposed the instance;
+//! 2. **on-result** — pump the shard's own replica session and feed
+//!    every replica result back to the shard;
 //! 3. **apply** — apply decided slots in order: materialize the store,
 //!    compute each response from the store at its slot, persist the slot
 //!    to the write-ahead log ([`crate::wal`]) and `fdatasync` it
@@ -20,23 +20,24 @@
 //! 4. **serve reads** — answer parked reads at the new applied frontier,
 //!    or demote them into the open batch;
 //! 5. **start** — pipeline consensus: up to `pipeline_depth` instances
-//!    of `A_{t+2}` (round-2 fast path) per shard race on one reusable
+//!    of `A_{t+2}` (round-2 fast path) race on the shard's reusable
 //!    [`Session`], every replica proposing the same sealed batch id (a
 //!    live service has one in-process sequencer, so shared proposals
 //!    make double-choosing impossible by construction — the audit still
 //!    checks it). Only the id goes through agreement; the batch's
 //!    requests wait with it in the shard's in-flight window.
 //!
-//! Steps 3–5 are one pass per shard, so the window slots an apply frees
-//! are refilled in the same loop iteration: the driver only waits on the
-//! session once no shard has both a sealed batch and a free slot.
+//! Steps 2–5 are one pass per shard, so the window slots an apply frees
+//! are refilled in the same loop iteration: the driver only waits once
+//! no shard has both a sealed batch and a free slot.
 //!
-//! All shards multiplex over the *one* replica session, which runs on
-//! the driver thread: the loop steps every consensus round inline when
-//! it pumps results (`try_next_result`) or waits for one
-//! (`next_result_timeout`), and S shards add no thread. Session instance
-//! ids are global; the driver keeps a routing table from instance id to
-//! `(shard, local instance)`.
+//! Each shard has a session of its own, and a session adds no thread:
+//! the driver steps every consensus round inline when it pumps a shard's
+//! results (`try_next_result`), and between passes it sleeps until the
+//! earliest [`Session::next_deadline`] of any shard, at most `BUSY_NAP`
+//! (200 µs). A session's instance ids are its shard's local instance
+//! numbers. Shards share nothing: no two shards' logs are ordered
+//! against each other.
 //! Acks carry the owning shard: the linearization point is
 //! `(shard, slot)`, and per-connection session order is per-shard slot
 //! monotonicity. Exactly-once dedup is untouched by sharding because a
@@ -59,7 +60,7 @@ use std::time::{Duration, Instant};
 use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot};
 use indulgent_model::{SystemConfig, Value};
 use indulgent_obs::FlightKind;
-use indulgent_runtime::{DelayModel, InstanceSpec, ReplicaResult, Session};
+use indulgent_runtime::{DelayModel, InstanceSpec, Session};
 
 use crate::audit::ShardedAudit;
 use crate::lease::{LeaseConfig, ReadPath};
@@ -70,6 +71,12 @@ use crate::shard::{audit_summary, ShardRouter, ShardState, LINGER};
 const MAX_ROUNDS: u32 = 60;
 /// Straggler grace window of the replica session.
 const GRACE: Duration = Duration::from_millis(2);
+/// Longest the driver sleeps while instances are in flight: a busy
+/// driver does not wake on intake, so this bounds how long a new request
+/// waits. Waking on intake was measured slower (`write_delay_s4`, 2
+/// vCPUs: peak −16 %, CPU per op +28 %): every wake pumps every replica
+/// of every instance in flight, due or not.
+const BUSY_NAP: Duration = Duration::from_micros(200);
 /// Watchdog: the engine panics if consensus makes no progress for this
 /// long with instances in flight (a wedged service must fail loudly, not
 /// hang a CI job).
@@ -127,9 +134,9 @@ pub struct EngineConfig {
     /// when `reads` is not `Sequenced`.
     pub lease: LeaseConfig,
     /// How many shard groups partition the keyspace. Each shard owns an
-    /// independent log pipeline (batching, slot space, WAL, lease), all
-    /// multiplexed over the *one* replica session on the driver thread —
-    /// S shards add no thread.
+    /// independent log pipeline (batching, slot space, WAL, lease) and
+    /// replica session, all stepped on the one driver thread — S shards
+    /// add no thread.
     pub shards: usize,
 }
 
@@ -379,8 +386,8 @@ impl SubmitHandle {
     }
 }
 
-/// The running service engine: a driver thread owning the replica
-/// session, reachable through [`EngineHandle`]s.
+/// The running service engine: a driver thread owning every shard and
+/// its replica session, reachable through [`EngineHandle`]s.
 #[derive(Debug)]
 pub struct KvEngine {
     handle: EngineHandle,
@@ -388,8 +395,8 @@ pub struct KvEngine {
 }
 
 impl KvEngine {
-    /// Spawns the replica session and the driver thread (recovering from
-    /// the durability directory first, if one is configured).
+    /// Spawns the driver thread, which recovers every shard from the
+    /// durability directory first, if one is configured.
     #[must_use]
     pub fn spawn(config: EngineConfig) -> Self {
         let (intake_tx, intake_rx) = channel();
@@ -429,35 +436,8 @@ impl KvEngine {
     }
 }
 
-/// Routing entry of one in-flight consensus instance. The shared
-/// session numbers instances globally across shards, so the driver maps
-/// each id back to the shard that proposed it and the shard-local
-/// instance number (= slot offset) it occupies.
-struct InstanceRoute {
-    shard: usize,
-    local: u64,
-    arrivals: usize,
-}
-
-/// Hands one replica result to the shard that proposed its instance.
-/// The route entry is dropped once all `n` replicas have reported — the
-/// id can never arrive again.
-fn absorb_result(
-    shards: &mut [ShardState],
-    routes: &mut HashMap<u64, InstanceRoute>,
-    n: usize,
-    r: &ReplicaResult,
-) {
-    let route = routes.get_mut(&r.instance).expect("replica result routes to a started instance");
-    shards[route.shard].on_result(route.local, r.replica.index(), r.decision);
-    route.arrivals += 1;
-    if route.arrivals == n {
-        routes.remove(&r.instance);
-    }
-}
-
 /// What intake leaves for later in the driver loop: control requests,
-/// answered at step 4 against the just-applied state, and the lifecycle
+/// answered at step 3 against the just-applied state, and the lifecycle
 /// flags.
 #[derive(Debug, Default)]
 struct Deferred {
@@ -496,8 +476,7 @@ fn handle(
     }
 }
 
-/// The driver thread: the shard-multiplexing event loop described in the
-/// module docs.
+/// The driver thread: the event loop described in the module docs.
 fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     let n = cfg.system.n();
     let shard_count = u32::try_from(cfg.shards).expect("shard count fits u32");
@@ -520,12 +499,6 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
         }
     }
 
-    // ONE recycling session serves every shard, stepped on this thread
-    // by the result calls below, so S shards add zero threads over a
-    // single group. Instance ids are global; `routes` maps them back to
-    // shards.
-    let mut session: Session<AtSlot> =
-        Session::with_recycler(cfg.system, GRACE, at_plus2_factory(cfg.system), at_plus2_reset());
     let spec = InstanceSpec { crashes: vec![None; n], delays: cfg.delays, max_rounds: MAX_ROUNDS };
     // Every replica proposes the same batch id: one buffer, refilled per
     // instance start.
@@ -534,7 +507,19 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     let mut conns = Conns::new();
     let mut shards: Vec<ShardState> =
         (0..shard_count).map(|i| ShardState::recover(i, cfg)).collect();
-    let mut routes: HashMap<u64, InstanceRoute> = HashMap::new();
+    // One recycling session per shard, same index, stepped on this
+    // thread by the pumps below: S shards add no thread over one.
+    let mut sessions: Vec<Session<AtSlot>> = shards
+        .iter()
+        .map(|_| {
+            Session::with_recycler(
+                cfg.system,
+                GRACE,
+                at_plus2_factory(cfg.system),
+                at_plus2_reset(),
+            )
+        })
+        .collect();
 
     let mut deferred = Deferred::default();
     let mut last_progress = Instant::now();
@@ -551,18 +536,18 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             break;
         }
 
-        // 2. Pump replica results back to their shards.
-        while let Some(r) = session.try_next_result() {
-            last_progress = Instant::now();
-            absorb_result(&mut shards, &mut routes, n, &r);
-        }
-
-        // 3. One pass per shard: apply decided slots, renew the lease,
-        // run the read ladder at the new frontier, seal lingering
-        // batches (demoted reads included), then start instances on the
-        // shared session in the window slots the apply freed — before
-        // step 6 waits, so a freed slot never idles through a sleep.
-        for (si, sh) in shards.iter_mut().enumerate() {
+        // 2. One pass per shard: pump its session's results into it,
+        // apply decided slots, renew the lease, run the read ladder at
+        // the new frontier, seal lingering batches (demoted reads
+        // included), then start instances in the window slots the apply
+        // freed — before step 5 waits, so a freed slot never idles
+        // through a sleep.
+        let mut started = false;
+        for (sh, session) in shards.iter_mut().zip(&mut sessions) {
+            while let Some(r) = session.try_next_result() {
+                last_progress = Instant::now();
+                sh.on_result(r.instance, r.replica.index(), r.decision);
+            }
             sh.apply_decided(&conns);
             sh.lease_upkeep();
             sh.serve_reads(&conns);
@@ -570,12 +555,13 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             while let Some((local, batch)) = sh.start_next() {
                 proposals.fill(batch.as_value());
                 let instance = session.start_instance_recycled(&proposals, &spec);
-                routes.insert(instance, InstanceRoute { shard: si, local, arrivals: 0 });
+                assert_eq!(instance, local, "session instance ids track the shard's");
+                started = true;
                 last_progress = Instant::now();
             }
         }
 
-        // 4. Answer control requests (state transfers, lease probes,
+        // 3. Answer control requests (state transfers, lease probes,
         // scrapes, audits) against the just-applied state. Requests
         // naming an unknown shard are dropped.
         for (conn, request) in deferred.controls.drain(..) {
@@ -600,17 +586,17 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
             let _ = tx.send(Outbound::Control(reply));
         }
 
-        // 5. Exit once shutdown has drained every shard.
+        // 4. Exit once shutdown has drained every shard.
         if deferred.shutting_down && shards.iter().all(ShardState::quiesced) {
             break;
         }
 
-        // 6. Watchdog + idle strategy. Step 3 left no shard able to
-        // start. With instances in flight, step the session — its first
-        // pump sends the round-1 messages of what step 3 started — and
-        // sleep until its next deadline; the 200 µs cap bounds how long
-        // intake waits. Otherwise park briefly on the intake channel
-        // (new work wakes us).
+        // 5. Watchdog + idle strategy. Step 2 left no shard able to
+        // start. With instances in flight, sleep until the earliest
+        // session deadline, at most `BUSY_NAP`; an instance step 2
+        // started has sent nothing yet, so then the next pass pumps it
+        // at once. Otherwise park briefly on the intake channel (new
+        // work wakes us).
         debug_assert!(
             !shards.iter().any(ShardState::can_start),
             "the driver waits with a startable batch and a free pipeline slot"
@@ -621,9 +607,11 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 "engine stalled: {} instances in flight, no replica progress for {STALL_TIMEOUT:?}",
                 shards.iter().map(ShardState::in_flight).sum::<u64>(),
             );
-            if let Some(r) = session.next_result_timeout(Duration::from_micros(200)) {
-                last_progress = Instant::now();
-                absorb_result(&mut shards, &mut routes, n, &r);
+            if !started {
+                let cap = Instant::now() + BUSY_NAP;
+                let wake =
+                    sessions.iter().filter_map(Session::next_deadline).fold(cap, Instant::min);
+                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
             }
         } else if !deferred.shutting_down {
             let nap = if shards.iter().any(ShardState::has_open_batch) {
@@ -632,7 +620,7 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 Duration::from_millis(2)
             };
             // Control requests wait in `deferred` for the next
-            // iteration's step 4; a Die exits at its step 1.
+            // iteration's step 3; a Die exits at its step 1.
             if let Ok(msg) = intake.recv_timeout(nap) {
                 handle(msg, &mut conns, &mut shards, &router, &mut deferred);
             }
@@ -664,39 +652,54 @@ mod tests {
     use super::*;
     use crate::proto::{KvOp, Outcome};
 
-    /// At depth 1 and batch 1 over 1 ms links, four puts submitted
-    /// together take four instances in turn: each apply frees the one
-    /// window slot, and the same driver pass must start the next put (in
-    /// debug builds the driver asserts it never waits with a startable
-    /// batch).
+    /// Over 1 ms links with batch 1, puts submitted together take one
+    /// instance each: every apply frees a window slot, and the same
+    /// driver pass must start the next put (in debug builds the driver
+    /// asserts it never waits with a startable batch). One shard at depth
+    /// 1 takes four puts in turn; four shards at depth 2 keep instances
+    /// of every shard in flight at once, each on its shard's session.
     #[test]
     fn each_freed_window_slot_is_refilled_over_delayed_links() {
-        let cfg = EngineConfig::default_5()
-            .with_delays(DelayModel::Uniform { delay: Duration::from_millis(1) })
-            .with_pipeline_depth(1)
-            .with_batch_size(1);
-        let engine = KvEngine::spawn(cfg);
-        let (submit, acks) = engine.handle().connect();
-        let puts = (0..4)
-            .map(|i| Request {
-                client: ClientId(1),
-                request: RequestId(i),
-                op: KvOp::Put { key: 5, value: i as u32 },
-            })
-            .collect();
-        assert!(submit.submit_batch(puts));
-        for i in 0..4 {
-            match acks.recv_timeout(Duration::from_secs(10)) {
-                Ok(Outbound::Ack(r)) => {
-                    assert_eq!(
-                        (r.request, r.outcome),
-                        (RequestId(i), Outcome::Put { slot: i + 1 })
-                    );
-                }
-                other => panic!("put {i}: expected its ack, got {other:?}"),
+        for (shards, depth) in [(1u32, 1), (4, 2)] {
+            let cfg = EngineConfig::default_5()
+                .with_delays(DelayModel::Uniform { delay: Duration::from_millis(1) })
+                .with_pipeline_depth(depth)
+                .with_batch_size(1)
+                .with_shards(shards as usize);
+            let router = ShardRouter::new(shards);
+            // The first key each shard owns; put `i` goes to shard `i % S`.
+            let keys: Vec<u16> = (0..shards)
+                .map(|s| (0..).find(|&k| router.shard_of(k) == s).expect("every shard owns a key"))
+                .collect();
+            let puts: Vec<Request> = (0..4 * shards)
+                .map(|i| Request {
+                    client: ClientId(1),
+                    request: RequestId(u64::from(i)),
+                    op: KvOp::Put { key: keys[(i % shards) as usize], value: i },
+                })
+                .collect();
+            let mut expected = vec![Vec::new(); shards as usize];
+            for put in &puts {
+                expected[router.shard_of(put.op.key()) as usize].push(put.request);
             }
+            let engine = KvEngine::spawn(cfg);
+            let (submit, acks) = engine.handle().connect();
+            assert!(submit.submit_batch(puts));
+            // Each shard acks its puts in submit order, at slots 1, 2, ...
+            let mut acked = vec![Vec::new(); shards as usize];
+            for _ in 0..4 * shards {
+                match acks.recv_timeout(Duration::from_secs(10)) {
+                    Ok(Outbound::Ack(r)) => {
+                        let mine = &mut acked[r.shard as usize];
+                        mine.push(r.request);
+                        assert_eq!(r.outcome, Outcome::Put { slot: mine.len() as u64 }, "{r:?}");
+                    }
+                    other => panic!("{shards} shard(s): expected an ack, got {other:?}"),
+                }
+            }
+            assert_eq!(acked, expected, "{shards} shard(s): per-shard acks in submit order");
+            drop(submit);
+            assert_eq!(engine.shutdown().check(), Ok(()));
         }
-        drop(submit);
-        assert_eq!(engine.shutdown().check(), Ok(()));
     }
 }

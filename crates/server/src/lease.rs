@@ -108,9 +108,6 @@ pub enum ReadPath {
     /// `--reads log`).
     #[default]
     Sequenced,
-    /// Reads are answered after a per-read quorum attest round, never
-    /// from the lease alone (`--reads quorum`).
-    Quorum,
     /// Reads are answered from the applied store while the lease is
     /// healthy, falling down the ladder otherwise (`--reads lease`).
     Lease,
@@ -122,17 +119,16 @@ impl ReadPath {
     pub fn as_wire(self) -> u8 {
         match self {
             ReadPath::Sequenced => 0,
-            ReadPath::Quorum => 1,
             ReadPath::Lease => 2,
         }
     }
 
     /// The read path whose [`as_wire`](ReadPath::as_wire) is `mode`, if
-    /// any: the inverse the `LeaseStatus` decoder and display use.
+    /// any: the inverse the `LeaseStatus` decoder and display use. Byte
+    /// 1 is unassigned, so it is refused like any unknown byte and
+    /// `Lease` keeps byte 2 on the wire.
     pub(crate) fn from_wire(mode: u8) -> Option<Self> {
-        [ReadPath::Sequenced, ReadPath::Quorum, ReadPath::Lease]
-            .into_iter()
-            .find(|path| path.as_wire() == mode)
+        [ReadPath::Sequenced, ReadPath::Lease].into_iter().find(|path| path.as_wire() == mode)
     }
 }
 

@@ -22,10 +22,10 @@
 //!   WAL + checkpoints, crash recovery, and the lease read ladder —
 //!   driven step by step (submit, on-result, apply, serve reads, start).
 //! * [`engine`] — the event loop: routes intake to shard groups,
-//!   pipelines consensus instances of every shard on *one* reusable
-//!   replica session stepped on the driver thread (S shards, no thread
-//!   of their own), feeds replica results back to their shards, and answers
-//!   control requests. Shutdown returns a [`ShardedAudit`].
+//!   pipelines each shard's consensus instances on a reusable replica
+//!   session of its own, all stepped on the driver thread (S shards, no
+//!   thread of their own), feeds each session's results to its shard,
+//!   and answers control requests. Shutdown returns a [`ShardedAudit`].
 //! * [`audit`] — verification: [`ServiceAudit::check`] replays a shard's
 //!   log with independent code, re-derives every acknowledgement and
 //!   fast read, and checks replica agreement; [`ShardedAudit::check`]

@@ -713,7 +713,6 @@ impl fmt::Display for LeaseStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mode = match ReadPath::from_wire(self.mode) {
             Some(ReadPath::Sequenced) => "sequenced",
-            Some(ReadPath::Quorum) => "quorum",
             Some(ReadPath::Lease) => "lease",
             None => "unknown",
         };
@@ -958,12 +957,12 @@ mod tests {
             reads_sequenced: 97,
         };
         assert_eq!(LeaseStatus::decode(&s.encode()).unwrap(), s);
-        for mode in 0..=2 {
+        for mode in [0, 2] {
             let s = LeaseStatus { mode, ..s };
             assert_eq!(LeaseStatus::decode(&s.encode()).unwrap(), s);
         }
-        // `mode` (byte 9) is 0..=2; `healthy` (byte 18) is a bool.
-        for (offset, byte) in [(9, 3), (9, 0xff), (18, 2), (18, 0xff)] {
+        // `mode` (byte 9) is 0 or 2; `healthy` (byte 18) is a bool.
+        for (offset, byte) in [(9, 1), (9, 3), (9, 0xff), (18, 2), (18, 0xff)] {
             let mut bytes = s.encode();
             bytes[offset] = byte;
             assert_eq!(LeaseStatus::decode(&bytes), Err(ProtoError::BadTag(byte)));

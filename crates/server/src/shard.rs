@@ -684,8 +684,7 @@ impl ShardState {
             return;
         }
         let now = Instant::now();
-        let lease_ok = self.cfg.reads == ReadPath::Lease
-            && self.lease.as_ref().is_some_and(|l| l.read_allowed(now));
+        let lease_ok = self.lease.as_ref().is_some_and(|l| l.read_allowed(now));
         let quorum = self.cfg.system.quorum();
         let agents = &mut self.agents;
         let attested = !lease_ok

@@ -45,25 +45,6 @@ fn lease_reads_bypass_the_log_and_pass_the_audit() {
 }
 
 #[test]
-fn quorum_mode_attests_every_read_batch() {
-    let engine = KvEngine::spawn(lease_config(ReadPath::Quorum));
-    let mut kv = LocalKv::connect(&engine.handle(), ClientId(2));
-    kv.put(1, 10).expect("put acked");
-    for _ in 0..3 {
-        let get = kv.get(1).expect("get acked");
-        assert!(matches!(get.outcome, Outcome::Read { value: Some(10), .. }));
-    }
-    let audit = engine.shutdown();
-    assert_eq!(audit.committed_commands(), 1);
-    assert_eq!(audit.fast_reads().len(), 3);
-    assert!(
-        audit.fast_reads().iter().all(|r| r.attested),
-        "quorum mode never trusts the lease alone"
-    );
-    audit.check().expect("audit clean");
-}
-
-#[test]
 fn expired_lease_falls_back_to_the_quorum_rung() {
     // A 1 ms TTL with a 60 s renew cadence guarantees the lease has
     // lapsed by the time any read is served, so every read must take
@@ -162,7 +143,7 @@ fn rebooted_leader_serves_only_under_a_fresh_epoch() {
 /// One randomized interleaving: a writer hammering shared keys while a
 /// reader mixes private read-your-writes probes with shared-key reads,
 /// under lease timings short enough to lapse and renew mid-run.
-fn run_interleaving(ttl_micros: u64, renew_micros: u64, ops: u32, reads: ReadPath) {
+fn run_interleaving(ttl_micros: u64, renew_micros: u64, ops: u32) {
     let timing = LeaseConfig::default()
         .with_ttl(Duration::from_micros(ttl_micros))
         .with_renew_every(Duration::from_micros(renew_micros));
@@ -170,7 +151,7 @@ fn run_interleaving(ttl_micros: u64, renew_micros: u64, ops: u32, reads: ReadPat
         EngineConfig::default_5()
             .with_batch_size(2)
             .with_pipeline_depth(3)
-            .with_reads(reads)
+            .with_reads(ReadPath::Lease)
             .with_lease(timing),
     );
     let handle = engine.handle();
@@ -219,9 +200,7 @@ proptest! {
         ttl_micros in 200u64..20_000,
         renew_div in 1u64..8,
         ops in 6u32..18,
-        quorum_mode in proptest::bool::ANY,
     ) {
-        let reads = if quorum_mode { ReadPath::Quorum } else { ReadPath::Lease };
-        run_interleaving(ttl_micros, ttl_micros / renew_div, ops, reads);
+        run_interleaving(ttl_micros, ttl_micros / renew_div, ops);
     }
 }

@@ -290,7 +290,8 @@ fn contract_rows(w: &[u64], samples: &[u64], blob: &[u8]) -> Vec<Row> {
     let lease = LeaseStatus {
         shard: w[0] as u32,
         shards: w[1] as u32,
-        mode: (w[2] % 3) as u8,
+        // A `ReadPath` wire byte: 0 (sequenced) or 2 (lease).
+        mode: (w[2] % 2 * 2) as u8,
         epoch: w[3],
         healthy: w[4] & 1 == 1,
         grants: w[5] as u32,
@@ -364,9 +365,10 @@ fn contract_rows(w: &[u64], samples: &[u64], blob: &[u8]) -> Vec<Row> {
             (2, 2),
             (2, 0x80),
         ]),
-        // `mode` is 0..=2; `healthy` is a bool.
+        // `mode` is 0 or 2; `healthy` is a bool.
         Row::new("LeaseStatus", lease, LeaseStatus::encode, LeaseStatus::decode).refusing(vec![
             (0, 0x0e),
+            (9, 1),
             (9, 3),
             (9, 0xff),
             (18, 2),

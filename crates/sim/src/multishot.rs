@@ -27,7 +27,7 @@
 //! enforce this — schedules are caller-supplied — but
 //! [`MultiShotRunner::run_instance`] is documented against that
 //! convention: model a replica dead from the start of an instance with a
-//! round-1 `crash_before_send` in that instance's schedule. The threaded
+//! round-1 `crash_before_send` in that instance's schedule. The wall-clock
 //! runtime's session applies the same convention on its side, which is
 //! what makes runtime log executions differentially comparable to this
 //! executor on crash-only scenarios.
