@@ -1,10 +1,10 @@
 //! Differential conformance harness for the sweep engine.
 //!
-//! Runs identical schedule batches through the executors the workspace
-//! has — the run-from-scratch loop (`for_each_serial_schedule` +
-//! `run_schedule`), the incremental fork-on-branch sweep, and, for sampled
-//! schedules, the wall-clock `indulgent_runtime` — and asserts
-//! outcome-for-outcome equality:
+//! Runs identical schedule batches through the simulator's two executors
+//! — the run-from-scratch loop (`for_each_serial_schedule` +
+//! `run_schedule`) and the incremental fork-on-branch sweep — and asserts
+//! outcome-for-outcome equality (the wall-clock runtime's differential is
+//! `replay_differential.rs`):
 //!
 //! * the incremental prefix-sharing engine visits the same schedules in
 //!   the same order as the run-from-scratch loop and produces the same
@@ -13,24 +13,17 @@
 //!   execute, never what they compute);
 //! * a consensus violation is reported with a deterministic witness: the
 //!   first failing schedule of the run-from-scratch loop;
-//! * schedules expressible on the real network (crash-before-send) produce
-//!   the same decisions under the deterministic simulator and the
-//!   wall-clock runtime;
 //! * the paper's `t + 2` bound (`k_ES`) survives the engine's headline
 //!   workload: an exhaustive `n = 7, t = 2` sweep (~518k serial runs).
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::time::Duration;
 
 use indulgent_checker::{decision_round_census, worst_case_decision_round, CheckError};
 use indulgent_consensus::{AtPlus2, CoordinatorEcho, FloodSet, RotatingCoordinator};
 use indulgent_integration::proposals;
 use indulgent_model::{ProcessFactory, ProcessId, Round, RunOutcome, SystemConfig, Value};
-use indulgent_runtime::{run_network, InstanceSpec};
-use indulgent_sim::{
-    for_each_serial_run, for_each_serial_schedule, run_schedule, MessageFate, ModelKind, Schedule,
-};
+use indulgent_sim::{for_each_serial_run, for_each_serial_schedule, run_schedule, ModelKind};
 
 fn at_plus2_factory(
     config: SystemConfig,
@@ -64,81 +57,6 @@ fn violation_witness_is_the_first_failing_schedule() {
     let error =
         worst_case_decision_round(&factory, config, ModelKind::Scs, &props, 3, 10).unwrap_err();
     assert_eq!(error, failing[0], "the witness is the first failing schedule");
-}
-
-/// Schedules whose every crash loses all messages (crash strictly before
-/// sending) are exactly the ones the wall-clock runtime can express via
-/// `InstanceSpec::crash`; sample them from the swept space and compare
-/// executor against network, outcome for outcome.
-#[test]
-fn runtime_spot_checks_match_the_swept_schedules() {
-    let config = SystemConfig::majority(5, 2).unwrap();
-    let props = proposals(5);
-    let horizon = 3u32;
-
-    // Collect the network-expressible schedules from the serial space.
-    let mut expressible: Vec<Schedule> = Vec::new();
-    let _ = for_each_serial_schedule(config, ModelKind::Es, horizon, |schedule| {
-        let all_lost = config.processes().all(|p| match schedule.crash_round(p) {
-            None => true,
-            // Fates toward already-crashed receivers are irrelevant
-            // (never delivered); only live receivers must lose.
-            Some(r) => config
-                .processes()
-                .filter(|&q| q != p && schedule.alive_entering(q, r))
-                .all(|q| schedule.fate(r, p, q) == MessageFate::Lose),
-        });
-        if all_lost {
-            expressible.push(schedule.clone());
-        }
-        ControlFlow::Continue(())
-    });
-    // 1 failure-free + one-crash (3 rounds x 5 victims) + two-crash
-    // (3 ordered round pairs x 5 x 4 victims).
-    assert_eq!(expressible.len(), 1 + 15 + 60);
-
-    // Spot-check a deterministic sample through the wall-clock runtime.
-    for schedule in expressible.iter().step_by(7) {
-        let factory = at_plus2_factory(config);
-        let sim = run_schedule(&factory, &props, schedule, 30).unwrap();
-        sim.check_consensus().unwrap();
-
-        // Round-exact comparison needs a synchronous run: every message
-        // inside its round's grace. This binary's other tests sweep on the
-        // harness's parallel test threads and keep both cores busy, and
-        // this test's own thread, which steps every replica, then waits up
-        // to ~16 ms for a core (measured on 2 vCPUs), past the usual 4 ms
-        // grace — a false suspicion the simulator never sees. 50 ms covers
-        // the stall.
-        let grace = Duration::from_millis(50);
-        let mut spec = InstanceSpec::synchronous(config);
-        for p in config.processes() {
-            if let Some(r) = schedule.crash_round(p) {
-                spec = spec.crash(p, r);
-            }
-        }
-        let net = run_network(config, factory, &props, grace, &spec);
-        net.outcome.check_consensus().unwrap();
-
-        assert_eq!(
-            sim.global_decision_round(),
-            net.outcome.global_decision_round(),
-            "global decision round diverged on {schedule:?}"
-        );
-        for p in config.processes() {
-            assert_eq!(
-                sim.decision_of(p).map(|d| d.value),
-                net.outcome.decision_of(p).map(|d| d.value),
-                "{p} decided differently under {schedule:?}"
-            );
-            assert_eq!(
-                sim.decision_of(p).map(|d| d.round),
-                net.outcome.decision_of(p).map(|d| d.round),
-                "{p} decided in a different round under {schedule:?}"
-            );
-        }
-        assert_eq!(sim.crashed, net.outcome.crashed);
-    }
 }
 
 /// Walks the serial space of `config` (crashes in rounds `1..=4`) twice:

@@ -1,14 +1,13 @@
 //! Differential conformance of the replicated log across substrates:
 //! the wall-clock runtime's decided log must be value-identical to the
 //! deterministic simulator's, slot by slot, on every replayable
-//! crash-only scenario — any batch size, any pipeline depth.
+//! scenario — any batch size, any pipeline depth.
 //!
-//! Crashes are logical per-instance points realized identically by both
-//! substrates, so this equality is exact, not statistical. Asynchronous
-//! prefixes are inherently wall-clock-dependent (which messages miss the
-//! grace window differs between a simulated round and a real one), so
-//! chaotic runs are held to the log *invariants* on both substrates
-//! instead of cross-substrate equality.
+//! Both substrates replay the same compiled schedule per instance
+//! (`indulgent_log::compile_schedule`): crashes, and the delayed messages
+//! of an asynchronous prefix, applied by round. So this equality is
+//! exact, not statistical, and over instant links it extends to the
+//! round each replica decides in.
 
 use std::collections::BTreeMap;
 
@@ -194,8 +193,9 @@ fn round_robin_contention_agrees_across_substrates() {
 
 #[test]
 fn async_prefix_holds_invariants_on_both_substrates() {
-    // Wall-clock suspicions are substrate-specific; both substrates must
-    // nevertheless keep every correct replica on one identical log.
+    // The runtime replays the prefix's delays by round, so both
+    // substrates decide the same log in the same rounds, false
+    // suspicions included.
     let scenario =
         LogScenario::failure_free(5).crash(0, 3, Round::new(2)).with_asynchrony(AsyncPrefix {
             until_instance: 4,
@@ -215,4 +215,11 @@ fn async_prefix_holds_invariants_on_both_substrates() {
     );
     sim.check().unwrap();
     net.check().unwrap();
+    assert_eq!(sim.decided_values, net.decided_values, "decided values diverged");
+    assert_eq!(sim.canonical, net.canonical, "applied logs diverged");
+    assert_eq!(sim.decisions, net.decisions, "decisions or their rounds diverged");
+    // Instances 1 and 2 run before the crash: only the prefix's false
+    // suspicions keep them off the round-2 fast path.
+    let slow = sim.decisions[..2].iter().flatten().flatten().any(|d| d.round > Round::new(2));
+    assert!(slow, "the prefix's false suspicions cost rounds");
 }

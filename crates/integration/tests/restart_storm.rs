@@ -13,13 +13,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use indulgent_model::{ClientId, RequestId, SystemConfig};
-use indulgent_runtime::DelayModel;
+use indulgent_model::{ClientId, RequestId, SplitMix64, SystemConfig};
 use indulgent_server::wal::replay_bytes;
 use indulgent_server::{
     load_manifest, shard_dir, DurabilityConfig, EngineConfig, KvEngine, KvOp, LocalKv, Request,
     ShardedAudit, Snapshot,
 };
+use indulgent_sim::{random_run, MessageFate, ModelKind, RandomRunParams, Schedule};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -44,18 +44,9 @@ fn cfg(n: usize, t: usize, shards: usize, dir: &Path, snapshot_every: u64) -> En
     .with_durability(DurabilityConfig::new(dir).with_snapshot_every(snapshot_every))
 }
 
-/// Tiny deterministic RNG (splitmix64) so the storm is seeded chaos, not
-/// flaky chaos.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn random_op(state: &mut u64) -> KvOp {
-    let r = mix(state);
+/// A seeded op, so the storm is seeded chaos, not flaky chaos.
+fn random_op(rng: &mut SplitMix64) -> KvOp {
+    let r = rng.next_u64();
     let key = (r % 11) as u16;
     if r.is_multiple_of(3) {
         KvOp::Get { key }
@@ -128,7 +119,8 @@ fn disk_store(root: &Path, shards: usize) -> (u64, BTreeMap<u16, u32>) {
 /// One seeded storm: `phases` incarnations of the engine on the same
 /// durability root, each killed hard with requests possibly still in
 /// flight, clients replaying their in-doubt ids into the next
-/// incarnation. Returns the final (clean-shutdown) audit.
+/// incarnation; every incarnation after the first replays `recovery`'s
+/// adversary, if any. Returns the final (clean-shutdown) audit.
 #[allow(clippy::too_many_arguments)]
 fn run_storm(
     n: usize,
@@ -138,11 +130,11 @@ fn run_storm(
     ops_per_phase: usize,
     seed: u64,
     snapshot_every: u64,
-    recovery_delays: DelayModel,
+    recovery: Option<&Schedule>,
 ) -> ShardedAudit {
     let dir = storm_dir("storm");
     let clients = 3usize;
-    let mut state = seed;
+    let mut rng = SplitMix64::new(seed);
     let mut next_id = vec![0u64; clients];
     // At most one in-doubt (submitted, never acked) request per client,
     // replayed first thing in the next incarnation.
@@ -151,10 +143,8 @@ fn run_storm(
     let mut final_audit = None;
     for phase in 0..phases {
         let mut config = cfg(n, t, shards, &dir, snapshot_every);
-        if phase > 0 {
-            // Recovery may happen while the network is misbehaving.
-            config = config.with_delays(recovery_delays);
-        }
+        // Recovery may happen while the network is misbehaving.
+        config.schedule = recovery.filter(|_| phase > 0).cloned();
         let engine = KvEngine::spawn(config);
         let handle = engine.handle();
         let mut sessions: Vec<LocalKv> =
@@ -171,8 +161,8 @@ fn run_storm(
         }
 
         for _ in 0..ops_per_phase {
-            let c = (mix(&mut state) % clients as u64) as usize;
-            let op = random_op(&mut state);
+            let c = rng.below(clients as u64) as usize;
+            let op = random_op(&mut rng);
             let id = next_id[c];
             next_id[c] += 1;
             let resp = sessions[c].call_with(RequestId(id), op).expect("acked");
@@ -190,7 +180,7 @@ fn run_storm(
             for (c, slot) in pending.iter_mut().enumerate() {
                 let id = next_id[c];
                 next_id[c] += 1;
-                let op = random_op(&mut state);
+                let op = random_op(&mut rng);
                 assert!(raw.submit(Request {
                     client: ClientId(c as u64),
                     request: RequestId(id),
@@ -198,7 +188,7 @@ fn run_storm(
                 }));
                 *slot = Some((id, op));
             }
-            std::thread::sleep(Duration::from_millis(mix(&mut state) % 4));
+            std::thread::sleep(Duration::from_millis(rng.below(4)));
             drop(sessions);
             drop(raw);
             engine.kill();
@@ -227,7 +217,7 @@ fn run_storm(
 #[test]
 fn restart_storm_survives_seeded_kill_sequences() {
     for seed in [11u64, 29, 73] {
-        let audit = run_storm(5, 2, 1, 3, 12, seed, 4, DelayModel::Instant);
+        let audit = run_storm(5, 2, 1, 3, 12, seed, 4, None);
         assert!(audit.committed_commands() >= 36, "every submitted request committed");
     }
 }
@@ -236,7 +226,7 @@ fn restart_storm_survives_seeded_kill_sequences() {
 #[test]
 fn restart_storm_across_group_sizes() {
     for (n, t) in [(3, 1), (5, 2), (7, 3)] {
-        let audit = run_storm(n, t, 1, 2, 8, 1000 + n as u64, 3, DelayModel::Instant);
+        let audit = run_storm(n, t, 1, 2, 8, 1000 + n as u64, 3, None);
         assert_eq!(audit.shards[0].system.n(), n);
         assert!(audit.committed_commands() >= 16);
     }
@@ -249,7 +239,7 @@ fn restart_storm_across_group_sizes() {
 #[test]
 fn restart_storm_recovers_every_shard() {
     for shards in [2usize, 4] {
-        let audit = run_storm(5, 2, shards, 3, 12, 4242 + shards as u64, 4, DelayModel::Instant);
+        let audit = run_storm(5, 2, shards, 3, 12, 4242 + shards as u64, 4, None);
         assert_eq!(audit.shards.len(), shards);
         assert!(audit.committed_commands() >= 36, "every submitted request committed");
         // Keys 0..11 spread over the shards, so with 2+ shards more than
@@ -264,13 +254,15 @@ fn restart_storm_recovers_every_shard() {
 /// included) and must still recover, dedup, and audit clean.
 #[test]
 fn recovery_during_asynchrony_stays_correct() {
-    let delays = DelayModel::AsyncUntil {
-        until_round: 4,
-        delay: Duration::from_millis(3),
-        probability: 0.4,
-        seed: 0xDEC1DE,
+    let config = SystemConfig::majority(5, 2).expect("valid majority config");
+    let params = RandomRunParams {
+        delay_probability: 0.4,
+        ..RandomRunParams::eventually_synchronous(0, 1, 4)
     };
-    let audit = run_storm(5, 2, 2, 3, 10, 7, 5, delays);
+    let schedule = random_run(config, ModelKind::Es, params, 4, 0xDEC1DE);
+    let late = schedule.overrides().filter(|o| matches!(o.3, MessageFate::Delay(_))).count();
+    assert!(late > 0, "the prefix delays messages");
+    let audit = run_storm(5, 2, 2, 3, 10, 7, 5, Some(&schedule));
     audit.check().expect("audit clean under recovery asynchrony");
 }
 

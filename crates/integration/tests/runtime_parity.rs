@@ -6,8 +6,8 @@ use std::time::Duration;
 use indulgent_consensus::{AfPlus2, AtPlus2, CoordinatorEcho, RotatingCoordinator};
 use indulgent_integration::proposals;
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
-use indulgent_runtime::{run_network, DelayModel, InstanceSpec};
-use indulgent_sim::{run_schedule, ModelKind, Schedule};
+use indulgent_runtime::{run_network, InstanceSpec};
+use indulgent_sim::{random_run, run_schedule, ModelKind, RandomRunParams, Schedule};
 
 const GRACE: Duration = Duration::from_millis(4);
 
@@ -53,7 +53,7 @@ fn network_crash_matches_simulator_crash_semantics() {
     let sim = run_schedule(&factory, &props, &schedule, 30).expect("one proposal per process");
     sim.check_consensus().unwrap();
 
-    let spec = InstanceSpec::synchronous(config).crash(ProcessId::new(3), Round::new(2));
+    let spec = InstanceSpec::replaying(schedule.clone());
     let net = run_network(config, factory, &props, GRACE, &spec);
     net.outcome.check_consensus().unwrap();
 
@@ -91,12 +91,8 @@ fn network_with_async_prefix_preserves_agreement_across_seeds() {
         AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
     };
     for seed in 0..5u64 {
-        let spec = InstanceSpec::synchronous(config).with_delays(DelayModel::AsyncUntil {
-            until_round: 4,
-            delay: Duration::from_millis(30),
-            probability: 0.35,
-            seed,
-        });
+        let params = RandomRunParams::eventually_synchronous(0, 1, 4);
+        let spec = InstanceSpec::replaying(random_run(config, ModelKind::Es, params, 30, seed));
         let report = run_network(config, factory, &props, GRACE, &spec);
         report.outcome.check_consensus().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }

@@ -35,14 +35,13 @@
 //! `until_instance` (or forever, the crash-stop special case). Because
 //! both substrates run each instance with fresh per-instance automatons,
 //! recovery is free: the replica simply participates again from the
-//! recovery instance on, with no in-instance state to restore. Both
-//! substrates realize exactly this per-instance outage pattern, which is
-//! what keeps crash *and recovery* chaos deterministically comparable
-//! between them at any pipeline depth. An asynchronous prefix adds
-//! seeded message delays (and the false suspicions they cause) to the
-//! early instances; those runs are validated by the log invariants
-//! rather than cross-substrate equality, since wall-clock suspicion
-//! timing is inherently substrate-specific.
+//! recovery instance on, with no in-instance state to restore. An
+//! asynchronous prefix adds seeded message delays (and the false
+//! suspicions they cause) to the early instances. [`compile_schedule`]
+//! turns the scenario into one simulator [`Schedule`] per instance, and
+//! both substrates replay it, which is what keeps crash, recovery *and*
+//! asynchrony chaos deterministically comparable between them at any
+//! pipeline depth.
 //!
 //! The fault budget is per-*instance*, not per-run: at every instance at
 //! most `t` replicas may be down simultaneously, but across the run the
@@ -53,8 +52,10 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use indulgent_model::{AppliedEntry, BatchId, Decision, ProcessSet, Round, SystemConfig, Value};
+use indulgent_sim::Schedule;
 
 use crate::frontend::ClientFrontend;
+use crate::runner_sim::compile_schedule;
 
 /// The `log_driver` metric family: what this process's log runs decided
 /// and applied, summed across every [`LogDriver::run`]. Slot-level
@@ -253,6 +254,16 @@ impl LogScenario {
         self.outages[replica].iter().find_map(|o| o.covers(instance))
     }
 
+    /// Whether `instance` replays the adversary of `instance - 1`: no
+    /// outage starts or ends between them, and neither lies in the
+    /// asynchronous prefix, whose seed changes with the instance.
+    fn repeats_previous(&self, instance: u64) -> bool {
+        instance > 1
+            && self.asynchrony.is_none_or(|a| instance > a.until_instance)
+            && (0..self.outages.len())
+                .all(|r| self.down_round(r, instance) == self.down_round(r, instance - 1))
+    }
+
     /// How many replicas are down (covered by an outage) at `instance`.
     #[must_use]
     pub fn down_at(&self, instance: u64) -> usize {
@@ -293,28 +304,15 @@ pub struct AsyncPrefix {
     pub seed: u64,
 }
 
-/// Substrate-neutral description of one instance's adversary, derived by
-/// the driver from the [`LogScenario`].
+/// One instance's adversary, compiled by the driver from the
+/// [`LogScenario`] ([`compile_schedule`]) and replayed by either
+/// substrate.
 #[derive(Debug, Clone)]
 pub struct ShotSpec {
-    /// Crash round per replica for this instance (`Round::FIRST` =
-    /// crashed from the start).
-    pub crashes: Vec<Option<Round>>,
-    /// Injected asynchrony for this instance, if any.
-    pub asynchrony: Option<ShotAsync>,
+    /// The instance's crashes and message fates.
+    pub schedule: Schedule,
     /// Round budget.
     pub max_rounds: u32,
-}
-
-/// Per-instance asynchrony parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ShotAsync {
-    /// The instance is synchronous from this round on.
-    pub sync_from: u32,
-    /// Per-message delay probability.
-    pub probability: f64,
-    /// Instance-specific seed.
-    pub seed: u64,
 }
 
 /// One consensus substrate driving log instances — the single trait both
@@ -478,7 +476,11 @@ impl LogDriver {
     /// The adversary of instance `j` under this driver's scenario.
     #[must_use]
     pub fn shot_spec(&self, instance: u64) -> ShotSpec {
-        shot_spec(&self.scenario, self.log_config.max_rounds, instance)
+        let max_rounds = self.log_config.max_rounds;
+        ShotSpec {
+            schedule: compile_schedule(self.config, &self.scenario, instance, max_rounds),
+            max_rounds,
+        }
     }
 
     /// Runs the log to completion on `runner` and reports.
@@ -492,6 +494,9 @@ impl LogDriver {
         let mut proposals: Vec<Vec<Value>> = Vec::with_capacity(instances as usize);
         let mut decided_values: Vec<Option<Value>> = vec![None; instances as usize];
         let mut canonical = DecidedLog::new();
+        // Compiled only when the adversary changes: a crash-only run has a
+        // handful of distinct schedules however many instances it runs.
+        let mut spec: Option<ShotSpec> = None;
 
         let settle = |instance: u64,
                       decision: Option<Decision>,
@@ -539,8 +544,10 @@ impl LogDriver {
                 })
                 .collect();
             pending.insert(j, tentative);
-            let spec = shot_spec(&self.scenario, self.log_config.max_rounds, j);
-            runner.start(j, &props, &spec);
+            if !self.scenario.repeats_previous(j) {
+                spec = None;
+            }
+            runner.start(j, &props, spec.get_or_insert_with(|| self.shot_spec(j)));
             proposals.push(props);
         }
         // Drain the tail of the window.
@@ -596,22 +603,6 @@ impl LogDriver {
             frontend: self.frontend,
         }
     }
-}
-
-/// Derives instance `j`'s substrate-neutral adversary from the scenario:
-/// outages project to `(crash round in their first instance, round 1 in
-/// every later covered instance, absent once recovered)`, the
-/// asynchronous prefix to per-instance seeded delays.
-fn shot_spec(scenario: &LogScenario, max_rounds: u32, instance: u64) -> ShotSpec {
-    let crashes = (0..scenario.outages.len()).map(|r| scenario.down_round(r, instance)).collect();
-    let asynchrony = scenario.asynchrony.and_then(|a| {
-        (instance < a.until_instance).then_some(ShotAsync {
-            sync_from: a.sync_from,
-            probability: a.probability,
-            seed: a.seed.wrapping_add(instance.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        })
-    });
-    ShotSpec { crashes, asynchrony, max_rounds }
 }
 
 #[cfg(test)]
@@ -729,29 +720,46 @@ mod tests {
         assert_eq!(report.committed_commands, 2);
     }
 
+    /// Replica `r`'s crash round in instance `j` of `scenario` (n = 3).
+    fn crash_of(scenario: &LogScenario, j: u64, r: usize) -> Option<Round> {
+        let config = SystemConfig::majority(3, 1).unwrap();
+        compile_schedule(config, scenario, j, 60).crash_round(ProcessId::new(r))
+    }
+
     #[test]
     fn shot_specs_project_permanent_crashes() {
         let scenario = LogScenario::failure_free(3).crash(1, 3, Round::new(2));
-        let spec2 = shot_spec(&scenario, 60, 2);
-        assert_eq!(spec2.crashes[1], None);
-        let spec3 = shot_spec(&scenario, 60, 3);
-        assert_eq!(spec3.crashes[1], Some(Round::new(2)));
-        let spec4 = shot_spec(&scenario, 60, 4);
-        assert_eq!(spec4.crashes[1], Some(Round::FIRST));
+        assert_eq!(crash_of(&scenario, 2, 1), None);
+        assert_eq!(crash_of(&scenario, 3, 1), Some(Round::new(2)));
+        assert_eq!(crash_of(&scenario, 4, 1), Some(Round::FIRST));
     }
 
     #[test]
     fn async_prefix_covers_early_instances_with_distinct_seeds() {
+        let config = SystemConfig::majority(3, 1).unwrap();
         let scenario = LogScenario::failure_free(3).with_asynchrony(AsyncPrefix {
             until_instance: 3,
             sync_from: 4,
             probability: 0.3,
             seed: 9,
         });
-        let s1 = shot_spec(&scenario, 60, 1).asynchrony.expect("chaotic");
-        let s2 = shot_spec(&scenario, 60, 2).asynchrony.expect("chaotic");
-        assert_ne!(s1.seed, s2.seed);
-        assert!(shot_spec(&scenario, 60, 3).asynchrony.is_none());
+        let s1 = compile_schedule(config, &scenario, 1, 60);
+        let s2 = compile_schedule(config, &scenario, 2, 60);
+        assert!(s1.overrides().next().is_some(), "the prefix delays messages");
+        assert_ne!(s1, s2, "each instance draws from its own seed");
+        assert!(compile_schedule(config, &scenario, 3, 60).is_synchronous());
+    }
+
+    #[test]
+    fn a_run_compiles_once_per_distinct_adversary() {
+        // Clean until instance 3, p1 down from its round 2 on, back at 6,
+        // an asynchronous prefix over instances 1 and 2: instances 1, 2, 3,
+        // 4 and 6 each bring a new adversary, 5 and 7 repeat.
+        let prefix = AsyncPrefix { until_instance: 3, sync_from: 4, probability: 0.3, seed: 9 };
+        let scenario = LogScenario::failure_free(3).crash_recover(1, 3, Round::new(2), 6);
+        let scenario = scenario.with_asynchrony(prefix);
+        let repeats: Vec<u64> = (1..=7).filter(|&j| scenario.repeats_previous(j)).collect();
+        assert_eq!(repeats, [5, 7]);
     }
 
     #[test]
@@ -773,12 +781,12 @@ mod tests {
             6,
             Round::FIRST,
         );
-        assert_eq!(shot_spec(&scenario, 60, 1).crashes[0], None);
-        assert_eq!(shot_spec(&scenario, 60, 2).crashes[0], Some(Round::new(3)));
-        assert_eq!(shot_spec(&scenario, 60, 3).crashes[0], Some(Round::FIRST));
-        assert_eq!(shot_spec(&scenario, 60, 4).crashes[0], None);
-        assert_eq!(shot_spec(&scenario, 60, 5).crashes[0], None);
-        assert_eq!(shot_spec(&scenario, 60, 7).crashes[0], Some(Round::FIRST));
+        assert_eq!(crash_of(&scenario, 1, 0), None);
+        assert_eq!(crash_of(&scenario, 2, 0), Some(Round::new(3)));
+        assert_eq!(crash_of(&scenario, 3, 0), Some(Round::FIRST));
+        assert_eq!(crash_of(&scenario, 4, 0), None);
+        assert_eq!(crash_of(&scenario, 5, 0), None);
+        assert_eq!(crash_of(&scenario, 7, 0), Some(Round::FIRST));
     }
 
     #[test]

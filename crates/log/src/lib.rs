@@ -41,13 +41,12 @@
 //!
 //! Crash chaos uses *logical* per-instance outage intervals (crash at an
 //! `(instance, round)` point, optionally recover at a later instance —
-//! the crash-recovery fault model), realized identically by both
-//! substrates, so crash-and-recovery runs (any batch size, any pipeline
-//! depth) are differentially comparable value-for-value: the runtime's
-//! decided log must equal the simulator's. Asynchronous prefixes inject
-//! substrate-appropriate delays (schedule delays in the simulator,
-//! wall-clock `AsyncUntil` in the runtime) and are validated by the
-//! invariants instead.
+//! the crash-recovery fault model), and an asynchronous prefix adds
+//! seeded message delays. [`compile_schedule`] turns both into one
+//! simulator schedule per instance, which both substrates replay, so
+//! chaotic runs (any batch size, any pipeline depth) are differentially
+//! comparable value for value: over instant links the runtime's decided
+//! log and decision rounds must equal the simulator's.
 //!
 //! # Example
 //!
@@ -90,7 +89,7 @@ mod runner_sim;
 pub use check::LogViolation;
 pub use driver::{
     AsyncPrefix, DecidedLog, InstanceRunner, LogConfig, LogDriver, LogReport, LogScenario, Outage,
-    ShotAsync, ShotSpec,
+    ShotSpec,
 };
 pub use frontend::{ClientFrontend, IntakePolicy};
 pub use runner_net::{NetProfile, SessionLogRunner};

@@ -6,9 +6,9 @@
 //! in flight, resetting automatons that earlier instances retired. A
 //! pipelined log thus keeps its whole window of instances in flight on
 //! one thread, under the session's delay model (the runtime's module
-//! docs label this as a model). Crash specs use the session's logical
-//! per-instance semantics (silent from the crash round of the crash
-//! instance on), which keeps crash-only executions value-identical to the
+//! docs label this as a model). Each instance replays its [`ShotSpec`]'s
+//! schedule, crashes and message fates applied by round, which over
+//! instant links keeps executions value- and round-identical to the
 //! deterministic [`SimLogRunner`](crate::SimLogRunner) at any pipeline
 //! depth.
 
@@ -24,16 +24,16 @@ use crate::driver::{InstanceRunner, ShotSpec};
 pub struct NetProfile {
     /// Straggler grace window per round (see `indulgent_runtime`).
     pub grace: Duration,
-    /// Delay model of instances outside the asynchronous prefix.
+    /// Latency of the replica links.
     pub base_delays: DelayModel,
-    /// Extra latency of a delayed message inside the asynchronous prefix
-    /// (must exceed `grace` to actually cause false suspicions).
+    /// Unread: a message the asynchronous prefix delays arrives in the
+    /// round its schedule names, whatever the clock. The field stays while
+    /// the benchmark package builds the profile field by field.
     pub chaos_delay: Duration,
 }
 
 impl NetProfile {
-    /// Test-sized defaults: 4 ms grace, instant synchronous delivery,
-    /// 30 ms chaos delays.
+    /// Test-sized defaults: 4 ms grace, instant links.
     #[must_use]
     pub fn test_sized() -> Self {
         NetProfile {
@@ -48,7 +48,8 @@ impl NetProfile {
 #[derive(Debug)]
 pub struct SessionLogRunner<P: RoundProcess> {
     session: Session<P>,
-    profile: NetProfile,
+    /// The spec every start copies its shot's schedule into.
+    spec: InstanceSpec,
     started: u64,
 }
 
@@ -68,7 +69,7 @@ impl<P: RoundProcess> SessionLogRunner<P> {
         let build = move |i, v| factory.build(i, v);
         SessionLogRunner {
             session: Session::with_recycler(config, profile.grace, build, reset),
-            profile,
+            spec: InstanceSpec::synchronous(config).with_delays(profile.base_delays),
             started: 0,
         }
     }
@@ -76,18 +77,9 @@ impl<P: RoundProcess> SessionLogRunner<P> {
 
 impl<P: RoundProcess> InstanceRunner for SessionLogRunner<P> {
     fn start(&mut self, instance: u64, proposals: &[Value], spec: &ShotSpec) {
-        let delays = match spec.asynchrony {
-            Some(chaos) => DelayModel::AsyncUntil {
-                until_round: chaos.sync_from,
-                delay: self.profile.chaos_delay,
-                probability: chaos.probability,
-                seed: chaos.seed,
-            },
-            None => self.profile.base_delays,
-        };
-        let session_spec =
-            InstanceSpec { crashes: spec.crashes.clone(), delays, max_rounds: spec.max_rounds };
-        let id = self.session.start_instance_recycled(proposals, &session_spec);
+        self.spec.schedule.clone_from(&spec.schedule);
+        self.spec.max_rounds = spec.max_rounds;
+        let id = self.session.start_instance_recycled(proposals, &self.spec);
         assert_eq!(id, instance, "session instance ids track the driver's");
         self.started = self.started.max(instance);
     }

@@ -15,16 +15,8 @@ use indulgent_log::{
     run_log_session, run_log_sim, AsyncPrefix, ClientFrontend, IntakePolicy, LogConfig, LogReport,
     LogScenario, NetProfile,
 };
-use indulgent_model::{Round, SystemConfig};
+use indulgent_model::{Round, SplitMix64, SystemConfig};
 use proptest::prelude::*;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn cfg() -> SystemConfig {
     SystemConfig::majority(5, 2).unwrap()
@@ -85,25 +77,25 @@ fn scenario_of(
 /// run is long enough.
 fn recovery_scenario_of(n: usize, t: usize, instances: u64, seed: u64) -> LogScenario {
     let mut scenario = LogScenario::failure_free(n);
-    let mut x = seed;
+    let mut rng = SplitMix64::new(seed);
     let mut victims: Vec<usize> = Vec::new();
     while victims.len() < t {
-        let v = splitmix(&mut x) as usize % n;
+        let v = rng.below(n as u64) as usize;
         if !victims.contains(&v) {
             victims.push(v);
         }
     }
     for (k, &v) in victims.iter().enumerate() {
-        let from = splitmix(&mut x) % instances + 1;
-        let round = Round::new((splitmix(&mut x) % 4 + 1) as u32);
-        let recover = from + splitmix(&mut x) % 3 + 1;
+        let from = rng.below(instances) + 1;
+        let round = Round::new(rng.below(4) as u32 + 1);
+        let recover = from + rng.below(3) + 1;
         scenario = scenario.crash_recover(v, from, round, recover);
         if k == 0 && recover < instances {
             // Double crash: the same replica goes down again after it
             // recovered (disjoint interval, so still within budget).
-            let from2 = recover + splitmix(&mut x) % (instances - recover);
-            let round2 = Round::new((splitmix(&mut x) % 4 + 1) as u32);
-            scenario = scenario.crash_recover(v, from2, round2, from2 + splitmix(&mut x) % 2 + 1);
+            let from2 = recover + rng.below(instances - recover);
+            let round2 = Round::new(rng.below(4) as u32 + 1);
+            scenario = scenario.crash_recover(v, from2, round2, from2 + rng.below(2) + 1);
         }
     }
     scenario

@@ -12,6 +12,8 @@
 //!   interface every algorithm implements;
 //! * [`RingMailbox`] — the allocation-free per-receiver mailbox the
 //!   simulator and the wall-clock runtime both keep pending messages in;
+//! * [`SplitMix64`] — the one seeded random stream every adversary of
+//!   the workspace draws from;
 //! * [`RunOutcome`] — executor-independent run results with checking of the
 //!   consensus properties (validity, uniform agreement, termination);
 //! * [`Command`], [`Batch`], [`AppliedEntry`] — the multi-shot vocabulary
@@ -81,6 +83,7 @@ mod message;
 mod outcome;
 mod process;
 mod round;
+mod splitmix;
 mod value;
 
 pub use automaton::{ProcessFactory, RoundProcess, Step};
@@ -91,4 +94,45 @@ pub use message::{DeliveredMsg, Delivery};
 pub use outcome::{ConsensusViolation, Decision, RunOutcome};
 pub use process::{Iter, ProcessId, ProcessSet};
 pub use round::Round;
+pub use splitmix::SplitMix64;
 pub use value::Value;
+
+#[cfg(test)]
+mod tests {
+    use super::SplitMix64;
+
+    #[test]
+    fn deterministic_from_seed() {
+        let mut a = SplitMix64::new(7);
+        let mut b = SplitMix64::new(7);
+        for _ in 0..100 {
+            assert_eq!(a.below(1000), b.below(1000));
+        }
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut rng = SplitMix64::new(42);
+        for _ in 0..1000 {
+            assert!(rng.below(17) < 17);
+            assert!((0.0..1.0).contains(&rng.next_unit()));
+        }
+    }
+
+    #[test]
+    fn gen_bool_extremes() {
+        let mut rng = SplitMix64::new(1);
+        assert!(!rng.chance(0.0));
+        assert!(rng.chance(1.0));
+    }
+
+    #[test]
+    fn shuffle_is_a_permutation() {
+        let mut rng = SplitMix64::new(3);
+        let mut v: Vec<u32> = (0..50).collect();
+        rng.shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+}

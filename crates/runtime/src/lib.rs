@@ -14,10 +14,13 @@
 //! simulator run here unchanged. This is a *model* of a network, not a
 //! distributed system: the replicas are in-process automata stepped on
 //! one thread, the caller's, and the delay model and the clock decide
-//! which messages make a round's grace window. Use
-//! [`DelayModel::AsyncUntil`] to inject an asynchronous prefix (false
-//! suspicions) and [`InstanceSpec::crash`] to crash processes at chosen
-//! rounds.
+//! which messages make a round's grace window. The adversary is the
+//! simulator's: every instance replays an [`indulgent_sim::Schedule`]
+//! ([`InstanceSpec::schedule`]), whose crashes and message fates it
+//! applies by round, not by the clock. Over [`DelayModel::Instant`] links
+//! a replica then receives in each round exactly what the simulator
+//! delivers under the same schedule, so any schedule the simulator or the
+//! checker explores can be replayed live.
 //!
 //! # Sessions
 //!
@@ -28,7 +31,8 @@
 //! flight as far as it can go, and retires the instances whose replicas
 //! have all finished. When a pump leaves no result ready, the call sleeps
 //! until the next deadline: the next due delayed message or the earliest
-//! `quorum_at + grace`. There is no poll interval, and over instant links
+//! `quorum_at + grace` at an instance's lowest round (the lowest-round
+//! rule below). There is no poll interval, and over instant links
 //! an instance runs from its start to its last result in one pump. The
 //! `runtime_session` metric family counts these sleeps as
 //! `caller_sleeps`. An event loop that waits on more than a session, such
@@ -45,14 +49,25 @@
 //!
 //! # Messages and rounds
 //!
-//! A zero-delay message goes straight into its target's mailbox; a
-//! delayed one waits on the session's delay line, a min-heap by due
-//! instant (`d` after the pump that sent it). A retiring instance drops
-//! its messages still on the line: no replica needs them. A mailbox keys
-//! a message by the round it was sent in, or by the receiver's current
-//! round if that has passed, so a late message joins the next receive
-//! phase. The automaton gets its messages in (sent round, sender) order,
-//! as under the simulator.
+//! Each message meets its fate in the schedule when it is sent: a `Lose`
+//! message is dropped, a `Deliver` message arrives in the round it was
+//! sent in, and a `Delay(k')` message in round `k'`. A mailbox keys a
+//! message by that arrival round, or by the receiver's current round if
+//! that has passed, so a late message joins the next receive phase. Over
+//! zero-delay links a message goes straight into its target's mailbox;
+//! over delayed ones it waits on the session's delay line, a min-heap by
+//! due instant (`d` after the pump that sent it). A retiring instance
+//! drops its messages still on the line: no replica needs them. The
+//! automaton gets its messages in (sent round, sender) order, as under
+//! the simulator.
+//!
+//! A round ends once all `n` current-round messages have arrived, or once
+//! the `n - t` quorum has and the grace period has run out since, provided
+//! every live replica of the instance has sent that round (the
+//! *lowest-round rule*). Without the rule, a replica held back by a late
+//! message could send its next round only after its peers' grace ran out
+//! in the same pump, and they would suspect it where the simulator
+//! delivers its message.
 //!
 //! A replica that has decided keeps relaying its decision, one broadcast
 //! per round, for peers that have not decided yet. The *stop rule* ends
@@ -68,11 +83,13 @@
 //! # Crash semantics
 //!
 //! Crashes are *logical*: a replica crashed at round `r` of an instance
-//! takes part in its rounds `< r` and is silent from `r` on, the
-//! simulator's `crash_before_send`. A permanent crash is that plus round 1
-//! of every later instance. Crash points fixed by round, not by the
-//! clock, keep crash-only log executions comparable to the simulator's at
-//! any pipeline depth (the `indulgent-log` differential tests).
+//! takes part in its rounds `< r`, sends its round-`r` message according
+//! to the schedule's fates, and then halts; under the simulator's
+//! `crash_before_send` every copy is lost, so it is silent from `r` on. A
+//! permanent crash is that plus round 1 of every later instance. Crash
+//! points fixed by round, not by the clock, keep log executions
+//! comparable to the simulator's at any pipeline depth (the
+//! `indulgent-log` differential tests).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -85,9 +102,10 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use indulgent_model::{
-    Decision, DeliveredMsg, Delivery, ProcessFactory, ProcessId, ProcessSet, RingMailbox, Round,
-    RoundProcess, RunOutcome, Step, SystemConfig, Value,
+    Decision, DeliveredMsg, Delivery, ProcessFactory, ProcessId, RingMailbox, Round, RoundProcess,
+    RunOutcome, Step, SystemConfig, Value,
 };
+use indulgent_sim::{MessageFate, ModelKind, Schedule};
 
 /// The `runtime_session` metric family, summed over this process's
 /// sessions: instances and results (how much consensus traffic flowed),
@@ -141,11 +159,12 @@ fn note_result(r: ReplicaResult) -> ReplicaResult {
 }
 
 /// A delayed message on the delay line: due at `due` for replica `to` of
-/// instance `instance`.
+/// instance `instance`, in round `arrival`.
 struct Pending<M> {
     due: Instant,
     instance: u64,
     to: usize,
+    arrival: Round,
     msg: DeliveredMsg<M>,
 }
 
@@ -176,7 +195,9 @@ fn pop_due<M>(line: &mut BinaryHeap<Pending<M>>, now: Instant) -> Option<Pending
     line.peek_mut().filter(|p| p.due <= now).map(PeekMut::pop)
 }
 
-/// When messages become visible to their receiver.
+/// The wall-clock latency of the links between distinct replicas. Which
+/// round a message arrives in is the schedule's business
+/// ([`InstanceSpec::schedule`]), not the link's.
 #[derive(Debug, Clone, Copy)]
 pub enum DelayModel {
     /// Deliver instantly (a synchronous network).
@@ -188,66 +209,24 @@ pub enum DelayModel {
         /// One-way latency applied to every non-self message.
         delay: Duration,
     },
-    /// Before `until_round`, each message is independently delayed by
-    /// `delay` with probability `probability` (deterministically derived
-    /// from `seed` and the message coordinates); from `until_round` on the
-    /// network is synchronous. This produces the ES asynchronous prefix:
-    /// delayed messages miss their round's grace window and cause false
-    /// suspicions, then arrive late.
-    AsyncUntil {
-        /// First synchronous round (the model's `K`).
-        until_round: u32,
-        /// Extra latency for delayed messages.
-        delay: Duration,
-        /// Per-message delay probability in `[0, 1]`.
-        probability: f64,
-        /// Determinism seed.
-        seed: u64,
-    },
 }
 
 impl DelayModel {
-    fn delay_for(&self, round: Round, from: ProcessId, to: ProcessId) -> Duration {
-        match *self {
+    fn latency(self) -> Duration {
+        match self {
             DelayModel::Instant => Duration::ZERO,
             DelayModel::Uniform { delay } => delay,
-            DelayModel::AsyncUntil { until_round, delay, probability, seed } => {
-                let late = round.get() < until_round
-                    && edge_coin(seed, round.get(), from, to) < probability;
-                if late {
-                    delay
-                } else {
-                    Duration::ZERO
-                }
-            }
         }
     }
-}
-
-/// Deterministic per-edge coin in `[0, 1)` (splitmix64) over a message's
-/// `(seed, round, sender, receiver)` coordinates: the randomness of
-/// [`DelayModel::AsyncUntil`], shared with other adversaries on the same
-/// coordinates (the `indulgent-log` simulator's seeded delay schedules).
-#[must_use]
-pub fn edge_coin(seed: u64, round: u32, from: ProcessId, to: ProcessId) -> f64 {
-    let mut x =
-        seed ^ (u64::from(round) << 32) ^ ((from.index() as u64) << 16) ^ (to.index() as u64);
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Per-instance parameters handed to [`Session::start_instance_recycled`].
 #[derive(Debug, Clone)]
 pub struct InstanceSpec {
-    /// Crash round per replica for *this* instance (`Round::FIRST` =
-    /// crashed from the start; `None` = correct throughout). Logical
-    /// semantics: the replica is silent in this instance from its crash
-    /// round on, matching the simulator's `crash_before_send`.
-    pub crashes: Vec<Option<Round>>,
-    /// The delay model for this instance's messages.
+    /// The adversary this instance replays: crash rounds and message
+    /// fates, applied by round (module docs).
+    pub schedule: Schedule,
+    /// The latency of this instance's links.
     pub delays: DelayModel,
     /// Hard bound on rounds executed per replica; a replica reaching it
     /// undecided reports `None`.
@@ -255,21 +234,16 @@ pub struct InstanceSpec {
 }
 
 impl InstanceSpec {
-    /// A synchronous, crash-free instance for `config`.
+    /// A synchronous, failure-free instance for `config`.
     #[must_use]
     pub fn synchronous(config: SystemConfig) -> Self {
-        InstanceSpec {
-            crashes: vec![None; config.n()],
-            delays: DelayModel::Instant,
-            max_rounds: 200,
-        }
+        InstanceSpec::replaying(Schedule::failure_free(config, ModelKind::Es))
     }
 
-    /// Crashes `process` at the start of `round` of this instance.
+    /// An instance replaying `schedule` over instant links.
     #[must_use]
-    pub fn crash(mut self, process: ProcessId, round: Round) -> Self {
-        self.crashes[process.index()] = Some(round);
-        self
+    pub fn replaying(schedule: Schedule) -> Self {
+        InstanceSpec { schedule, delays: DelayModel::Instant, max_rounds: 200 }
     }
 
     /// Sets the delay model.
@@ -422,15 +396,16 @@ impl<P: RoundProcess> Session<P> {
     }
 
     /// Registers the next instance from one proposal per replica and its
-    /// crash/delay/budget spec, and returns its id (monotonic from 1).
+    /// schedule/delay/budget spec, and returns its id (monotonic from 1).
     /// The call steps nothing; the result calls run the instance.
     ///
     /// # Panics
     ///
-    /// Panics if `proposals.len() != n` or `spec.crashes.len() != n`.
+    /// Panics if `proposals.len() != n` or the schedule is for another
+    /// system.
     pub fn start_instance_recycled(&mut self, proposals: &[Value], spec: &InstanceSpec) -> u64 {
         assert_eq!(proposals.len(), self.config.n(), "one proposal per replica required");
-        assert_eq!(spec.crashes.len(), self.config.n(), "one crash slot per replica required");
+        assert_eq!(spec.schedule.config(), self.config, "the schedule is for another system");
         session_metrics().instances_started.incr();
         let id = self.next_instance;
         self.next_instance += 1;
@@ -441,7 +416,7 @@ impl<P: RoundProcess> Session<P> {
                     replica.restart();
                 }
                 // Field by field: the crash vector keeps its buffer.
-                inst.spec.crashes.clone_from(&spec.crashes);
+                inst.spec.schedule.clone_from(&spec.schedule);
                 (inst.spec.delays, inst.spec.max_rounds) = (spec.delays, spec.max_rounds);
                 Instance { id, finished: 0, ..inst }
             }
@@ -557,7 +532,7 @@ impl<P: RoundProcess> Session<P> {
         while let Some(p) = pop_due(&mut self.delay_line, now) {
             let inst = self.active.iter_mut().find(|inst| inst.id == p.instance);
             inst.expect("retiring drops an instance's delayed messages").replicas[p.to]
-                .receive(p.msg);
+                .receive(p.arrival, p.msg);
         }
         let mut pump = Pump {
             now,
@@ -586,15 +561,21 @@ impl<P: RoundProcess> Session<P> {
 
     /// When the next pump can make progress that the last one could not:
     /// the next delayed message falls due or a round's grace runs out;
-    /// `None` if neither is pending. An instance started since the last
-    /// pump has sent nothing yet, so it has no deadline: pump first.
+    /// `None` if neither is pending. Only the grace of a replica at its
+    /// instance's lowest round counts: the others wait for it (the
+    /// lowest-round rule in the module docs). An instance started since
+    /// the last pump has sent nothing yet, so it has no deadline: pump
+    /// first.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
         let grace_ends = self
             .active
             .iter()
-            .flat_map(|inst| &inst.replicas)
-            .filter_map(|r| r.quorum_at)
+            .filter_map(|inst| {
+                let lowest = inst.replicas.iter().filter(|r| !r.halted).map(Replica::sent_through);
+                let lowest = lowest.min()?;
+                inst.replicas.iter().filter(|r| r.round == lowest).filter_map(|r| r.quorum_at).min()
+            })
             .min()
             .map(|at| at + self.grace);
         grace_ends.into_iter().chain(self.delay_line.peek().map(|p| p.due)).min()
@@ -612,6 +593,12 @@ struct Instance<P: RoundProcess> {
 }
 
 impl<P: RoundProcess> Instance<P> {
+    /// The lowest-round rule (module docs): whether every live replica has
+    /// sent round `k`, so that no message of round `k` is still to come.
+    fn all_sent(&self, k: u32) -> bool {
+        self.replicas.iter().all(|r| r.halted || r.sent_through() >= k)
+    }
+
     /// Queues replica `r`'s result and counts the replica as finished.
     /// Called once per replica: when it first decides, or when it halts
     /// undecided.
@@ -672,8 +659,13 @@ impl<P: RoundProcess> Replica<P> {
         self.mailbox.clear_all();
     }
 
-    fn receive(&mut self, msg: DeliveredMsg<P::Msg>) {
-        let offset = msg.sent_round.get().saturating_sub(self.round);
+    /// The last round whose messages this replica has sent.
+    fn sent_through(&self) -> u32 {
+        self.round - u32::from(!self.sent)
+    }
+
+    fn receive(&mut self, arrival: Round, msg: DeliveredMsg<P::Msg>) {
+        let offset = arrival.get().saturating_sub(self.round);
         self.mailbox.slot_mut(offset as usize).push(msg);
     }
 }
@@ -706,7 +698,7 @@ impl<M: Clone> Pump<'_, M> {
     }
 
     /// Runs replica `me` of `inst` forward: send if due, deliver every
-    /// round whose quorum-plus-grace condition is met, until the replica
+    /// round whose end condition (module docs) is met, until the replica
     /// blocks on the network or halts. Returns whether another pass may
     /// make progress: a message went straight to another replica, or the
     /// replica has just decided and not yet relayed.
@@ -722,58 +714,62 @@ impl<M: Clone> Pump<'_, M> {
             let replica = &mut inst.replicas[me];
             let k = replica.round;
             if !replica.sent {
-                // Logical crash: silent in this instance from the crash
-                // round on (the simulator's `crash_before_send`).
-                let crashed = inst.spec.crashes[me].is_some_and(|c| k >= c.get());
-                if crashed || k > inst.spec.max_rounds {
+                let (round, schedule) = (Round::new(k), &inst.spec.schedule);
+                if k <= inst.spec.max_rounds {
+                    // The stop rule (module docs): no relay once every
+                    // replica has finished; the pump then retires the
+                    // instance.
+                    if replica.decision.is_some() {
+                        if inst.finished == n {
+                            break;
+                        }
+                        session_metrics().relays.incr();
+                    }
+                    let msg = replica.process.send(round);
+                    replica.sent = true;
+                    let latency = inst.spec.delays.latency();
+                    for (j, receiver) in inst.replicas.iter_mut().enumerate() {
+                        // A halted replica never receives again.
+                        if receiver.halted {
+                            continue;
+                        }
+                        let arrival = match schedule.fate(round, sender, ProcessId::new(j)) {
+                            MessageFate::Deliver => round,
+                            MessageFate::Delay(arrival) => arrival,
+                            MessageFate::Lose => continue,
+                        };
+                        let msg = DeliveredMsg { sender, sent_round: round, msg: msg.clone() };
+                        if j == me || latency.is_zero() {
+                            receiver.receive(arrival, msg);
+                            delivered |= j != me;
+                        } else {
+                            let (due, instance) = (self.now + latency, inst.id);
+                            self.delay_line.push(Pending { due, instance, to: j, arrival, msg });
+                        }
+                    }
+                }
+                // Out of rounds, or a logical crash: the crash round's
+                // send, by its fates, is the replica's last act.
+                if k > inst.spec.max_rounds || schedule.crash_round(sender) == Some(round) {
+                    let replica = &mut inst.replicas[me];
                     replica.halted = true;
                     if replica.decision.is_none() {
                         inst.report(me, self.ready);
                     }
                     break;
                 }
-                // The stop rule (module docs): no relay once every replica
-                // has finished; the pump then retires the instance.
-                if replica.decision.is_some() {
-                    if inst.finished == n {
-                        break;
-                    }
-                    session_metrics().relays.incr();
-                }
-                let round = Round::new(k);
-                let msg = replica.process.send(round);
-                replica.sent = true;
-                for (j, receiver) in inst.replicas.iter_mut().enumerate() {
-                    // A halted replica never receives again.
-                    if receiver.halted {
-                        continue;
-                    }
-                    let to = ProcessId::new(j);
-                    let delay = if j == me {
-                        Duration::ZERO
-                    } else {
-                        inst.spec.delays.delay_for(round, sender, to)
-                    };
-                    let msg = DeliveredMsg { sender, sent_round: round, msg: msg.clone() };
-                    if delay.is_zero() {
-                        receiver.receive(msg);
-                        delivered |= j != me;
-                    } else {
-                        let due = self.now + delay;
-                        self.delay_line.push(Pending { due, instance: inst.id, to: j, msg });
-                    }
-                }
             }
 
-            // Receive phase: the round completes once all `n` current-round
-            // messages arrived, or the `n - t` quorum plus the grace window.
-            let replica = &mut inst.replicas[me];
-            let current = replica.mailbox.due().iter().filter(|m| m.sent_round.get() == k).count();
+            // Receive phase: the round ends once all `n` current-round
+            // messages arrived, or on the `n - t` quorum plus the grace
+            // window once no live replica is behind (module docs).
+            let current = inst.replicas[me].mailbox.due();
+            let current = current.iter().filter(|m| m.sent_round.get() == k).count();
             let ready = if current >= n {
                 true
             } else if current >= self.quorum {
-                let entered = *replica.quorum_at.get_or_insert(self.now);
-                self.now.duration_since(entered) >= self.grace
+                let entered = *inst.replicas[me].quorum_at.get_or_insert(self.now);
+                self.now.duration_since(entered) >= self.grace && inst.all_sent(k)
             } else {
                 false
             };
@@ -784,6 +780,7 @@ impl<M: Clone> Pump<'_, M> {
             // Deliver everything due: this round's messages and late ones.
             // Arrival order is wall-clock order; a sender sends once per
             // round, so (sent round, sender) orders them uniquely.
+            let replica = &mut inst.replicas[me];
             let round = Round::new(k);
             let due = replica.mailbox.due_mut();
             due.sort_unstable_by_key(|m| (m.sent_round, m.sender));
@@ -817,7 +814,7 @@ impl<M: Clone> Pump<'_, M> {
 ///
 /// # Panics
 ///
-/// Panics if `proposals.len()` or `spec.crashes.len()` differs from
+/// Panics if `proposals.len()` or the schedule's `n` differs from
 /// `config.n()`, and propagates a panic of an automaton.
 pub fn run_network<F>(
     config: SystemConfig,
@@ -841,13 +838,11 @@ where
     let instance = session.start_instance_recycled(proposals, spec);
     let report = session.wait_instance(instance);
 
-    let crashed: ProcessSet =
-        config.processes().filter(|p| spec.crashes[p.index()].is_some()).collect();
     NetReport {
         outcome: RunOutcome {
             proposals: proposals.to_vec(),
             decisions: report.decisions,
-            crashed,
+            crashed: spec.schedule.faulty(),
             rounds_executed: report.rounds_executed,
         },
         elapsed: start.elapsed(),
@@ -861,6 +856,7 @@ mod tests {
     use std::sync::Arc;
 
     use indulgent_consensus::{AtPlus2, CoordinatorEcho, RotatingCoordinator};
+    use indulgent_sim::{random_run, RandomRunParams, ScheduleBuilder};
 
     use super::*;
 
@@ -891,6 +887,15 @@ mod tests {
         vs.iter().copied().map(Value::new).collect()
     }
 
+    /// An instance in which `process` crashes at `round` before sending.
+    fn crashing(config: SystemConfig, process: usize, round: u32) -> InstanceSpec {
+        let schedule = ScheduleBuilder::new(config, ModelKind::Es)
+            .crash_before_send(ProcessId::new(process), Round::new(round))
+            .build(round)
+            .expect("one crash is within t");
+        InstanceSpec::replaying(schedule)
+    }
+
     #[test]
     fn synchronous_network_decides_at_t_plus_2() {
         let config = cfg();
@@ -910,7 +915,7 @@ mod tests {
     #[test]
     fn crashed_process_is_tolerated() {
         let config = cfg();
-        let spec = InstanceSpec::synchronous(config).crash(ProcessId::new(1), Round::new(2));
+        let spec = crashing(config, 1, 2);
         let report = run_network(config, at_factory(config), &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
         report.outcome.check_consensus().unwrap();
         assert!(report.outcome.crashed.contains(ProcessId::new(1)));
@@ -920,12 +925,10 @@ mod tests {
     #[test]
     fn asynchronous_prefix_still_terminates_consistently() {
         let config = cfg();
-        let spec = InstanceSpec::synchronous(config).with_delays(DelayModel::AsyncUntil {
-            until_round: 5,
-            delay: Duration::from_millis(40),
-            probability: 0.3,
-            seed: 7,
-        });
+        let params = RandomRunParams::eventually_synchronous(0, 1, 5);
+        let schedule = random_run(config, ModelKind::Es, params, 5, 7);
+        assert!(schedule.overrides().next().is_some(), "the prefix delays messages");
+        let spec = InstanceSpec::replaying(schedule);
         let report = run_network(config, at_factory(config), &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
         report.outcome.check_consensus().unwrap();
     }
@@ -1005,32 +1008,15 @@ mod tests {
     }
 
     #[test]
-    fn delay_model_is_deterministic() {
-        let m = DelayModel::AsyncUntil {
-            until_round: 4,
-            delay: Duration::from_millis(10),
-            probability: 0.5,
-            seed: 42,
-        };
-        let a = m.delay_for(Round::new(2), ProcessId::new(1), ProcessId::new(3));
-        let b = m.delay_for(Round::new(2), ProcessId::new(1), ProcessId::new(3));
-        assert_eq!(a, b);
-        // After the synchrony round there are no delays.
-        assert_eq!(
-            m.delay_for(Round::new(4), ProcessId::new(1), ProcessId::new(3)),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
     fn uniform_delay_applies_to_every_round() {
-        let m = DelayModel::Uniform { delay: Duration::from_millis(3) };
-        for k in [1u32, 7, 100] {
-            assert_eq!(
-                m.delay_for(Round::new(k), ProcessId::new(0), ProcessId::new(1)),
-                Duration::from_millis(3)
-            );
-        }
+        // Over 2 ms links a failure-free instance deciding at t + 2 = 4
+        // waits one link delay per round.
+        let config = cfg();
+        let spec = InstanceSpec::synchronous(config)
+            .with_delays(DelayModel::Uniform { delay: Duration::from_millis(2) });
+        let report = run_network(config, at_factory(config), &vals(&[6, 2, 8, 4, 7]), GRACE, &spec);
+        assert_eq!(report.outcome.global_decision_round(), Some(Round::new(4)));
+        assert!(report.elapsed >= Duration::from_millis(8), "took {:?}", report.elapsed);
     }
 
     #[test]
@@ -1042,7 +1028,7 @@ mod tests {
     }
 
     #[test]
-    fn session_reuses_threads_across_instances() {
+    fn one_session_decides_instance_after_instance() {
         let config = cfg();
         let mut session = at_session(config);
         let spec = InstanceSpec::synchronous(config);
@@ -1121,7 +1107,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "boom")]
-    fn worker_panic_propagates_to_waiters() {
+    fn automaton_panic_propagates_to_the_waiting_caller() {
         // An automaton that panics mid-protocol unwinds out of the wait
         // that stepped it, with its own payload.
         #[derive(Debug, Clone)]
@@ -1143,7 +1129,7 @@ mod tests {
     }
 
     #[test]
-    fn an_instance_runs_all_its_replicas_on_one_worker() {
+    fn an_instance_runs_all_its_replicas_on_the_callers_thread() {
         // An automaton that records the thread each of its sends runs on.
         // The log is an `Rc`: the session needs no `Send` automaton.
         #[derive(Debug, Clone)]
@@ -1183,8 +1169,7 @@ mod tests {
         let config = cfg();
         let mut session = at_session(config);
         let proposals = vals(&[6, 2, 8, 4, 7]);
-        let crashing = InstanceSpec::synchronous(config).crash(ProcessId::new(1), Round::new(2));
-        let first = session.start_instance_recycled(&proposals, &crashing);
+        let first = session.start_instance_recycled(&proposals, &crashing(config, 1, 2));
         let clean = InstanceSpec::synchronous(config);
         let second = session.start_instance_recycled(&proposals, &clean);
 
@@ -1205,7 +1190,7 @@ mod tests {
         for us in [750u64, 0, 500, 250, 750] {
             let due = start + Duration::from_micros(us);
             let msg = DeliveredMsg { sender: ProcessId::new(0), sent_round: Round::FIRST, msg: () };
-            line.push(Pending { due, instance: 1, to: 0, msg });
+            line.push(Pending { due, instance: 1, to: 0, arrival: Round::FIRST, msg });
         }
         let mut seen = Vec::new();
         while let Some(next) = line.peek().map(|p| p.due) {

@@ -61,6 +61,7 @@ use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot};
 use indulgent_model::{SystemConfig, Value};
 use indulgent_obs::FlightKind;
 use indulgent_runtime::{DelayModel, InstanceSpec, Session};
+use indulgent_sim::{ModelKind, Schedule};
 
 use crate::audit::ShardedAudit;
 use crate::lease::{LeaseConfig, ReadPath};
@@ -124,6 +125,10 @@ pub struct EngineConfig {
     /// Replica-to-replica delay model (Instant for a colocated group;
     /// Uniform to emulate a real RTT).
     pub delays: DelayModel,
+    /// The adversary every consensus instance replays (crashes and
+    /// message fates by round, see `indulgent_runtime`); `None` runs
+    /// failure-free.
+    pub schedule: Option<Schedule>,
     /// WAL + snapshot persistence; `None` runs crash-stop (in-memory
     /// only, the pre-durability behavior).
     pub durability: Option<DurabilityConfig>,
@@ -156,6 +161,7 @@ impl EngineConfig {
             batch_size: 8,
             pipeline_depth: 4,
             delays: DelayModel::Instant,
+            schedule: None,
             durability: None,
             reads: ReadPath::Sequenced,
             lease: LeaseConfig::default(),
@@ -499,7 +505,9 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
         }
     }
 
-    let spec = InstanceSpec { crashes: vec![None; n], delays: cfg.delays, max_rounds: MAX_ROUNDS };
+    let failure_free = || Schedule::failure_free(cfg.system, ModelKind::Es);
+    let schedule = cfg.schedule.clone().unwrap_or_else(failure_free);
+    let spec = InstanceSpec { schedule, delays: cfg.delays, max_rounds: MAX_ROUNDS };
     // Every replica proposes the same batch id: one buffer, refilled per
     // instance start.
     let mut proposals = vec![Value::ZERO; n];

@@ -7,10 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use indulgent_model::{ProcessId, Round, SystemConfig};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use indulgent_model::{ProcessId, Round, SplitMix64, SystemConfig};
 
 use crate::schedule::{MessageFate, ModelKind, Schedule};
 
@@ -79,15 +76,15 @@ pub fn random_run(
     seed: u64,
 ) -> Schedule {
     assert!(params.crashes <= config.t(), "cannot schedule more than t crashes");
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let n = config.n();
 
     // Pick distinct crash victims and rounds.
     let mut ids: Vec<ProcessId> = config.processes().collect();
-    ids.shuffle(&mut rng);
+    rng.shuffle(&mut ids);
     let mut crash_rounds: Vec<Option<Round>> = vec![None; n];
     for victim in ids.iter().take(params.crashes) {
-        let r = rng.gen_range(1..=params.crash_window.max(1));
+        let r = 1 + rng.below(u64::from(params.crash_window.max(1))) as u32;
         crash_rounds[victim.index()] = Some(Round::new(r));
     }
 
@@ -106,7 +103,7 @@ pub fn random_run(
                 if receiver == sender || !alive_entering(&crash_rounds, receiver, cr.get()) {
                     continue;
                 }
-                if rng.gen_bool(params.crash_loss_probability) {
+                if rng.chance(params.crash_loss_probability) {
                     overrides
                         .insert((cr.get(), sender.index(), receiver.index()), MessageFate::Lose);
                 }
@@ -145,8 +142,8 @@ pub fn random_run(
                     if crash_rounds[s.index()].map(Round::get) == Some(k) {
                         continue;
                     }
-                    if rng.gen_bool(params.delay_probability) {
-                        let arrival = rng.gen_range(k + 1..=params.sync_from);
+                    if rng.chance(params.delay_probability) {
+                        let arrival = k + 1 + rng.below(u64::from(params.sync_from - k)) as u32;
                         overrides.insert(
                             (k, s.index(), receiver.index()),
                             MessageFate::Delay(Round::new(arrival)),
@@ -231,6 +228,20 @@ mod tests {
     #[should_panic(expected = "more than t")]
     fn too_many_crashes_panics() {
         let _ = random_run(cfg(), ModelKind::Es, RandomRunParams::synchronous(4, 5), 10, 0);
+    }
+
+    #[test]
+    fn seeded_streams_are_pinned() {
+        // The schedules of seeds 0..20, folded into one fingerprint per
+        // model: a generator that changes a single draw fails here.
+        let pin = |kind, params| {
+            (0..20).fold(0u64, |h, seed| {
+                h.rotate_left(7) ^ random_run(cfg(), kind, params, 10, seed).fingerprint()
+            })
+        };
+        let es = RandomRunParams::eventually_synchronous(2, 4, 5);
+        assert_eq!(pin(ModelKind::Es, es), 0x6078_6430_a0f7_f746);
+        assert_eq!(pin(ModelKind::Scs, RandomRunParams::synchronous(3, 4)), 0x4dc7_c0c0_4b62_6a6c);
     }
 
     #[test]

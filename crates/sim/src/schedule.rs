@@ -41,7 +41,7 @@ pub enum MessageFate {
 /// Build schedules with [`ScheduleBuilder`](crate::ScheduleBuilder), the
 /// random generators in [`random`](crate::random), or the serial-run
 /// enumerator in [`serial`](crate::serial).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Schedule {
     config: SystemConfig,
     kind: ModelKind,
@@ -63,6 +63,26 @@ pub struct Schedule {
     /// fate override — the O(1) front door of the per-sender override
     /// lookup.
     override_rounds: u64,
+}
+
+impl Clone for Schedule {
+    fn clone(&self) -> Self {
+        Schedule {
+            crash_rounds: self.crash_rounds.clone(),
+            overrides: self.overrides.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, so the crash vector keeps its buffer: the wall-clock
+    /// runtime copies an instance's schedule into a retired instance's
+    /// this way, allocation-free for a schedule without fate overrides.
+    fn clone_from(&mut self, source: &Self) {
+        self.crash_rounds.clone_from(&source.crash_rounds);
+        self.overrides.clone_from(&source.overrides);
+        (self.config, self.kind, self.sync_from) = (source.config, source.kind, source.sync_from);
+        (self.dirty_rounds, self.override_rounds) = (source.dirty_rounds, source.override_rounds);
+    }
 }
 
 impl Schedule {

@@ -2,9 +2,10 @@
 //!
 //! One reusable [`Session`], stepped on this thread, runs three consensus
 //! instances back to back: a synchronous network, one with a
-//! mid-protocol crash, and one with an asynchronous prefix causing false
-//! suspicions. The same automaton code that runs under the deterministic
-//! simulator races here against wall-clock timeouts.
+//! mid-protocol crash, and one replaying a seeded ES schedule whose
+//! asynchronous prefix causes false suspicions. The same automaton code
+//! that runs under the deterministic simulator races here against
+//! wall-clock timeouts.
 //!
 //! Flags make it a probe for arbitrary configurations:
 //!
@@ -14,13 +15,14 @@
 //!
 //! * `--n N` / `--t T` — system size and resilience (`t < n/2`);
 //! * `--async-until R` — the asynchronous prefix lasts until round `R`;
-//! * `--seed S` — seed for the prefix's delay coin flips.
+//! * `--seed S` — seed of the schedule (`indulgent_sim::random_run`).
 
 use std::time::Duration;
 
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{ProcessId, Round, SystemConfig, Value};
-use indulgent_runtime::{DelayModel, InstanceSpec, Session};
+use indulgent_runtime::{InstanceSpec, Session};
+use indulgent_sim::{random_run, ModelKind, RandomRunParams, ScheduleBuilder};
 
 fn flag(args: &[String], name: &str, default: u64) -> u64 {
     args.iter()
@@ -67,7 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Crash one process mid-protocol (same session, next instance).
     let started = std::time::Instant::now();
-    let spec = InstanceSpec::synchronous(cfg).crash(ProcessId::new(1), Round::new(2));
+    let schedule = ScheduleBuilder::new(cfg, ModelKind::Es)
+        .crash_before_send(ProcessId::new(1), Round::new(2))
+        .build(2)?;
+    let spec = InstanceSpec::replaying(schedule);
     let instance = session.start_instance_recycled(&proposals, &spec);
     let report = session.wait_instance(instance);
     for d in report.decisions.iter().flatten() {
@@ -79,17 +84,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         started.elapsed()
     );
 
-    // 3. An asynchronous prefix: messages randomly delayed beyond the
-    // grace window until round `async_until`, causing false suspicions;
+    // 3. An asynchronous prefix: a seeded ES schedule delays messages to
+    // later rounds until round `async_until`, causing false suspicions;
     // the algorithm falls back to its underlying consensus where needed
     // and still agrees.
     let started = std::time::Instant::now();
-    let spec = InstanceSpec::synchronous(cfg).with_delays(DelayModel::AsyncUntil {
-        until_round: async_until,
-        delay: Duration::from_millis(40),
-        probability: 0.3,
-        seed,
-    });
+    let params = RandomRunParams::eventually_synchronous(0, 1, async_until);
+    let spec = InstanceSpec::replaying(random_run(cfg, ModelKind::Es, params, async_until, seed));
     let instance = session.start_instance_recycled(&proposals, &spec);
     let report = session.wait_instance(instance);
     let decided = report.decisions.iter().flatten().map(|d| d.round).max().expect("decided");
