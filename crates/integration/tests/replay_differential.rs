@@ -13,13 +13,15 @@
 //!   over rounds 1..=3;
 //! * 200 seeded `random_run` ES schedules of `n = 5, t = 2`: partial
 //!   crash-round sends and an asynchronous prefix of delayed messages.
+//!
+//! The other algorithm families run live too, failure-free.
 
 use std::ops::ControlFlow;
 use std::time::Duration;
 
-use indulgent_consensus::{AtPlus2, RotatingCoordinator};
+use indulgent_consensus::{AfPlus2, AtPlus2, CoordinatorEcho, RotatingCoordinator};
 use indulgent_integration::proposals;
-use indulgent_model::{ProcessId, SystemConfig, Value};
+use indulgent_model::{ProcessId, Round, SystemConfig, Value};
 use indulgent_runtime::{run_network, InstanceSpec};
 use indulgent_sim::{
     for_each_serial_schedule, random_run, run_schedule, MessageFate, ModelKind, RandomRunParams,
@@ -100,4 +102,22 @@ fn seeded_es_schedules_replay_live() {
         assert_replays_live(&schedule);
     }
     assert!(delayed > 200, "the prefixes delay messages: {delayed}");
+}
+
+#[test]
+fn network_runs_every_algorithm_family() {
+    let config = SystemConfig::majority(5, 2).unwrap();
+    let props = proposals(5);
+
+    let ce = move |i: usize, v: Value| CoordinatorEcho::new(config, ProcessId::new(i), v);
+    let report = run_network(config, ce, &props, GRACE, &InstanceSpec::synchronous(config));
+    report.outcome.check_consensus().unwrap();
+    assert_eq!(report.outcome.global_decision_round(), Some(Round::new(2)));
+
+    let third = SystemConfig::third(7, 2).unwrap();
+    let props7 = proposals(7);
+    let af = move |i: usize, v: Value| AfPlus2::new(third, ProcessId::new(i), v);
+    let report = run_network(third, af, &props7, GRACE, &InstanceSpec::synchronous(third));
+    report.outcome.check_consensus().unwrap();
+    assert!(report.outcome.global_decision_round().unwrap() <= Round::new(2));
 }

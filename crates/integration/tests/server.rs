@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 use indulgent_model::{ClientId, RequestId};
 use indulgent_server::wire::encode_frame;
 use indulgent_server::{
-    remote_lease_state, remote_stats, stats_request_frame, EngineConfig, FrameReader, KvOp,
-    KvServer, KvService, LocalKv, Outcome, PipeClient, ReadPath, RemoteKv, Request, Response,
-    StatsReport, TAG_STATS,
+    remote_lease_state, remote_stats, shard_dir, stats_request_frame, sync_all_from_peer,
+    DurabilityConfig, EngineConfig, FrameReader, KvOp, KvServer, KvService, LocalKv, Outcome,
+    PipeClient, ReadPath, RemoteKv, Request, Response, StatsReport, SyncFrame, TAG_STATS,
 };
 
 /// Deterministic sizing: batch of 1 so sequential calls sequence one
@@ -359,6 +359,140 @@ fn killed_client_reconnect_applies_exactly_once() {
     // 4 sessions x (1 put applied once + 1 get).
     assert_eq!(audit.committed_commands(), 8, "no replayed put applied twice");
     assert_eq!(audit.duplicate_applies(), 0);
+}
+
+/// A client that pipelines requests and never reads its replies must not
+/// stall the service. The driver writes every connection's output
+/// itself; once the stuck client's socket buffers are full, a `write` to
+/// it waits out the 20 ms send timeout with a partial send, the next
+/// pass's write waits it out with nothing sent, and the connection is
+/// shut down. The other client's slowest put was measured at 140 to
+/// 200 ms in debug on 2 vCPUs and 80 ms in release: the two timeouts
+/// plus the pass that answers all the stuck client's requests. The
+/// bound, 1 s, leaves room for a loaded one-core box; a driver that
+/// blocked on the stuck socket would hold every put for good.
+#[test]
+fn a_client_that_never_reads_is_disconnected_and_stalls_no_one() {
+    const STALL_BOUND: Duration = Duration::from_secs(1);
+    const SYNCS: usize = 300;
+    let server = KvServer::bind("127.0.0.1:0", deterministic()).expect("bind");
+    let addr = server.addr();
+    let mut kv = RemoteKv::connect(addr, ClientId(1)).expect("connect");
+    // A log of 200 slots: every state-transfer reply re-sends all of it.
+    for i in 0..200u32 {
+        kv.put(u16::try_from(i % 50).unwrap(), i).expect("put acked");
+    }
+
+    // The stuck client asks for the shard's state SYNCS times in one
+    // write and never reads: the replies (about 40 KiB each) outgrow
+    // what the kernel's socket buffers take in on loopback (about 4 MiB
+    // was measured) several times over.
+    let mut stuck = TcpStream::connect(addr).expect("connect");
+    let mut wire = Vec::new();
+    for _ in 0..SYNCS {
+        encode_frame(&SyncFrame::Request { from_slot: 0, shard: 0 }.encode(), &mut wire);
+    }
+    stuck.write_all(&wire).expect("one write");
+
+    let mut slowest = Duration::ZERO;
+    for i in 0..300u32 {
+        let start = Instant::now();
+        kv.put(60, i).expect("put acked while the stuck client is served");
+        slowest = slowest.max(start.elapsed());
+    }
+    assert!(slowest < STALL_BOUND, "a put waited {slowest:?} behind the stuck client");
+
+    // The server hung up: reading now reaches the end of the stream (or
+    // a reset) instead of every reply.
+    let reply = sync_reply_len(addr);
+    stuck.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut buf = vec![0u8; 1 << 16];
+    let mut got = 0;
+    loop {
+        match stuck.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the stuck client is still connected after {got} bytes: {e}"),
+        }
+    }
+    assert!(got < SYNCS * reply, "{got} bytes of {} sent before the hang-up", SYNCS * reply);
+    assert!(SYNCS * reply > 8 << 20, "the replies outgrow the socket buffers");
+    drop(kv);
+    server.shutdown().check().expect("audit clean");
+}
+
+/// The bytes of one reply to a shard-0 state-transfer request, read on
+/// a connection of its own up to the closing `Done` frame.
+fn sync_reply_len(addr: SocketAddr) -> usize {
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    indulgent_server::wire::write_frame(
+        &mut sock,
+        &SyncFrame::Request { from_slot: 0, shard: 0 }.encode(),
+    )
+    .expect("write");
+    sock.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut reader = FrameReader::new(sock);
+    let mut len = 0;
+    loop {
+        let frame = reader.read_frame().expect("a frame").expect("not EOF");
+        len += 4 + frame.len();
+        if matches!(SyncFrame::decode(&frame), Ok(SyncFrame::Done { .. })) {
+            return len;
+        }
+    }
+}
+
+/// A rejoin stream whose snapshot spans several 48 KiB chunks leaves the
+/// driver in buffered writes, and still arrives whole: a service booted
+/// on the transferred state answers every key as the peer does.
+#[test]
+fn a_multi_chunk_sync_stream_arrives_whole() {
+    const PUTS: u64 = 3_000;
+    let root = std::env::temp_dir().join(format!("indulgent-sync-chunks-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let peer_root = root.join("peer");
+    let config = EngineConfig::default_5()
+        .with_batch_size(64)
+        .with_durability(DurabilityConfig::new(&peer_root).with_snapshot_every(4));
+    let server = KvServer::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.addr();
+
+    // Distinct keys and one session entry per put grow the checkpoint.
+    let mut pipe = PipeClient::connect(addr, ClientId(9)).expect("connect");
+    let value = |i: u64| u32::try_from(i * 3).unwrap();
+    let (mut sent, mut acked) = (0u64, 0u64);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while acked < PUTS {
+        assert!(Instant::now() < deadline, "{acked} of {PUTS} puts acked");
+        while sent < PUTS && sent - acked < 256 {
+            let key = u16::try_from(sent).unwrap();
+            pipe.send(RequestId(sent), KvOp::Put { key, value: value(sent) }).expect("send");
+            sent += 1;
+        }
+        acked += pipe.drain_acks().expect("drain").len() as u64;
+    }
+    let snapshot =
+        std::fs::metadata(shard_dir(&peer_root, 0).join("state.snap")).expect("a checkpoint");
+    assert!(snapshot.len() > 2 * 48 * 1024, "{} snapshot bytes: at least 3 chunks", snapshot.len());
+
+    let rejoined_root = root.join("rejoined");
+    let applied = sync_all_from_peer(addr, 1, &rejoined_root).expect("sync");
+    assert!(applied >= PUTS / 64, "{applied} slots transferred");
+    drop(pipe);
+    server.shutdown().check().expect("peer audit clean");
+
+    let rejoined_config =
+        EngineConfig::default_5().with_durability(DurabilityConfig::new(&rejoined_root));
+    let rejoined = KvServer::bind("127.0.0.1:0", rejoined_config).expect("boot on the sync");
+    let mut kv = LocalKv::connect(&rejoined.engine(), ClientId(10));
+    for i in (0..PUTS).step_by(7) {
+        let key = u16::try_from(i).unwrap();
+        assert_eq!(value_of(&kv.get(key).expect("get acked")), Some(Some(value(i))), "key {key}");
+    }
+    drop(kv);
+    rejoined.shutdown().check().expect("rejoined audit clean");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A connection that sends garbage (a non-protocol frame) is dropped

@@ -26,7 +26,7 @@ use std::time::Duration;
 use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{Delivery, ProcessId, Round, RoundProcess, Step, SystemConfig, Value};
 use indulgent_runtime::{InstanceSpec, Session};
-use indulgent_sim::{ModelKind, RunState, Schedule, ScheduleBuilder};
+use indulgent_sim::{MessageFate, ModelKind, RunState, Schedule, ScheduleBuilder};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -297,4 +297,47 @@ fn warm_runtime_session_instance_is_allocation_free() {
     assert!(sends >= 2 * n as u64 * INSTANCES, "{sends} sends: every replica sends in rounds 1-2");
     assert_eq!(here, sends, "every replica steps on the caller's thread");
     assert_eq!(allocs, 0, "{allocs} allocations in {INSTANCES} warm instances");
+}
+
+#[test]
+fn warm_session_replaying_crashes_and_lost_messages_is_allocation_free() {
+    // A crash schedule with `Lose` overrides, shared by every start the
+    // way the log's session runner shares a compiled schedule: p1 crashes
+    // in round 1 reaching p0 only, and p3 crashes before sending round 2.
+    // A start points the retired instance at the shared schedule; copying
+    // it would clone the overrides' `BTreeMap`, an allocation per start.
+    const INSTANCES: u64 = 100;
+    let config = SystemConfig::majority(5, 2).unwrap();
+    let n = config.n();
+    let schedule = ScheduleBuilder::new(config, ModelKind::Es)
+        .crash_delivering_only(ProcessId::new(1), Round::new(1), [ProcessId::new(0)])
+        .crash_before_send(ProcessId::new(3), Round::new(2))
+        .build(200)
+        .unwrap();
+    assert!(schedule.overrides().any(|o| o.3 == MessageFate::Lose), "{schedule:?}");
+    let spec = InstanceSpec::replaying(schedule);
+    let build = move |i: usize, v: Value| {
+        let id = ProcessId::new(i);
+        AtPlus2::new(config, id, v, RotatingCoordinator::new(config, id))
+    };
+    let reset = |_i: usize, p: &mut AtPlus2<RotatingCoordinator>, v: Value| p.reset_instance(v);
+    let mut session = Session::with_recycler(config, Duration::from_millis(2), build, reset);
+    let mut proposals = vec![Value::ZERO; n];
+    let mut run = |session: &mut Session<AtPlus2<RotatingCoordinator>>, instances: u64| {
+        for i in 0..instances {
+            proposals.fill(Value::new(i));
+            let instance = session.start_instance_recycled(&proposals, &spec);
+            let mut decided = 0;
+            for _ in 0..n {
+                let r = session.next_result();
+                assert_eq!(r.instance, instance);
+                decided += usize::from(r.decision.is_some());
+            }
+            assert_eq!(decided, n - 2, "the three survivors decide");
+        }
+    };
+    run(&mut session, 10);
+
+    let allocs = allocations_in(|| run(&mut session, INSTANCES));
+    assert_eq!(allocs, 0, "{allocs} allocations in {INSTANCES} warm crash-schedule instances");
 }

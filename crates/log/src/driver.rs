@@ -50,6 +50,7 @@
 //! only ever needs a majority up per decision.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use indulgent_model::{AppliedEntry, BatchId, Decision, ProcessSet, Round, SystemConfig, Value};
 use indulgent_sim::Schedule;
@@ -309,8 +310,9 @@ pub struct AsyncPrefix {
 /// substrate.
 #[derive(Debug, Clone)]
 pub struct ShotSpec {
-    /// The instance's crashes and message fates.
-    pub schedule: Schedule,
+    /// The instance's crashes and message fates, shared with the
+    /// substrate that replays them.
+    pub schedule: Arc<Schedule>,
     /// Round budget.
     pub max_rounds: u32,
 }
@@ -478,7 +480,7 @@ impl LogDriver {
     pub fn shot_spec(&self, instance: u64) -> ShotSpec {
         let max_rounds = self.log_config.max_rounds;
         ShotSpec {
-            schedule: compile_schedule(self.config, &self.scenario, instance, max_rounds),
+            schedule: Arc::new(compile_schedule(self.config, &self.scenario, instance, max_rounds)),
             max_rounds,
         }
     }

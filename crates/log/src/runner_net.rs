@@ -12,6 +12,7 @@
 //! deterministic [`SimLogRunner`](crate::SimLogRunner) at any pipeline
 //! depth.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use indulgent_model::{Decision, ProcessFactory, RoundProcess, SystemConfig, Value};
@@ -48,7 +49,7 @@ impl NetProfile {
 #[derive(Debug)]
 pub struct SessionLogRunner<P: RoundProcess> {
     session: Session<P>,
-    /// The spec every start copies its shot's schedule into.
+    /// The spec every start points at its shot's schedule.
     spec: InstanceSpec,
     started: u64,
 }
@@ -77,7 +78,7 @@ impl<P: RoundProcess> SessionLogRunner<P> {
 
 impl<P: RoundProcess> InstanceRunner for SessionLogRunner<P> {
     fn start(&mut self, instance: u64, proposals: &[Value], spec: &ShotSpec) {
-        self.spec.schedule.clone_from(&spec.schedule);
+        self.spec.schedule = Arc::clone(&spec.schedule);
         self.spec.max_rounds = spec.max_rounds;
         let id = self.session.start_instance_recycled(proposals, &self.spec);
         assert_eq!(id, instance, "session instance ids track the driver's");

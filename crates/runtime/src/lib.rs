@@ -99,6 +99,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use indulgent_model::{
@@ -224,8 +225,9 @@ impl DelayModel {
 #[derive(Debug, Clone)]
 pub struct InstanceSpec {
     /// The adversary this instance replays: crash rounds and message
-    /// fates, applied by round (module docs).
-    pub schedule: Schedule,
+    /// fates, applied by round (module docs). Shared: a start copies the
+    /// pointer, never the schedule's crash vector or fate overrides.
+    pub schedule: Arc<Schedule>,
     /// The latency of this instance's links.
     pub delays: DelayModel,
     /// Hard bound on rounds executed per replica; a replica reaching it
@@ -243,7 +245,7 @@ impl InstanceSpec {
     /// An instance replaying `schedule` over instant links.
     #[must_use]
     pub fn replaying(schedule: Schedule) -> Self {
-        InstanceSpec { schedule, delays: DelayModel::Instant, max_rounds: 200 }
+        InstanceSpec { schedule: Arc::new(schedule), delays: DelayModel::Instant, max_rounds: 200 }
     }
 
     /// Sets the delay model.
@@ -415,10 +417,7 @@ impl<P: RoundProcess> Session<P> {
                     (self.reset)(i, &mut replica.process, proposals[i]);
                     replica.restart();
                 }
-                // Field by field: the crash vector keeps its buffer.
-                inst.spec.schedule.clone_from(&spec.schedule);
-                (inst.spec.delays, inst.spec.max_rounds) = (spec.delays, spec.max_rounds);
-                Instance { id, finished: 0, ..inst }
+                Instance { id, spec: spec.clone(), finished: 0, ..inst }
             }
             None => {
                 let build = |i| Replica::new((self.build)(i, proposals[i]));

@@ -16,7 +16,8 @@
 //! 3. **apply** — apply decided slots in order: materialize the store,
 //!    compute each response from the store at its slot, persist the slot
 //!    to the write-ahead log ([`crate::wal`]) and `fdatasync` it
-//!    **before** any acknowledgement leaves, then ack;
+//!    **before** any acknowledgement leaves, then ack (into the
+//!    connection's sink, see below);
 //! 4. **serve reads** — answer parked reads at the new applied frontier,
 //!    or demote them into the open batch;
 //! 5. **start** — pipeline consensus: up to `pipeline_depth` instances
@@ -30,6 +31,26 @@
 //! Steps 2–5 are one pass per shard, so the window slots an apply frees
 //! are refilled in the same loop iteration: the driver only waits once
 //! no shard has both a sealed batch and a free slot.
+//!
+//! **Acks leave at the end of the pass.** Every ack and control frame
+//! goes to its connection's sink: an in-process session's channel at
+//! once, or a socket's buffer ([`crate::server`]). Once every shard has
+//! had its pass and the control requests are answered, the driver gives
+//! each socket with bytes pending one `write` — before it checks for
+//! shutdown or waits, and once more on exit. A connection thus gets at
+//! most one `write` per pass, its frames in the order they were produced,
+//! and no thread stands between an apply and the socket.
+//!
+//! **A client that stops reading is disconnected.** The writes block,
+//! but every server socket has a send timeout, so a `write` into a full
+//! kernel buffer waits at most that long. Bytes a partial write leaves
+//! stay at the front of the buffer for the next pass; a write that times
+//! out with nothing sent, or fails, shuts the socket down and drops the
+//! sink. The client reconnects and retries, and dedup answers from the
+//! log. One stuck client costs the others about two timeouts, once. A
+//! client that does read, but slower than its output grows (a large
+//! state transfer over a slow link), can cost up to one timeout per pass
+//! until it catches up: the timeout bounds each wait, not their number.
 //!
 //! Each shard has a session of its own, and a session adds no thread:
 //! the driver steps every consensus round inline when it pumps a shard's
@@ -66,6 +87,7 @@ use indulgent_sim::{ModelKind, Schedule};
 use crate::audit::ShardedAudit;
 use crate::lease::{LeaseConfig, ReadPath};
 use crate::proto::{Request, Response};
+use crate::server::SocketOut;
 use crate::shard::{audit_summary, ShardRouter, ShardState, LINGER};
 
 /// Per-instance round budget of the replica session.
@@ -239,10 +261,78 @@ impl fmt::Display for ConnId {
     }
 }
 
-/// The registered connections' outbound channels.
-pub(crate) type Conns = HashMap<ConnId, Sender<Outbound>>;
+/// Where the engine sends one connection's acks and control frames.
+#[derive(Debug)]
+pub(crate) enum Sink {
+    /// An in-process session ([`EngineHandle::connect`]): each frame goes
+    /// onto its channel at once.
+    Local(Sender<Outbound>),
+    /// A server socket: frames gather in its buffer and leave with the
+    /// driver's flush, one `write` per pass.
+    Socket(SocketOut),
+}
 
-/// What the engine pushes onto a connection's outbound channel.
+/// The registered connections' sinks, and the sockets with output
+/// pending.
+#[derive(Debug, Default)]
+pub(crate) struct Conns {
+    sinks: HashMap<ConnId, Sink>,
+    /// Socket connections whose buffer holds bytes, in the order each
+    /// got its first.
+    dirty: Vec<ConnId>,
+}
+
+impl Conns {
+    pub(crate) fn register(&mut self, conn: ConnId, sink: Sink) {
+        self.sinks.insert(conn, sink);
+    }
+
+    /// Drops the connection's sink; bytes not yet written go with it.
+    pub(crate) fn deregister(&mut self, conn: ConnId) {
+        self.sinks.remove(&conn);
+    }
+
+    pub(crate) fn contains(&self, conn: ConnId) -> bool {
+        self.sinks.contains_key(&conn)
+    }
+
+    /// Sends `out` on a local channel, or appends it to a socket's
+    /// buffer for the next [`flush`](Conns::flush). A connection gone
+    /// since the request arrived gets nothing.
+    pub(crate) fn send(&mut self, conn: ConnId, out: Outbound) {
+        match self.sinks.get_mut(&conn) {
+            Some(Sink::Local(tx)) => {
+                let _ = tx.send(out);
+            }
+            Some(Sink::Socket(sock)) => {
+                if sock.is_empty() {
+                    self.dirty.push(conn);
+                }
+                sock.push(&out);
+            }
+            None => {}
+        }
+    }
+
+    /// Gives every socket with output pending one `write` (see
+    /// [`SocketOut::flush`]). A socket left with bytes stays pending; one
+    /// that failed or timed out unsent is shut down and dropped here.
+    pub(crate) fn flush(&mut self) {
+        let Conns { sinks, dirty } = self;
+        dirty.retain(|conn| {
+            let Some(Sink::Socket(sock)) = sinks.get_mut(conn) else { return false };
+            match sock.flush() {
+                Ok(emptied) => !emptied,
+                Err(_) => {
+                    sinks.remove(conn);
+                    false
+                }
+            }
+        });
+    }
+}
+
+/// What the engine sends a connection.
 #[derive(Debug, Clone)]
 pub enum Outbound {
     /// A request acknowledgement.
@@ -257,7 +347,7 @@ pub enum Outbound {
 pub(crate) enum EngineMsg {
     Register {
         conn: ConnId,
-        tx: Sender<Outbound>,
+        sink: Sink,
     },
     Deregister {
         conn: ConnId,
@@ -306,12 +396,17 @@ impl EngineHandle {
     /// them by retrying elsewhere).
     #[must_use]
     pub fn connect(&self) -> (SubmitHandle, Receiver<Outbound>) {
-        let conn = ConnId(self.next_conn.fetch_add(1, Ordering::Relaxed));
         let (tx, rx) = channel();
+        (self.register(Sink::Local(tx)), rx)
+    }
+
+    /// Registers a new connection answered through `sink`.
+    pub(crate) fn register(&self, sink: Sink) -> SubmitHandle {
+        let conn = ConnId(self.next_conn.fetch_add(1, Ordering::Relaxed));
         // A send failure means the engine already shut down; the submit
         // handle's sends will surface that to the caller.
-        let _ = self.intake.send(EngineMsg::Register { conn, tx });
-        (SubmitHandle { conn, intake: self.intake.clone() }, rx)
+        let _ = self.intake.send(EngineMsg::Register { conn, sink });
+        SubmitHandle { conn, intake: self.intake.clone() }
     }
 }
 
@@ -462,20 +557,16 @@ fn handle(
     router: &ShardRouter,
     deferred: &mut Deferred,
 ) {
-    let mut submit = |conn, request: Request| {
+    let mut submit = |conns: &mut Conns, conn, request: Request| {
         shards[router.shard_of(request.op.key()) as usize].submit(conns, conn, request);
     };
     match msg {
-        EngineMsg::Submit { conn, request } => submit(conn, request),
+        EngineMsg::Submit { conn, request } => submit(conns, conn, request),
         EngineMsg::SubmitBatch { conn, requests } => {
-            requests.into_iter().for_each(|request| submit(conn, request));
+            requests.into_iter().for_each(|request| submit(conns, conn, request));
         }
-        EngineMsg::Register { conn, tx } => {
-            conns.insert(conn, tx);
-        }
-        EngineMsg::Deregister { conn } => {
-            conns.remove(&conn);
-        }
+        EngineMsg::Register { conn, sink } => conns.register(conn, sink),
+        EngineMsg::Deregister { conn } => conns.deregister(conn),
         EngineMsg::Control { conn, request } => deferred.controls.push((conn, request)),
         EngineMsg::Shutdown => deferred.shutting_down = true,
         EngineMsg::Die => deferred.died = true,
@@ -507,12 +598,13 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
 
     let failure_free = || Schedule::failure_free(cfg.system, ModelKind::Es);
     let schedule = cfg.schedule.clone().unwrap_or_else(failure_free);
-    let spec = InstanceSpec { schedule, delays: cfg.delays, max_rounds: MAX_ROUNDS };
+    let spec =
+        InstanceSpec::replaying(schedule).with_delays(cfg.delays).with_max_rounds(MAX_ROUNDS);
     // Every replica proposes the same batch id: one buffer, refilled per
     // instance start.
     let mut proposals = vec![Value::ZERO; n];
 
-    let mut conns = Conns::new();
+    let mut conns = Conns::default();
     let mut shards: Vec<ShardState> =
         (0..shard_count).map(|i| ShardState::recover(i, cfg)).collect();
     // One recycling session per shard, same index, stepped on this
@@ -556,9 +648,9 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 last_progress = Instant::now();
                 sh.on_result(r.instance, r.replica.index(), r.decision);
             }
-            sh.apply_decided(&conns);
+            sh.apply_decided(&mut conns);
             sh.lease_upkeep();
-            sh.serve_reads(&conns);
+            sh.serve_reads(&mut conns);
             sh.seal_lingering(deferred.shutting_down);
             while let Some((local, batch)) = sh.start_next() {
                 proposals.fill(batch.as_value());
@@ -571,13 +663,16 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
 
         // 3. Answer control requests (state transfers, lease probes,
         // scrapes, audits) against the just-applied state. Requests
-        // naming an unknown shard are dropped.
+        // naming an unknown shard are dropped. Then every socket with
+        // output gets its one write of the pass.
         for (conn, request) in deferred.controls.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
+            if !conns.contains(conn) {
+                continue;
+            }
             let reply = match request {
                 ControlRequest::Sync(i) => {
                     if let Some(sh) = shards.get(i as usize) {
-                        sh.serve_sync(tx);
+                        sh.serve_sync(&mut conns, conn);
                     }
                     continue;
                 }
@@ -591,8 +686,9 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 }
                 ControlRequest::Audit => audit_summary(&shards).encode(),
             };
-            let _ = tx.send(Outbound::Control(reply));
+            conns.send(conn, Outbound::Control(reply));
         }
+        conns.flush();
 
         // 4. Exit once shutdown has drained every shard.
         if deferred.shutting_down && shards.iter().all(ShardState::quiesced) {
@@ -640,6 +736,8 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
         }
         std::panic::resume_unwind(panic);
     }
+    // Bytes a partial write left behind get one more write.
+    conns.flush();
 
     // A clean shutdown checkpoints every shard so a restart recovers
     // from the snapshots alone; a Die exits with whatever each shard's

@@ -43,10 +43,12 @@
 //!   (lease read → quorum read → sequenced read) when the lease is
 //!   suspect. Lease epochs are burned to disk before serving, so a
 //!   `kill -9`'d leader can never fast-read under its old epoch.
-//! * [`server`] — the TCP front door bridging sockets to the engine, a
-//!   reader and a writer thread per connection that move bursts, not
-//!   frames: one intake message per socket read, one `write` per run of
-//!   queued acks. Besides requests it answers stats scrapes: a
+//! * [`server`] — the TCP front door bridging sockets to the engine, one
+//!   reader thread per connection and bursts, not frames, both ways: one
+//!   intake message per socket read, and the acks of a driver pass leave
+//!   at the end of that pass, in one `write` per connection made by the
+//!   driver itself (a send timeout disconnects a client that stops
+//!   reading). Besides requests it answers stats scrapes: a
 //!   [`remote_stats`] request returns a [`StatsReport`] — per-shard
 //!   pipeline-stage latency histograms (submit→seal, seal→decide,
 //!   decide→apply, apply→ack, WAL fsync, queue depth) recorded by the

@@ -1,9 +1,10 @@
-//! The TCP front door: framed sockets in, engine intake out.
+//! The TCP front door: framed sockets in, engine intake out, acks back
+//! from the engine's driver thread.
 //!
 //! [`KvServer`] binds a listener, hosts the replica group in-process (a
 //! [`KvEngine`] running the n-replica consensus
-//! session), and bridges each accepted socket to the engine with two
-//! threads that move bursts, not frames:
+//! session), and bridges each accepted socket to the engine with one
+//! thread and one buffer, both moving bursts, not frames:
 //!
 //! * a **reader thread** per connection blocks in one `read`, then takes
 //!   every frame that read completed. The requests among them go to the
@@ -13,16 +14,30 @@
 //!   a truncated frame, or a malformed message deregisters the connection
 //!   once the valid requests ahead of it are submitted (the protocol has
 //!   no error responses — a peer that cannot speak it is dropped);
-//! * a **writer thread** per connection blocks for the engine's next
-//!   outbound frame, then takes every one already queued (up to 64 KiB)
-//!   and writes them with one `write`.
+//! * a `SocketOut` per connection, owned by the engine's driver: the
+//!   acks and control frames a driver pass produces are encoded into its
+//!   buffer, and the pass ends with one `write` of each non-empty buffer
+//!   (see the engine's module docs). No thread hop lies between an apply
+//!   and its ack's `write`.
 //!
-//! A burst is whatever is already queued: there is no timer and no wait
-//! for more, so a lone request is written and submitted as soon as it
-//! was before. The `server_frontdoor` metric family counts the sockets'
-//! reads and writes, the frames they carried and the request intake
-//! messages, so frames per write and requests per intake message can be
-//! read off a dump.
+//! A burst is whatever is already there: there is no timer and no wait
+//! for more, so a lone request is submitted, and its ack written, in the
+//! pass that has it. The `server_frontdoor` metric family counts the
+//! sockets' reads and writes, the frames they carried and the request
+//! intake messages, so frames per write and requests per intake message
+//! can be read off a dump.
+//!
+//! The driver writes to a blocking socket, so a client that stops
+//! reading must not hold it: every socket gets a send timeout
+//! (`WRITE_TIMEOUT`) at accept, which bounds a `write` that finds the
+//! kernel's send buffer full. A write that times out after a partial
+//! send keeps the rest at the front of the buffer for the next pass; a
+//! write that times out with nothing sent, or fails, shuts the
+//! connection down. Its reader then sees EOF and deregisters it; the
+//! client reconnects and retries, and dedup answers from the log. One
+//! client that never reads thus costs the others about two timeouts,
+//! once, and what the server holds for it is bounded by the kernel's
+//! buffer plus two passes of output.
 //!
 //! A client that dies mid-request costs the server nothing: the reader
 //! sees EOF, deregisters, and the command — if already batched — still
@@ -35,7 +50,6 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -43,16 +57,20 @@ use std::time::Duration;
 use indulgent_obs::Counter;
 
 use crate::audit::ShardedAudit;
-use crate::engine::{ConnId, EngineConfig, EngineHandle, KvEngine, Outbound, SubmitHandle};
+use crate::engine::{ConnId, EngineConfig, EngineHandle, KvEngine, Outbound, Sink, SubmitHandle};
 use crate::proto::{
     lease_state_request_shard, stats_request_shard, Request, SyncFrame, TAG_AUDIT_REQUEST,
     TAG_LEASE_STATE_REQUEST, TAG_REQUEST, TAG_STATS_REQUEST, TAG_SYNC_REQUEST,
 };
 use crate::wire::{encode_frame, FrameReader, WireError};
 
-/// Bytes a writer gathers before it stops draining its queue and writes
-/// (the frame that crosses the bound still goes in whole).
-const WRITE_BURST: usize = 64 * 1024;
+/// The send timeout of every server socket (`SO_SNDTIMEO`; reads are
+/// not affected): the longest a driver `write` waits for room in a full
+/// kernel send buffer. The kernel counts it in scheduler ticks and
+/// rounds up, so 20 ms is at least four ticks at HZ = 250: a reader
+/// descheduled for a moment is not mistaken for one that stopped, and
+/// a stuck one costs the other connections about 40 ms, once.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// Live sockets by connection, for shutdown to unblock their readers.
 type Registry = Mutex<HashMap<ConnId, TcpStream>>;
@@ -156,9 +174,9 @@ impl KvServer {
 }
 
 /// Accepts connections until told to stop; each connection gets a reader
-/// and a writer thread. `accept` blocks: a stop is signalled by setting
-/// `stop` and then connecting once, and any socket accepted after `stop`
-/// (that wake-up, or a client racing it) is dropped.
+/// thread and a sink on the engine. `accept` blocks: a stop is signalled
+/// by setting `stop` and then connecting once, and any socket accepted
+/// after `stop` (that wake-up, or a client racing it) is dropped.
 fn accept_loop(
     listener: &TcpListener,
     engine: &EngineHandle,
@@ -185,62 +203,94 @@ fn accept_loop(
     }
 }
 
-/// Wires one accepted socket to the engine.
+/// Wires one accepted socket to the engine: its write side becomes the
+/// connection's sink on the driver, its read side the reader thread's.
 fn spawn_connection(
     stream: TcpStream,
     engine: &EngineHandle,
     socks: &Arc<Registry>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let read_side = stream.try_clone()?;
-    let write_side = stream.try_clone()?;
-    let (submit, outbound) = engine.connect();
+    let write_side = SocketOut::new(Tallied(stream.try_clone()?));
+    let submit = engine.register(Sink::Socket(write_side));
     let conn = submit.conn();
     socks.lock().expect("socket registry poisoned").insert(conn, stream);
 
-    // Writer: exits when the engine drops the connection's sender
-    // (deregistration) or the socket dies.
-    std::thread::spawn(move || pump_outbound(&outbound, &mut Tallied(write_side)));
-
     // Reader: owns the SubmitHandle, so its exit (EOF, truncation,
-    // garbage) deregisters the connection, which disconnects the
-    // writer's receiver and lets it exit too.
+    // garbage, or a shutdown by the driver or by `shutdown`/`kill`)
+    // deregisters the connection.
     let socks = Arc::clone(socks);
     std::thread::spawn(move || {
         let _ = pump_inbound(&mut FrameReader::new(Tallied(read_side)), &submit);
-        // Unblock the writer promptly even if the engine keeps the ack
-        // sender alive briefly. An entry already gone was shut down by
-        // `shutdown`/`kill`.
-        if let Some(s) = socks.lock().expect("socket registry poisoned").remove(&conn) {
-            let _ = s.shutdown(Shutdown::Write);
-        }
+        socks.lock().expect("socket registry poisoned").remove(&conn);
         drop(submit);
     });
     Ok(())
 }
 
-/// Forwards the engine's outbound frames to `w` until the engine drops
-/// the sender or a write fails: blocks for one frame, then encodes every
-/// frame already queued, up to `WRITE_BURST` bytes, into one buffer and
-/// writes it with one `write_all`.
-fn pump_outbound<W: Write>(outbound: &Receiver<Outbound>, w: &mut W) -> io::Result<()> {
-    let mut buf = Vec::new();
-    while let Ok(first) = outbound.recv() {
-        let mut frames = 0;
-        let mut next = Some(first);
-        while let Some(out) = next {
-            match out {
-                Outbound::Ack(resp) => encode_frame(&resp.encode(), &mut buf),
-                Outbound::Control(bytes) => encode_frame(&bytes, &mut buf),
-            }
-            frames += 1;
-            next = if buf.len() < WRITE_BURST { outbound.try_recv().ok() } else { None };
-        }
-        frontdoor_metrics().frames_out.add(frames);
-        w.write_all(&buf)?;
-        buf.clear();
+/// One socket connection's output, owned by the engine's driver: the
+/// frames of a pass are encoded into `pending`, and
+/// [`flush`](SocketOut::flush) hands them to the socket with one
+/// `write` (module docs).
+#[derive(Debug)]
+pub(crate) struct SocketOut<W = Tallied> {
+    sock: W,
+    /// Encoded frames not yet accepted by the socket, oldest first.
+    pending: Vec<u8>,
+    /// Frames encoded since the last write.
+    frames: u64,
+}
+
+impl<W: Write> SocketOut<W> {
+    fn new(sock: W) -> Self {
+        SocketOut { sock, pending: Vec::new(), frames: 0 }
     }
-    Ok(())
+
+    /// No bytes wait for a write.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Encodes `out` as one frame after the pending ones.
+    pub(crate) fn push(&mut self, out: &Outbound) {
+        match out {
+            Outbound::Ack(resp) => encode_frame(&resp.encode(), &mut self.pending),
+            Outbound::Control(bytes) => encode_frame(bytes, &mut self.pending),
+        }
+        self.frames += 1;
+    }
+
+    /// One `write` of everything pending. `Ok(true)`: it all left.
+    /// `Ok(false)`: the socket took a prefix (the send timed out part-way,
+    /// or a signal cut it short) and the rest stays at the front for the
+    /// next pass. `Err`: nothing left before the timeout (`WouldBlock`),
+    /// or the socket failed — either way the connection is done.
+    fn write_pending(&mut self) -> io::Result<bool> {
+        frontdoor_metrics().frames_out.add(std::mem::take(&mut self.frames));
+        match self.sock.write(&self.pending) {
+            Ok(0) => Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                self.pending.drain(..n);
+                Ok(self.pending.is_empty())
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+impl SocketOut {
+    /// [`write_pending`](SocketOut::write_pending), shutting the socket
+    /// down on `Err`: its reader sees EOF and deregisters the connection.
+    pub(crate) fn flush(&mut self) -> io::Result<bool> {
+        let written = self.write_pending();
+        if written.is_err() {
+            let _ = self.sock.0.shutdown(Shutdown::Both);
+        }
+        written
+    }
 }
 
 /// Why a connection's reader stopped before a clean EOF.
@@ -331,7 +381,7 @@ fn send_requests(requests: &mut Vec<Request>, submit: &SubmitHandle) -> Result<(
 
 /// A server socket that counts its `read` and `write` calls.
 #[derive(Debug)]
-struct Tallied(TcpStream);
+pub(crate) struct Tallied(TcpStream);
 
 impl Read for Tallied {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
@@ -353,7 +403,7 @@ impl Write for Tallied {
 
 /// The `server_frontdoor` metric family: every server socket's `read`
 /// and `write` calls and the frames they carried, summed across the
-/// process. `frames_out / socket_writes` is the writers' burst size and
+/// process. `frames_out / socket_writes` is the frames per driver write and
 /// `frames_in / intake_batches` the requests per intake message (control
 /// frames are rare). `intake_batches <= socket_reads` holds unless
 /// control frames split a read's requests.
@@ -397,7 +447,6 @@ fn frontdoor_metrics() -> &'static FrontdoorMetrics {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc::channel;
     use std::time::Instant;
 
     use indulgent_model::{ClientId, RequestId};
@@ -484,18 +533,25 @@ mod tests {
         assert_eq!(requests_of(&intake[0]), Some(&[put(0), put(1), put(2)][..]));
     }
 
-    /// Accepts anything, recording the size of every `write` call.
+    /// A socket stand-in that records every `write`. It takes at most
+    /// `room` bytes per call (all of them when `None`), and with no room
+    /// it fails as a timed-out send does.
     #[derive(Default)]
     struct Recorder {
         bytes: Vec<u8>,
         writes: Vec<usize>,
+        room: Option<usize>,
     }
 
     impl Write for Recorder {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.bytes.extend_from_slice(buf);
-            self.writes.push(buf.len());
-            Ok(buf.len())
+            let n = self.room.map_or(buf.len(), |room| room.min(buf.len()));
+            if n == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.writes.push(n);
+            Ok(n)
         }
 
         fn flush(&mut self) -> io::Result<()> {
@@ -511,54 +567,71 @@ mod tests {
         })
     }
 
-    /// Runs the writer over `queued` (the engine already gone) and
-    /// returns what it wrote.
-    fn written(queued: Vec<Outbound>) -> Recorder {
-        let (tx, rx) = channel();
-        queued.into_iter().for_each(|out| tx.send(out).unwrap());
-        drop(tx);
-        let mut out = Recorder::default();
-        pump_outbound(&rx, &mut out).unwrap();
-        out
-    }
-
-    #[test]
-    fn a_queued_burst_is_one_write() {
-        let out = written((0..100).map(ack).collect());
-        assert_eq!(out.writes.len(), 1, "100 queued acks, one write");
-    }
-
-    #[test]
-    fn bursts_past_the_bound_split_and_decode_unchanged() {
-        let mut queued: Vec<Outbound> = (0..3_000).map(ack).collect();
-        queued.insert(1_000, Outbound::Control(vec![9; crate::wire::MAX_FRAME]));
-        queued.push(Outbound::Control(b"last".to_vec()));
-        let expected: Vec<Vec<u8>> = queued
-            .iter()
-            .map(|out| match out {
-                Outbound::Ack(r) => r.encode(),
-                Outbound::Control(bytes) => bytes.clone(),
-            })
-            .collect();
-        let out = written(queued);
-
-        assert!(out.bytes.len() > 2 * WRITE_BURST, "the queue spans several bursts");
-        let (last, full) = out.writes.split_last().unwrap();
-        assert!(!full.is_empty());
-        for &w in full {
-            assert!(w >= WRITE_BURST, "a burst stops draining only at the bound: {w}");
-            assert!(w < 2 * WRITE_BURST + 8, "one frame at most crosses the bound: {w}");
+    fn payload(out: &Outbound) -> Vec<u8> {
+        match out {
+            Outbound::Ack(r) => r.encode(),
+            Outbound::Control(bytes) => bytes.clone(),
         }
-        assert!(*last <= 2 * WRITE_BURST + 8);
+    }
 
+    fn decoded(bytes: &[u8]) -> Vec<Vec<u8>> {
         let mut decoder = FrameDecoder::new();
-        decoder.feed(&out.bytes);
-        let mut decoded = Vec::new();
-        while let Some(frame) = decoder.next_frame().unwrap() {
-            decoded.push(frame);
+        decoder.feed(bytes);
+        let frames = std::iter::from_fn(|| decoder.next_frame().unwrap()).collect();
+        assert_eq!(decoder.pending(), 0, "no partial frame is left over");
+        frames
+    }
+
+    #[test]
+    fn a_pass_of_acks_is_one_write() {
+        let acks: Vec<Outbound> = (0..100).map(ack).collect();
+        let mut out = SocketOut::new(Recorder::default());
+        acks.iter().for_each(|a| out.push(a));
+        assert!(out.write_pending().unwrap(), "everything left");
+        assert_eq!(out.sock.writes.len(), 1, "100 acks of one pass, one write");
+        assert!(out.is_empty());
+        assert_eq!(decoded(&out.sock.bytes), acks.iter().map(payload).collect::<Vec<_>>());
+    }
+
+    /// A socket that takes 64 KiB per `write`: a pass's output larger
+    /// than that leaves over several passes, one write each, and frames
+    /// pushed by later passes queue behind the leftover.
+    #[test]
+    fn partial_writes_keep_the_rest_and_frames_decode_unchanged_in_order() {
+        const ROOM: usize = 64 * 1024;
+        let mut first: Vec<Outbound> = (0..3_000).map(ack).collect();
+        first.insert(1_000, Outbound::Control(vec![9; crate::wire::MAX_FRAME]));
+        let second: Vec<Outbound> =
+            (3_000..3_100).map(ack).chain([Outbound::Control(b"last".to_vec())]).collect();
+        let mut out = SocketOut::new(Recorder { room: Some(ROOM), ..Recorder::default() });
+
+        first.iter().for_each(|f| out.push(f));
+        let total_first = out.pending.len();
+        assert!(total_first > 2 * ROOM, "the first pass spans several writes");
+        assert!(!out.write_pending().unwrap(), "a prefix left");
+        assert_eq!(out.pending.len(), total_first - ROOM, "the rest stays pending");
+        second.iter().for_each(|f| out.push(f));
+        let mut passes = 1;
+        while !out.write_pending().unwrap() {
+            passes += 1;
         }
-        assert_eq!(decoded, expected, "frames come out whole and in order");
-        assert_eq!(decoder.pending(), 0);
+        passes += 1;
+        let written = out.sock.bytes.len();
+        assert_eq!(out.sock.writes.len(), passes, "one write per pass");
+        assert_eq!(passes, written.div_ceil(ROOM), "every write but the last is full");
+        let expected: Vec<Vec<u8>> = first.iter().chain(&second).map(payload).collect();
+        assert_eq!(decoded(&out.sock.bytes), expected, "frames come out whole and in order");
+    }
+
+    #[test]
+    fn a_write_that_times_out_with_nothing_sent_ends_the_connection() {
+        let mut out = SocketOut::new(Recorder { room: Some(10), ..Recorder::default() });
+        (0..4).for_each(|i| out.push(&ack(i)));
+        assert!(!out.write_pending().unwrap(), "a partial send is kept going");
+        out.sock.room = Some(0);
+        let err = out.write_pending().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "{err}");
+        assert_eq!(out.sock.writes, [10]);
     }
 
     #[test]

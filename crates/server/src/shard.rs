@@ -45,7 +45,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 use indulgent_model::{BatchId, ClientId, Decision, RequestId};
@@ -439,17 +438,13 @@ impl ShardState {
 
     /// The submit step: exactly-once dedup, fast-read parking on the
     /// read ladder, batching.
-    pub(crate) fn submit(&mut self, conns: &Conns, conn: ConnId, request: Request) {
+    pub(crate) fn submit(&mut self, conns: &mut Conns, conn: ConnId, request: Request) {
         match self.dedup.entry((request.client, request.request)) {
             Entry::Occupied(mut e) => {
                 self.dedup_hits += 1;
                 engine_metrics().dedup_hits.incr();
                 match e.get_mut() {
-                    DedupState::Applied(resp) => {
-                        if let Some(tx) = conns.get(&conn) {
-                            let _ = tx.send(Outbound::Ack(*resp));
-                        }
-                    }
+                    DedupState::Applied(resp) => conns.send(conn, Outbound::Ack(*resp)),
                     // Still batched or parked: re-target where its
                     // eventual ack will be delivered.
                     DedupState::Waiting(to) => *to = conn,
@@ -554,7 +549,7 @@ impl ShardState {
     /// The apply step: applies decided slots in log order — materialize,
     /// WAL + fsync, only then acknowledge — and checkpoints on the
     /// shard's own cadence.
-    pub(crate) fn apply_decided(&mut self, conns: &Conns) {
+    pub(crate) fn apply_decided(&mut self, conns: &mut Conns) {
         while let Some(&SealedBatch { decided: Some((batch, decided)), .. }) = self.window.front() {
             let requests = self.window.pop_front().expect("the front was just read").requests;
             let apply_start = Instant::now();
@@ -594,10 +589,8 @@ impl ShardState {
                 self.flight.record(FlightKind::WalSync, slot, sync_ns);
                 engine_metrics().wal_syncs.incr();
             }
-            for (conn, ack) in targets.iter().zip(&rec.commands) {
-                if let Some(tx) = conns.get(conn) {
-                    let _ = tx.send(Outbound::Ack(ack.response));
-                }
+            for (&conn, ack) in targets.iter().zip(&rec.commands) {
+                conns.send(conn, Outbound::Ack(ack.response));
             }
             self.stats.apply_ack.record(nanos(apply_start.elapsed()));
             self.flight.record(FlightKind::SlotApplied, slot, rec.commands.len() as u64);
@@ -679,7 +672,7 @@ impl ShardState {
     /// The read ladder: serve every pending read at this shard's applied
     /// frontier — lease read when healthy, quorum read after an attest
     /// round, sequenced read at the bottom.
-    pub(crate) fn serve_reads(&mut self, conns: &Conns) {
+    pub(crate) fn serve_reads(&mut self, conns: &mut Conns) {
         if self.pending_reads.is_empty() {
             return;
         }
@@ -708,9 +701,7 @@ impl ShardState {
                     shard: self.idx,
                     outcome: Outcome::Read { index: self.applied_through, value },
                 };
-                if let Some(tx) = conns.get(&self.answer(client, response)) {
-                    let _ = tx.send(Outbound::Ack(response));
-                }
+                conns.send(self.answer(client, response), Outbound::Ack(response));
                 self.fast_read_records.push(FastReadRecord {
                     client,
                     request,
@@ -743,7 +734,7 @@ impl ShardState {
 
     /// Streams this shard's durable state (checkpoint + catch-up
     /// records) to one connection — the per-shard rejoin transfer.
-    pub(crate) fn serve_sync(&self, tx: &Sender<Outbound>) {
+    pub(crate) fn serve_sync(&self, conns: &mut Conns, conn: ConnId) {
         let blob = self.base.to_framed_bytes();
         const CHUNK: usize = 48 * 1024;
         let total = u32::try_from(blob.chunks(CHUNK).count().max(1)).expect("chunk count");
@@ -753,16 +744,15 @@ impl ShardState {
                 total,
                 bytes: chunk.to_vec(),
             };
-            let _ = tx.send(Outbound::Control(frame.encode()));
+            conns.send(conn, Outbound::Control(frame.encode()));
         }
         for rec in &self.slots {
             let mut bytes = Vec::new();
             encode_record(rec, &mut bytes);
-            let _ = tx.send(Outbound::Control(SyncFrame::Record { bytes }.encode()));
+            conns.send(conn, Outbound::Control(SyncFrame::Record { bytes }.encode()));
         }
-        let _ = tx.send(Outbound::Control(
-            SyncFrame::Done { applied_through: self.applied_through }.encode(),
-        ));
+        let done = SyncFrame::Done { applied_through: self.applied_through };
+        conns.send(conn, Outbound::Control(done.encode()));
     }
 
     /// A point-in-time [`LeaseStatus`] dump of this shard.
@@ -867,7 +857,7 @@ mod tests {
 
     use super::*;
     use crate::audit::AuditViolation;
-    use crate::engine::DurabilityConfig;
+    use crate::engine::{DurabilityConfig, Sink};
 
     #[test]
     fn router_is_deterministic_and_total() {
@@ -925,7 +915,7 @@ mod tests {
 
     /// Starts every sealed batch, lets one replica decide each as
     /// proposed, and applies: the engine's steps without a session.
-    fn decide_and_apply(sh: &mut ShardState, conns: &Conns) {
+    fn decide_and_apply(sh: &mut ShardState, conns: &mut Conns) {
         while let Some((local, batch)) = sh.start_next() {
             let value = batch.as_value();
             let decision = Decision { process: ProcessId::new(0), round: Round::new(2), value };
@@ -941,12 +931,13 @@ mod tests {
     fn the_apply_that_frees_the_window_lets_the_next_batch_start() {
         let cfg = EngineConfig::default_5().with_batch_size(1).with_pipeline_depth(1);
         let (tx, rx) = channel();
-        let conns = HashMap::from([(ConnId(1), tx)]);
+        let mut conns = Conns::default();
+        conns.register(ConnId(1), Sink::Local(tx));
         let mut sh = ShardState::recover(0, &cfg);
         for i in 0..2 {
             let put = KvOp::Put { key: 1, value: i };
             sh.submit(
-                &conns,
+                &mut conns,
                 ConnId(1),
                 Request { client: ClientId(1), request: RequestId(i.into()), op: put },
             );
@@ -962,7 +953,7 @@ mod tests {
             sh.on_result(local, replica, Some(decision));
             assert_eq!(sh.start_next(), None, "a decided slot holds the window until it applies");
         }
-        sh.apply_decided(&conns);
+        sh.apply_decided(&mut conns);
         assert!(matches!(rx.try_recv(), Ok(Outbound::Ack(r)) if r.request == RequestId(0)));
         assert!(sh.can_start(), "the apply freed the window");
         assert_eq!(sh.start_next(), Some((local + 1, BatchId(first.0 + 1))));
@@ -978,18 +969,20 @@ mod tests {
         let get = Request { client: ClientId(7), request: RequestId(0), op: KvOp::Get { key: 3 } };
         let (tx1, rx1) = channel();
         let (tx2, rx2) = channel();
-        let conns = HashMap::from([(ConnId(1), tx1), (ConnId(2), tx2)]);
-        let submit_twice = |sh: &mut ShardState| {
-            sh.submit(&conns, ConnId(1), get);
-            sh.submit(&conns, ConnId(2), get);
+        let mut conns = Conns::default();
+        conns.register(ConnId(1), Sink::Local(tx1));
+        conns.register(ConnId(2), Sink::Local(tx2));
+        let submit_twice = |sh: &mut ShardState, conns: &mut Conns| {
+            sh.submit(conns, ConnId(1), get);
+            sh.submit(conns, ConnId(2), get);
             assert_eq!(sh.dedup_hits, 1, "the retry is a dedup hit");
         };
 
         // Lease rung: the grants are fresh, the read is served at once.
         let mut sh = ShardState::recover(0, &cfg);
-        submit_twice(&mut sh);
+        submit_twice(&mut sh, &mut conns);
         sh.lease_upkeep();
-        sh.serve_reads(&conns);
+        sh.serve_reads(&mut conns);
         assert_eq!(sh.reads_lease, 1);
         assert!(matches!(rx2.try_recv(), Ok(Outbound::Ack(r)) if r.request == get.request));
         assert!(rx2.try_recv().is_err(), "the read is acked once");
@@ -999,8 +992,8 @@ mod tests {
         // Ladder bottom: no grants and no vouches, so the read is
         // demoted into the open batch, still addressed to connection 2.
         let mut sh = ShardState::recover(0, &cfg);
-        submit_twice(&mut sh);
-        sh.serve_reads(&conns);
+        submit_twice(&mut sh, &mut conns);
+        sh.serve_reads(&mut conns);
         assert_eq!((sh.reads_sequenced, sh.open.len()), (1, 1));
         assert!(matches!(
             sh.dedup.get(&(get.client, get.request)),
@@ -1008,7 +1001,7 @@ mod tests {
         ));
         // Sequence it: seal, decide the proposed batch, apply.
         sh.seal_lingering(true);
-        decide_and_apply(&mut sh, &conns);
+        decide_and_apply(&mut sh, &mut conns);
         assert!(matches!(
             rx2.try_recv(),
             Ok(Outbound::Ack(Response { outcome: Outcome::Get { slot: 1, .. }, .. }))
@@ -1026,27 +1019,27 @@ mod tests {
             .with_reads(ReadPath::Lease)
             .with_batch_size(1)
             .with_durability(DurabilityConfig::new(&dir).with_snapshot_every(2));
-        let conns = HashMap::new();
+        let mut conns = Conns::default();
         let mut sh = ShardState::recover(0, &cfg);
         let mut request = 0;
-        let mut submit = |sh: &mut ShardState, op| {
+        let mut submit = |sh: &mut ShardState, conns: &mut Conns, op| {
             request += 1;
             sh.submit(
-                &conns,
+                conns,
                 ConnId(1),
                 Request { client: ClientId(1), request: RequestId(request), op },
             );
         };
-        submit(&mut sh, KvOp::Put { key: 1, value: 10 });
-        decide_and_apply(&mut sh, &conns);
-        submit(&mut sh, KvOp::Get { key: 1 });
-        submit(&mut sh, KvOp::Get { key: 2 });
+        submit(&mut sh, &mut conns, KvOp::Put { key: 1, value: 10 });
+        decide_and_apply(&mut sh, &mut conns);
+        submit(&mut sh, &mut conns, KvOp::Get { key: 1 });
+        submit(&mut sh, &mut conns, KvOp::Get { key: 2 });
         sh.lease_upkeep();
-        sh.serve_reads(&conns);
+        sh.serve_reads(&mut conns);
         assert_eq!(sh.reads_lease, 2);
         sh.fast_read_records[0].value = Some(99);
-        submit(&mut sh, KvOp::Put { key: 2, value: 20 });
-        decide_and_apply(&mut sh, &conns);
+        submit(&mut sh, &mut conns, KvOp::Put { key: 2, value: 20 });
+        decide_and_apply(&mut sh, &mut conns);
         assert_eq!((sh.folded_fast_reads, sh.fast_read_mismatches), (2, 1));
         assert!(sh.fast_read_records.is_empty(), "folded records are dropped");
         assert_eq!(sh.audit().check(), Err(AuditViolation::FoldedReadMismatches { count: 1 }));
