@@ -896,7 +896,7 @@ pub fn asynchrony_table(ks: &[u32], seeds: u32) -> Vec<AsynchronyRow> {
     let mut rows = Vec::new();
     for &k in ks {
         let horizon = k + 40;
-        let mut hist = crate::stats::RoundHistogram::new();
+        let mut rounds = Vec::new();
         for seed in 0..u64::from(seeds) {
             let schedule = random_run(
                 config,
@@ -908,14 +908,18 @@ pub fn asynchrony_table(ks: &[u32], seeds: u32) -> Vec<AsynchronyRow> {
             let outcome = run_schedule(&at_plus2_factory(config), &props, &schedule, horizon)
                 .expect("one proposal per process");
             outcome.check_consensus().expect("consensus holds");
-            hist.record(outcome.global_decision_round().expect("decided"));
+            rounds.push(outcome.global_decision_round().expect("decided").get());
         }
+        rounds.sort_unstable();
+        // Nearest rank: the `ceil(p/100 · len)`-th smallest sample.
+        let percentile = |p: usize| rounds[(p * rounds.len()).div_ceil(100) - 1];
         rows.push(AsynchronyRow {
             k,
-            mean_round: hist.mean().expect("samples recorded"),
-            p50: hist.percentile(50.0).expect("samples recorded").get(),
-            p99: hist.percentile(99.0).expect("samples recorded").get(),
-            max_round: hist.max().expect("samples recorded").get(),
+            mean_round: rounds.iter().map(|&r| u64::from(r)).sum::<u64>() as f64
+                / rounds.len() as f64,
+            p50: percentile(50),
+            p99: percentile(99),
+            max_round: *rounds.last().expect("samples recorded"),
         });
     }
     rows

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod stats;
 
 /// Renders a table: a header line, a separator, and one line per row.
 ///

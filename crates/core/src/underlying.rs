@@ -81,11 +81,6 @@ impl<C: UnderlyingConsensus> Standalone<C> {
         inner.propose(value);
         Standalone { inner, decided: false }
     }
-
-    /// Returns the wrapped algorithm.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
 }
 
 impl<C: UnderlyingConsensus> RoundProcess for Standalone<C> {

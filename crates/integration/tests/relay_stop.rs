@@ -12,10 +12,7 @@ use indulgent_runtime::{InstanceSpec, Session};
 
 /// The `runtime_session.relays` counter (0 before any session exists).
 fn relays() -> u64 {
-    indulgent_obs::dump_to_string()
-        .lines()
-        .find_map(|line| line.strip_prefix("runtime_session.relays "))
-        .map_or(0, |v| v.parse().expect("counter value"))
+    indulgent_obs::counter_value("runtime_session", "relays").unwrap_or(0)
 }
 
 /// When every replica decides at round 2, each one relays at most once:

@@ -14,10 +14,7 @@ use indulgent_runtime::{DelayModel, InstanceSpec, Session};
 /// The `runtime_session.caller_sleeps` counter (0 before any session
 /// exists).
 fn caller_sleeps() -> u64 {
-    indulgent_obs::dump_to_string()
-        .lines()
-        .find_map(|line| line.strip_prefix("runtime_session.caller_sleeps "))
-        .map_or(0, |v| v.parse().expect("counter value"))
+    indulgent_obs::counter_value("runtime_session", "caller_sleeps").unwrap_or(0)
 }
 
 /// Runs `instances` instances under `delays` with `depth` of them in

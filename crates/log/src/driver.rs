@@ -58,50 +58,21 @@ use indulgent_sim::Schedule;
 use crate::frontend::ClientFrontend;
 use crate::runner_sim::compile_schedule;
 
-/// The `log_driver` metric family: what this process's log runs decided
-/// and applied, summed across every [`LogDriver::run`]. Slot-level
-/// tallies (noops, apply-time duplicates) surface here so a registry
-/// dump shows whether the proposal policy is holding up without waiting
-/// for the invariant suite.
-#[derive(Debug)]
-struct DriverMetrics {
-    runs_completed: indulgent_obs::Counter,
-    instances_run: indulgent_obs::Counter,
-    slots_applied: indulgent_obs::Counter,
-    committed_commands: indulgent_obs::Counter,
-    noop_slots: indulgent_obs::Counter,
-    duplicate_slots: indulgent_obs::Counter,
-}
-
-static DRIVER_METRICS: DriverMetrics = DriverMetrics {
-    runs_completed: indulgent_obs::Counter::new(),
-    instances_run: indulgent_obs::Counter::new(),
-    slots_applied: indulgent_obs::Counter::new(),
-    committed_commands: indulgent_obs::Counter::new(),
-    noop_slots: indulgent_obs::Counter::new(),
-    duplicate_slots: indulgent_obs::Counter::new(),
-};
-
-impl indulgent_obs::MetricFamily for DriverMetrics {
-    fn name(&self) -> &'static str {
-        "log_driver"
+indulgent_obs::metric_family! {
+    /// The `log_driver` metric family: what this process's log runs decided
+    /// and applied, summed across every [`LogDriver::run`]. Slot-level
+    /// tallies (noops, apply-time duplicates) surface here so a registry
+    /// dump shows whether the proposal policy is holding up without waiting
+    /// for the invariant suite.
+    struct DriverMetrics = "log_driver" {
+        runs_completed,
+        instances_run,
+        slots_applied,
+        committed_commands,
+        noop_slots,
+        duplicate_slots,
     }
-
-    fn emit(&self, sink: &mut dyn indulgent_obs::MetricSink) {
-        sink.counter("runs_completed", self.runs_completed.get());
-        sink.counter("instances_run", self.instances_run.get());
-        sink.counter("slots_applied", self.slots_applied.get());
-        sink.counter("committed_commands", self.committed_commands.get());
-        sink.counter("noop_slots", self.noop_slots.get());
-        sink.counter("duplicate_slots", self.duplicate_slots.get());
-    }
-}
-
-static REGISTER_DRIVER_METRICS: std::sync::Once = std::sync::Once::new();
-
-fn driver_metrics() -> &'static DriverMetrics {
-    REGISTER_DRIVER_METRICS.call_once(|| indulgent_obs::register_family(&DRIVER_METRICS));
-    &DRIVER_METRICS
+    fn driver_metrics();
 }
 
 /// Sizing of a log run: how much work, how wide the batches, how deep the

@@ -17,10 +17,13 @@
 //!   record path pays nothing for the percentiles the scrape reports.
 //! * the **registry** — named [`MetricFamily`]s registered once at
 //!   startup ([`register_family`]) and walked at dump time
-//!   ([`dump_to_string`], [`visit_families`]). Registration takes a
-//!   lock and may allocate; recording into a registered family never
-//!   does. The sim round engine, the runtime session, the log driver,
-//!   the lease agents, and the server engine each register one family.
+//!   ([`dump_to_string`], [`visit_families`], [`counter_value`]).
+//!   Registration takes a lock and may allocate; recording into a
+//!   registered family never does. Each family is declared once with
+//!   [`metric_family!`]: adding a counter is one name in its list. The
+//!   sim round engine, the runtime session, the log driver, the lease
+//!   agents, the server engine and the server's front door each
+//!   register one family.
 //! * [`FlightRecorder`] — a bounded ring of recent structured
 //!   [`FlightEvent`]s (instance starts/decisions, lease transitions,
 //!   WAL and snapshot operations, recovery steps). The ring is
@@ -270,24 +273,76 @@ impl Default for HistogramSnapshot {
     }
 }
 
-/// Receives one family's metrics during a registry walk.
-pub trait MetricSink {
-    /// One named counter value.
-    fn counter(&mut self, name: &str, value: u64);
-    /// One named histogram snapshot.
-    fn histogram(&mut self, name: &str, snap: &HistogramSnapshot);
-}
-
 /// A named group of metrics a subsystem exposes to the registry.
 ///
 /// Implementors are `static`s: the registry stores `&'static dyn`
 /// references, so families live for the process and recording into
-/// them is untouched by the registry's lock.
+/// them is untouched by the registry's lock. Declare one with
+/// [`metric_family!`] rather than by hand.
 pub trait MetricFamily: Sync {
     /// The family's name, e.g. `"sim_engine"` or `"server_engine"`.
     fn name(&self) -> &'static str;
-    /// Pushes every metric of the family into `sink`.
-    fn emit(&self, sink: &mut dyn MetricSink);
+    /// Passes every counter of the family to `sink` as `(name, value)`.
+    fn emit(&self, sink: &mut dyn FnMut(&'static str, u64));
+}
+
+/// Declares a metric family once: the struct of [`Counter`]s (deriving
+/// `Debug`), its `static`, the [`MetricFamily`] impl that emits the
+/// counters in declaration order, and the accessor that registers the
+/// family on its first call.
+///
+/// After the first call the accessor costs one `Once` check, and
+/// recording is a relaxed atomic add on the returned counters. The
+/// struct's fields are private to the declaring module.
+///
+/// ```
+/// indulgent_obs::metric_family! {
+///     /// The `doc_example` family.
+///     pub struct DocMetrics = "doc_example" {
+///         /// Requests seen.
+///         requests,
+///         /// Requests refused.
+///         refusals,
+///     }
+///     /// The process's `doc_example` counters.
+///     pub fn doc_metrics();
+/// }
+///
+/// doc_metrics().requests.add(3);
+/// assert_eq!(indulgent_obs::counter_value("doc_example", "requests"), Some(3));
+/// assert_eq!(indulgent_obs::counter_value("doc_example", "refusals"), Some(0));
+/// ```
+#[macro_export]
+macro_rules! metric_family {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $ty:ident = $family:literal {
+            $($(#[$counter_meta:meta])* $counter:ident),+ $(,)?
+        }
+        $(#[$accessor_meta:meta])*
+        $accessor_vis:vis fn $accessor:ident();
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug)]
+        $vis struct $ty {
+            $($(#[$counter_meta])* $counter: $crate::Counter,)+
+        }
+
+        impl $crate::MetricFamily for $ty {
+            fn name(&self) -> &'static str { $family }
+            fn emit(&self, sink: &mut dyn FnMut(&'static str, u64)) {
+                $(sink(stringify!($counter), self.$counter.get());)+
+            }
+        }
+
+        $(#[$accessor_meta])*
+        $accessor_vis fn $accessor() -> &'static $ty {
+            static FAMILY: $ty = $ty { $($counter: $crate::Counter::new(),)+ };
+            static REGISTER: ::std::sync::Once = ::std::sync::Once::new();
+            REGISTER.call_once(|| $crate::register_family(&FAMILY));
+            &FAMILY
+        }
+    };
 }
 
 static REGISTRY: Mutex<Vec<&'static dyn MetricFamily>> = Mutex::new(Vec::new());
@@ -310,33 +365,34 @@ pub fn visit_families(mut visit: impl FnMut(&'static dyn MetricFamily)) {
     }
 }
 
-/// Renders every registered family as `family.metric value` lines
-/// (histograms report `count/p50/p99/max`) — the `--stats-every` dump
-/// format.
+/// The current value of counter `name` of the registered family
+/// `family`, or `None` if no such family has registered yet or it has no
+/// such counter.
+#[must_use]
+pub fn counter_value(family: &str, name: &str) -> Option<u64> {
+    let mut found = None;
+    visit_families(|f| {
+        if f.name() == family {
+            f.emit(&mut |counter, value| {
+                if counter == name {
+                    found = Some(value);
+                }
+            });
+        }
+    });
+    found
+}
+
+/// Renders every registered family as `family.counter value` lines —
+/// the `--stats-every` dump format.
 #[must_use]
 pub fn dump_to_string() -> String {
-    struct Lines<'a> {
-        family: &'static str,
-        out: &'a mut String,
-    }
-    impl MetricSink for Lines<'_> {
-        fn counter(&mut self, name: &str, value: u64) {
-            let _ = writeln!(self.out, "{}.{name} {value}", self.family);
-        }
-        fn histogram(&mut self, name: &str, snap: &HistogramSnapshot) {
-            let _ = writeln!(
-                self.out,
-                "{}.{name} count={} p50={} p99={} max={}",
-                self.family,
-                snap.count,
-                snap.percentile(0.50),
-                snap.percentile(0.99),
-                snap.max
-            );
-        }
-    }
     let mut out = String::new();
-    visit_families(|f| f.emit(&mut Lines { family: f.name(), out: &mut out }));
+    visit_families(|f| {
+        f.emit(&mut |counter, value| {
+            let _ = writeln!(out, "{}.{counter} {value}", f.name());
+        });
+    });
     out
 }
 
@@ -574,28 +630,32 @@ mod tests {
         assert_eq!(s.percentile(0.5), u64::MAX);
     }
 
-    struct TestFamily {
-        hits: Counter,
-    }
-    impl MetricFamily for TestFamily {
-        fn name(&self) -> &'static str {
-            "obs_test_family"
+    crate::metric_family! {
+        struct TestFamily = "obs_test_family" {
+            hits,
+            misses,
         }
-        fn emit(&self, sink: &mut dyn MetricSink) {
-            sink.counter("hits", self.hits.get());
-        }
+        fn test_family();
     }
 
     #[test]
     fn registry_walks_registered_families_once() {
-        static FAMILY: TestFamily = TestFamily { hits: Counter::new() };
-        register_family(&FAMILY);
-        register_family(&FAMILY); // idempotent by name
-        FAMILY.hits.add(7);
+        test_family().hits.add(7);
+        register_family(test_family()); // idempotent by name
         let dump = dump_to_string();
-        let lines: Vec<&str> =
-            dump.lines().filter(|l| l.starts_with("obs_test_family.hits")).collect();
-        assert_eq!(lines, ["obs_test_family.hits 7"]);
+        let lines: Vec<&str> = dump.lines().filter(|l| l.starts_with("obs_test_family.")).collect();
+        // `misses` is the counter `counter_value`'s test bumps concurrently.
+        assert_eq!(lines.len(), 2, "one line per counter, in declaration order: {lines:?}");
+        assert_eq!(lines[0], "obs_test_family.hits 7");
+        assert!(lines[1].starts_with("obs_test_family.misses "));
+    }
+
+    #[test]
+    fn counter_value_reads_one_registered_counter() {
+        test_family().misses.add(2);
+        assert_eq!(counter_value("obs_test_family", "misses"), Some(2));
+        assert_eq!(counter_value("obs_test_family", "absent"), None);
+        assert_eq!(counter_value("obs_unregistered_family", "hits"), None);
     }
 
     #[test]

@@ -108,47 +108,20 @@ use indulgent_model::{
 };
 use indulgent_sim::{MessageFate, ModelKind, Schedule};
 
-/// The `runtime_session` metric family, summed over this process's
-/// sessions: instances and results (how much consensus traffic flowed),
-/// the result calls' sleeps, and `relays`, the broadcasts of replicas
-/// that had already decided (the stop rule in the module docs bounds
-/// them).
-#[derive(Debug)]
-struct SessionMetrics {
-    instances_started: indulgent_obs::Counter,
-    results_delivered: indulgent_obs::Counter,
-    decisions_delivered: indulgent_obs::Counter,
-    caller_sleeps: indulgent_obs::Counter,
-    relays: indulgent_obs::Counter,
-}
-
-static SESSION_METRICS: SessionMetrics = SessionMetrics {
-    instances_started: indulgent_obs::Counter::new(),
-    results_delivered: indulgent_obs::Counter::new(),
-    decisions_delivered: indulgent_obs::Counter::new(),
-    caller_sleeps: indulgent_obs::Counter::new(),
-    relays: indulgent_obs::Counter::new(),
-};
-
-impl indulgent_obs::MetricFamily for SessionMetrics {
-    fn name(&self) -> &'static str {
-        "runtime_session"
+indulgent_obs::metric_family! {
+    /// The `runtime_session` metric family, summed over this process's
+    /// sessions: instances and results (how much consensus traffic flowed),
+    /// the result calls' sleeps, and `relays`, the broadcasts of replicas
+    /// that had already decided (the stop rule in the module docs bounds
+    /// them).
+    struct SessionMetrics = "runtime_session" {
+        instances_started,
+        results_delivered,
+        decisions_delivered,
+        caller_sleeps,
+        relays,
     }
-
-    fn emit(&self, sink: &mut dyn indulgent_obs::MetricSink) {
-        sink.counter("instances_started", self.instances_started.get());
-        sink.counter("results_delivered", self.results_delivered.get());
-        sink.counter("decisions_delivered", self.decisions_delivered.get());
-        sink.counter("caller_sleeps", self.caller_sleeps.get());
-        sink.counter("relays", self.relays.get());
-    }
-}
-
-static REGISTER_SESSION_METRICS: std::sync::Once = std::sync::Once::new();
-
-fn session_metrics() -> &'static SessionMetrics {
-    REGISTER_SESSION_METRICS.call_once(|| indulgent_obs::register_family(&SESSION_METRICS));
-    &SESSION_METRICS
+    fn session_metrics();
 }
 
 /// Tallies one result on its way out of the session's result calls.

@@ -173,44 +173,19 @@ impl LeaseConfig {
     }
 }
 
-/// The `lease_agent` metric family: how this process's replica lease
-/// agents answered, summed across all shards and agents. The
-/// grant/deny and valid/invalid-vouch ratios are the protocol-level
-/// view of lease health — a deny or an invalid vouch is a replica
-/// refusing to underwrite a stale leader.
-#[derive(Debug)]
-struct LeaseMetrics {
-    grants: indulgent_obs::Counter,
-    denials: indulgent_obs::Counter,
-    vouches_valid: indulgent_obs::Counter,
-    vouches_invalid: indulgent_obs::Counter,
-}
-
-static LEASE_METRICS: LeaseMetrics = LeaseMetrics {
-    grants: indulgent_obs::Counter::new(),
-    denials: indulgent_obs::Counter::new(),
-    vouches_valid: indulgent_obs::Counter::new(),
-    vouches_invalid: indulgent_obs::Counter::new(),
-};
-
-impl indulgent_obs::MetricFamily for LeaseMetrics {
-    fn name(&self) -> &'static str {
-        "lease_agent"
+indulgent_obs::metric_family! {
+    /// The `lease_agent` metric family: how this process's replica lease
+    /// agents answered, summed across all shards and agents. The
+    /// grant/deny and valid/invalid-vouch ratios are the protocol-level
+    /// view of lease health — a deny or an invalid vouch is a replica
+    /// refusing to underwrite a stale leader.
+    struct LeaseMetrics = "lease_agent" {
+        grants,
+        denials,
+        vouches_valid,
+        vouches_invalid,
     }
-
-    fn emit(&self, sink: &mut dyn indulgent_obs::MetricSink) {
-        sink.counter("grants", self.grants.get());
-        sink.counter("denials", self.denials.get());
-        sink.counter("vouches_valid", self.vouches_valid.get());
-        sink.counter("vouches_invalid", self.vouches_invalid.get());
-    }
-}
-
-static REGISTER_LEASE_METRICS: std::sync::Once = std::sync::Once::new();
-
-fn lease_metrics() -> &'static LeaseMetrics {
-    REGISTER_LEASE_METRICS.call_once(|| indulgent_obs::register_family(&LEASE_METRICS));
-    &LEASE_METRICS
+    fn lease_metrics();
 }
 
 /// A replica's half of the lease protocol: the newest promise it has

@@ -54,8 +54,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use indulgent_obs::Counter;
-
 use crate::audit::ShardedAudit;
 use crate::engine::{ConnId, EngineConfig, EngineHandle, KvEngine, Outbound, Sink, SubmitHandle};
 use crate::proto::{
@@ -401,48 +399,21 @@ impl Write for Tallied {
     }
 }
 
-/// The `server_frontdoor` metric family: every server socket's `read`
-/// and `write` calls and the frames they carried, summed across the
-/// process. `frames_out / socket_writes` is the frames per driver write and
-/// `frames_in / intake_batches` the requests per intake message (control
-/// frames are rare). `intake_batches <= socket_reads` holds unless
-/// control frames split a read's requests.
-#[derive(Debug)]
-struct FrontdoorMetrics {
-    socket_reads: Counter,
-    frames_in: Counter,
-    intake_batches: Counter,
-    socket_writes: Counter,
-    frames_out: Counter,
-}
-
-static FRONTDOOR_METRICS: FrontdoorMetrics = FrontdoorMetrics {
-    socket_reads: Counter::new(),
-    frames_in: Counter::new(),
-    intake_batches: Counter::new(),
-    socket_writes: Counter::new(),
-    frames_out: Counter::new(),
-};
-
-impl indulgent_obs::MetricFamily for FrontdoorMetrics {
-    fn name(&self) -> &'static str {
-        "server_frontdoor"
+indulgent_obs::metric_family! {
+    /// The `server_frontdoor` metric family: every server socket's `read`
+    /// and `write` calls and the frames they carried, summed across the
+    /// process. `frames_out / socket_writes` is the frames per driver write and
+    /// `frames_in / intake_batches` the requests per intake message (control
+    /// frames are rare). `intake_batches <= socket_reads` holds unless
+    /// control frames split a read's requests.
+    struct FrontdoorMetrics = "server_frontdoor" {
+        socket_reads,
+        frames_in,
+        intake_batches,
+        socket_writes,
+        frames_out,
     }
-
-    fn emit(&self, sink: &mut dyn indulgent_obs::MetricSink) {
-        sink.counter("socket_reads", self.socket_reads.get());
-        sink.counter("frames_in", self.frames_in.get());
-        sink.counter("intake_batches", self.intake_batches.get());
-        sink.counter("socket_writes", self.socket_writes.get());
-        sink.counter("frames_out", self.frames_out.get());
-    }
-}
-
-static REGISTER_FRONTDOOR_METRICS: std::sync::Once = std::sync::Once::new();
-
-fn frontdoor_metrics() -> &'static FrontdoorMetrics {
-    REGISTER_FRONTDOOR_METRICS.call_once(|| indulgent_obs::register_family(&FRONTDOOR_METRICS));
-    &FRONTDOOR_METRICS
+    fn frontdoor_metrics();
 }
 
 #[cfg(test)]

@@ -150,54 +150,21 @@ struct SealedBatch {
     decided: Option<(BatchId, Instant)>,
 }
 
-/// The `server_engine` metric family: process-wide tallies across every
-/// shard of every engine in this process (the per-shard view travels in
-/// the wire [`StatsReport`] instead).
-#[derive(Debug)]
-struct EngineMetrics {
-    slots_applied: indulgent_obs::Counter,
-    commands_applied: indulgent_obs::Counter,
-    dedup_hits: indulgent_obs::Counter,
-    wal_syncs: indulgent_obs::Counter,
-    checkpoints: indulgent_obs::Counter,
-    reads_lease: indulgent_obs::Counter,
-    reads_quorum: indulgent_obs::Counter,
-    reads_demoted: indulgent_obs::Counter,
-}
-
-static ENGINE_METRICS: EngineMetrics = EngineMetrics {
-    slots_applied: indulgent_obs::Counter::new(),
-    commands_applied: indulgent_obs::Counter::new(),
-    dedup_hits: indulgent_obs::Counter::new(),
-    wal_syncs: indulgent_obs::Counter::new(),
-    checkpoints: indulgent_obs::Counter::new(),
-    reads_lease: indulgent_obs::Counter::new(),
-    reads_quorum: indulgent_obs::Counter::new(),
-    reads_demoted: indulgent_obs::Counter::new(),
-};
-
-impl indulgent_obs::MetricFamily for EngineMetrics {
-    fn name(&self) -> &'static str {
-        "server_engine"
+indulgent_obs::metric_family! {
+    /// The `server_engine` metric family: process-wide tallies across every
+    /// shard of every engine in this process (the per-shard view travels in
+    /// the wire [`StatsReport`] instead).
+    struct EngineMetrics = "server_engine" {
+        slots_applied,
+        commands_applied,
+        dedup_hits,
+        wal_syncs,
+        checkpoints,
+        reads_lease,
+        reads_quorum,
+        reads_demoted,
     }
-
-    fn emit(&self, sink: &mut dyn indulgent_obs::MetricSink) {
-        sink.counter("slots_applied", self.slots_applied.get());
-        sink.counter("commands_applied", self.commands_applied.get());
-        sink.counter("dedup_hits", self.dedup_hits.get());
-        sink.counter("wal_syncs", self.wal_syncs.get());
-        sink.counter("checkpoints", self.checkpoints.get());
-        sink.counter("reads_lease", self.reads_lease.get());
-        sink.counter("reads_quorum", self.reads_quorum.get());
-        sink.counter("reads_demoted", self.reads_demoted.get());
-    }
-}
-
-static REGISTER_ENGINE_METRICS: std::sync::Once = std::sync::Once::new();
-
-fn engine_metrics() -> &'static EngineMetrics {
-    REGISTER_ENGINE_METRICS.call_once(|| indulgent_obs::register_family(&ENGINE_METRICS));
-    &ENGINE_METRICS
+    fn engine_metrics();
 }
 
 /// A duration as histogram-ready nanoseconds.

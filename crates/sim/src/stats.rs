@@ -32,19 +32,19 @@
 //! [`RunState`]: crate::RunState
 //! [`RunState::step`]: crate::RunState::step
 
-use std::sync::Once;
-
-use indulgent_obs::{Counter, MetricFamily, MetricSink};
-
-/// The process-wide engine counters. See the module docs for the meaning
-/// of each counter.
-#[derive(Debug)]
-pub struct EngineCounters {
-    rounds_stepped: Counter,
-    fast_path_rounds: Counter,
-    deliveries_built: Counter,
-    messages_cloned: Counter,
-    forks: Counter,
+indulgent_obs::metric_family! {
+    /// The process-wide engine counters. See the module docs for the meaning
+    /// of each counter.
+    pub struct EngineCounters = "sim_engine" {
+        rounds_stepped,
+        fast_path_rounds,
+        deliveries_built,
+        messages_cloned,
+        forks,
+    }
+    /// The global counters of this process's round engine.
+    #[must_use]
+    pub fn engine_counters();
 }
 
 /// A point-in-time copy of the [`EngineCounters`].
@@ -60,40 +60,6 @@ pub struct EngineSnapshot {
     pub messages_cloned: u64,
     /// Snapshots forked by the incremental sweep engine.
     pub forks: u64,
-}
-
-static COUNTERS: EngineCounters = EngineCounters {
-    rounds_stepped: Counter::new(),
-    fast_path_rounds: Counter::new(),
-    deliveries_built: Counter::new(),
-    messages_cloned: Counter::new(),
-    forks: Counter::new(),
-};
-
-impl MetricFamily for EngineCounters {
-    fn name(&self) -> &'static str {
-        "sim_engine"
-    }
-
-    fn emit(&self, sink: &mut dyn MetricSink) {
-        sink.counter("rounds_stepped", self.rounds_stepped.get());
-        sink.counter("fast_path_rounds", self.fast_path_rounds.get());
-        sink.counter("deliveries_built", self.deliveries_built.get());
-        sink.counter("messages_cloned", self.messages_cloned.get());
-        sink.counter("forks", self.forks.get());
-    }
-}
-
-static REGISTER: Once = Once::new();
-
-/// The global counters of this process's round engine.
-#[must_use]
-pub fn engine_counters() -> &'static EngineCounters {
-    // Registration is one-time and lazy; after the first call this is a
-    // single relaxed load, so fetching the counters stays cheap enough
-    // for per-round use.
-    REGISTER.call_once(|| indulgent_obs::register_family(&COUNTERS));
-    &COUNTERS
 }
 
 impl EngineCounters {
@@ -199,8 +165,7 @@ mod tests {
     #[test]
     fn counters_register_as_the_sim_engine_family() {
         engine_counters().record_round(true, 1, 0);
-        let mut seen = false;
-        indulgent_obs::visit_families(|f| seen |= f.name() == "sim_engine");
-        assert!(seen, "engine_counters() registers the sim_engine family");
+        let rounds = indulgent_obs::counter_value("sim_engine", "rounds_stepped");
+        assert!(rounds >= Some(1), "engine_counters() registers the sim_engine family");
     }
 }
