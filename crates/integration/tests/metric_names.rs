@@ -127,5 +127,4 @@ fn the_dump_prints_exactly_the_pinned_names() {
         let (_, printed) = dumped.iter().find(|(f, _)| f == family).expect("family dumped");
         assert_eq!(printed, counters, "{family}'s counters, in emit order");
     }
-    assert_eq!(FAMILIES.iter().map(|(_, c)| c.len()).sum::<usize>(), 33);
 }
