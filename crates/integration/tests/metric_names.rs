@@ -54,7 +54,7 @@ const FAMILIES: [(&str, &[&str]); 6] = [
     ("lease_agent", &["grants", "denials", "vouches_valid", "vouches_invalid"]),
     (
         "server_frontdoor",
-        &["socket_reads", "frames_in", "intake_batches", "socket_writes", "frames_out"],
+        &["socket_reads", "frames_in", "intake_batches", "flushes", "socket_writes", "frames_out"],
     ),
     (
         "sim_engine",

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use indulgent_model::{ClientId, RequestId};
 use indulgent_server::wire::encode_frame;
 use indulgent_server::{
-    remote_lease_state, remote_stats, shard_dir, stats_request_frame, sync_all_from_peer,
+    remote_lease_state, remote_stats, shard_dir, sync_all_from_peer, ControlRequest,
     DurabilityConfig, EngineConfig, FrameReader, KvOp, KvServer, KvService, LocalKv, Outcome,
     PipeClient, ReadPath, RemoteKv, Request, Response, StatsReport, SyncFrame, TAG_STATS,
 };
@@ -164,7 +164,8 @@ fn requests_and_a_stats_request_in_one_write_are_handled_in_order() {
             op: KvOp::Put { key: i as u16, value: i as u32 },
         })
         .collect();
-    let frames = burst(server.addr(), &requests, Some(&stats_request_frame(0)), 21);
+    let frames =
+        burst(server.addr(), &requests, Some(&ControlRequest::Stats { shard: 0 }.encode()), 21);
     let (stats, acks): (Vec<_>, Vec<_>) =
         frames.iter().partition(|f| f.first() == Some(&TAG_STATS));
     let stats = StatsReport::decode(stats[0]).expect("one stats report");
@@ -390,7 +391,7 @@ fn a_client_that_never_reads_is_disconnected_and_stalls_no_one() {
     let mut stuck = TcpStream::connect(addr).expect("connect");
     let mut wire = Vec::new();
     for _ in 0..SYNCS {
-        encode_frame(&SyncFrame::Request { from_slot: 0, shard: 0 }.encode(), &mut wire);
+        encode_frame(&ControlRequest::Sync { from_slot: 0, shard: 0 }.encode(), &mut wire);
     }
     stuck.write_all(&wire).expect("one write");
 
@@ -428,7 +429,7 @@ fn sync_reply_len(addr: SocketAddr) -> usize {
     let mut sock = TcpStream::connect(addr).expect("connect");
     indulgent_server::wire::write_frame(
         &mut sock,
-        &SyncFrame::Request { from_slot: 0, shard: 0 }.encode(),
+        &ControlRequest::Sync { from_slot: 0, shard: 0 }.encode(),
     )
     .expect("write");
     sock.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");

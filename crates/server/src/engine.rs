@@ -86,7 +86,7 @@ use indulgent_sim::{ModelKind, Schedule};
 
 use crate::audit::ShardedAudit;
 use crate::lease::{LeaseConfig, ReadPath};
-use crate::proto::{Request, Response};
+use crate::proto::{ControlRequest, Request, Response};
 use crate::server::SocketOut;
 use crate::shard::{audit_summary, ShardRouter, ShardState, LINGER};
 
@@ -371,16 +371,6 @@ pub(crate) enum EngineMsg {
     Die,
 }
 
-/// A request answered with control frames on the asking connection (see
-/// the `SubmitHandle::request_*` methods); the `u32` names a shard.
-#[derive(Debug)]
-pub(crate) enum ControlRequest {
-    Sync(u32),
-    Audit,
-    LeaseState(u32),
-    Stats(u32),
-}
-
 /// A cloneable handle for registering connections with a running engine.
 #[derive(Debug, Clone)]
 pub struct EngineHandle {
@@ -436,37 +426,9 @@ impl SubmitHandle {
         self.intake.send(EngineMsg::SubmitBatch { conn: self.conn, requests }).is_ok()
     }
 
-    /// Asks the engine to stream one shard's durable state to this
-    /// connection as control frames (the per-shard rejoin transfer);
-    /// `false` if the engine has shut down. A request naming a shard the
-    /// service does not run is dropped (no reply).
-    pub fn request_sync(&self, shard: u32) -> bool {
-        self.control(ControlRequest::Sync(shard))
-    }
-
-    /// Asks the engine to run the replay audit and reply a summary
-    /// control frame; `false` if the engine has shut down.
-    pub fn request_audit(&self) -> bool {
-        self.control(ControlRequest::Audit)
-    }
-
-    /// Asks the engine to reply one shard's [`crate::LeaseStatus`]
-    /// control frame — the lease-state observability hook; `false` if
-    /// the engine has shut down. A request naming a shard the service
-    /// does not run is dropped (no reply).
-    pub fn request_lease_state(&self, shard: u32) -> bool {
-        self.control(ControlRequest::LeaseState(shard))
-    }
-
-    /// Asks the engine to reply one shard's [`crate::StatsReport`]
-    /// control frame — the metrics-scrape observability hook; `false` if
-    /// the engine has shut down. A request naming a shard the service
-    /// does not run is dropped (no reply).
-    pub fn request_stats(&self, shard: u32) -> bool {
-        self.control(ControlRequest::Stats(shard))
-    }
-
-    fn control(&self, request: ControlRequest) -> bool {
+    /// Sends a control request, answered with control frames on this
+    /// connection; `false` if the engine has shut down.
+    pub(crate) fn control(&self, request: ControlRequest) -> bool {
         self.intake.send(EngineMsg::Control { conn: self.conn, request }).is_ok()
     }
 }
@@ -670,21 +632,21 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 continue;
             }
             let reply = match request {
-                ControlRequest::Sync(i) => {
-                    if let Some(sh) = shards.get(i as usize) {
+                ControlRequest::Sync { shard, .. } => {
+                    if let Some(sh) = shards.get(shard as usize) {
                         sh.serve_sync(&mut conns, conn);
                     }
                     continue;
                 }
-                ControlRequest::LeaseState(i) => {
-                    let Some(sh) = shards.get(i as usize) else { continue };
+                ControlRequest::LeaseState { shard } => {
+                    let Some(sh) = shards.get(shard as usize) else { continue };
                     sh.lease_status(shard_count).encode()
                 }
-                ControlRequest::Stats(i) => {
-                    let Some(sh) = shards.get(i as usize) else { continue };
+                ControlRequest::Stats { shard } => {
+                    let Some(sh) = shards.get(shard as usize) else { continue };
                     sh.stats_report(shard_count).encode()
                 }
-                ControlRequest::Audit => audit_summary(&shards).encode(),
+                ControlRequest::Audit {} => audit_summary(&shards).encode(),
             };
             conns.send(conn, Outbound::Control(reply));
         }

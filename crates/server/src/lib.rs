@@ -13,7 +13,10 @@
 //! * [`proto`] — the request/response vocabulary. Requests carry the
 //!   `(ClientId, RequestId)` exactly-once key; responses carry the
 //!   `(shard, slot)` linearization point: the shard group that sequenced
-//!   the command and the slot it occupies in that shard's log.
+//!   the command and the slot it occupies in that shard's log. Every
+//!   other request a client sends is one [`ControlRequest`] (sync, audit,
+//!   lease state or stats), which the front door decodes, the engine
+//!   answers and the clients encode.
 //! * [`shard`] — one shard group: the fixed [`ShardRouter`] hash mapping
 //!   every key to one of `S` independent groups, the fsynced
 //!   `shards.manifest` refusing boots against a mismatched disk layout,
@@ -48,8 +51,8 @@
 //!   intake message per socket read, and the acks of a driver pass leave
 //!   at the end of that pass, in one `write` per connection made by the
 //!   driver itself (a send timeout disconnects a client that stops
-//!   reading). Besides requests it answers stats scrapes: a
-//!   [`remote_stats`] request returns a [`StatsReport`] — per-shard
+//!   reading). Besides requests it takes control requests, stats scrapes
+//!   among them: a [`remote_stats`] call returns a [`StatsReport`] — per-shard
 //!   pipeline-stage latency histograms (submit→seal, seal→decide,
 //!   decide→apply, apply→ack, WAL fsync, queue depth) recorded by the
 //!   zero-allocation `indulgent-obs` registry, point-in-time and usable
@@ -123,8 +126,8 @@ pub use lease::{
     ReplicaLeaseAgent,
 };
 pub use proto::{
-    stats_request_frame, stats_request_shard, AuditSummary, KvOp, LeaseStatus, Outcome, ProtoError,
-    Request, Response, StatsReport, SyncFrame, TAG_STATS, TAG_STATS_REQUEST,
+    AuditSummary, ControlRequest, KvOp, LeaseStatus, Outcome, ProtoError, Request, Response,
+    StatsReport, SyncFrame, TAG_STATS,
 };
 pub use server::KvServer;
 pub use service::{

@@ -171,24 +171,24 @@ pub struct Response {
 pub const TAG_REQUEST: u8 = 0x01;
 /// Frame tag of a service [`Response`].
 pub const TAG_RESPONSE: u8 = 0x02;
-/// Frame tag of a rejoin [`SyncFrame::Request`].
-pub const TAG_SYNC_REQUEST: u8 = 0x03;
+/// Frame tag of a [`ControlRequest::Sync`].
+const TAG_SYNC_REQUEST: u8 = 0x03;
 /// Frame tag of a [`SyncFrame::SnapshotChunk`].
 pub const TAG_SYNC_SNAPSHOT: u8 = 0x04;
 /// Frame tag of a [`SyncFrame::Record`] catch-up record.
 pub const TAG_SYNC_RECORD: u8 = 0x05;
 /// Frame tag of [`SyncFrame::Done`].
 pub const TAG_SYNC_DONE: u8 = 0x06;
-/// Frame tag of an audit request (tag-only message).
-pub const TAG_AUDIT_REQUEST: u8 = 0x07;
+/// Frame tag of a [`ControlRequest::Audit`].
+const TAG_AUDIT_REQUEST: u8 = 0x07;
 /// Frame tag of an [`AuditSummary`] reply.
 pub const TAG_AUDIT_REPLY: u8 = 0x08;
-/// Frame tag of a lease-state request addressed to one shard group.
-pub const TAG_LEASE_STATE_REQUEST: u8 = 0x0e;
+/// Frame tag of a [`ControlRequest::LeaseState`].
+const TAG_LEASE_STATE_REQUEST: u8 = 0x0e;
 /// Frame tag of a [`LeaseStatus`] reply.
 pub const TAG_LEASE_STATE: u8 = 0x0f;
-/// Frame tag of a metrics-scrape request addressed to one shard group.
-pub const TAG_STATS_REQUEST: u8 = 0x10;
+/// Frame tag of a [`ControlRequest::Stats`].
+const TAG_STATS_REQUEST: u8 = 0x10;
 /// Frame tag of a [`StatsReport`] reply.
 pub const TAG_STATS: u8 = 0x11;
 const OP_PUT: u8 = 0x01;
@@ -296,17 +296,18 @@ pub(crate) fn from_bytes<T: Field>(bytes: &[u8]) -> Result<T, ProtoError> {
 /// - `Type = TAG, MAX; …` also gives it a public `encode` (the tag, then
 ///   the fields, in one allocation of `MAX` bytes, its longest frame) and
 ///   `decode` (checks the tag, reads the fields, refuses trailing bytes).
-/// - `enum Type; A = TAG { a, b }, …` makes an enum a [`Field`]: the
-///   variant's tag byte, then its fields; an unknown tag is refused.
+/// - `enum Type; A = TAG { a, b }, B = TAG2 {}, …` makes an enum a
+///   [`Field`]: the variant's tag byte, then its fields (none for `B`);
+///   an unknown tag is refused.
 macro_rules! layout {
-    (enum $ty:ident; $($v:ident = $tag:path { $($f:ident),+ }),+ $(,)?) => {
+    (enum $ty:ident; $($v:ident = $tag:path { $($f:ident),* }),+ $(,)?) => {
         impl Field for $ty {
             #[inline(always)]
             fn put(&self, out: &mut Vec<u8>) {
                 match self {
-                    $($ty::$v { $($f),+ } => {
+                    $($ty::$v { $($f),* } => {
                         out.push($tag);
-                        $(Field::put($f, out);)+
+                        $(Field::put($f, out);)*
                     })+
                 }
             }
@@ -314,7 +315,7 @@ macro_rules! layout {
             #[inline]
             fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
                 match c.get::<u8>()? {
-                    $($tag => Ok($ty::$v { $($f: c.get()?),+ }),)+
+                    $($tag => Ok($ty::$v { $($f: c.get()?),* }),)+
                     t => Err(ProtoError::BadTag(t)),
                 }
             }
@@ -529,26 +530,65 @@ impl Field for Mode {
 layout!(Request = TAG_REQUEST, 24; client, request, op);
 layout!(Response = TAG_RESPONSE, 27; request, shard, outcome);
 
-/// The rejoin sync protocol, riding the same framed transport as the
+/// A request a connection sends instead of a [`Request`]: the engine
+/// answers it with control frames on the same connection, against the
+/// state its last pass applied. A request naming a shard the service
+/// does not run gets no reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ControlRequest {
+    /// Stream one shard group's checkpoint and retained WAL records as
+    /// [`SyncFrame`]s: the rejoin transfer. A full rejoin sends one per
+    /// shard.
+    Sync {
+        /// The requester's durable applied-through slot. The server
+        /// carries it and never reads it: every transfer starts at the
+        /// checkpoint.
+        from_slot: u64,
+        /// The shard group whose checkpoint + WAL is wanted.
+        shard: u32,
+    },
+    /// Run the replay audit and reply an [`AuditSummary`].
+    Audit {},
+    /// Reply the shard group's [`LeaseStatus`].
+    LeaseState {
+        /// The shard group whose lease agent is asked.
+        shard: u32,
+    },
+    /// Reply the shard group's [`StatsReport`].
+    Stats {
+        /// The shard group whose engine is asked.
+        shard: u32,
+    },
+}
+
+layout!(enum ControlRequest;
+    Sync = TAG_SYNC_REQUEST { from_slot, shard }, Audit = TAG_AUDIT_REQUEST {},
+    LeaseState = TAG_LEASE_STATE_REQUEST { shard }, Stats = TAG_STATS_REQUEST { shard });
+
+impl ControlRequest {
+    /// Encodes the request as one frame payload.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        to_bytes(self)
+    }
+
+    /// Decodes one frame payload.
+    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
+        from_bytes(bytes)
+    }
+}
+
+/// The rejoin sync stream, riding the same framed transport as the
 /// request/response traffic.
 ///
 /// A rejoining replica opens an ordinary connection and sends
-/// [`SyncFrame::Request`]; the server streams its last checkpoint
+/// [`ControlRequest::Sync`]; the server streams its last checkpoint
 /// (chunked under the [`crate::wire::MAX_FRAME`] bound), then every
 /// retained WAL record past the checkpoint, then [`SyncFrame::Done`].
 /// The receiver persists exactly what a local checkpoint + WAL would
 /// hold and boots through the normal disk-recovery path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SyncFrame {
-    /// Ask for a state transfer of one shard group (`from_slot` is the
-    /// requester's durable applied-through, advisory). A full rejoin
-    /// issues one request per shard.
-    Request {
-        /// The requester's own durable applied-through slot.
-        from_slot: u64,
-        /// The shard group whose checkpoint + WAL is wanted.
-        shard: u32,
-    },
     /// One chunk of the framed snapshot bytes, `index` of `total`.
     SnapshotChunk {
         /// 0-based chunk index.
@@ -577,15 +617,10 @@ impl SyncFrame {
     pub fn encode(&self) -> Vec<u8> {
         let tail: &[u8] = match self {
             SyncFrame::SnapshotChunk { bytes, .. } | SyncFrame::Record { bytes } => bytes,
-            SyncFrame::Request { .. } | SyncFrame::Done { .. } => &[],
+            SyncFrame::Done { .. } => &[],
         };
-        let mut out = Vec::with_capacity(13 + tail.len());
+        let mut out = Vec::with_capacity(9 + tail.len());
         match self {
-            SyncFrame::Request { from_slot, shard } => {
-                out.push(TAG_SYNC_REQUEST);
-                from_slot.put(&mut out);
-                shard.put(&mut out);
-            }
             SyncFrame::SnapshotChunk { index, total, .. } => {
                 out.push(TAG_SYNC_SNAPSHOT);
                 index.put(&mut out);
@@ -605,7 +640,6 @@ impl SyncFrame {
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor(bytes);
         let frame = match c.get::<u8>()? {
-            TAG_SYNC_REQUEST => SyncFrame::Request { from_slot: c.get()?, shard: c.get()? },
             TAG_SYNC_SNAPSHOT => SyncFrame::SnapshotChunk {
                 index: c.get()?,
                 total: c.get()?,
@@ -618,12 +652,6 @@ impl SyncFrame {
         c.finish()?;
         Ok(frame)
     }
-}
-
-/// The tag-only audit request frame payload.
-#[must_use]
-pub fn audit_request_frame() -> Vec<u8> {
-    vec![TAG_AUDIT_REQUEST]
 }
 
 /// The engine's answer to an over-the-wire audit request.
@@ -657,26 +685,6 @@ pub struct AuditSummary {
 
 layout!(AuditSummary = TAG_AUDIT_REPLY, 47;
     complete, ok, slots, committed, dedup_hits, fast_reads, lease_epoch, shards);
-
-/// A lease-state request: the shard group whose lease agent is asked.
-struct LeaseStateRequest(u32);
-/// A metrics-scrape request: the shard group whose engine is asked.
-struct StatsRequest(u32);
-
-layout!(LeaseStateRequest = TAG_LEASE_STATE_REQUEST, 5; 0);
-layout!(StatsRequest = TAG_STATS_REQUEST, 5; 0);
-
-/// The lease-state request frame payload, addressed to one shard group's
-/// lease agent.
-#[must_use]
-pub fn lease_state_request_frame(shard: u32) -> Vec<u8> {
-    LeaseStateRequest(shard).encode()
-}
-
-/// Parses the shard a lease-state request addresses.
-pub fn lease_state_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    LeaseStateRequest::decode(bytes).map(|request| request.0)
-}
 
 /// A point-in-time dump of the engine's lease and read-path state —
 /// the observability (and CI failure-artifact) surface of the lease
@@ -731,18 +739,6 @@ impl fmt::Display for LeaseStatus {
             self.reads_sequenced
         )
     }
-}
-
-/// The metrics-scrape request frame payload, addressed to one shard
-/// group's engine.
-#[must_use]
-pub fn stats_request_frame(shard: u32) -> Vec<u8> {
-    StatsRequest(shard).encode()
-}
-
-/// Parses the shard a metrics-scrape request addresses.
-pub fn stats_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    StatsRequest::decode(bytes).map(|request| request.0)
 }
 
 /// A point-in-time scrape of one shard group's engine metrics — the
@@ -909,7 +905,6 @@ mod tests {
     #[test]
     fn sync_frames_round_trip() {
         for frame in [
-            SyncFrame::Request { from_slot: 17, shard: 3 },
             SyncFrame::SnapshotChunk { index: 2, total: 5, bytes: vec![1, 2, 3] },
             SyncFrame::SnapshotChunk { index: 0, total: 1, bytes: vec![] },
             SyncFrame::Record { bytes: vec![0xaa; 40] },
@@ -918,6 +913,9 @@ mod tests {
             assert_eq!(SyncFrame::decode(&frame.encode()).unwrap(), frame);
         }
         assert_eq!(SyncFrame::decode(&[0x7f]), Err(ProtoError::BadTag(0x7f)));
+        // A sync request is a control request, not part of the stream.
+        let request = ControlRequest::Sync { from_slot: 17, shard: 3 }.encode();
+        assert_eq!(SyncFrame::decode(&request), Err(ProtoError::BadTag(TAG_SYNC_REQUEST)));
     }
 
     #[test]
@@ -933,7 +931,6 @@ mod tests {
             shards: 4,
         };
         assert_eq!(AuditSummary::decode(&s.encode()).unwrap(), s);
-        assert_eq!(audit_request_frame(), vec![TAG_AUDIT_REQUEST]);
         // `complete` (byte 1) and `ok` (byte 2) are bools: only 0 and 1.
         for (offset, byte) in [(1, 2), (1, 0xff), (2, 2), (2, 0x80)] {
             let mut bytes = s.encode();
@@ -1020,31 +1017,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_requests_address_a_shard() {
-        let frame = stats_request_frame(3);
-        assert_eq!(frame.len(), 5);
-        assert_eq!(stats_request_shard(&frame).unwrap(), 3);
-        assert_eq!(stats_request_shard(&[0x55]), Err(ProtoError::BadTag(0x55)));
-        assert_eq!(stats_request_shard(&[TAG_STATS_REQUEST]), Err(ProtoError::Truncated));
-        assert_eq!(
-            stats_request_shard(&[TAG_STATS_REQUEST, 1, 2, 3, 4, 5]),
-            Err(ProtoError::TrailingBytes)
-        );
-    }
-
-    #[test]
-    fn lease_state_requests_address_a_shard() {
-        let frame = lease_state_request_frame(3);
-        assert_eq!(frame.len(), 5);
-        assert_eq!(lease_state_request_shard(&frame).unwrap(), 3);
-        assert_eq!(lease_state_request_shard(&[0x55]), Err(ProtoError::BadTag(0x55)));
-        assert_eq!(
-            lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST]),
-            Err(ProtoError::Truncated)
-        );
-        assert_eq!(
-            lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST, 1, 2]),
-            Err(ProtoError::Truncated)
-        );
+    fn control_requests_round_trip() {
+        for request in [
+            ControlRequest::Sync { from_slot: u64::MAX, shard: 3 },
+            ControlRequest::Audit {},
+            ControlRequest::LeaseState { shard: 0 },
+            ControlRequest::Stats { shard: u32::MAX },
+        ] {
+            assert_eq!(ControlRequest::decode(&request.encode()), Ok(request));
+        }
+        assert_eq!(ControlRequest::decode(&[]), Err(ProtoError::Truncated));
+        // A request frame is not a control request.
+        assert_eq!(ControlRequest::decode(&[TAG_REQUEST]), Err(ProtoError::BadTag(TAG_REQUEST)));
     }
 }

@@ -8,12 +8,13 @@
 //!
 //! * a **reader thread** per connection blocks in one `read`, then takes
 //!   every frame that read completed. The requests among them go to the
-//!   engine's intake as one message; a control frame (sync, audit, lease
-//!   state, stats) first sends the requests ahead of it, so the engine
-//!   sees the connection's frames in the order they arrived. A clean EOF,
-//!   a truncated frame, or a malformed message deregisters the connection
-//!   once the valid requests ahead of it are submitted (the protocol has
-//!   no error responses — a peer that cannot speak it is dropped);
+//!   engine's intake as one message; any other frame is a
+//!   [`ControlRequest`], which first sends the requests ahead of it, so
+//!   the engine sees the connection's frames in the order they arrived.
+//!   A clean EOF, a truncated frame, or a malformed message deregisters
+//!   the connection once the valid requests ahead of it are submitted
+//!   (the protocol has no error responses — a peer that cannot speak it
+//!   is dropped);
 //! * a `SocketOut` per connection, owned by the engine's driver: the
 //!   acks and control frames a driver pass produces are encoded into its
 //!   buffer, and the pass ends with one `write` of each non-empty buffer
@@ -56,10 +57,7 @@ use std::time::Duration;
 
 use crate::audit::ShardedAudit;
 use crate::engine::{ConnId, EngineConfig, EngineHandle, KvEngine, Outbound, Sink, SubmitHandle};
-use crate::proto::{
-    lease_state_request_shard, stats_request_shard, Request, SyncFrame, TAG_AUDIT_REQUEST,
-    TAG_LEASE_STATE_REQUEST, TAG_REQUEST, TAG_STATS_REQUEST, TAG_SYNC_REQUEST,
-};
+use crate::proto::{ControlRequest, Request, TAG_REQUEST};
 use crate::wire::{encode_frame, FrameReader, WireError};
 
 /// The send timeout of every server socket (`SO_SNDTIMEO`; reads are
@@ -283,6 +281,7 @@ impl SocketOut {
     /// [`write_pending`](SocketOut::write_pending), shutting the socket
     /// down on `Err`: its reader sees EOF and deregisters the connection.
     pub(crate) fn flush(&mut self) -> io::Result<bool> {
+        frontdoor_metrics().flushes.incr();
         let written = self.write_pending();
         if written.is_err() {
             let _ = self.sock.0.shutdown(Shutdown::Both);
@@ -334,9 +333,9 @@ fn pump_inbound<R: Read>(reader: &mut FrameReader<R>, submit: &SubmitHandle) -> 
     Ok(())
 }
 
-/// Queues a request frame on `requests`. A control frame first sends the
-/// queued requests, then goes to the engine itself, so the connection's
-/// order is kept.
+/// Queues a request frame on `requests`. Any other frame is a
+/// [`ControlRequest`]: it first sends the queued requests, then goes to
+/// the engine itself, so the connection's order is kept.
 fn dispatch(
     payload: &[u8],
     requests: &mut Vec<Request>,
@@ -348,21 +347,8 @@ fn dispatch(
         return Ok(());
     }
     send_requests(requests, submit)?;
-    let sent = match payload.first() {
-        Some(&TAG_SYNC_REQUEST) => match SyncFrame::decode(payload) {
-            Ok(SyncFrame::Request { shard, .. }) => submit.request_sync(shard),
-            _ => return Err(Hangup::Malformed),
-        },
-        Some(&TAG_AUDIT_REQUEST) => submit.request_audit(),
-        Some(&TAG_LEASE_STATE_REQUEST) => {
-            submit.request_lease_state(lease_state_request_shard(payload).map_err(malformed)?)
-        }
-        Some(&TAG_STATS_REQUEST) => {
-            submit.request_stats(stats_request_shard(payload).map_err(malformed)?)
-        }
-        _ => return Err(Hangup::Malformed),
-    };
-    sent.then_some(()).ok_or(Hangup::EngineGone)
+    let request = ControlRequest::decode(payload).map_err(malformed)?;
+    submit.control(request).then_some(()).ok_or(Hangup::EngineGone)
 }
 
 /// Sends the queued requests, if any, as one intake message.
@@ -405,11 +391,14 @@ indulgent_obs::metric_family! {
     /// process. `frames_out / socket_writes` is the frames per driver write and
     /// `frames_in / intake_batches` the requests per intake message (control
     /// frames are rare). `intake_batches <= socket_reads` holds unless
-    /// control frames split a read's requests.
+    /// control frames split a read's requests. `flushes` counts the driver's
+    /// flushes of a socket with output pending, at most one per socket per
+    /// pass; each makes one `write`, so `socket_writes == flushes`.
     struct FrontdoorMetrics = "server_frontdoor" {
         socket_reads,
         frames_in,
         intake_batches,
+        flushes,
         socket_writes,
         frames_out,
     }
@@ -423,8 +412,8 @@ mod tests {
     use indulgent_model::{ClientId, RequestId};
 
     use super::*;
-    use crate::engine::{ControlRequest, EngineMsg};
-    use crate::proto::{stats_request_frame, KvOp, Outcome, Response};
+    use crate::engine::EngineMsg;
+    use crate::proto::{KvOp, Outcome, Response};
     use crate::wire::FrameDecoder;
 
     fn put(i: u64) -> Request {
@@ -470,31 +459,44 @@ mod tests {
         assert!(matches!(intake[1], EngineMsg::Deregister { conn: ConnId(7) }));
     }
 
+    /// Each kind of control frame reaches the engine as itself, once,
+    /// after the requests ahead of it.
     #[test]
     fn control_frames_flush_the_requests_ahead_of_them() {
-        let payloads =
-            vec![put(0).encode(), put(1).encode(), stats_request_frame(0), put(2).encode()];
-        let (stopped, intake) = intake_for(&framed(&payloads));
-        assert!(stopped.is_ok());
-        assert_eq!(intake.len(), 4, "{intake:?}");
-        assert_eq!(requests_of(&intake[0]), Some(&[put(0), put(1)][..]));
-        assert!(matches!(
-            intake[1],
-            EngineMsg::Control { conn: ConnId(7), request: ControlRequest::Stats(0) }
-        ));
-        assert_eq!(requests_of(&intake[2]), Some(&[put(2)][..]));
-        assert!(matches!(intake[3], EngineMsg::Deregister { .. }));
+        for control in [
+            ControlRequest::Sync { from_slot: 9, shard: 1 },
+            ControlRequest::Audit {},
+            ControlRequest::LeaseState { shard: 2 },
+            ControlRequest::Stats { shard: 3 },
+        ] {
+            let payloads =
+                vec![put(0).encode(), put(1).encode(), control.encode(), put(2).encode()];
+            let (stopped, intake) = intake_for(&framed(&payloads));
+            assert!(stopped.is_ok(), "{control:?}");
+            assert_eq!(intake.len(), 4, "{intake:?}");
+            assert_eq!(requests_of(&intake[0]), Some(&[put(0), put(1)][..]));
+            assert!(
+                matches!(intake[1], EngineMsg::Control { conn: ConnId(7), request } if request == control),
+                "{control:?}: {intake:?}"
+            );
+            assert_eq!(requests_of(&intake[2]), Some(&[put(2)][..]));
+            assert!(matches!(intake[3], EngineMsg::Deregister { .. }));
+        }
     }
 
+    /// Garbage, a truncated control frame and an unknown tag each end the
+    /// connection, after the requests ahead of them and before any after.
     #[test]
     fn a_bad_frame_drops_the_connection_after_the_requests_ahead_of_it() {
         let good = vec![put(0).encode(), put(1).encode(), put(2).encode()];
-        let mut garbage = good.clone();
-        garbage.extend([b"not a protocol message".to_vec(), put(3).encode()]);
-        let (stopped, intake) = intake_for(&framed(&garbage));
-        assert!(matches!(stopped, Err(Hangup::Malformed)), "{stopped:?}");
-        assert_eq!(requests_of(&intake[0]), Some(&[put(0), put(1), put(2)][..]));
-        assert!(matches!(intake[1..], [EngineMsg::Deregister { .. }]), "{intake:?}");
+        for bad in [b"not a protocol message".to_vec(), vec![0x10, 1, 2], vec![0x7f]] {
+            let mut frames = good.clone();
+            frames.extend([bad.clone(), put(3).encode()]);
+            let (stopped, intake) = intake_for(&framed(&frames));
+            assert!(matches!(stopped, Err(Hangup::Malformed)), "{bad:?}: {stopped:?}");
+            assert_eq!(requests_of(&intake[0]), Some(&[put(0), put(1), put(2)][..]));
+            assert!(matches!(intake[1..], [EngineMsg::Deregister { .. }]), "{bad:?}: {intake:?}");
+        }
 
         // An oversized header ends the burst the same way.
         let mut oversized = framed(&good);

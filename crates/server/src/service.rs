@@ -30,8 +30,8 @@ use indulgent_model::{ClientId, RequestId};
 
 use crate::engine::{EngineHandle, Outbound, SubmitHandle};
 use crate::proto::{
-    audit_request_frame, lease_state_request_frame, stats_request_frame, AuditSummary, KvOp,
-    LeaseStatus, ProtoError, Request, Response, StatsReport, SyncFrame,
+    AuditSummary, ControlRequest, KvOp, LeaseStatus, ProtoError, Request, Response, StatsReport,
+    SyncFrame,
 };
 use crate::snapshot::Snapshot;
 use crate::wal::{replay_bytes, ShardFiles, WalError, WalTail};
@@ -213,15 +213,12 @@ impl RemoteKv {
         client: ClientId,
         resume: RequestId,
     ) -> Result<Self, ServiceError> {
-        let writer = TcpStream::connect(addr).map_err(WireError::Io)?;
-        writer.set_nodelay(true).map_err(WireError::Io)?;
-        let read_side = writer.try_clone().map_err(WireError::Io)?;
-        read_side.set_read_timeout(Some(Duration::from_millis(20))).map_err(WireError::Io)?;
+        let (writer, reader) = dial(addr, Duration::from_millis(20))?;
         Ok(RemoteKv {
             client,
             next_request: resume,
             writer,
-            reader: FrameReader::new(read_side),
+            reader,
             retry_after: Duration::from_millis(500),
             deadline: Duration::from_secs(10),
         })
@@ -311,11 +308,8 @@ const PIPE_POLL: Duration = Duration::from_millis(1);
 impl PipeClient {
     /// Connects a pipelined session.
     pub fn connect(addr: SocketAddr, client: ClientId) -> Result<Self, ServiceError> {
-        let writer = TcpStream::connect(addr).map_err(WireError::Io)?;
-        writer.set_nodelay(true).map_err(WireError::Io)?;
-        let read_side = writer.try_clone().map_err(WireError::Io)?;
-        read_side.set_read_timeout(Some(PIPE_POLL)).map_err(WireError::Io)?;
-        Ok(PipeClient { client, writer, reader: FrameReader::new(read_side) })
+        let (writer, reader) = dial(addr, PIPE_POLL)?;
+        Ok(PipeClient { client, writer, reader })
     }
 
     /// This session's client id.
@@ -351,6 +345,19 @@ impl PipeClient {
     }
 }
 
+/// Connects to `addr` with Nagle off: the stream to write to, and a frame
+/// reader on its clone whose reads give up after `read_timeout`.
+fn dial(
+    addr: SocketAddr,
+    read_timeout: Duration,
+) -> Result<(TcpStream, FrameReader<TcpStream>), ServiceError> {
+    let writer = TcpStream::connect(addr).map_err(WireError::Io)?;
+    writer.set_nodelay(true).map_err(WireError::Io)?;
+    let read_side = writer.try_clone().map_err(WireError::Io)?;
+    read_side.set_read_timeout(Some(read_timeout)).map_err(WireError::Io)?;
+    Ok((writer, FrameReader::new(read_side)))
+}
+
 /// Socket errors that mean "no data yet", not "connection broken".
 fn retryable(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
@@ -361,17 +368,13 @@ fn retryable(e: &io::Error) -> bool {
 /// it yields a value, the peer hangs up, or `timeout` lapses.
 fn control_call<T>(
     peer: SocketAddr,
-    request: &[u8],
+    request: ControlRequest,
     timeout: Duration,
     mut reply: impl FnMut(&[u8], &mut TcpStream) -> Result<Option<T>, ServiceError>,
 ) -> Result<T, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
+    let (mut writer, mut reader) = dial(peer, Duration::from_millis(50))?;
     let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, request)?;
+    write_frame(&mut writer, &request.encode())?;
     loop {
         if Instant::now() > deadline {
             return Err(ServiceError::Timeout { request: RequestId(0) });
@@ -391,7 +394,7 @@ fn control_call<T>(
 
 /// Pulls one shard's durable state from a peer over its framed TCP port
 /// and materializes it into `dir` — the per-shard rejoin transfer. Opens
-/// a dedicated connection, sends a [`SyncFrame::Request`] naming the
+/// a dedicated connection, sends a [`ControlRequest::Sync`] naming the
 /// shard, reassembles the chunked snapshot, collects the catch-up
 /// records, verifies everything (checksums, slot contiguity from the
 /// snapshot, the peer's declared `applied_through`), and writes the
@@ -404,8 +407,8 @@ pub fn sync_from_peer(peer: SocketAddr, shard: u32, dir: &Path) -> Result<u64, S
     let mut blob: Vec<u8> = Vec::new();
     let mut chunks_seen = 0u32;
     let mut wal_bytes: Vec<u8> = Vec::new();
-    let request = SyncFrame::Request { from_slot: 0, shard }.encode();
-    let applied_through = control_call(peer, &request, Duration::from_secs(30), |payload, _| {
+    let request = ControlRequest::Sync { from_slot: 0, shard };
+    let applied_through = control_call(peer, request, Duration::from_secs(30), |payload, _| {
         match SyncFrame::decode(payload)? {
             SyncFrame::SnapshotChunk { index, total, bytes } => {
                 if index != chunks_seen || index >= total {
@@ -416,7 +419,6 @@ pub fn sync_from_peer(peer: SocketAddr, shard: u32, dir: &Path) -> Result<u64, S
             }
             SyncFrame::Record { bytes } => wal_bytes.extend_from_slice(&bytes),
             SyncFrame::Done { applied_through } => return Ok(Some(applied_through)),
-            SyncFrame::Request { .. } => return Err(malformed()),
         }
         Ok(None)
     })?;
@@ -455,14 +457,15 @@ pub fn sync_all_from_peer(peer: SocketAddr, shards: u32, root: &Path) -> Result<
 /// `complete` verdict (or the timeout lapses). Uses a dedicated
 /// connection; call it once load has stopped.
 pub fn remote_audit(peer: SocketAddr, timeout: Duration) -> Result<AuditSummary, ServiceError> {
-    control_call(peer, &audit_request_frame(), timeout, |payload, writer| {
+    let request = ControlRequest::Audit {};
+    control_call(peer, request, timeout, |payload, writer| {
         let summary = AuditSummary::decode(payload)?;
         if summary.complete {
             return Ok(Some(summary));
         }
         // Not yet quiesced; ask again shortly.
         std::thread::sleep(Duration::from_millis(50));
-        write_frame(writer, &audit_request_frame())?;
+        write_frame(writer, &request.encode())?;
         Ok(None)
     })
 }
@@ -478,7 +481,7 @@ pub fn remote_lease_state(
     shard: u32,
     timeout: Duration,
 ) -> Result<LeaseStatus, ServiceError> {
-    control_call(peer, &lease_state_request_frame(shard), timeout, |payload, _| {
+    control_call(peer, ControlRequest::LeaseState { shard }, timeout, |payload, _| {
         Ok(Some(LeaseStatus::decode(payload)?))
     })
 }
@@ -496,7 +499,7 @@ pub fn remote_stats(
     shard: u32,
     timeout: Duration,
 ) -> Result<StatsReport, ServiceError> {
-    control_call(peer, &stats_request_frame(shard), timeout, |payload, _| {
+    control_call(peer, ControlRequest::Stats { shard }, timeout, |payload, _| {
         Ok(Some(StatsReport::decode(payload)?))
     })
 }

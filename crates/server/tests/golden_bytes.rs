@@ -11,10 +11,9 @@ use std::path::PathBuf;
 
 use indulgent_model::{BatchId, ClientId, RequestId};
 use indulgent_obs::BUCKETS;
-use indulgent_server::proto::{audit_request_frame, lease_state_request_frame};
 use indulgent_server::wal::{crc32, encode_record};
 use indulgent_server::{
-    stats_request_frame, store_epoch, store_manifest, AckRecord, AuditSummary, KvOp, LeaseStatus,
+    store_epoch, store_manifest, AckRecord, AuditSummary, ControlRequest, KvOp, LeaseStatus,
     Outcome, Request, Response, SessionEntry, SlotRecord, Snapshot, StatsReport, SyncFrame,
 };
 
@@ -69,7 +68,6 @@ fn responses_for_every_outcome() {
 #[test]
 fn sync_frames() {
     let cases = [
-        (SyncFrame::Request { from_slot: 17, shard: 3 }, "03 1100000000000000 03000000"),
         (
             SyncFrame::SnapshotChunk { index: 2, total: 5, bytes: vec![0xaa, 0xbb, 0xcc] },
             "04 02000000 05000000 aabbcc",
@@ -84,9 +82,15 @@ fn sync_frames() {
 
 #[test]
 fn control_frames() {
-    assert_eq!(audit_request_frame(), hex("07"));
-    assert_eq!(lease_state_request_frame(3), hex("0e 03000000"));
-    assert_eq!(stats_request_frame(3), hex("10 03000000"));
+    let requests = [
+        (ControlRequest::Sync { from_slot: 17, shard: 3 }, "03 1100000000000000 03000000"),
+        (ControlRequest::Audit {}, "07"),
+        (ControlRequest::LeaseState { shard: 3 }, "0e 03000000"),
+        (ControlRequest::Stats { shard: 3 }, "10 03000000"),
+    ];
+    for (request, layout) in requests {
+        assert_eq!(request.encode(), hex(layout), "{request:?}");
+    }
     let audit = AuditSummary {
         complete: true,
         ok: false,

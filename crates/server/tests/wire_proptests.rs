@@ -9,8 +9,8 @@ use indulgent_obs::Histogram;
 use indulgent_server::wal::{decode_payload, encode_payload};
 use indulgent_server::wire::{encode_frame, FrameDecoder, FrameReader, MAX_FRAME};
 use indulgent_server::{
-    AckRecord, AuditSummary, KvOp, LeaseStatus, Outcome, ProtoError, Request, Response,
-    SessionEntry, SlotRecord, Snapshot, StatsReport, SyncFrame,
+    AckRecord, AuditSummary, ControlRequest, KvOp, LeaseStatus, Outcome, ProtoError, Request,
+    Response, SessionEntry, SlotRecord, Snapshot, StatsReport, SyncFrame,
 };
 use proptest::prelude::*;
 
@@ -336,10 +336,31 @@ fn contract_rows(w: &[u64], samples: &[u64], blob: &[u8]) -> Vec<Row> {
         Row::new("Response", response, Response::encode, Response::decode)
             .refusing(response_refusals),
         Row::new(
-            "SyncFrame::Request",
-            SyncFrame::Request { from_slot: w[0], shard: w[1] as u32 },
-            SyncFrame::encode,
-            SyncFrame::decode,
+            "ControlRequest::Sync",
+            ControlRequest::Sync { from_slot: w[0], shard: w[1] as u32 },
+            ControlRequest::encode,
+            ControlRequest::decode,
+        )
+        .refusing(vec![(0, 0x7f)]),
+        Row::new(
+            "ControlRequest::Audit",
+            ControlRequest::Audit {},
+            ControlRequest::encode,
+            ControlRequest::decode,
+        )
+        .refusing(vec![(0, 0x7f)]),
+        Row::new(
+            "ControlRequest::LeaseState",
+            ControlRequest::LeaseState { shard: w[2] as u32 },
+            ControlRequest::encode,
+            ControlRequest::decode,
+        )
+        .refusing(vec![(0, 0x7f)]),
+        Row::new(
+            "ControlRequest::Stats",
+            ControlRequest::Stats { shard: w[3] as u32 },
+            ControlRequest::encode,
+            ControlRequest::decode,
         )
         .refusing(vec![(0, 0x7f)]),
         Row::new("SyncFrame::SnapshotChunk", chunk, SyncFrame::encode, SyncFrame::decode)
