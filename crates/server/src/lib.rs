@@ -13,10 +13,8 @@
 //! * [`proto`] — the request/response vocabulary. Requests carry the
 //!   `(ClientId, RequestId)` exactly-once key; responses carry the
 //!   `(shard, slot)` linearization point: the shard group that sequenced
-//!   the command and the slot it occupies in that shard's log. Every
-//!   other request a client sends is one [`ControlRequest`] (sync, audit,
-//!   lease state or stats), which the front door decodes, the engine
-//!   answers and the clients encode.
+//!   the command and the slot it occupies in that shard's log. Sync,
+//!   audit, lease-state and stats requests are one [`ControlRequest`].
 //! * [`shard`] — one shard group: the fixed [`ShardRouter`] hash mapping
 //!   every key to one of `S` independent groups, the fsynced
 //!   `shards.manifest` refusing boots against a mismatched disk layout,

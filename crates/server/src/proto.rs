@@ -530,19 +530,14 @@ impl Field for Mode {
 layout!(Request = TAG_REQUEST, 24; client, request, op);
 layout!(Response = TAG_RESPONSE, 27; request, shard, outcome);
 
-/// A request a connection sends instead of a [`Request`]: the engine
-/// answers it with control frames on the same connection, against the
-/// state its last pass applied. A request naming a shard the service
-/// does not run gets no reply.
+/// A request the engine answers with control frames on the asking
+/// connection; one naming a shard the service does not run gets none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlRequest {
-    /// Stream one shard group's checkpoint and retained WAL records as
-    /// [`SyncFrame`]s: the rejoin transfer. A full rejoin sends one per
-    /// shard.
+    /// Stream one shard group's state as [`SyncFrame`]s (the rejoin transfer).
     Sync {
-        /// The requester's durable applied-through slot. The server
-        /// carries it and never reads it: every transfer starts at the
-        /// checkpoint.
+        /// The requester's durable applied-through slot; the server
+        /// carries it and never reads it.
         from_slot: u64,
         /// The shard group whose checkpoint + WAL is wanted.
         shard: u32,
