@@ -1025,4 +1025,30 @@ mod tests {
         // A request frame is not a control request.
         assert_eq!(ControlRequest::decode(&[TAG_REQUEST]), Err(ProtoError::BadTag(TAG_REQUEST)));
     }
+
+    #[test]
+    fn stats_requests_address_a_shard() {
+        let frame = ControlRequest::Stats { shard: 3 }.encode();
+        assert_eq!(frame.len(), 5);
+        assert_eq!(ControlRequest::decode(&frame), Ok(ControlRequest::Stats { shard: 3 }));
+        assert_eq!(ControlRequest::decode(&[0x55]), Err(ProtoError::BadTag(0x55)));
+        assert_eq!(ControlRequest::decode(&[TAG_STATS_REQUEST]), Err(ProtoError::Truncated));
+        assert_eq!(
+            ControlRequest::decode(&[TAG_STATS_REQUEST, 1, 2, 3, 4, 5]),
+            Err(ProtoError::TrailingBytes)
+        );
+    }
+
+    #[test]
+    fn lease_state_requests_address_a_shard() {
+        let frame = ControlRequest::LeaseState { shard: 3 }.encode();
+        assert_eq!(frame.len(), 5);
+        assert_eq!(ControlRequest::decode(&frame), Ok(ControlRequest::LeaseState { shard: 3 }));
+        assert_eq!(ControlRequest::decode(&[0x55]), Err(ProtoError::BadTag(0x55)));
+        assert_eq!(ControlRequest::decode(&[TAG_LEASE_STATE_REQUEST]), Err(ProtoError::Truncated));
+        assert_eq!(
+            ControlRequest::decode(&[TAG_LEASE_STATE_REQUEST, 1, 2]),
+            Err(ProtoError::Truncated)
+        );
+    }
 }
